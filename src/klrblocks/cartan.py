@@ -119,6 +119,39 @@ def apply_cartan(rank: AffineRank, x: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(2 * x[i] - x[(i - 1) % e] - x[(i + 1) % e] for i in range(e))
 
 
+class NoSolutionError(ValueError):
+    """Raised when the linear system has no nonnegative integer solution."""
+
+
+def solve_pinned(rank: AffineRank, rhs: tuple[int, ...], x0: int) -> tuple[int, ...]:
+    """Solve A x = rhs in integers with x_0 pinned, in closed form.
+
+    Row i reads 2 x_i - x_{i-1} - x_{i+1} = y_i, a cyclic second difference
+    (for ell = 1 the neighbours coincide, giving the -2 entries).  With
+    d_i = x_{i+1} - x_i, rows 1..ell give d_i = d_{i-1} - y_i, and the
+    differences around the cycle sum to zero, so
+
+        e d_0 = sum_{i=1}^{e-1} (e - i) y_i.
+
+    An integral solution exists iff that sum is 0 mod e; x then follows from
+    x_0 by one prefix pass.  Row 0 holds iff sum(y) = 0, which the final
+    check enforces.  Raises NoSolutionError in either failing case.
+    """
+    e = rank.e
+    num = sum((e - i) * rhs[i] for i in range(1, e))
+    if num % e:
+        raise NoSolutionError(f"no integral solution for rhs {rhs}")
+    d = num // e
+    x = [x0]
+    for i in range(1, e):
+        x.append(x[-1] + d)
+        d -= rhs[i]
+    x = tuple(x)
+    if apply_cartan(rank, x) != tuple(rhs):
+        raise NoSolutionError(f"inconsistent system for rhs {rhs}")
+    return x
+
+
 def pairing(i: int, mu: WeightCoeffs) -> int:
     """<h_i, mu>: the coefficient of Lambda_i (delta pairs to zero)."""
     return mu.lam[i % len(mu.lam)]

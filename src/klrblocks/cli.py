@@ -7,11 +7,13 @@ an error), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .brauer import (
     BrauerGraph,
+    InvalidGraphError,
     cartan_matrix as graph_cartan_matrix,
     decomp_search,
     derived_invariants,
@@ -263,11 +265,20 @@ def _graph_from_args(args) -> BrauerGraph:
         return gamma_family(s, a, m)
     if args.graph is None:
         raise UsageError("need either --graph FILE or --gamma s,a,m")
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    mults = [0] * len(data["vertices"])
+    try:
+        with open(args.graph, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"--graph: cannot read {args.graph}: {exc.strerror}") from exc
+    n = len(data["vertices"])
+    mults = [None] * n
     for v in data["vertices"]:
-        mults[v["id"]] = v["mult"]
+        vid = v["id"]
+        if not (isinstance(vid, int) and 0 <= vid < n):
+            raise InvalidGraphError(f"vertex id {vid!r} outside 0..{n - 1}")
+        if mults[vid] is not None:
+            raise InvalidGraphError(f"duplicate vertex id {vid}")
+        mults[vid] = v["mult"]
     rotations = {int(k): v for k, v in data.get("rotation", {}).items()}
     return BrauerGraph.build(mults, [tuple(e) for e in data["edges"]], rotations)
 
@@ -327,8 +338,7 @@ def _cmd_brauer(args, out) -> int:
 
 def _cmd_decomp(args, out) -> int:
     if args.cartan is not None:
-        rows = args.cartan.split(";")
-        c = [list(map(int, r.split(","))) for r in rows]
+        c = [list(_parse_int_vector(r, None, "cartan")) for r in args.cartan.split(";")]
     else:
         g = _graph_from_args(args)
         c = graph_cartan_matrix(g)
@@ -352,7 +362,9 @@ def _cmd_decomp(args, out) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later `run`."""
     parser = argparse.ArgumentParser(
         prog="klrblocks",
         description="Dominant maximal weights, weight quivers, block types and "

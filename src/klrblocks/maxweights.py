@@ -5,26 +5,27 @@ the level-k dominant weights with ev(Lambda') = ev(Lambda) mod e, and each one
 determines a unique nonnegative solution X (with min X = 0) of A X^t = Y^t,
 where Y_i = <h_i, Lambda - Lambda'>.  The dominant maximal weights are then
 Lambda - sum_i x_i alpha_i.
+
+The class is generated with the ev constraint built in, and X comes from the
+closed form of the cyclic second difference (`cartan.solve_pinned`): with
+d_i = x_{i+1} - x_i and x_0 pinned, e d_0 = sum_{i>=1} (e - i) y_i, and X is
+integral iff that sum is 0 mod e.  Everything is integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .cartan import (
     AffineRank,
+    NoSolutionError,
     RootVector,
     WeightCoeffs,
-    apply_cartan,
     root_to_weight,
     rotate_tuple,
+    solve_pinned,
 )
-
-
-class NoSolutionError(ValueError):
-    """Raised when the linear system has no nonnegative integer solution."""
 
 
 @dataclass(frozen=True)
@@ -80,69 +81,28 @@ def ev(w: LevelKDominant) -> int:
     return sum(i * c for i, c in enumerate(w.coeffs)) % e
 
 
-def _weak_compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`, lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in _weak_compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def equiv_class(w: LevelKDominant) -> list[LevelKDominant]:
-    """All level-k dominant weights equivalent to w, sorted lexicographically."""
-    target = ev(w)
+    """All level-k dominant weights equivalent to w, sorted lexicographically.
+
+    The ev constraint is built into the generation: c_2..c_{e-1} are chosen
+    freely, c_1 runs over the residue class that restores ev(w) mod e, and
+    c_0 takes the rest of the level.
+    """
     e = len(w.coeffs)
-    members = [
-        LevelKDominant(c)
-        for c in _weak_compositions(w.level, e)
-        if sum(i * ci for i, ci in enumerate(c)) % e == target
-    ]
+    members = []
+
+    def fill(i: int, tail: tuple[int, ...], left: int, need: int) -> None:
+        # tail = (c_{i+1}, ..., c_{e-1}); need = ev(w) - sum_{j>i} j c_j mod e
+        if i == 1:
+            for c1 in range(need % e, left + 1, e):
+                members.append(LevelKDominant((left - c1, c1) + tail))
+            return
+        for c in range(left + 1):
+            fill(i - 1, (c,) + tail, left - c, need - i * c)
+
+    fill(e - 1, (), w.level, ev(w))
     members.sort(key=lambda m: m.coeffs)
     return members
-
-
-def _solve_pinned(rank: AffineRank, rhs: tuple[int, ...], x0: int) -> tuple[int, ...]:
-    """Solve A x = rhs with x_0 pinned, by exact elimination on rows 1..ell.
-
-    The kernel of A is spanned by the all-ones vector, so pinning x_0 makes
-    the solution unique over the rationals.  Raises NoSolutionError when the
-    solution is not integral.
-    """
-    e = rank.e
-    ell = rank.ell
-    a = cartan_rows(rank)
-    # Rows 1..ell in the unknowns x_1..x_ell, moving the x_0 column to the rhs.
-    mat = [
-        [Fraction(a[r][c]) for c in range(1, e)] + [Fraction(rhs[r] - a[r][0] * x0)]
-        for r in range(1, e)
-    ]
-    for col in range(ell):
-        piv = next((r for r in range(col, ell) if mat[r][col] != 0), None)
-        if piv is None:
-            raise NoSolutionError("singular subsystem; this should not happen")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [v * inv for v in mat[col]]
-        for r in range(ell):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [v - f * p for v, p in zip(mat[r], mat[col])]
-    xs = [mat[r][ell] for r in range(ell)]
-    if any(v.denominator != 1 for v in xs):
-        raise NoSolutionError(f"no integral solution for rhs {rhs}")
-    x = (x0,) + tuple(int(v) for v in xs)
-    if apply_cartan(rank, x) != tuple(rhs):
-        raise NoSolutionError(f"inconsistent system for rhs {rhs}")
-    return x
-
-
-@lru_cache(maxsize=None)
-def cartan_rows(rank: AffineRank) -> tuple[tuple[int, ...], ...]:
-    from .cartan import cartan_matrix
-
-    return tuple(tuple(row) for row in cartan_matrix(rank))
 
 
 def solve_x(base: LevelKDominant, target: LevelKDominant) -> tuple[int, ...]:
@@ -156,7 +116,7 @@ def solve_x(base: LevelKDominant, target: LevelKDominant) -> tuple[int, ...]:
         raise NoSolutionError("base and target have different levels")
     rank = base.rank
     y = tuple(b - t for b, t in zip(base.coeffs, target.coeffs))
-    x = _solve_pinned(rank, y, 0)
+    x = solve_pinned(rank, y, 0)
     m = min(x)
     return tuple(v - m for v in x)
 

@@ -20,8 +20,9 @@ from .cartan import (
     delta_decompose,
     pairing,
     root_to_weight,
+    solve_pinned,
 )
-from .maxweights import LevelKDominant, _solve_pinned, p_lambda_set
+from .maxweights import LevelKDominant, p_lambda_set
 
 
 class IterationCapExceededError(RuntimeError):
@@ -91,7 +92,7 @@ def orbit_representative(
     mu_plus, count = dominate(mu, rank, cap)
     diff = base.to_weight() - mu_plus
     # Expand diff on the alpha basis: the delta coefficient pins x_0.
-    x = _solve_pinned(rank, diff.lam, diff.delta)
+    x = solve_pinned(rank, diff.lam, diff.delta)
     if any(v < 0 for v in x):
         return OrbitResult(OrbitStatus.ZERO, None, 0, count)
     beta0, m = delta_decompose(RootVector(x))

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klrblocks.cartan import (
     AffineRank,
+    NoSolutionError,
     RootVector,
     WeightCoeffs,
     alpha_to_weight,
@@ -14,6 +20,7 @@ from klrblocks.cartan import (
     interval_delta,
     pairing,
     sigma_rotate,
+    solve_pinned,
 )
 
 
@@ -32,8 +39,6 @@ def test_cartan_matrix_kernel_and_rank():
         assert all(a[i][j] == a[j][i] for i in range(e) for j in range(e))
         assert all(a[i][i] == 2 for i in range(e))
         # corank exactly 1: rows 1..ell are linearly independent
-        from fractions import Fraction
-
         m = [[Fraction(a[r][c]) for c in range(1, e)] for r in range(1, e)]
         det = Fraction(1)
         for col in range(ell):
@@ -141,3 +146,75 @@ def test_cyclic_interval_wraps():
     rank = AffineRank(6)
     assert cyclic_interval(5, 1, rank) == [0, 1, 5, 6]
     assert cyclic_interval(2, 4, rank) == [2, 3, 4]
+
+
+def gauss_jordan_pinned(rank: AffineRank, rhs, x0: int):
+    """Reference oracle: solve A x = rhs with x_0 pinned by exact Fraction
+    elimination on rows 1..ell of the materialized Cartan matrix."""
+    e = rank.e
+    ell = rank.ell
+    a = cartan_matrix(rank)
+    # Rows 1..ell in the unknowns x_1..x_ell, moving the x_0 column to the rhs.
+    mat = [
+        [Fraction(a[r][c]) for c in range(1, e)] + [Fraction(rhs[r] - a[r][0] * x0)]
+        for r in range(1, e)
+    ]
+    for col in range(ell):
+        piv = next(r for r in range(col, ell) if mat[r][col] != 0)
+        mat[col], mat[piv] = mat[piv], mat[col]
+        inv = 1 / mat[col][col]
+        mat[col] = [v * inv for v in mat[col]]
+        for r in range(ell):
+            if r != col and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [v - f * p for v, p in zip(mat[r], mat[col])]
+    xs = [mat[r][ell] for r in range(ell)]
+    if any(v.denominator != 1 for v in xs):
+        raise NoSolutionError(f"no integral solution for rhs {rhs}")
+    x = (x0,) + tuple(int(v) for v in xs)
+    if apply_cartan(rank, x) != tuple(rhs):
+        raise NoSolutionError(f"inconsistent system for rhs {rhs}")
+    return x
+
+
+def outcome(solve, rank, rhs, x0):
+    try:
+        return solve(rank, rhs, x0)
+    except NoSolutionError:
+        return NoSolutionError
+
+
+@st.composite
+def pinned_systems(draw):
+    """(rank, rhs, x0) with ell in 1..12; rhs is A x for an integer x
+    (consistent), balanced with sum 0 (integral only when the closed form's
+    sum is 0 mod e), or arbitrary (almost always sum != 0)."""
+    rank = AffineRank(draw(st.integers(1, 12)))
+    vec = st.lists(st.integers(-20, 20), min_size=rank.e, max_size=rank.e)
+    kind = draw(st.sampled_from(("consistent", "balanced", "arbitrary")))
+    if kind == "consistent":
+        rhs = list(apply_cartan(rank, tuple(draw(vec))))
+    else:
+        rhs = draw(vec)
+        if kind == "balanced":
+            rhs[0] -= sum(rhs)
+    return rank, tuple(rhs), draw(st.integers(-3, 3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pinned_systems())
+def test_solve_pinned_matches_gauss_jordan(system):
+    rank, rhs, x0 = system
+    assert outcome(solve_pinned, rank, rhs, x0) == outcome(gauss_jordan_pinned, rank, rhs, x0)
+
+
+def test_solve_pinned_examples():
+    rank = AffineRank(6)
+    x = (3, 2, 1, 0, 1, 2, 3)
+    assert solve_pinned(rank, apply_cartan(rank, x), 3) == x
+    assert solve_pinned(rank, apply_cartan(rank, x), 0) == (0, -1, -2, -3, -2, -1, 0)
+    assert solve_pinned(AffineRank(1), (-2, 2), 5) == (5, 6)
+    with pytest.raises(NoSolutionError, match="integral"):
+        solve_pinned(AffineRank(1), (-1, 1), 0)
+    with pytest.raises(NoSolutionError, match="inconsistent"):
+        solve_pinned(AffineRank(2), (1, 0, 0), 0)

@@ -139,3 +139,49 @@ def test_brauer_and_decomp_subcommands(tmp_path):
 def test_missing_graph_source_is_usage_error():
     code, _, err = capture(["brauer"])
     assert code == 2 and "--graph" in err
+
+
+def test_missing_graph_file_is_usage_error(tmp_path):
+    for cmd in ("brauer", "decomp"):
+        code, out, err = capture([cmd, "--graph", str(tmp_path / "missing.json")])
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: --graph") and err.count("\n") == 1
+
+
+def test_bad_vertex_ids_are_domain_errors(tmp_path):
+    edges = [[0, 1], [1, 2]]
+    for ids in ([0, 1, 3], [0, -1, 2], [0, 1, 1], [0, "1", 2]):
+        graph_file = tmp_path / "graph.json"
+        graph_file.write_text(
+            json.dumps({"vertices": [{"id": i, "mult": 2} for i in ids], "edges": edges})
+        )
+        code, out, err = capture(["brauer", "--graph", str(graph_file)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "vertex id" in err and err.count("\n") == 1
+
+
+def test_non_integer_cartan_is_usage_error():
+    for text in ("4,x;2,4", "4,;2,4", "1.5,2;2,4"):
+        code, out, err = capture(["decomp", "--cartan", text])
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: --cartan") and err.count("\n") == 1
+
+
+def test_repeated_runs_share_no_parser_state():
+    argvs = [
+        ["maxweights", "--ell", "2", "--weight", "2,0,1", "--format", "json"],
+        ["classify", "--ell", "2", "--weight", "3,0,0", "--beta", "1,1,1", "--mdelta", "1"],
+        ["classify", "--ell", "2", "--weight", "3,0,0", "--beta", "1,1,1"],
+        ["quiver", "--ell", "1", "--weight", "2,0", "--format", "dot"],
+        ["quiver", "--ell", "1", "--weight", "2,0"],
+        ["gdim", "--ell", "1", "--weight", "2,1", "--beta", "1,1"],
+        ["decomp", "--cartan", "2,1;1,2", "--format", "json"],
+        ["decomp", "--cartan", "4,x;2,4"],
+        ["nonsense"],
+        ["brauer", "--gamma", "1,1,2", "--what", "cartan"],
+        ["brauer", "--gamma", "1,1,2"],
+    ]
+    first = [capture(argv)[:2] for argv in argvs]
+    second = [capture(argv)[:2] for argv in argvs]
+    assert first == second
+    assert [code for code, _ in first] == [0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0]

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klrblocks.cartan import apply_cartan, pairing, rotate_tuple
 from klrblocks.maxweights import (
@@ -181,3 +183,43 @@ def test_embedding_property():
                 tuple(a + b for a, b in zip(target.coeffs, extra))
             )
             assert solve_x(big, shifted) == solve_x(small, target)
+
+
+def weak_compositions(total: int, parts: int):
+    """All tuples of `parts` nonnegative integers summing to `total`, lex order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total, -1, -1):
+        for tail in weak_compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def filtered_equiv_class(w: LevelKDominant) -> list[LevelKDominant]:
+    """Reference oracle: enumerate every level-k weight and keep those with
+    the same ev, then sort."""
+    target = ev(w)
+    e = len(w.coeffs)
+    members = [
+        LevelKDominant(c)
+        for c in weak_compositions(w.level, e)
+        if sum(i * ci for i, ci in enumerate(c)) % e == target
+    ]
+    members.sort(key=lambda m: m.coeffs)
+    return members
+
+
+@st.composite
+def dominant_weights(draw):
+    """Level 1..6 dominant weights with e = 2..9."""
+    e = draw(st.integers(2, 9))
+    coeffs = [0] * e
+    for i in draw(st.lists(st.integers(0, e - 1), min_size=1, max_size=6)):
+        coeffs[i] += 1
+    return LevelKDominant(tuple(coeffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dominant_weights())
+def test_equiv_class_matches_filtered_enumeration(w):
+    assert equiv_class(w) == filtered_equiv_class(w)

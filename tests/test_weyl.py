@@ -126,7 +126,7 @@ def test_orbit_invariance_under_reflections():
             mu = simple_reflect(mu, rng.randrange(e), rank)
         diff = base.to_weight() - mu
         # rebuild the moved beta when it stays in the positive cone
-        from klrblocks.maxweights import _solve_pinned
+        from klrblocks.cartan import solve_pinned as _solve_pinned
 
         x = _solve_pinned(rank, diff.lam, diff.delta)
         if any(v < 0 for v in x):
