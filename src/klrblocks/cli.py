@@ -24,11 +24,16 @@ from .cartan import RootVector
 from .classify import FieldParams, TClass, classify
 from .maxweights import LevelKDominant, max_plus
 from .quiver import TQuiver, WeightQuiver, build_quiver, t_subquiver
-from .tableaux import charges_of, graded_dim, graded_dim_total
+from .tableaux import DEFAULT_MAX_HEIGHT, charges_of, graded_dim, graded_dim_total
 
 
 class UsageError(ValueError):
     pass
+
+
+def _write_json(obj, out) -> None:
+    """One JSON document and a newline; json.dumps takes the C encoder."""
+    out.write(json.dumps(obj) + "\n")
 
 
 def _parse_int_vector(text: str, expected_len: int | None, what: str) -> tuple[int, ...]:
@@ -133,8 +138,7 @@ def _cmd_maxweights(args, out) -> int:
             }
             for e in entries
         ]
-        json.dump({"ell": args.ell, "base": list(base.coeffs), "entries": data}, out)
-        out.write("\n")
+        _write_json({"ell": args.ell, "base": list(base.coeffs), "entries": data}, out)
         return 0
     for e in entries:
         mw = weight_name(e.max_weight.lam)
@@ -149,8 +153,7 @@ def _cmd_maxweights(args, out) -> int:
 
 def _emit_quiver(q, args, out) -> int:
     if args.format == "json":
-        json.dump(quiver_to_json_dict(q), out)
-        out.write("\n")
+        _write_json(quiver_to_json_dict(q), out)
     elif args.format == "dot":
         out.write(quiver_to_dot(q))
     else:
@@ -207,7 +210,7 @@ def _cmd_classify(args, out) -> int:
         raise UsageError(str(exc)) from exc
     result = classify(base, RootVector(beta_coeffs), params, cap=args.cap)
     if args.format == "json":
-        json.dump(
+        _write_json(
             {
                 "ell": args.ell,
                 "base": list(base.coeffs),
@@ -218,7 +221,6 @@ def _cmd_classify(args, out) -> int:
             },
             out,
         )
-        out.write("\n")
     else:
         out.write(f"{result}\n")
     return 0
@@ -242,7 +244,7 @@ def _cmd_gdim(args, out) -> int:
         poly = graded_dim(charges, beta, nu, nup, max_height=args.max_height)
         label = f"e{_vec(nu)} .. e{_vec(nup)}"
     if args.format == "json":
-        json.dump(
+        _write_json(
             {
                 "ell": args.ell,
                 "base": list(base.coeffs),
@@ -253,7 +255,6 @@ def _cmd_gdim(args, out) -> int:
             },
             out,
         )
-        out.write("\n")
     else:
         out.write(f"{poly}\n")
     return 0
@@ -315,8 +316,7 @@ def _cmd_brauer(args, out) -> int:
             },
         }
     if args.format == "json":
-        json.dump(result, out)
-        out.write("\n")
+        _write_json(result, out)
     else:
         for key, value in result.items():
             out.write(f"[{key}]\n")
@@ -344,7 +344,7 @@ def _cmd_decomp(args, out) -> int:
         c = graph_cartan_matrix(g)
     result = decomp_search(c)
     if args.format == "json":
-        json.dump(
+        _write_json(
             {
                 "cartan": c,
                 "unique": result.unique,
@@ -352,7 +352,6 @@ def _cmd_decomp(args, out) -> int:
             },
             out,
         )
-        out.write("\n")
     else:
         out.write(f"unique: {'yes' if result.unique else 'no'}\n")
         for idx, sol in enumerate(result.solutions):
@@ -415,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mdelta", type=int, default=0, help="add m copies of delta")
     p.add_argument("--nu", default=None, help="residue sequence of the left idempotent")
     p.add_argument("--nup", default=None, help="residue sequence of the right idempotent")
-    p.add_argument("--max-height", type=int, default=14, help="enumeration bound")
+    p.add_argument(
+        "--max-height", type=int, default=DEFAULT_MAX_HEIGHT, help="enumeration bound"
+    )
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_gdim)
 

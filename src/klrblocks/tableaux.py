@@ -3,8 +3,17 @@
 The graded dimension between two idempotents e(nu), e(nu') of a block with
 content beta is the sum over multipartitions with that residue content and
 over pairs of standard tableaux with residue sequences nu, nu' of
-q^(deg S + deg T).  Degrees are the usual addable-minus-removable statistics
-accumulated along the growth sequence of a tableau.
+q^(deg S + deg T) (the Brundan-Kleshchev graded dimension formula).  Degrees
+are the usual addable-minus-removable statistics accumulated along the growth
+sequence of a tableau.
+
+These sums are read from a content lattice instead of a list of tableaux:
+one forward pass over the shapes of content <= beta records, for each shape
+and each addable node whose residue beta still owes, the grown shape and the
+degree of the step, together with the degree generating function of every
+shape.  The total dimension sums the squares of those functions over the
+shapes of content beta; a pair query runs a DP along nu and along nu' over
+the recorded moves.  Every standard tableau is listed only by std_tableaux.
 
 Node coordinates in the public API are 1-based (component, row, column),
 with the residue of a node in row a, column b of the s-th component equal to
@@ -20,6 +29,7 @@ from functools import lru_cache
 from .cartan import RootVector
 
 DEFAULT_MAX_HEIGHT = 14
+DEGREE_TABLE_CACHE = 64  # content lattices kept, one per (charges, beta)
 
 Partition = tuple[int, ...]
 
@@ -159,7 +169,7 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, largest first (reverse lexicographic)."""
     if n == 0:
@@ -218,14 +228,28 @@ def _res(charges: tuple[int, ...], e: int, s: int, r: int, c: int) -> int:
     return (charges[s] + c - r) % e
 
 
-def content_counts(shape: ChargedShape) -> tuple[int, ...]:
-    """How many nodes of each residue the charged shape has."""
-    counts = [0] * shape.e
-    for s, comp in enumerate(shape.mp.components):
+def _content(
+    components: tuple[Partition, ...], charges: tuple[int, ...], e: int
+) -> tuple[int, ...]:
+    """How many nodes of each residue the charged components have."""
+    counts = [0] * e
+    for s, comp in enumerate(components):
         for r, width in enumerate(comp):
             for c in range(width):
-                counts[_res(shape.charges, shape.e, s, r, c)] += 1
+                counts[_res(charges, e, s, r, c)] += 1
     return tuple(counts)
+
+
+def content_counts(shape: ChargedShape) -> tuple[int, ...]:
+    """How many nodes of each residue the charged shape has."""
+    return _content(shape.mp.components, shape.charges, shape.e)
+
+
+def _check_height(beta: RootVector, max_height: int) -> None:
+    if beta.height > max_height:
+        raise EnumerationLimitError(
+            f"|beta| = {beta.height} exceeds the enumeration bound {max_height}"
+        )
 
 
 def _d_statistic(
@@ -260,15 +284,6 @@ def d_below(shape: ChargedShape, p: tuple[int, int, int]) -> int:
     return _d_statistic(comps, shape.charges, shape.e, (s - 1, a - 1, b - 1))
 
 
-def _content_of_mp(mp: Multipartition, charges: tuple[int, ...], e: int):
-    counts = [0] * e
-    for s, comp in enumerate(mp.components):
-        for r, width in enumerate(comp):
-            for c in range(width):
-                counts[_res(charges, e, s, r, c)] += 1
-    return tuple(counts)
-
-
 def enumerate_with_content(
     k: int,
     charges: tuple[int, ...],
@@ -276,15 +291,12 @@ def enumerate_with_content(
     max_height: int = DEFAULT_MAX_HEIGHT,
 ) -> list[Multipartition]:
     """All k-multipartitions whose residue multiset equals beta, fixed order."""
-    if beta.height > max_height:
-        raise EnumerationLimitError(
-            f"|beta| = {beta.height} exceeds the enumeration bound {max_height}"
-        )
+    _check_height(beta, max_height)
     e = len(beta.coeffs)
     return [
         mp
         for mp in multipartitions(k, beta.height)
-        if _content_of_mp(mp, charges, e) == beta.coeffs
+        if _content(mp.components, charges, e) == beta.coeffs
     ]
 
 
@@ -299,64 +311,97 @@ def _grow(
     return components[:s] + (new,) + components[s + 1 :]
 
 
-def _tableau_walks(
-    charges: tuple[int, ...], e: int, remaining: list[int]
-) -> list[tuple[tuple[Partition, ...], tuple[int, ...], int, tuple]]:
-    """All standard fillings using exactly the prescribed residue counts.
-
-    Returns (final shape, residue sequence, degree, node sequence) tuples.
-    """
-    k = len(charges)
-    results = []
-    empty = ((),) * k
-
-    def walk(components, seq, deg, nodes):
-        if all(v == 0 for v in remaining):
-            results.append((components, tuple(seq), deg, tuple(nodes)))
-            return
-        for s in range(k):
-            for r, c in _addable(components[s]):
-                res = _res(charges, e, s, r, c)
-                if remaining[res] == 0:
-                    continue
-                remaining[res] -= 1
-                grown = _grow(components, s, r)
-                d = _d_statistic(grown, charges, e, (s, r, c))
-                seq.append(res)
-                nodes.append((s + 1, r + 1, c + 1))
-                walk(grown, seq, deg + d, nodes)
-                nodes.pop()
-                seq.pop()
-                remaining[res] += 1
-
-    walk(empty, [], 0, [])
-    return results
+def _shrink(
+    components: tuple[Partition, ...], s: int, r: int
+) -> tuple[Partition, ...]:
+    comp = components[s]
+    if comp[r] == 1:
+        new = comp[:r]
+    else:
+        new = comp[:r] + (comp[r] - 1,) + comp[r + 1 :]
+    return components[:s] + (new,) + components[s + 1 :]
 
 
 def std_tableaux(shape: ChargedShape) -> list[StandardTableau]:
-    """All standard tableaux of the charged shape, with degrees and residues."""
-    beta = content_counts(shape)
-    walks = _tableau_walks(shape.charges, shape.e, list(beta))
+    """All standard tableaux of the charged shape, with degrees and residues.
+
+    Built backwards: a tableau is a tableau of the shape minus one removable
+    node, followed by that node, whose step degree is its statistic in the
+    shape.
+    """
+    charges, e = shape.charges, shape.e
+
+    def fillings(comps):
+        if not any(comps):
+            return [((), (), 0)]
+        out = []
+        for s, comp in enumerate(comps):
+            for r, c in _removable(comp):
+                d = _d_statistic(comps, charges, e, (s, r, c))
+                node, res = (s + 1, r + 1, c + 1), _res(charges, e, s, r, c)
+                for nodes, seq, deg in fillings(_shrink(comps, s, r)):
+                    out.append((nodes + (node,), seq + (res,), deg + d))
+        return out
+
     out = [
         StandardTableau(shape, nodes, seq, deg)
-        for comps, seq, deg, nodes in walks
-        if comps == shape.mp.components
+        for nodes, seq, deg in fillings(shape.mp.components)
     ]
     out.sort(key=lambda t: t.nodes)
     return out
 
 
-@lru_cache(maxsize=None)
+_Moves = list[list[list[tuple[int, int]]]]
+
+
+@lru_cache(maxsize=DEGREE_TABLE_CACHE)
 def _degree_table(
     charges: tuple[int, ...], beta_coeffs: tuple[int, ...]
-) -> dict[tuple[Partition, ...], dict[tuple[int, ...], LaurentPoly]]:
-    """Per shape with the given content: residue sequence -> sum of q^deg."""
-    e = len(beta_coeffs)
-    table: dict[tuple[Partition, ...], dict[tuple[int, ...], LaurentPoly]] = {}
-    for comps, seq, deg, _ in _tableau_walks(charges, e, list(beta_coeffs)):
-        by_seq = table.setdefault(comps, {})
-        by_seq[seq] = by_seq.get(seq, LaurentPoly.zero()) + LaurentPoly.q_power(deg)
-    return table
+) -> tuple[_Moves, dict[int, dict[int, int]]]:
+    """The content lattice of the block: (moves, full).
+
+    Its shapes are those of content <= beta that grow to content beta, with
+    integer ids (the empty shape is 0).  moves[id][res] lists (grown id, step
+    degree) for the addable nodes of residue res; full maps the id of each
+    shape of content beta to the sum of q^deg over its standard tableaux, as
+    {deg: count}.  One forward pass over shapes builds it, and one backward
+    pass drops the moves into shapes that cannot reach content beta.
+    """
+    e, k = len(beta_coeffs), len(charges)
+    empty = ((),) * k
+    ids = {empty: 0}
+    shapes = [empty]
+    owed = [beta_coeffs]
+    gf: list[dict[int, int]] = [{0: 1}]
+    moves: _Moves = []
+    # Ids follow discovery, so every move goes from a smaller id to a larger
+    # one and a shape's function is complete by the time its id comes up.
+    for i, comps in enumerate(shapes):
+        rem = owed[i]
+        out: list[list[tuple[int, int]]] = [[] for _ in range(e)]
+        for s in range(k):
+            for r, c in _addable(comps[s]):
+                res = _res(charges, e, s, r, c)
+                if rem[res] == 0:
+                    continue
+                grown = _grow(comps, s, r)
+                d = _d_statistic(grown, charges, e, (s, r, c))
+                j = ids.get(grown)
+                if j is None:
+                    j = ids[grown] = len(shapes)
+                    shapes.append(grown)
+                    owed.append(rem[:res] + (rem[res] - 1,) + rem[res + 1 :])
+                    gf.append({})
+                out[res].append((j, d))
+                target = gf[j]
+                for deg, count in gf[i].items():
+                    target[deg + d] = target.get(deg + d, 0) + count
+        moves.append(out)
+    alive = [not any(rem) for rem in owed]
+    for i in range(len(shapes) - 1, -1, -1):
+        moves[i] = [[(j, d) for j, d in by_res if alive[j]] for by_res in moves[i]]
+        alive[i] = alive[i] or any(moves[i])
+    return moves, {i: gf[i] for i, rem in enumerate(owed) if not any(rem)}
 
 
 def residue_content(nu: tuple[int, ...], e: int) -> tuple[int, ...]:
@@ -364,6 +409,19 @@ def residue_content(nu: tuple[int, ...], e: int) -> tuple[int, ...]:
     for r in nu:
         counts[r % e] += 1
     return tuple(counts)
+
+
+def _along(moves: _Moves, nu: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """(shape id, degree) -> number of standard fillings with residue sequence nu."""
+    states = {(0, 0): 1}
+    for res in nu:
+        nxt: dict[tuple[int, int], int] = {}
+        for (i, deg), count in states.items():
+            for j, d in moves[i][res]:
+                key = (j, deg + d)
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    return states
 
 
 def graded_dim(
@@ -374,23 +432,23 @@ def graded_dim(
     max_height: int = DEFAULT_MAX_HEIGHT,
 ) -> LaurentPoly:
     """Graded dimension between the idempotents of residue sequences nu, nu'."""
-    if beta.height > max_height:
-        raise EnumerationLimitError(
-            f"|beta| = {beta.height} exceeds the enumeration bound {max_height}"
-        )
+    _check_height(beta, max_height)
     e = len(beta.coeffs)
     nu = tuple(r % e for r in nu)
     nu_prime = tuple(r % e for r in nu_prime)
     for seq in (nu, nu_prime):
         if residue_content(seq, e) != beta.coeffs:
             raise ContentMismatchError(f"residue sequence {seq} has content != beta")
-    total = LaurentPoly.zero()
-    for by_seq in _degree_table(charges, beta.coeffs).values():
-        left = by_seq.get(nu)
-        right = by_seq.get(nu_prime)
-        if left and right:
-            total = total + left * right
-    return total
+    moves, _ = _degree_table(charges, beta.coeffs)
+    left = _along(moves, nu)
+    right: dict[int, list[tuple[int, int]]] = {}
+    for (j, deg), count in _along(moves, nu_prime).items():
+        right.setdefault(j, []).append((deg, count))
+    terms: dict[int, int] = {}
+    for (j, deg), count in left.items():
+        for deg2, count2 in right.get(j, ()):
+            terms[deg + deg2] = terms.get(deg + deg2, 0) + count * count2
+    return LaurentPoly(terms)
 
 
 def graded_dim_total(
@@ -399,17 +457,14 @@ def graded_dim_total(
     max_height: int = DEFAULT_MAX_HEIGHT,
 ) -> LaurentPoly:
     """The full graded dimension: sum over shapes of (sum of q^deg)^2."""
-    if beta.height > max_height:
-        raise EnumerationLimitError(
-            f"|beta| = {beta.height} exceeds the enumeration bound {max_height}"
-        )
-    total = LaurentPoly.zero()
-    for by_seq in _degree_table(charges, beta.coeffs).values():
-        all_tabs = LaurentPoly.zero()
-        for poly in by_seq.values():
-            all_tabs = all_tabs + poly
-        total = total + all_tabs * all_tabs
-    return total
+    _check_height(beta, max_height)
+    terms: dict[int, int] = {}
+    _, full = _degree_table(charges, beta.coeffs)
+    for by_deg in full.values():
+        for d1, c1 in by_deg.items():
+            for d2, c2 in by_deg.items():
+                terms[d1 + d2] = terms.get(d1 + d2, 0) + c1 * c2
+    return LaurentPoly(terms)
 
 
 def charges_of(base_coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -420,10 +475,10 @@ def charges_of(base_coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _content_set(charges: tuple[int, ...], e: int, n: int) -> frozenset[tuple[int, ...]]:
     return frozenset(
-        _content_of_mp(mp, charges, e) for mp in multipartitions(len(charges), n)
+        _content(mp.components, charges, e) for mp in multipartitions(len(charges), n)
     )
 
 
@@ -431,9 +486,6 @@ def block_is_nonzero(
     base_coeffs: tuple[int, ...], beta: RootVector, max_height: int = DEFAULT_MAX_HEIGHT
 ) -> bool:
     """Whether some multipartition has residue content beta (block nonvanishing)."""
-    if beta.height > max_height:
-        raise EnumerationLimitError(
-            f"|beta| = {beta.height} exceeds the enumeration bound {max_height}"
-        )
+    _check_height(beta, max_height)
     charges = charges_of(base_coeffs)
     return beta.coeffs in _content_set(charges, len(beta.coeffs), beta.height)

@@ -2,18 +2,30 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klrblocks.cartan import RootVector
 from klrblocks.tableaux import (
+    DEGREE_TABLE_CACHE,
     ChargedShape,
     ContentMismatchError,
     EnumerationLimitError,
     LaurentPoly,
     Multipartition,
     NodeNotRemovableError,
+    Partition,
+    _addable,
+    _content_set,
+    _d_statistic,
+    _degree_table,
+    _grow,
+    _res,
     charges_of,
+    content_counts,
     d_below,
     enumerate_with_content,
     graded_dim,
@@ -22,6 +34,40 @@ from klrblocks.tableaux import (
     partitions_of,
     std_tableaux,
 )
+
+
+def _tableau_walks(
+    charges: tuple[int, ...], e: int, remaining: list[int]
+) -> list[tuple[tuple[Partition, ...], tuple[int, ...], int, tuple]]:
+    """All standard fillings using exactly the prescribed residue counts.
+
+    Returns (final shape, residue sequence, degree, node sequence) tuples.
+    """
+    k = len(charges)
+    results = []
+    empty = ((),) * k
+
+    def walk(components, seq, deg, nodes):
+        if all(v == 0 for v in remaining):
+            results.append((components, tuple(seq), deg, tuple(nodes)))
+            return
+        for s in range(k):
+            for r, c in _addable(components[s]):
+                res = _res(charges, e, s, r, c)
+                if remaining[res] == 0:
+                    continue
+                remaining[res] -= 1
+                grown = _grow(components, s, r)
+                d = _d_statistic(grown, charges, e, (s, r, c))
+                seq.append(res)
+                nodes.append((s + 1, r + 1, c + 1))
+                walk(grown, seq, deg + d, nodes)
+                nodes.pop()
+                seq.pop()
+                remaining[res] += 1
+
+    walk(empty, [], 0, [])
+    return results
 
 
 def poly(*pairs) -> LaurentPoly:
@@ -184,3 +230,110 @@ def test_laurent_poly_str():
     assert str(poly((-2, 1), (0, 3))) == "q^{-2} + 3"
     assert str(poly((1, -1), (3, 2))) == "-q + 2q^3"
     assert str(LaurentPoly.zero()) == "0"
+
+
+# --- the content lattice against the walk over every standard tableau --------
+
+
+@lru_cache(maxsize=64)
+def walk_table(charges: tuple[int, ...], beta: tuple[int, ...]) -> dict:
+    """Per final shape: residue sequence -> {degree: count}, from the walk."""
+    table: dict = {}
+    for comps, seq, deg, _ in _tableau_walks(charges, len(beta), list(beta)):
+        by_deg = table.setdefault(comps, {}).setdefault(seq, {})
+        by_deg[deg] = by_deg.get(deg, 0) + 1
+    return table
+
+
+def oracle_total(charges, beta) -> LaurentPoly:
+    total = LaurentPoly.zero()
+    for by_seq in walk_table(charges, beta).values():
+        f = LaurentPoly.zero()
+        for by_deg in by_seq.values():
+            f = f + LaurentPoly(by_deg)
+        total = total + f * f
+    return total
+
+
+def oracle_pair(charges, beta, nu, nup) -> LaurentPoly:
+    total = LaurentPoly.zero()
+    for by_seq in walk_table(charges, beta).values():
+        if nu in by_seq and nup in by_seq:
+            total = total + LaurentPoly(by_seq[nu]) * LaurentPoly(by_seq[nup])
+    return total
+
+
+@st.composite
+def charged_shapes(draw, max_n: int = 7):
+    """A charged shape with e <= 4, level <= 3 and at most max_n nodes."""
+    e = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 3))
+    charges = tuple(sorted(draw(st.lists(st.integers(0, e - 1), min_size=k, max_size=k))))
+    comps = ((),) * k
+    for _ in range(draw(st.integers(0, max_n))):
+        addable = [(s, r) for s in range(k) for r, _ in _addable(comps[s])]
+        s, r = draw(st.sampled_from(addable))
+        comps = _grow(comps, s, r)
+    return ChargedShape(Multipartition(comps), charges, e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(charged_shapes())
+def test_graded_dim_total_matches_walk(shape):
+    beta = content_counts(shape)
+    assert graded_dim_total(shape.charges, RootVector(beta)) == oracle_total(shape.charges, beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda e: st.tuples(
+            st.just(e),
+            st.lists(st.integers(0, e - 1), min_size=1, max_size=3),
+            st.lists(st.integers(0, 2), min_size=e, max_size=e),
+        )
+    )
+)
+def test_graded_dim_total_matches_walk_on_any_content(case):
+    # most such contents carry no multipartition: both sides are then zero
+    e, charges, beta = case
+    charges, beta = tuple(sorted(charges)), tuple(beta)
+    assert graded_dim_total(charges, RootVector(beta)) == oracle_total(charges, beta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(charged_shapes(), st.data())
+def test_graded_dim_pairs_match_walk(shape, data):
+    beta = content_counts(shape)
+    seqs = sorted({t.residue_seq for t in std_tableaux(shape)})
+    nu = data.draw(st.sampled_from(seqs))
+    nup = data.draw(st.sampled_from(seqs))
+    shuffled = tuple(data.draw(st.permutations(nu)))
+    rv = RootVector(beta)
+    for left, right in ((nu, nup), (nu, shuffled), (shuffled, nu), (shuffled, shuffled)):
+        expected = oracle_pair(shape.charges, beta, left, right)
+        assert graded_dim(shape.charges, rv, left, right) == expected
+        assert graded_dim(shape.charges, rv, right, left) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(charged_shapes())
+def test_std_tableaux_match_filtered_walk(shape):
+    walks = _tableau_walks(shape.charges, shape.e, list(content_counts(shape)))
+    expected = sorted(
+        (nodes, seq, deg) for comps, seq, deg, nodes in walks if comps == shape.mp.components
+    )
+    got = std_tableaux(shape)
+    assert [(t.nodes, t.residue_seq, t.degree) for t in got] == expected
+    assert all(t.shape == shape for t in got)
+
+
+def test_degree_table_cache_is_bounded():
+    _degree_table.cache_clear()
+    betas = list(itertools.product(range(5), repeat=3))[: DEGREE_TABLE_CACHE + 8]
+    for beta in betas:
+        _degree_table((0,), beta)
+    assert _degree_table.cache_info().currsize == DEGREE_TABLE_CACHE
+    _degree_table.cache_clear()
+    for cache in (_degree_table, _content_set, partitions_of):
+        assert cache.cache_parameters()["maxsize"] is not None
