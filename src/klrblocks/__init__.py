@@ -4,7 +4,6 @@ type, graded dimensions and the Brauer graphs of the non-wild blocks."""
 
 from .cartan import (
     AffineRank,
-    IntervalVector,
     RootVector,
     WeightCoeffs,
     alpha_to_weight,

@@ -99,10 +99,7 @@ class BrauerGraph:
             raise InvalidGraphError("empty graph")
         seen = {0}
         frontier = [0]
-        adj: list[set[int]] = [set() for _ in range(nv)]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
+        adj = _adjacency(self)
         while frontier:
             v = frontier.pop()
             for w in adj[v]:
@@ -240,7 +237,7 @@ def quiver_presentation(g: BrauerGraph) -> QuiverPresentation:
     )
 
 
-def cartan_matrix(g: BrauerGraph) -> list[list[int]]:
+def graph_cartan_matrix(g: BrauerGraph) -> list[list[int]]:
     """Cartan matrix indexed by edges, for simple loopless graphs.
 
     Diagonal: the sum of the two endpoint multiplicities; off-diagonal: the
@@ -285,17 +282,22 @@ def _faces(g: BrauerGraph) -> list[int]:
     return sorted(perimeters)
 
 
-def _is_bipartite(g: BrauerGraph) -> bool:
-    if g.has_loop():
-        return False
-    nv = len(g.multiplicities)
-    color = [-1] * nv
-    color[0] = 0
-    frontier = [0]
-    adj: list[list[int]] = [[] for _ in range(nv)]
+def _adjacency(g: BrauerGraph) -> list[list[int]]:
+    """The neighbours of each vertex, once per incident edge end."""
+    adj: list[list[int]] = [[] for _ in g.multiplicities]
     for a, b in g.edges:
         adj[a].append(b)
         adj[b].append(a)
+    return adj
+
+
+def _is_bipartite(g: BrauerGraph) -> bool:
+    if g.has_loop():
+        return False
+    color = [-1] * len(g.multiplicities)
+    color[0] = 0
+    frontier = [0]
+    adj = _adjacency(g)
     while frontier:
         v = frontier.pop()
         for w in adj[v]:

@@ -85,16 +85,6 @@ class RootVector:
         return all(c == 0 for c in self.coeffs)
 
 
-@dataclass(frozen=True)
-class IntervalVector:
-    """0/1 indicator of a cyclic index interval [i, j]."""
-
-    bits: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.bits)
-
-
 def cartan_matrix(rank: AffineRank) -> list[list[int]]:
     """The affine Cartan matrix: 2 on the diagonal, -1 at distance 1 mod e.
 
@@ -210,9 +200,17 @@ def cyclic_interval(i: int, j: int, rank: AffineRank) -> list[int]:
     return list(range(0, j + 1)) + list(range(i, e))
 
 
-def interval_delta(i: int, j: int, rank: AffineRank) -> IntervalVector:
+def interval_delta(i: int, j: int, rank: AffineRank) -> tuple[int, ...]:
     """Indicator vector of the cyclic interval [i, j]; all-ones iff j = i - 1 mod e."""
     bits = [0] * rank.e
     for h in cyclic_interval(i, j, rank):
         bits[h] = 1
-    return IntervalVector(tuple(bits))
+    return tuple(bits)
+
+
+def alpha_sum(e: int, *indices: int) -> RootVector:
+    """The root sum_h alpha_{i_h} over the given indices (mod e, with repeats)."""
+    c = [0] * e
+    for i in indices:
+        c[i % e] += 1
+    return RootVector(tuple(c))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .cartan import RootVector, cyclic_interval
+from .cartan import RootVector, alpha_sum, interval_delta
 from .maxweights import LevelKDominant
 from .quiver import LevelTooSmallError
 from .weyl import OrbitStatus, orbit_representative
@@ -73,11 +73,12 @@ class ScriptSets:
         return frozenset(out)
 
 
-def _alpha_sum(e: int, *indices: int) -> RootVector:
-    c = [0] * e
-    for i in indices:
-        c[i % e] += 1
-    return RootVector(tuple(c))
+def _require_level_3(base: LevelKDominant) -> None:
+    if base.level < 3:
+        raise LevelTooSmallError(
+            f"classification needs level >= 3, got {base.level}; levels 1 and 2 "
+            "are settled in prior work"
+        )
 
 
 def script_sets(base: LevelKDominant, char_p: int = 0) -> ScriptSets:
@@ -86,11 +87,7 @@ def script_sets(base: LevelKDominant, char_p: int = 0) -> ScriptSets:
     Uses the cyclic enumeration i_1 < ... < i_h of occupied indices, with
     i_0 = i_h and i_{h+1} = i_1.
     """
-    if base.level < 3:
-        raise LevelTooSmallError(
-            f"classification needs level >= 3, got {base.level}; levels 1 and 2 "
-            "are settled in prior work"
-        )
+    _require_level_3(base)
     rank = base.rank
     e = rank.e
     m = base.coeffs
@@ -113,19 +110,14 @@ def script_sets(base: LevelKDominant, char_p: int = 0) -> ScriptSets:
     # alpha_i at a doubled summand is representation-finite
     for i in occupied:
         if m[i] >= 2:
-            finite.add(_alpha_sum(e, i))
+            finite.add(alpha_sum(e, i))
 
     if h >= 2:
         for j in range(h):
             i, nx = occupied[j], nxt(j)
             if (nx - (i - 1)) % e == 0:  # interval would be all of I
                 continue
-            beta = RootVector(
-                tuple(
-                    1 if p in set(cyclic_interval(i, nx, rank)) else 0
-                    for p in range(e)
-                )
-            )
+            beta = RootVector(interval_delta(i, nx, rank))
             if m[i] == 1 and m[nx] == 1:
                 finite.add(beta)
             elif m[i] == 1 or m[nx] == 1:
@@ -135,20 +127,20 @@ def script_sets(base: LevelKDominant, char_p: int = 0) -> ScriptSets:
         before_ok = (prv(j) - (i - 1)) % e != 0
         after_ok = (nxt(j) - (i + 1)) % e != 0
         if rank.ell >= 3 and m[i] == 2 and before_ok and after_ok and char_p != 2:
-            t2.add(_alpha_sum(e, i, i, i - 1, i + 1))
+            t2.add(alpha_sum(e, i, i, i - 1, i + 1))
         if rank.ell >= 2 and m[i] == 3 and char_p != 3:
             if after_ok:
-                t3.add(_alpha_sum(e, i, i, i + 1))
+                t3.add(alpha_sum(e, i, i, i + 1))
             if before_ok:
-                t3.add(_alpha_sum(e, i, i, i - 1))
+                t3.add(alpha_sum(e, i, i, i - 1))
         if m[i] == 4 and char_p != 2:
-            t4.add(_alpha_sum(e, i, i))
+            t4.add(alpha_sum(e, i, i))
 
     if rank.ell >= 2:
         for i in occupied:
             for j in occupied:
                 if i != j and m[i] == 2 and m[j] == 2 and (j - i) % e not in (1, e - 1):
-                    t5.add(_alpha_sum(e, i, j))
+                    t5.add(alpha_sum(e, i, j))
 
     return ScriptSets(
         frozenset(finite),
@@ -167,11 +159,7 @@ def classify(
     Any beta in the positive root cone is accepted; it is first reduced to
     its orbit representative.  A vanishing block reports Zero.
     """
-    if base.level < 3:
-        raise LevelTooSmallError(
-            f"classification needs level >= 3, got {base.level}; levels 1 and 2 "
-            "are settled in prior work"
-        )
+    _require_level_3(base)
     rank = base.rank
     params.check_rank(rank.ell)
 

@@ -14,10 +14,10 @@ import sys
 from .brauer import (
     BrauerGraph,
     InvalidGraphError,
-    cartan_matrix as graph_cartan_matrix,
     decomp_search,
     derived_invariants,
     gamma_family,
+    graph_cartan_matrix,
     quiver_presentation,
 )
 from .cartan import RootVector
@@ -55,6 +55,16 @@ def _weight_from_args(args) -> LevelKDominant:
     return LevelKDominant(coeffs)
 
 
+def _beta_from_args(args) -> RootVector:
+    coeffs = _parse_int_vector(args.beta, args.ell + 1, "beta")
+    if any(c < 0 for c in coeffs):
+        raise UsageError("--beta: coefficients must be nonnegative")
+    coeffs = tuple(c + args.mdelta for c in coeffs)
+    if any(c < 0 for c in coeffs):
+        raise UsageError("--mdelta: beta + mdelta*delta has a negative coefficient")
+    return RootVector(coeffs)
+
+
 def weight_name(coeffs: tuple[int, ...]) -> str:
     """Render a dominant weight the way the figures do, e.g. '2Λ0+Λ2'."""
     parts = []
@@ -68,6 +78,12 @@ def weight_name(coeffs: tuple[int, ...]) -> str:
 
 def _vec(x) -> str:
     return "(" + ",".join(str(v) for v in x) + ")"
+
+
+def _tag_suffix(q: WeightQuiver, vid: int) -> str:
+    """' [s,...]' for a vertex carrying tags, '' otherwise."""
+    tags = q.tags.get(vid) if isinstance(q, TQuiver) else None
+    return " [" + ",".join(str(s) for s in sorted(tags)) + "]" if tags else ""
 
 
 def quiver_to_json_dict(q: WeightQuiver | TQuiver) -> dict:
@@ -111,13 +127,9 @@ def quiver_from_json_dict(data: dict) -> WeightQuiver:
 
 
 def quiver_to_dot(q: WeightQuiver | TQuiver) -> str:
-    tags = q.tags if isinstance(q, TQuiver) else {}
     lines = ["digraph quiver {", "  rankdir=LR;"]
     for vid, v in enumerate(q.vertices):
-        name = weight_name(v.weight.coeffs)
-        label = name
-        if vid in tags and tags[vid]:
-            label += " [" + ",".join(str(s) for s in sorted(tags[vid])) + "]"
+        label = weight_name(v.weight.coeffs) + _tag_suffix(q, vid)
         lines.append(f'  v{vid} [label="{label}"];')
     for a in q.arrows:
         lines.append(f'  v{a.src} -> v{a.dst} [label="({a.label[0]},{a.label[1]})"];')
@@ -157,16 +169,9 @@ def _emit_quiver(q, args, out) -> int:
     elif args.format == "dot":
         out.write(quiver_to_dot(q))
     else:
-        tags = q.tags if isinstance(q, TQuiver) else {}
         for vid, v in enumerate(q.vertices):
-            suffix = (
-                " [" + ",".join(map(str, sorted(tags[vid]))) + "]"
-                if vid in tags and tags[vid]
-                else ""
-            )
-            out.write(
-                f"{vid}: {weight_name(v.weight.coeffs)}{suffix} X={_vec(v.x)}\n"
-            )
+            name = weight_name(v.weight.coeffs) + _tag_suffix(q, vid)
+            out.write(f"{vid}: {name} X={_vec(v.x)}\n")
         for a in q.arrows:
             out.write(f"{a.src} -> {a.dst} ({a.label[0]},{a.label[1]})\n")
     return 0
@@ -198,23 +203,19 @@ def _t_class_from_args(args) -> TClass:
 
 def _cmd_classify(args, out) -> int:
     base = _weight_from_args(args)
-    beta_coeffs = _parse_int_vector(args.beta, args.ell + 1, "beta")
-    if any(c < 0 for c in beta_coeffs):
-        raise UsageError("--beta: coefficients must be nonnegative")
-    if args.mdelta:
-        beta_coeffs = tuple(c + args.mdelta for c in beta_coeffs)
+    beta = _beta_from_args(args)
     params = FieldParams(char_p=args.char, t_class=_t_class_from_args(args))
     try:
         params.check_rank(args.ell)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    result = classify(base, RootVector(beta_coeffs), params, cap=args.cap)
+    result = classify(base, beta, params, cap=args.cap)
     if args.format == "json":
         _write_json(
             {
                 "ell": args.ell,
                 "base": list(base.coeffs),
-                "beta": list(beta_coeffs),
+                "beta": list(beta.coeffs),
                 "char": args.char,
                 "t": args.t,
                 "type": str(result),
@@ -228,10 +229,7 @@ def _cmd_classify(args, out) -> int:
 
 def _cmd_gdim(args, out) -> int:
     base = _weight_from_args(args)
-    beta_coeffs = _parse_int_vector(args.beta, args.ell + 1, "beta")
-    if args.mdelta:
-        beta_coeffs = tuple(c + args.mdelta for c in beta_coeffs)
-    beta = RootVector(beta_coeffs)
+    beta = _beta_from_args(args)
     charges = charges_of(base.coeffs)
     if (args.nu is None) != (args.nup is None):
         raise UsageError("--nu and --nup must be given together")
@@ -248,7 +246,7 @@ def _cmd_gdim(args, out) -> int:
             {
                 "ell": args.ell,
                 "base": list(base.coeffs),
-                "beta": list(beta_coeffs),
+                "beta": list(beta.coeffs),
                 "which": label,
                 "terms": {str(k): v for k, v in sorted(poly.terms.items())},
                 "at_one": poly.at_one(),
@@ -258,6 +256,13 @@ def _cmd_gdim(args, out) -> int:
     else:
         out.write(f"{poly}\n")
     return 0
+
+
+def _int_list(value, what: str) -> list[int]:
+    """`value` if it is a JSON list of integers; true/false and floats are not."""
+    if not (isinstance(value, list) and all(type(v) is int for v in value)):
+        raise InvalidGraphError(f"{what} must be a list of integers, got {value!r}")
+    return value
 
 
 def _graph_from_args(args) -> BrauerGraph:
@@ -271,17 +276,36 @@ def _graph_from_args(args) -> BrauerGraph:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"--graph: cannot read {args.graph}: {exc.strerror}") from exc
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("vertices"), list)
+        and isinstance(data.get("edges"), list)
+        and isinstance(data.get("rotation", {}), dict)
+    ):
+        raise InvalidGraphError(
+            'graph JSON must be an object with "vertices" and "edges" lists '
+            'and an optional "rotation" object'
+        )
     n = len(data["vertices"])
     mults = [None] * n
     for v in data["vertices"]:
-        vid = v["id"]
-        if not (isinstance(vid, int) and 0 <= vid < n):
+        vid = v.get("id") if isinstance(v, dict) else None
+        if type(vid) is not int or not 0 <= vid < n:
             raise InvalidGraphError(f"vertex id {vid!r} outside 0..{n - 1}")
         if mults[vid] is not None:
             raise InvalidGraphError(f"duplicate vertex id {vid}")
-        mults[vid] = v["mult"]
-    rotations = {int(k): v for k, v in data.get("rotation", {}).items()}
-    return BrauerGraph.build(mults, [tuple(e) for e in data["edges"]], rotations)
+        mult = v.get("mult")
+        if type(mult) is not int:
+            raise InvalidGraphError(f"vertex {vid}: mult {mult!r} is not an integer")
+        mults[vid] = mult
+    edges = [tuple(_int_list(e, "an edge")) for e in data["edges"]]
+    if any(len(e) != 2 for e in edges):
+        raise InvalidGraphError("an edge must have exactly two ends")
+    rotations = {
+        int(k): _int_list(order, f"the rotation at vertex {k}")
+        for k, order in data.get("rotation", {}).items()
+    }
+    return BrauerGraph.build(mults, edges, rotations)
 
 
 def _cmd_brauer(args, out) -> int:

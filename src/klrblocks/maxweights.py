@@ -121,19 +121,23 @@ def solve_x(base: LevelKDominant, target: LevelKDominant) -> tuple[int, ...]:
     return tuple(v - m for v in x)
 
 
+def max_weight_entry(
+    base: LevelKDominant, member: LevelKDominant, x: tuple[int, ...]
+) -> MaxWeightEntry:
+    """The entry of `member`, whose solution vector against `base` is `x`."""
+    max_weight = base.to_weight() - root_to_weight(x, base.rank)
+    return MaxWeightEntry(member, x, RootVector(x), max_weight)
+
+
 def max_plus(base: LevelKDominant) -> list[MaxWeightEntry]:
     """One entry per class member, in the class's lexicographic order."""
-    rank = base.rank
-    entries = []
-    for member in equiv_class(base):
-        x = solve_x(base, member)
-        beta = RootVector(x)
-        max_weight = base.to_weight() - root_to_weight(x, rank)
-        entries.append(MaxWeightEntry(member, x, beta, max_weight))
-    return entries
+    return [max_weight_entry(base, m, solve_x(base, m)) for m in equiv_class(base)]
 
 
-@lru_cache(maxsize=None)
+P_LAMBDA_CACHE = 256  # X-vector sets kept, one per base weight
+
+
+@lru_cache(maxsize=P_LAMBDA_CACHE)
 def p_lambda_set(base: LevelKDominant) -> frozenset[tuple[int, ...]]:
     """The set of X-vectors of the class of `base` (membership test for beta)."""
     return frozenset(entry.x for entry in max_plus(base))

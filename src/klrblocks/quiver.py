@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .cartan import AffineRank, RootVector, cyclic_interval, root_to_weight
-from .maxweights import LevelKDominant, MaxWeightEntry
+from .cartan import AffineRank, RootVector, alpha_sum, cyclic_interval, interval_delta
+from .maxweights import LevelKDominant, MaxWeightEntry, max_weight_entry
 
 
 class LevelTooSmallError(ValueError):
@@ -52,21 +52,10 @@ class WeightQuiver:
 
 
 @dataclass(frozen=True)
-class TQuiver:
+class TQuiver(WeightQuiver):
     """The depth at most 2 subquiver, with per-vertex tag sets in {0,...,5}."""
 
-    rank: AffineRank
-    base: LevelKDominant
-    vertices: tuple[MaxWeightEntry, ...]
-    arrows: tuple[Arrow, ...]
     tags: dict[int, frozenset[int]]
-
-    def vertex_id(self, v) -> int:
-        coeffs = v.coeffs if isinstance(v, LevelKDominant) else tuple(v)
-        for i, entry in enumerate(self.vertices):
-            if entry.weight.coeffs == coeffs:
-                return i
-        raise VertexNotFoundError(f"vertex {coeffs} not in quiver")
 
     def tagged(self, s: int) -> set[tuple[int, ...]]:
         return {
@@ -106,18 +95,11 @@ def has_arrow(x: Iterable[int], i: int, j: int, rank: AffineRank) -> bool:
     return any(xs[h] == 0 for h in cyclic_interval(j + 1, i - 1, rank))
 
 
-def _entry_for(base: LevelKDominant, member: LevelKDominant, x: tuple[int, ...]):
-    rank = base.rank
-    return MaxWeightEntry(
-        member, x, RootVector(x), base.to_weight() - root_to_weight(x, rank)
-    )
-
-
 def _canonical(base, rank, xmap, raw_arrows) -> tuple[tuple, tuple]:
     ordering = sorted(xmap, key=lambda c: (sum(xmap[c]), c))
     ids = {c: i for i, c in enumerate(ordering)}
     vertices = tuple(
-        _entry_for(base, LevelKDominant(c), xmap[c]) for c in ordering
+        max_weight_entry(base, LevelKDominant(c), xmap[c]) for c in ordering
     )
     arrows = tuple(
         sorted(Arrow(ids[s], ids[d], lab) for (s, d, lab) in raw_arrows)
@@ -157,12 +139,7 @@ def build_quiver(base: LevelKDominant) -> WeightQuiver:
                 if not has_arrow(x, i, j, rank):
                     continue
                 dst = move(src, i, j)
-                x_dst = tuple(
-                    xi + b
-                    for xi, b in zip(
-                        x, _interval_bits(i, j, rank)
-                    )
-                )
+                x_dst = _add_vec(x, interval_delta(i, j, rank))
                 if dst.coeffs not in xmap:
                     xmap[dst.coeffs] = x_dst
                     nxt.append(dst)
@@ -170,13 +147,6 @@ def build_quiver(base: LevelKDominant) -> WeightQuiver:
         frontier = nxt
     vertices, arrows = _canonical(base, rank, xmap, raw_arrows)
     return WeightQuiver(rank, base, vertices, arrows)
-
-
-def _interval_bits(i: int, j: int, rank: AffineRank) -> tuple[int, ...]:
-    bits = [0] * rank.e
-    for h in cyclic_interval(i, j, rank):
-        bits[h] = 1
-    return tuple(bits)
 
 
 def successors(q: WeightQuiver, v) -> set[LevelKDominant]:
@@ -189,6 +159,11 @@ def _add_vec(x, bits):
     return tuple(a + b for a, b in zip(x, bits))
 
 
+def _supports(m: tuple[int, ...]) -> list[list[int]]:
+    """The indices i0, i1, i2, i3 with multiplicity at least 1, 2, 3, 4."""
+    return [[i for i, c in enumerate(m) if c >= k] for k in (1, 2, 3, 4)]
+
+
 def t_subquiver(base: LevelKDominant) -> TQuiver:
     """The tagged subquiver reached by the six depth <= 2 constructions.
 
@@ -199,14 +174,8 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
         raise LevelTooSmallError(f"need level >= 2, got {base.level}")
     rank = base.rank
     e = rank.e
-    m = base.coeffs
-    i0 = [i for i in range(e) if m[i] >= 1]
-    i1 = [i for i in range(e) if m[i] >= 2]
-    i2 = [i for i in range(e) if m[i] >= 3]
-    i3 = [i for i in range(e) if m[i] >= 4]
-
-    zero = (0,) * e
-    xmap: dict[tuple[int, ...], tuple[int, ...]] = {base.coeffs: zero}
+    _, i1, i2, i3 = _supports(base.coeffs)
+    xmap: dict[tuple[int, ...], tuple[int, ...]] = {base.coeffs: (0,) * e}
     tags: dict[tuple[int, ...], set[int]] = {}
     raw_arrows = set()
 
@@ -214,7 +183,7 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
         i, j = i % e, j % e
         assert has_arrow(xmap[src.coeffs], i, j, rank)
         dst = move(src, i, j)
-        x_dst = _add_vec(xmap[src.coeffs], _interval_bits(i, j, rank))
+        x_dst = _add_vec(xmap[src.coeffs], interval_delta(i, j, rank))
         prev = xmap.setdefault(dst.coeffs, x_dst)
         assert prev == x_dst
         tags.setdefault(dst.coeffs, set()).add(tag)
@@ -222,10 +191,9 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
         return dst
 
     # (1) pairs of distinct summands, skipping the wrap-around interval
-    for i in i0:
-        for j in i0:
-            if i != j and (j - (i - 1)) % e != 0:
-                record(base, i, j, 0)
+    for i, j in _label_pairs(base, rank):
+        if i != j:
+            record(base, i, j, 0)
     # (2) doubled summands, one step
     first = {i: record(base, i, i, 1) for i in i1}
     # (2-1) then spread to both neighbours
@@ -257,29 +225,18 @@ def t_beta_sets(base: LevelKDominant) -> dict[int, set[RootVector]]:
     """Closed forms for the beta sets of the six constructions."""
     rank = base.rank
     e = rank.e
-    m = base.coeffs
-    i0 = [i for i in range(e) if m[i] >= 1]
-    i1 = [i for i in range(e) if m[i] >= 2]
-    i2 = [i for i in range(e) if m[i] >= 3]
-    i3 = [i for i in range(e) if m[i] >= 4]
-
-    def alpha(*indices: int) -> RootVector:
-        c = [0] * e
-        for i in indices:
-            c[i % e] += 1
-        return RootVector(tuple(c))
-
+    i0, i1, i2, i3 = _supports(base.coeffs)
     sets: dict[int, set[RootVector]] = {s: set() for s in range(6)}
     for i in i0:
         for j in i0:
             if i != j and (j - (i - 1)) % e != 0:
-                sets[0].add(RootVector(_interval_bits(i, j, rank)))
-    sets[1] = {alpha(i) for i in i1}
+                sets[0].add(RootVector(interval_delta(i, j, rank)))
+    sets[1] = {alpha_sum(e, i) for i in i1}
     if rank.ell >= 3:
-        sets[2] = {alpha(i, i, i - 1, i + 1) for i in i1}
+        sets[2] = {alpha_sum(e, i, i, i - 1, i + 1) for i in i1}
     if rank.ell >= 2:
-        sets[3] = {alpha(i, i, i + 1) for i in i2} | {alpha(i, i, i - 1) for i in i2}
-    sets[4] = {alpha(i, i) for i in i3}
+        sets[3] = {alpha_sum(e, i, i, i + d) for i in i2 for d in (1, -1)}
+    sets[4] = {alpha_sum(e, i, i) for i in i3}
     if rank.ell >= 2:
-        sets[5] = {alpha(i, j) for i in i1 for j in i1 if i != j}
+        sets[5] = {alpha_sum(e, i, j) for i in i1 for j in i1 if i != j}
     return sets

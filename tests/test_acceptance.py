@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from klrblocks.brauer import cartan_matrix as graph_cartan
+from klrblocks.brauer import graph_cartan_matrix as graph_cartan
 from klrblocks.brauer import decomp_search, derived_invariants, gamma_family, line_graph
 from klrblocks.cartan import RootVector, rotate_tuple
 from klrblocks.classify import FieldParams, TClass, classify

@@ -10,11 +10,11 @@ from klrblocks.brauer import (
     LocalAlgebraUnsupportedError,
     SearchSpaceExceededError,
     UnsupportedGraphError,
-    cartan_matrix,
     decomp_search,
     derived_equivalent,
     derived_invariants,
     gamma_family,
+    graph_cartan_matrix,
     line_graph,
     quiver_presentation,
 )
@@ -62,10 +62,10 @@ def test_presentation_star_center_cycle():
 
 
 def test_cartan_matrix_examples():
-    assert cartan_matrix(line_graph([2, 2, 2])) == [[4, 2], [2, 4]]
+    assert graph_cartan_matrix(line_graph([2, 2, 2])) == [[4, 2], [2, 4]]
     for s in range(6):
         for m in range(1, 5):
-            c = cartan_matrix(gamma_family(s, 1, m))
+            c = graph_cartan_matrix(gamma_family(s, 1, m))
             n = s + 1
             for i in range(n):
                 assert c[i][i] == (m + 1 if i == 0 else 2 * m)
@@ -74,7 +74,7 @@ def test_cartan_matrix_examples():
     # all multiplicities k: diagonal 2k, off-diagonal k
     for k in (3, 4):
         for nverts in (3, 4):
-            c = cartan_matrix(line_graph([k] * nverts))
+            c = graph_cartan_matrix(line_graph([k] * nverts))
             n = nverts - 1
             for i in range(n):
                 assert c[i][i] == 2 * k
@@ -85,10 +85,10 @@ def test_cartan_matrix_examples():
 def test_cartan_matrix_unsupported():
     loop = BrauerGraph.build([1, 2], [(0, 1), (1, 1)], {1: [0, 1, 1]})
     with pytest.raises(UnsupportedGraphError):
-        cartan_matrix(loop)
+        graph_cartan_matrix(loop)
     multi = BrauerGraph.build([1, 1], [(0, 1), (0, 1)])
     with pytest.raises(UnsupportedGraphError):
-        cartan_matrix(multi)
+        graph_cartan_matrix(multi)
 
 
 def test_derived_invariants_trees_and_cycles():
@@ -208,7 +208,7 @@ def test_decomp_search_one_exceptional_line():
     # multiplicity 2: unique; multiplicity >= 3: no longer determined
     for s in (1, 2, 3):
         m = 2
-        c = cartan_matrix(gamma_family(s, 1, m))
+        c = graph_cartan_matrix(gamma_family(s, 1, m))
         res = decomp_search(c)
         assert res.unique
         sol = res.solutions[0]
@@ -216,7 +216,7 @@ def test_decomp_search_one_exceptional_line():
         verify(c, sol)
         assert all(v in (0, 1) for r in sol for v in r)
     for s in (1, 2):
-        c = cartan_matrix(gamma_family(s, 1, 3))
+        c = graph_cartan_matrix(gamma_family(s, 1, 3))
         res = decomp_search(c)
         assert not res.unique
         assert len(res.solutions) >= 2
@@ -225,7 +225,7 @@ def test_decomp_search_one_exceptional_line():
 
 
 def test_decomp_search_node_cap():
-    c = cartan_matrix(gamma_family(4, 1, 4))
+    c = graph_cartan_matrix(gamma_family(4, 1, 4))
     with pytest.raises(SearchSpaceExceededError):
         decomp_search(c, max_nodes=5)
 

@@ -123,10 +123,10 @@ def test_sigma_rotate():
 
 def test_interval_delta_examples():
     rank = AffineRank(6)
-    assert interval_delta(6, 3, rank).bits == (1, 1, 1, 1, 0, 0, 1)
-    assert interval_delta(0, 3, rank).bits == (1, 1, 1, 1, 0, 0, 0)
+    assert interval_delta(6, 3, rank) == (1, 1, 1, 1, 0, 0, 1)
+    assert interval_delta(0, 3, rank) == (1, 1, 1, 1, 0, 0, 0)
     for i in range(rank.e):
-        assert interval_delta(i, i - 1, rank).bits == (1,) * rank.e
+        assert interval_delta(i, i - 1, rank) == (1,) * rank.e
 
 
 def test_interval_complement_identity():
@@ -137,8 +137,8 @@ def test_interval_complement_identity():
             for j in range(e):
                 if (j - (i - 1)) % e == 0:
                     continue
-                left = interval_delta(i, j, rank).bits
-                right = interval_delta(j + 1, i - 1, rank).bits
+                left = interval_delta(i, j, rank)
+                right = interval_delta(j + 1, i - 1, rank)
                 assert tuple(a + b for a, b in zip(left, right)) == (1,) * e
 
 

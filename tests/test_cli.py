@@ -1,7 +1,14 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klrblocks.cli import quiver_from_json_dict, run
 
@@ -185,3 +192,181 @@ def test_repeated_runs_share_no_parser_state():
     second = [capture(argv)[:2] for argv in argvs]
     assert first == second
     assert [code for code, _ in first] == [0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0]
+
+
+PAIR = [{"id": 0, "mult": 2}, {"id": 1, "mult": 2}]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"vertices": 5, "edges": [[0, 1]]},
+        {"vertices": PAIR, "edges": [5]},
+        [{"id": 0, "mult": 2}],
+        {"vertices": PAIR, "edges": [[0, 1]], "rotation": {"0": 5}},
+        {"vertices": PAIR, "edges": [[0, 1]], "rotation": [[0]]},
+        {"vertices": PAIR, "edges": [[0, "1"]]},
+        {"vertices": [{"id": 0, "mult": 2.7}, {"id": 1, "mult": 2}], "edges": [[0, 1]]},
+        {"vertices": [{"id": 0, "mult": True}, {"id": 1, "mult": 2}], "edges": [[0, 1]]},
+    ],
+)
+def test_malformed_graph_json_is_domain_error(tmp_path, data):
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps(data))
+    for cmd in ("brauer", "decomp"):
+        code, out, err = capture([cmd, "--graph", str(graph_file)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_negative_beta_is_usage_error_in_classify_and_gdim():
+    weight = ["--ell", "2", "--weight", "3,0,0"]
+    for cmd in ("classify", "gdim"):
+        for beta in (["--beta=-1,1,1"], ["--beta=1,0,1", "--mdelta=-1"]):
+            code, out, err = capture([cmd, *weight, *beta])
+            assert code == 2 and out == ""
+            assert err.startswith("usage error: --") and err.count("\n") == 1
+
+
+# --- fuzz: every argv ends in exit 0, 1 or 2 with at most one stderr line ---
+
+GRAPH = "<graph file>"  # replaced by a temporary path; its JSON rides along
+MALFORMED_TEXT = st.sampled_from(
+    ["", ",", "x", "1,,2", "1.5", "1;2", "-1", "1,-2,3", "0,0,0,0,0,0,0,0,0"]
+) | st.text(max_size=5)
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-1, 3) | st.floats(-3, 3) | st.text(max_size=3)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+SMALL_INTS = st.integers(-1, 3)
+# multiplicities stay <= 2 so that decomp_search on any graph is fast
+GRAPHS = st.fixed_dictionaries(
+    {
+        "vertices": st.lists(
+            st.fixed_dictionaries(
+                {"id": SMALL_INTS | JSON_VALUES, "mult": st.integers(0, 2) | JSON_SCALARS}
+            ),
+            max_size=4,
+        )
+        | JSON_VALUES,
+        "edges": st.lists(st.lists(SMALL_INTS, min_size=2, max_size=2) | JSON_VALUES, max_size=4)
+        | JSON_VALUES,
+    },
+    optional={
+        "rotation": st.dictionaries(
+            st.sampled_from(["0", "1", "2", "3", "x"]), st.lists(SMALL_INTS, max_size=4)
+        )
+        | JSON_VALUES
+    },
+) | JSON_VALUES
+
+
+def csv(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+@st.composite
+def vector_text(draw, values) -> str:
+    """The given vector three times in four, otherwise malformed text."""
+    return csv(values) if draw(st.integers(0, 3)) else draw(MALFORMED_TEXT)
+
+
+@st.composite
+def bounded_vector(draw, length: int, total: int, top: int) -> list[int]:
+    out = []
+    for _ in range(length):
+        out.append(draw(st.integers(0, min(top, total))))
+        total -= out[-1]
+    return out
+
+
+@st.composite
+def weight_argv(draw, cmd: str) -> list[str]:
+    ell = draw(st.integers(1, 4))
+    e = ell + 1
+    ell_text = str(ell) if draw(st.integers(0, 9)) else draw(st.sampled_from(["0", "-1", "x"]))
+    weight = draw(bounded_vector(e, 3 if cmd == "gdim" else 4, 2))
+    argv = [cmd, f"--ell={ell_text}", f"--weight={draw(vector_text(weight))}"]
+    if cmd in ("classify", "gdim"):
+        m = draw(st.integers(-1, 1))
+        beta = draw(bounded_vector(e, 8 - e * max(m, 0), 3))
+        argv.append(f"--beta={draw(vector_text(beta))}")
+        if m:
+            argv.append(f"--mdelta={m}")
+        final = [b + m for b in beta]
+    if cmd == "classify":
+        argv.append(f"--char={draw(st.sampled_from([0, 2, 3, 4, -1]))}")
+        t = draw(st.sampled_from(["other", "two", "minustwo", "signell", "bogus"]))
+        argv.append(f"--t={t}")
+        if draw(st.booleans()):
+            argv.append(f"--cap={draw(st.integers(0, 4))}")
+    if cmd == "gdim":
+        residues = [i for i, c in enumerate(final) for _ in range(max(c, 0))]
+        for opt in draw(st.sampled_from([(), ("nu", "nup"), ("nu",)])):
+            argv.append(f"--{opt}={draw(vector_text(draw(st.permutations(residues))))}")
+        if draw(st.booleans()):
+            argv.append(f"--max-height={draw(st.integers(0, 8))}")
+    return argv
+
+
+@st.composite
+def graph_argv(draw, cmd: str):
+    sources = ["graph", "graph", "graph", "gamma", "missing", "none"]
+    source = draw(st.sampled_from(sources + ["cartan"] if cmd == "decomp" else sources))
+    argv, graph = [cmd], None
+    if source == "gamma":
+        gamma = [draw(st.integers(0, 3)), draw(st.integers(0, 6)), draw(st.integers(0, 2))]
+        argv.append(f"--gamma={draw(vector_text(gamma))}")
+    elif source in ("graph", "missing"):
+        argv += ["--graph", GRAPH]
+        graph = draw(GRAPHS) if source == "graph" else None
+    elif source == "cartan":
+        n = draw(st.integers(1, 3))
+        rows = [draw(bounded_vector(n, 12, 3)) for _ in range(n)]
+        argv.append(f"--cartan={';'.join(draw(vector_text(r)) for r in rows)}")
+    if cmd == "brauer":
+        argv.append(f"--what={draw(st.sampled_from(['invariants', 'cartan', 'quiver', 'all']))}")
+    return argv, graph
+
+
+@st.composite
+def cli_cases(draw):
+    # the two graph subcommands twice each: their input has the most shapes
+    cmd = draw(st.sampled_from(
+        ["maxweights", "quiver", "tquiver", "classify", "gdim"] + ["brauer", "decomp"] * 2
+    ))
+    if cmd in ("brauer", "decomp"):
+        argv, graph = draw(graph_argv(cmd))
+    else:
+        argv, graph = draw(weight_argv(cmd)), None
+    formats = {"maxweights": "text json", "quiver": "text json dot", "tquiver": "text json dot"}
+    argv.append(f"--format={draw(st.sampled_from(formats.get(cmd, 'text json').split()))}")
+    return argv, graph
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_cases())
+def test_cli_fuzz_exits_cleanly(case):
+    argv, graph = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.json")
+        if graph is not None:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(graph, fh)
+        argv = [path if a == GRAPH else a for a in argv]
+        parse_err = io.StringIO()
+        # an exception escaping run() is the traceback main() would print
+        with contextlib.redirect_stderr(parse_err):
+            code, out, err = capture(argv)
+    assert code in (0, 1, 2) and "Traceback" not in parse_err.getvalue() + err
+    if parse_err.getvalue():  # argparse rejected the argv and printed its usage
+        assert code == 2 and err == ""
+    elif code:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""

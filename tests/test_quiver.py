@@ -174,7 +174,7 @@ def test_orientation_dichotomy():
             from klrblocks.cartan import interval_delta
 
             for ii, jj in ((i, j), (j + 1, i - 1)):
-                bits = interval_delta(ii, jj, rank).bits
+                bits = interval_delta(ii, jj, rank)
                 m = min(xv + b for xv, b in zip(x_dst, bits))
                 assert m in (0, 1)
 
