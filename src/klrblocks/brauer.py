@@ -30,6 +30,15 @@ class SearchSpaceExceededError(RuntimeError):
     pass
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """`values` as a tuple if every entry is an int; bools and floats are not."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise InvalidGraphError(f"{what} must be integers, got {v!r}")
+    return values
+
+
 # A dart is one of the two (edge, end) incidences of an edge.
 Dart = tuple[int, int]
 
@@ -51,15 +60,17 @@ class BrauerGraph:
         `rotations` maps a vertex to its cyclic list of edge ids (a loop id
         appears twice); it may be omitted for vertices of degree <= 2.
         """
-        mult = tuple(int(x) for x in multiplicities)
+        mult = _integers(multiplicities, "vertex multiplicities")
         if any(x < 1 for x in mult):
             raise InvalidGraphError("vertex multiplicities must be >= 1")
         nv = len(mult)
-        edge_list = []
-        for a, b in edges:
+        edge_list = [_integers(edge, "edge ends") for edge in edges]
+        for edge in edge_list:
+            if len(edge) != 2:
+                raise InvalidGraphError(f"edge {edge} does not have exactly two ends")
+            a, b = edge
             if not (0 <= a < nv and 0 <= b < nv):
                 raise InvalidGraphError(f"edge ({a},{b}) out of vertex range")
-            edge_list.append((int(a), int(b)))
         darts_at: list[list[Dart]] = [[] for _ in range(nv)]
         for eid, (a, b) in enumerate(edge_list):
             darts_at[a].append((eid, 0))
@@ -68,7 +79,7 @@ class BrauerGraph:
         for v in range(nv):
             incident = darts_at[v]
             if rotations is not None and v in rotations:
-                order = list(rotations[v])
+                order = _integers(rotations[v], f"rotation entries at vertex {v}")
                 if sorted(order) != sorted(e for e, _ in incident):
                     raise InvalidGraphError(
                         f"rotation at vertex {v} is not a permutation of its edges"

@@ -31,6 +31,14 @@ class UsageError(ValueError):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose rejections raise UsageError, so that `run`
+    reports them as one line instead of printing the usage block."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _write_json(obj, out) -> None:
     """One JSON document and a newline; json.dumps takes the C encoder."""
     out.write(json.dumps(obj) + "\n")
@@ -258,13 +266,6 @@ def _cmd_gdim(args, out) -> int:
     return 0
 
 
-def _int_list(value, what: str) -> list[int]:
-    """`value` if it is a JSON list of integers; true/false and floats are not."""
-    if not (isinstance(value, list) and all(type(v) is int for v in value)):
-        raise InvalidGraphError(f"{what} must be a list of integers, got {value!r}")
-    return value
-
-
 def _graph_from_args(args) -> BrauerGraph:
     if args.gamma is not None:
         s, a, m = _parse_int_vector(args.gamma, 3, "gamma")
@@ -286,26 +287,21 @@ def _graph_from_args(args) -> BrauerGraph:
             'graph JSON must be an object with "vertices" and "edges" lists '
             'and an optional "rotation" object'
         )
+    rotation = data.get("rotation", {})
+    if not all(isinstance(x, list) for x in data["edges"] + list(rotation.values())):
+        raise InvalidGraphError("each edge and each rotation must be a list")
+    # BrauerGraph.build checks the integers; the ids only place the vertices.
     n = len(data["vertices"])
-    mults = [None] * n
+    mults = {}
     for v in data["vertices"]:
         vid = v.get("id") if isinstance(v, dict) else None
         if type(vid) is not int or not 0 <= vid < n:
             raise InvalidGraphError(f"vertex id {vid!r} outside 0..{n - 1}")
-        if mults[vid] is not None:
+        if vid in mults:
             raise InvalidGraphError(f"duplicate vertex id {vid}")
-        mult = v.get("mult")
-        if type(mult) is not int:
-            raise InvalidGraphError(f"vertex {vid}: mult {mult!r} is not an integer")
-        mults[vid] = mult
-    edges = [tuple(_int_list(e, "an edge")) for e in data["edges"]]
-    if any(len(e) != 2 for e in edges):
-        raise InvalidGraphError("an edge must have exactly two ends")
-    rotations = {
-        int(k): _int_list(order, f"the rotation at vertex {k}")
-        for k, order in data.get("rotation", {}).items()
-    }
-    return BrauerGraph.build(mults, edges, rotations)
+        mults[vid] = v.get("mult")
+    rotations = {int(k): order for k, order in rotation.items()}
+    return BrauerGraph.build([mults[i] for i in range(n)], data["edges"], rotations)
 
 
 def _cmd_brauer(args, out) -> int:
@@ -388,7 +384,7 @@ def _cmd_decomp(args, out) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on first use and shared by every later `run`."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="klrblocks",
         description="Dominant maximal weights, weight quivers, block types and "
         "graded dimensions in affine type A",
@@ -466,13 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args, out)
+    except SystemExit:  # --help printed the help text
+        return 0
     except UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return 2

@@ -31,6 +31,22 @@ def test_build_validation():
     assert g.degree(0) == 3
 
 
+@pytest.mark.parametrize(
+    "mult, edges, rotations",
+    [
+        ([2.7, True], [(0, 1)], None),
+        ([2, 2], [(0, 1.0)], None),
+        ([2, 2], [(False, 1)], None),
+        ([2, 2], [(0, 1, 1)], None),
+        ([1] * 4, [(0, 1), (0, 2), (0, 3)], {0: [0, 1.0, 2]}),
+        ([1] * 4, [(0, 1), (0, 2), (0, 3)], {0: [0, True, 2]}),
+    ],
+)
+def test_build_rejects_non_integers(mult, edges, rotations):
+    with pytest.raises(InvalidGraphError):
+        BrauerGraph.build(mult, edges, rotations)
+
+
 def test_presentation_line_of_doubled_vertices():
     pres = quiver_presentation(line_graph([2, 2, 2]))
     assert pres.q_vertices == (0, 1)

@@ -59,6 +59,15 @@ def test_usage_errors_exit_two():
     assert code == 2
 
 
+def test_argparse_rejections_are_one_usage_line():
+    for argv in (["classify", "--ell", "x"], ["nonsense"], [], ["brauer", "--what=q"]):
+        parse_err = io.StringIO()
+        with contextlib.redirect_stderr(parse_err):
+            code, out, err = capture(argv)
+        assert code == 2 and out == "" and parse_err.getvalue() == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
 def test_domain_errors_exit_one():
     code, _, err = capture(
         ["classify", "--ell", "1", "--weight", "1,1", "--beta", "1,0"]
@@ -364,9 +373,8 @@ def test_cli_fuzz_exits_cleanly(case):
         with contextlib.redirect_stderr(parse_err):
             code, out, err = capture(argv)
     assert code in (0, 1, 2) and "Traceback" not in parse_err.getvalue() + err
-    if parse_err.getvalue():  # argparse rejected the argv and printed its usage
-        assert code == 2 and err == ""
-    elif code:
+    assert parse_err.getvalue() == ""  # argparse's rejections go to err as well
+    if code:
         assert out == "" and err.count("\n") == 1 and err.endswith("\n")
     else:
         assert err == ""

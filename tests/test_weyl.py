@@ -4,22 +4,88 @@ import random
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from klrblocks.cartan import (
     AffineRank,
     RootVector,
     WeightCoeffs,
+    alpha_to_weight,
+    delta_decompose,
+    pairing,
     rotate_tuple,
     root_to_weight,
+    solve_pinned,
 )
-from klrblocks.maxweights import LevelKDominant, max_plus
+from klrblocks.maxweights import LevelKDominant, max_plus, p_lambda_set
 from klrblocks.tableaux import block_is_nonzero
 from klrblocks.weyl import (
     IterationCapExceededError,
+    OrbitResult,
     OrbitStatus,
+    default_cap,
     dominate,
     orbit_representative,
     simple_reflect,
 )
+
+
+# --- reference oracle: WeightCoeffs arithmetic and the sieving-class lookup ---
+
+
+def dataclass_simple_reflect(mu: WeightCoeffs, i: int, rank: AffineRank) -> WeightCoeffs:
+    """r_i(mu) = mu - <h_i, mu> alpha_i."""
+    c = pairing(i, mu)
+    if c == 0:
+        return mu
+    return mu - alpha_to_weight(i, rank).scale(c)
+
+
+def dataclass_dominate(
+    mu: WeightCoeffs, rank: AffineRank, cap: int = 10_000
+) -> tuple[WeightCoeffs, int]:
+    """Reflect mu into the dominant chamber; pivot at the smallest negative index.
+
+    Returns the dominant representative and the number of reflections applied.
+    """
+    count = 0
+    while True:
+        neg = next((i for i in rank.indices if mu.lam[i] < 0), None)
+        if neg is None:
+            return mu, count
+        if count >= cap:
+            raise IterationCapExceededError(
+                f"dominance did not terminate within {cap} reflections"
+            )
+        mu = dataclass_simple_reflect(mu, neg, rank)
+        count += 1
+
+
+def sieving_orbit_representative(
+    base: LevelKDominant, beta: RootVector, cap: int | None = None
+) -> OrbitResult:
+    """Reduce beta to (beta0, m) with beta0 in the class's beta set, or Zero.
+
+    Zero means Lambda - beta is not a weight of the module, i.e. the block
+    vanishes.
+    """
+    if base.level < 1:
+        raise ValueError("base must have level >= 1")
+    rank = base.rank
+    if cap is None:
+        cap = default_cap(beta.height, rank)
+    mu = base.to_weight() - root_to_weight(beta.coeffs, rank)
+    mu_plus, count = dataclass_dominate(mu, rank, cap)
+    diff = base.to_weight() - mu_plus
+    # Expand diff on the alpha basis: the delta coefficient pins x_0.
+    x = solve_pinned(rank, diff.lam, diff.delta)
+    if any(v < 0 for v in x):
+        return OrbitResult(OrbitStatus.ZERO, None, 0, count)
+    beta0, m = delta_decompose(RootVector(x))
+    if beta0.coeffs in p_lambda_set(base):
+        return OrbitResult(OrbitStatus.NONZERO, beta0, m, count)
+    return OrbitResult(OrbitStatus.ZERO, None, 0, count)
 
 
 def test_simple_reflect_fixed_point():
@@ -171,3 +237,58 @@ def test_zero_block_matches_tableau_oracle_spot():
         by_orbit = orbit_representative(base, beta).status is OrbitStatus.NONZERO
         by_tableaux = block_is_nonzero(base.coeffs, beta)
         assert by_orbit == by_tableaux, (base, beta)
+
+
+def outcome(fn, *args):
+    """fn's result, or the message of the cap error it raised."""
+    try:
+        return fn(*args)
+    except IterationCapExceededError as exc:
+        return f"cap: {exc}"
+
+
+@st.composite
+def orbit_cases(draw):
+    """A base of level <= 5 at e <= 8, beta entries <= 15 and a cap."""
+    e = draw(st.integers(2, 8))
+    coeffs = [0] * e
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs[draw(st.integers(0, e - 1))] += 1
+    beta = draw(st.lists(st.integers(0, 15), min_size=e, max_size=e))
+    cap = draw(st.sampled_from([None, 5, 40]))
+    return LevelKDominant(tuple(coeffs)), RootVector(tuple(beta)), cap
+
+
+@settings(max_examples=400, deadline=None)
+@given(orbit_cases())
+def test_orbit_representative_matches_sieving_oracle(case):
+    base, beta, cap = case
+    assert outcome(orbit_representative, base, beta, cap) == outcome(
+        sieving_orbit_representative, base, beta, cap
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(orbit_cases())
+def test_nonzero_beta0_lies_in_the_sieving_class(case):
+    base, beta, cap = case
+    res = outcome(orbit_representative, base, beta, cap)
+    if isinstance(res, OrbitResult) and res.status is OrbitStatus.NONZERO:
+        assert res.beta0.coeffs in p_lambda_set(base)
+
+
+@st.composite
+def weights(draw):
+    """Any integer weight at e <= 8, with an index that may need reducing."""
+    e = draw(st.integers(2, 8))
+    lam = draw(st.lists(st.integers(-6, 6), min_size=e, max_size=e))
+    i = draw(st.integers(-e, 2 * e - 1))
+    return WeightCoeffs(tuple(lam), draw(st.integers(-4, 4))), i, AffineRank(e - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights(), st.sampled_from([0, 5, 40]))
+def test_integer_reflections_match_dataclass_arithmetic(case, cap):
+    mu, i, rank = case
+    assert simple_reflect(mu, i, rank) == dataclass_simple_reflect(mu, i, rank)
+    assert outcome(dominate, mu, rank, cap) == outcome(dataclass_dominate, mu, rank, cap)
