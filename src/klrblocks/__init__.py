@@ -6,11 +6,9 @@ from .cartan import (
     AffineRank,
     RootVector,
     WeightCoeffs,
-    alpha_to_weight,
     cartan_matrix,
     delta_decompose,
     interval_delta,
-    pairing,
     sigma_rotate,
 )
 from .classify import FieldParams, RepType, ScriptSets, TClass, classify, script_sets

@@ -1,4 +1,4 @@
-"""Affine type A Cartan datum: matrix, pairings, root/weight conversions.
+"""Affine type A Cartan datum: matrix, closed-form solve, root/weight conversions.
 
 All index arithmetic is cyclic modulo the quantum characteristic e = ell + 1.
 Every coefficient is an exact integer; there is no floating point anywhere in
@@ -63,9 +63,6 @@ class WeightCoeffs:
             self.delta - other.delta,
         )
 
-    def scale(self, c: int) -> "WeightCoeffs":
-        return WeightCoeffs(tuple(c * a for a in self.lam), c * self.delta)
-
 
 @dataclass(frozen=True)
 class RootVector:
@@ -74,7 +71,7 @@ class RootVector:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(c < 0 for c in self.coeffs):
+        if min(self.coeffs, default=0) < 0:
             raise ValueError(f"root vector must be nonnegative, got {self.coeffs}")
 
     @property
@@ -140,22 +137,6 @@ def solve_pinned(rank: AffineRank, rhs: tuple[int, ...], x0: int) -> tuple[int, 
     if apply_cartan(rank, x) != tuple(rhs):
         raise NoSolutionError(f"inconsistent system for rhs {rhs}")
     return x
-
-
-def pairing(i: int, mu: WeightCoeffs) -> int:
-    """<h_i, mu>: the coefficient of Lambda_i (delta pairs to zero)."""
-    return mu.lam[i % len(mu.lam)]
-
-
-def alpha_to_weight(i: int, rank: AffineRank) -> WeightCoeffs:
-    """Expand alpha_i = 2 Lambda_i - Lambda_{i-1} - Lambda_{i+1} (+ delta if i = 0)."""
-    e = rank.e
-    i = rank.reduce(i)
-    lam = [0] * e
-    lam[i] += 2
-    lam[(i - 1) % e] -= 1
-    lam[(i + 1) % e] -= 1
-    return WeightCoeffs(tuple(lam), 1 if i == 0 else 0)
 
 
 def root_to_weight(beta: tuple[int, ...], rank: AffineRank) -> WeightCoeffs:

@@ -7,6 +7,7 @@ an error), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -29,6 +30,13 @@ from .tableaux import DEFAULT_MAX_HEIGHT, charges_of, graded_dim, graded_dim_tot
 
 class UsageError(ValueError):
     pass
+
+
+# Every line boundary str.splitlines knows, written as its escape, so that an
+# error message quoting user text stays on one line.
+_LINE_BREAKS = str.maketrans(
+    {c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -117,21 +125,6 @@ def quiver_to_json_dict(q: WeightQuiver | TQuiver) -> dict:
             str(vid): sorted(tags) for vid, tags in sorted(q.tags.items())
         }
     return data
-
-
-def quiver_from_json_dict(data: dict) -> WeightQuiver:
-    """Rebuild a weight quiver from its JSON form (round-trip support)."""
-    base = LevelKDominant(tuple(data["base"]))
-    q = build_quiver(base)
-    expect_vertices = [tuple(v["coeffs"]) for v in data["vertices"]]
-    got_vertices = [v.weight.coeffs for v in q.vertices]
-    expect_arrows = {
-        (a["src"], a["dst"], (a["label"][0], a["label"][1])) for a in data["arrows"]
-    }
-    got_arrows = {(a.src, a.dst, a.label) for a in q.arrows}
-    if expect_vertices != got_vertices or expect_arrows != got_arrows:
-        raise ValueError("JSON data does not describe the quiver of its base weight")
-    return q
 
 
 def quiver_to_dot(q: WeightQuiver | TQuiver) -> str:
@@ -463,15 +456,17 @@ def run(argv: list[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = build_parser().parse_args(argv)
+        # argparse prints --help to sys.stdout; send it to `out` instead
+        with contextlib.redirect_stdout(out):
+            args = build_parser().parse_args(argv)
         return args.func(args, out)
     except SystemExit:  # --help printed the help text
         return 0
     except UsageError as exc:
-        err.write(f"usage error: {exc}\n")
+        err.write(f"usage error: {str(exc).translate(_LINE_BREAKS)}\n")
         return 2
     except (ValueError, KeyError, RuntimeError) as exc:
-        err.write(f"error: {exc}\n")
+        err.write(f"error: {str(exc).translate(_LINE_BREAKS)}\n")
         return 1
 
 

@@ -6,23 +6,27 @@ determines a unique nonnegative solution X (with min X = 0) of A X^t = Y^t,
 where Y_i = <h_i, Lambda - Lambda'>.  The dominant maximal weights are then
 Lambda - sum_i x_i alpha_i.
 
-The class is generated with the ev constraint built in, and X comes from the
-closed form of the cyclic second difference (`cartan.solve_pinned`): with
-d_i = x_{i+1} - x_i and x_0 pinned, e d_0 = sum_{i>=1} (e - i) y_i, and X is
-integral iff that sum is 0 mod e.  Everything is integer arithmetic.
+The class and every X come from one walk of the weight quiver
+(`class_walk`): the base has X = 0, and the arrow (i, j) leaves a member
+exactly when X vanishes somewhere on the cyclic interval [j+1, i-1]; it adds
+the indicator of [i, j] to X.  Every arrow keeps a zero of X in its gap, so
+min X = 0 all along, and A X = Lambda - Lambda' holds arrow by arrow.  With
+per-rank bitmasks of the intervals, an arrow test is one AND on the bitmask
+of X's zeros.  Everything is integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .cartan import (
     AffineRank,
     NoSolutionError,
     RootVector,
     WeightCoeffs,
-    root_to_weight,
+    interval_delta,
     rotate_tuple,
     solve_pinned,
 )
@@ -37,7 +41,7 @@ class LevelKDominant:
     def __post_init__(self) -> None:
         if len(self.coeffs) < 2:
             raise ValueError("need at least 2 coefficients (ell >= 1)")
-        if any(c < 0 for c in self.coeffs):
+        if min(self.coeffs) < 0:
             raise ValueError(f"coefficients must be nonnegative, got {self.coeffs}")
         if sum(self.coeffs) < 1:
             raise ValueError("level must be >= 1")
@@ -81,28 +85,77 @@ def ev(w: LevelKDominant) -> int:
     return sum(i * c for i, c in enumerate(w.coeffs)) % e
 
 
-def equiv_class(w: LevelKDominant) -> list[LevelKDominant]:
-    """All level-k dominant weights equivalent to w, sorted lexicographically.
+LABEL_TABLE_CACHE = 32  # label tables kept, one per rank
 
-    The ev constraint is built into the generation: c_2..c_{e-1} are chosen
-    freely, c_1 runs over the residue class that restores ev(w) mod e, and
-    c_0 takes the rest of the level.
+
+@lru_cache(maxsize=LABEL_TABLE_CACHE)
+def _label_table(e: int) -> tuple[tuple[tuple[int, tuple[int, ...]] | None, ...], ...]:
+    """Per label (i, j) at e = ell + 1: the bitmask of the gap [j+1, i-1] and
+    the indicator of [i, j]; None for the loop labels j = i - 1 mod e.
+
+    The gap is the complement of [i, j], so it is also the bitmask of the
+    zeros of X that survive the arrow.
     """
-    e = len(w.coeffs)
-    members = []
+    rank = AffineRank(e - 1)
+    full = (1 << e) - 1
+    table = []
+    for i in range(e):
+        row = []
+        for j in range(e):
+            if (j - (i - 1)) % e == 0:
+                row.append(None)
+                continue
+            inside = interval_delta(i, j, rank)
+            mask = sum(bit << h for h, bit in enumerate(inside))
+            row.append((full & ~mask, inside))
+        table.append(tuple(row))
+    return tuple(table)
 
-    def fill(i: int, tail: tuple[int, ...], left: int, need: int) -> None:
-        # tail = (c_{i+1}, ..., c_{e-1}); need = ev(w) - sum_{j>i} j c_j mod e
-        if i == 1:
-            for c1 in range(need % e, left + 1, e):
-                members.append(LevelKDominant((left - c1, c1) + tail))
-            return
-        for c in range(left + 1):
-            fill(i - 1, (c,) + tail, left - c, need - i * c)
 
-    fill(e - 1, (), w.level, ev(w))
-    members.sort(key=lambda m: m.coeffs)
-    return members
+def class_walk(
+    coeffs: tuple[int, ...], arrows: list | None = None
+) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Breadth-first walk of the weight quiver from `coeffs`: member -> X.
+
+    The members are exactly the sieving class of `coeffs`, in the order the
+    walk reaches them, and each X is the unique solution of
+    A X = <h, base - member> with min X = 0.  When `arrows` is a list, every
+    arrow (source coeffs, target coeffs, (i, j)) is appended to it once.
+    """
+    e = len(coeffs)
+    table = _label_table(e)
+    zero = (0,) * e
+    xs = {coeffs: zero}
+    frontier = [(coeffs, zero, (1 << e) - 1)]
+    while frontier:
+        nxt = []
+        for src, x, zeros in frontier:
+            support = [i for i in range(e) if src[i]]
+            for i in support:
+                row = table[i]
+                for j in support:
+                    label = row[j]
+                    if label is None or not zeros & label[0] or (i == j and src[i] < 2):
+                        continue
+                    dst = list(src)
+                    dst[i] -= 1
+                    dst[j] -= 1
+                    dst[i - 1] += 1
+                    dst[(j + 1) % e] += 1
+                    dst = tuple(dst)
+                    if dst not in xs:
+                        x_dst = tuple(map(add, x, label[1]))
+                        xs[dst] = x_dst
+                        nxt.append((dst, x_dst, zeros & label[0]))
+                    if arrows is not None:
+                        arrows.append((src, dst, (i, j)))
+        frontier = nxt
+    return xs
+
+
+def equiv_class(w: LevelKDominant) -> list[LevelKDominant]:
+    """All level-k dominant weights equivalent to w, sorted lexicographically."""
+    return [LevelKDominant(c) for c in sorted(class_walk(w.coeffs))]
 
 
 def solve_x(base: LevelKDominant, target: LevelKDominant) -> tuple[int, ...]:
@@ -121,17 +174,19 @@ def solve_x(base: LevelKDominant, target: LevelKDominant) -> tuple[int, ...]:
     return tuple(v - m for v in x)
 
 
-def max_weight_entry(
-    base: LevelKDominant, member: LevelKDominant, x: tuple[int, ...]
-) -> MaxWeightEntry:
-    """The entry of `member`, whose solution vector against `base` is `x`."""
-    max_weight = base.to_weight() - root_to_weight(x, base.rank)
-    return MaxWeightEntry(member, x, RootVector(x), max_weight)
+def max_weight_entry(member: LevelKDominant, x: tuple[int, ...]) -> MaxWeightEntry:
+    """The entry of `member`, whose solution vector against the base is `x`.
+
+    A x = <h, base - member>, so base - sum_i x_i alpha_i has Lambda part
+    `member` and delta coefficient -x_0.
+    """
+    return MaxWeightEntry(member, x, RootVector(x), WeightCoeffs(member.coeffs, -x[0]))
 
 
 def max_plus(base: LevelKDominant) -> list[MaxWeightEntry]:
     """One entry per class member, in the class's lexicographic order."""
-    return [max_weight_entry(base, m, solve_x(base, m)) for m in equiv_class(base)]
+    xs = class_walk(base.coeffs)
+    return [max_weight_entry(LevelKDominant(c), xs[c]) for c in sorted(xs)]
 
 
 P_LAMBDA_CACHE = 256  # X-vector sets kept, one per base weight

@@ -4,16 +4,25 @@ Vertices are the class members; an arrow labelled (i, j) moves one summand
 Lambda_i to Lambda_{i-1} and one summand Lambda_j to Lambda_{j+1}.  The arrow
 exists out of a vertex with solution vector X exactly when some position in
 the cyclic interval [j+1, i-1] of X is zero, and then the target's solution
-vector is X plus the indicator of [i, j].
+vector is X plus the indicator of [i, j].  The full quiver is the walk that
+also yields the class and its solution vectors (`maxweights.class_walk`); the
+tagged subquiver reads its intervals from the same per-rank label table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, NamedTuple
 
-from .cartan import AffineRank, RootVector, alpha_sum, cyclic_interval, interval_delta
-from .maxweights import LevelKDominant, MaxWeightEntry, max_weight_entry
+from .cartan import AffineRank, RootVector, alpha_sum, interval_delta
+from .maxweights import (
+    LevelKDominant,
+    MaxWeightEntry,
+    _label_table,
+    class_walk,
+    max_weight_entry,
+)
 
 
 class LevelTooSmallError(ValueError):
@@ -89,18 +98,16 @@ def has_arrow(x: Iterable[int], i: int, j: int, rank: AffineRank) -> bool:
     Requires j != i - 1 mod e; true iff x vanishes somewhere on [j+1, i-1],
     equivalently min(x + interval indicator of [i, j]) = 0.
     """
-    xs = tuple(x)
-    if (j - (i - 1)) % rank.e == 0:
+    label = _label_table(rank.e)[i % rank.e][j % rank.e]
+    if label is None:
         raise ValueError(f"({i},{j}) is a loop label (j = i - 1 mod e)")
-    return any(xs[h] == 0 for h in cyclic_interval(j + 1, i - 1, rank))
+    return any(v == 0 and label[0] >> h & 1 for h, v in enumerate(x))
 
 
-def _canonical(base, rank, xmap, raw_arrows) -> tuple[tuple, tuple]:
+def _canonical(xmap, raw_arrows) -> tuple[tuple, tuple]:
     ordering = sorted(xmap, key=lambda c: (sum(xmap[c]), c))
     ids = {c: i for i, c in enumerate(ordering)}
-    vertices = tuple(
-        max_weight_entry(base, LevelKDominant(c), xmap[c]) for c in ordering
-    )
+    vertices = tuple(max_weight_entry(LevelKDominant(c), xmap[c]) for c in ordering)
     arrows = tuple(
         sorted(Arrow(ids[s], ids[d], lab) for (s, d, lab) in raw_arrows)
     )
@@ -120,43 +127,23 @@ def _label_pairs(w: LevelKDominant, rank: AffineRank):
 
 
 def build_quiver(base: LevelKDominant) -> WeightQuiver:
-    """BFS construction of the full weight quiver from the base vertex.
+    """The full weight quiver, from the breadth-first walk out of the base.
 
     The base gets X = 0; following an arrow adds the label's interval
     indicator to X.  The visited vertex set always equals the sieving class.
     """
     if base.level < 2:
         raise LevelTooSmallError(f"need level >= 2, got {base.level}")
-    rank = base.rank
-    xmap: dict[tuple[int, ...], tuple[int, ...]] = {base.coeffs: (0,) * rank.e}
-    raw_arrows: set[tuple[tuple[int, ...], tuple[int, ...], tuple[int, int]]] = set()
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for src in frontier:
-            x = xmap[src.coeffs]
-            for i, j in _label_pairs(src, rank):
-                if not has_arrow(x, i, j, rank):
-                    continue
-                dst = move(src, i, j)
-                x_dst = _add_vec(x, interval_delta(i, j, rank))
-                if dst.coeffs not in xmap:
-                    xmap[dst.coeffs] = x_dst
-                    nxt.append(dst)
-                raw_arrows.add((src.coeffs, dst.coeffs, (i, j)))
-        frontier = nxt
-    vertices, arrows = _canonical(base, rank, xmap, raw_arrows)
-    return WeightQuiver(rank, base, vertices, arrows)
+    raw_arrows: list = []
+    xmap = class_walk(base.coeffs, raw_arrows)
+    vertices, arrows = _canonical(xmap, raw_arrows)
+    return WeightQuiver(base.rank, base, vertices, arrows)
 
 
 def successors(q: WeightQuiver, v) -> set[LevelKDominant]:
     """Targets of the arrows with source v."""
     vid = q.vertex_id(v)
     return {q.vertices[a.dst].weight for a in q.arrows if a.src == vid}
-
-
-def _add_vec(x, bits):
-    return tuple(a + b for a, b in zip(x, bits))
 
 
 def _supports(m: tuple[int, ...]) -> list[list[int]]:
@@ -174,6 +161,7 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
         raise LevelTooSmallError(f"need level >= 2, got {base.level}")
     rank = base.rank
     e = rank.e
+    table = _label_table(e)
     _, i1, i2, i3 = _supports(base.coeffs)
     xmap: dict[tuple[int, ...], tuple[int, ...]] = {base.coeffs: (0,) * e}
     tags: dict[tuple[int, ...], set[int]] = {}
@@ -181,9 +169,10 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
 
     def record(src: LevelKDominant, i: int, j: int, tag: int) -> LevelKDominant:
         i, j = i % e, j % e
-        assert has_arrow(xmap[src.coeffs], i, j, rank)
+        x = xmap[src.coeffs]
+        assert has_arrow(x, i, j, rank)
         dst = move(src, i, j)
-        x_dst = _add_vec(xmap[src.coeffs], interval_delta(i, j, rank))
+        x_dst = tuple(map(add, x, table[i][j][1]))
         prev = xmap.setdefault(dst.coeffs, x_dst)
         assert prev == x_dst
         tags.setdefault(dst.coeffs, set()).add(tag)
@@ -215,7 +204,7 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
                 if i != j:
                     record(first[i], j, j, 5)
 
-    vertices, arrows = _canonical(base, rank, xmap, raw_arrows)
+    vertices, arrows = _canonical(xmap, raw_arrows)
     ordering = {entry.weight.coeffs: vid for vid, entry in enumerate(vertices)}
     tagmap = {ordering[c]: frozenset(ts) for c, ts in tags.items()}
     return TQuiver(rank, base, vertices, arrows, tagmap)

@@ -1,0 +1,187 @@
+"""Reference implementations that the package's fast paths are tested against.
+
+Each one is the slower construction the package used before its integer
+replacement: weight arithmetic on `WeightCoeffs` (pairing, simple roots,
+scaling), the sieving class by composition recursion with X from the
+closed-form solve, and the weight quiver by testing every label at every
+vertex on the cyclic interval.  They share no code with `class_walk`.
+"""
+
+from __future__ import annotations
+
+from klrblocks.cartan import (
+    AffineRank,
+    RootVector,
+    WeightCoeffs,
+    cyclic_interval,
+    interval_delta,
+    root_to_weight,
+)
+from klrblocks.maxweights import LevelKDominant, MaxWeightEntry, ev, solve_x
+from klrblocks.quiver import Arrow, LevelTooSmallError, TQuiver, WeightQuiver, move
+
+
+# --- weight arithmetic ---
+
+
+def pairing(i: int, mu: WeightCoeffs) -> int:
+    """<h_i, mu>: the coefficient of Lambda_i (delta pairs to zero)."""
+    return mu.lam[i % len(mu.lam)]
+
+
+def alpha_to_weight(i: int, rank: AffineRank) -> WeightCoeffs:
+    """Expand alpha_i = 2 Lambda_i - Lambda_{i-1} - Lambda_{i+1} (+ delta if i = 0)."""
+    e = rank.e
+    i = rank.reduce(i)
+    lam = [0] * e
+    lam[i] += 2
+    lam[(i - 1) % e] -= 1
+    lam[(i + 1) % e] -= 1
+    return WeightCoeffs(tuple(lam), 1 if i == 0 else 0)
+
+
+def scale(mu: WeightCoeffs, c: int) -> WeightCoeffs:
+    return WeightCoeffs(tuple(c * a for a in mu.lam), c * mu.delta)
+
+
+# --- the sieving class and its dominant maximal weights ---
+
+
+def composition_equiv_class(w: LevelKDominant) -> list[LevelKDominant]:
+    """The class by recursion over compositions, sorted lexicographically:
+    c_2..c_{e-1} free, c_1 in the residue class that restores ev(w) mod e,
+    and c_0 the rest of the level."""
+    e = len(w.coeffs)
+    members = []
+
+    def fill(i: int, tail: tuple[int, ...], left: int, need: int) -> None:
+        # tail = (c_{i+1}, ..., c_{e-1}); need = ev(w) - sum_{j>i} j c_j mod e
+        if i == 1:
+            for c1 in range(need % e, left + 1, e):
+                members.append(LevelKDominant((left - c1, c1) + tail))
+            return
+        for c in range(left + 1):
+            fill(i - 1, (c,) + tail, left - c, need - i * c)
+
+    fill(e - 1, (), w.level, ev(w))
+    members.sort(key=lambda m: m.coeffs)
+    return members
+
+
+def entry(base: LevelKDominant, member: LevelKDominant, x: tuple[int, ...]) -> MaxWeightEntry:
+    """The entry of `member`, its max weight computed as base - sum_i x_i alpha_i."""
+    max_weight = base.to_weight() - root_to_weight(x, base.rank)
+    return MaxWeightEntry(member, x, RootVector(x), max_weight)
+
+
+def solver_max_plus(base: LevelKDominant) -> list[MaxWeightEntry]:
+    """One entry per member of the composition class, X from `solve_x`."""
+    return [entry(base, m, solve_x(base, m)) for m in composition_equiv_class(base)]
+
+
+# --- the weight quiver and its tagged subquiver ---
+
+
+def interval_has_arrow(x, i: int, j: int, rank: AffineRank) -> bool:
+    """Whether x vanishes somewhere on the cyclic interval [j+1, i-1]."""
+    xs = tuple(x)
+    if (j - (i - 1)) % rank.e == 0:
+        raise ValueError(f"({i},{j}) is a loop label (j = i - 1 mod e)")
+    return any(xs[h] == 0 for h in cyclic_interval(j + 1, i - 1, rank))
+
+
+def _add_vec(x, bits):
+    return tuple(a + b for a, b in zip(x, bits))
+
+
+def _canonical(base, xmap, raw_arrows) -> tuple[tuple, tuple]:
+    ordering = sorted(xmap, key=lambda c: (sum(xmap[c]), c))
+    ids = {c: i for i, c in enumerate(ordering)}
+    vertices = tuple(entry(base, LevelKDominant(c), xmap[c]) for c in ordering)
+    arrows = tuple(sorted(Arrow(ids[s], ids[d], lab) for (s, d, lab) in raw_arrows))
+    return vertices, arrows
+
+
+def _label_pairs(w: LevelKDominant, rank: AffineRank):
+    e = rank.e
+    support = w.support()
+    for i in support:
+        for j in support:
+            if i == j and w.coeffs[i] < 2:
+                continue
+            if (j - (i - 1)) % e == 0:
+                continue
+            yield i, j
+
+
+def label_bfs_quiver(base: LevelKDominant) -> WeightQuiver:
+    """The full quiver by testing every label at every vertex of a BFS."""
+    if base.level < 2:
+        raise LevelTooSmallError(f"need level >= 2, got {base.level}")
+    rank = base.rank
+    xmap = {base.coeffs: (0,) * rank.e}
+    raw_arrows = set()
+    frontier = [base]
+    while frontier:
+        nxt = []
+        for src in frontier:
+            x = xmap[src.coeffs]
+            for i, j in _label_pairs(src, rank):
+                if not interval_has_arrow(x, i, j, rank):
+                    continue
+                dst = move(src, i, j)
+                x_dst = _add_vec(x, interval_delta(i, j, rank))
+                if dst.coeffs not in xmap:
+                    xmap[dst.coeffs] = x_dst
+                    nxt.append(dst)
+                raw_arrows.add((src.coeffs, dst.coeffs, (i, j)))
+        frontier = nxt
+    vertices, arrows = _canonical(base, xmap, raw_arrows)
+    return WeightQuiver(rank, base, vertices, arrows)
+
+
+def label_t_subquiver(base: LevelKDominant) -> TQuiver:
+    """The six depth <= 2 constructions, each arrow checked on its interval."""
+    if base.level < 2:
+        raise LevelTooSmallError(f"need level >= 2, got {base.level}")
+    rank = base.rank
+    e = rank.e
+    i1, i2, i3 = ([i for i, c in enumerate(base.coeffs) if c >= k] for k in (2, 3, 4))
+    xmap = {base.coeffs: (0,) * e}
+    tags: dict[tuple[int, ...], set[int]] = {}
+    raw_arrows = set()
+
+    def record(src: LevelKDominant, i: int, j: int, tag: int) -> LevelKDominant:
+        i, j = i % e, j % e
+        assert interval_has_arrow(xmap[src.coeffs], i, j, rank)
+        dst = move(src, i, j)
+        x_dst = _add_vec(xmap[src.coeffs], interval_delta(i, j, rank))
+        prev = xmap.setdefault(dst.coeffs, x_dst)
+        assert prev == x_dst
+        tags.setdefault(dst.coeffs, set()).add(tag)
+        raw_arrows.add((src.coeffs, dst.coeffs, (i, j)))
+        return dst
+
+    for i, j in _label_pairs(base, rank):
+        if i != j:
+            record(base, i, j, 0)
+    first = {i: record(base, i, i, 1) for i in i1}
+    if rank.ell >= 3:
+        for i in i1:
+            record(first[i], i - 1, i + 1, 2)
+    if rank.ell >= 2:
+        for i in i2:
+            record(first[i], i, i + 1, 3)
+            record(first[i], i - 1, i, 3)
+    for i in i3:
+        record(first[i], i, i, 4)
+    if rank.ell >= 2:
+        for i in i1:
+            for j in i1:
+                if i != j:
+                    record(first[i], j, j, 5)
+
+    vertices, arrows = _canonical(base, xmap, raw_arrows)
+    ordering = {v.weight.coeffs: vid for vid, v in enumerate(vertices)}
+    tagmap = {ordering[c]: frozenset(ts) for c, ts in tags.items()}
+    return TQuiver(rank, base, vertices, arrows, tagmap)

@@ -23,6 +23,7 @@ from klrblocks.tableaux import (
 )
 from klrblocks.weyl import OrbitStatus, dominate, orbit_representative, simple_reflect
 
+from oracles import composition_equiv_class
 from test_classify import TRUTH_TABLE
 from test_quiver import ARROWS_636, TAGGED_EXAMPLE, arrow_triples
 
@@ -114,7 +115,7 @@ def test_criterion_03_bfs_cross_check():
             coeffs[rng.randrange(e)] += 1
         base = LevelKDominant(tuple(coeffs))
         q = build_quiver(base)
-        assert {v.weight for v in q.vertices} == set(equiv_class(base))
+        assert {v.weight for v in q.vertices} == set(composition_equiv_class(base))
         for v in q.vertices:
             assert v.x == solve_x(base, v.weight)
         count += 1

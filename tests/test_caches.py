@@ -18,6 +18,7 @@ def test_every_package_cache_is_bounded():
                 caches[f"{module.__name__}.{name}"] = value
     assert "klrblocks.maxweights.p_lambda_set" in caches
     assert "klrblocks.cli.build_parser" in caches
+    assert "klrblocks.maxweights._label_table" in caches
     unbounded = [
         name
         for name, fn in caches.items()

@@ -12,16 +12,16 @@ from klrblocks.cartan import (
     NoSolutionError,
     RootVector,
     WeightCoeffs,
-    alpha_to_weight,
     apply_cartan,
     cartan_matrix,
     cyclic_interval,
     delta_decompose,
     interval_delta,
-    pairing,
     sigma_rotate,
     solve_pinned,
 )
+
+from oracles import alpha_to_weight, pairing
 
 
 def test_cartan_matrix_small_ranks():

@@ -10,7 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klrblocks.cli import quiver_from_json_dict, run
+from klrblocks.cli import run
+from klrblocks.maxweights import LevelKDominant
+from klrblocks.quiver import WeightQuiver, build_quiver
+
+
+def quiver_from_json_dict(data: dict) -> WeightQuiver:
+    """Rebuild a weight quiver from its JSON form (round-trip check)."""
+    q = build_quiver(LevelKDominant(tuple(data["base"])))
+    expect_vertices = [tuple(v["coeffs"]) for v in data["vertices"]]
+    got_vertices = [v.weight.coeffs for v in q.vertices]
+    expect_arrows = {
+        (a["src"], a["dst"], (a["label"][0], a["label"][1])) for a in data["arrows"]
+    }
+    got_arrows = {(a.src, a.dst, a.label) for a in q.arrows}
+    if expect_vertices != got_vertices or expect_arrows != got_arrows:
+        raise ValueError("JSON data does not describe the quiver of its base weight")
+    return q
 
 
 def capture(argv):
@@ -66,6 +82,29 @@ def test_argparse_rejections_are_one_usage_line():
             code, out, err = capture(argv)
         assert code == 2 and out == "" and parse_err.getvalue() == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_user_text_with_line_breaks_stays_on_one_line(tmp_path):
+    weight = ["--ell", "2", "--weight", "3,0,0", "--beta", "1,1,1"]
+    for argv in (
+        ["classify", *weight, "extra\nline"],
+        ["classify", *weight, "a\rb\u2028c"],
+        ["brauer", "--graph", str(tmp_path / "a\nb.json")],
+    ):
+        code, out, err = capture(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+    _, _, err = capture(["classify", *weight, "extra\nline"])
+    assert err == "usage error: unrecognized arguments: extra\\nline\n"
+
+
+def test_help_is_written_to_out():
+    for argv in (["--help"], ["quiver", "--help"]):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code, out, err = capture(argv)
+        assert code == 0 and err == "" and stdout.getvalue() == ""
+        assert out.startswith("usage: klrblocks")
 
 
 def test_domain_errors_exit_one():
@@ -240,9 +279,15 @@ def test_negative_beta_is_usage_error_in_classify_and_gdim():
 # --- fuzz: every argv ends in exit 0, 1 or 2 with at most one stderr line ---
 
 GRAPH = "<graph file>"  # replaced by a temporary path; its JSON rides along
+LINE_BREAK_TEXT = st.builds(
+    "{}{}{}".format,
+    st.text(max_size=2),
+    st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1e", "\u2028"]),
+    st.text(max_size=2),
+)
 MALFORMED_TEXT = st.sampled_from(
     ["", ",", "x", "1,,2", "1.5", "1;2", "-1", "1,-2,3", "0,0,0,0,0,0,0,0,0"]
-) | st.text(max_size=5)
+) | st.text(max_size=5) | LINE_BREAK_TEXT
 JSON_SCALARS = (
     st.none() | st.booleans() | st.integers(-1, 3) | st.floats(-3, 3) | st.text(max_size=3)
 )
@@ -331,9 +376,12 @@ def graph_argv(draw, cmd: str):
     if source == "gamma":
         gamma = [draw(st.integers(0, 3)), draw(st.integers(0, 6)), draw(st.integers(0, 2))]
         argv.append(f"--gamma={draw(vector_text(gamma))}")
-    elif source in ("graph", "missing"):
+    elif source == "graph":
         argv += ["--graph", GRAPH]
-        graph = draw(GRAPHS) if source == "graph" else None
+        graph = draw(GRAPHS)
+    elif source == "missing":
+        # a path that does not exist, sometimes holding a line break
+        argv += ["--graph", GRAPH + draw(st.sampled_from(["", "x"]) | LINE_BREAK_TEXT)]
     elif source == "cartan":
         n = draw(st.integers(1, 3))
         rows = [draw(bounded_vector(n, 12, 3)) for _ in range(n)]
@@ -355,6 +403,8 @@ def cli_cases(draw):
         argv, graph = draw(weight_argv(cmd)), None
     formats = {"maxweights": "text json", "quiver": "text json dot", "tquiver": "text json dot"}
     argv.append(f"--format={draw(st.sampled_from(formats.get(cmd, 'text json').split()))}")
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(LINE_BREAK_TEXT))  # an unrecognized argument
     return argv, graph
 
 
@@ -367,7 +417,7 @@ def test_cli_fuzz_exits_cleanly(case):
         if graph is not None:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(graph, fh)
-        argv = [path if a == GRAPH else a for a in argv]
+        argv = [a.replace(GRAPH, path, 1) if a.startswith(GRAPH) else a for a in argv]
         parse_err = io.StringIO()
         # an exception escaping run() is the traceback main() would print
         with contextlib.redirect_stderr(parse_err):
@@ -376,5 +426,6 @@ def test_cli_fuzz_exits_cleanly(case):
     assert parse_err.getvalue() == ""  # argparse's rejections go to err as well
     if code:
         assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.splitlines()) == 1
     else:
         assert err == ""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klrblocks.cartan import apply_cartan, pairing, rotate_tuple
+from klrblocks.cartan import apply_cartan, rotate_tuple
 from klrblocks.maxweights import (
     LevelKDominant,
     NoSolutionError,
@@ -16,6 +16,8 @@ from klrblocks.maxweights import (
     max_plus,
     solve_x,
 )
+
+from oracles import composition_equiv_class, pairing, solver_max_plus
 
 
 def brute_force_x(base: LevelKDominant, target: LevelKDominant, bound: int):
@@ -210,11 +212,11 @@ def filtered_equiv_class(w: LevelKDominant) -> list[LevelKDominant]:
 
 
 @st.composite
-def dominant_weights(draw):
-    """Level 1..6 dominant weights with e = 2..9."""
-    e = draw(st.integers(2, 9))
+def dominant_weights(draw, max_e: int = 9, levels: tuple[int, int] = (1, 6)):
+    """Dominant weights with e = 2..max_e and level in the given range."""
+    e = draw(st.integers(2, max_e))
     coeffs = [0] * e
-    for i in draw(st.lists(st.integers(0, e - 1), min_size=1, max_size=6)):
+    for i in draw(st.lists(st.integers(0, e - 1), min_size=levels[0], max_size=levels[1])):
         coeffs[i] += 1
     return LevelKDominant(tuple(coeffs))
 
@@ -223,3 +225,16 @@ def dominant_weights(draw):
 @given(dominant_weights())
 def test_equiv_class_matches_filtered_enumeration(w):
     assert equiv_class(w) == filtered_equiv_class(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dominant_weights(max_e=13, levels=(1, 5)))
+def test_max_plus_matches_composition_class_and_solver(base):
+    entries = max_plus(base)
+    assert entries == solver_max_plus(base)
+    assert equiv_class(base) == composition_equiv_class(base)
+    rank = base.rank
+    for en in entries:
+        assert min(en.x) == 0
+        ax = apply_cartan(rank, en.x)
+        assert tuple(b - a for b, a in zip(base.coeffs, ax)) == en.weight.coeffs

@@ -3,9 +3,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klrblocks.cartan import AffineRank, RootVector, rotate_tuple
-from klrblocks.maxweights import LevelKDominant, equiv_class, solve_x
+from klrblocks.maxweights import LevelKDominant, solve_x
 from klrblocks.quiver import (
     InsufficientMultiplicityError,
     LevelTooSmallError,
@@ -17,6 +19,14 @@ from klrblocks.quiver import (
     t_beta_sets,
     t_subquiver,
 )
+
+from oracles import (
+    composition_equiv_class,
+    interval_has_arrow,
+    label_bfs_quiver,
+    label_t_subquiver,
+)
+from test_maxweights import dominant_weights
 
 BASE_636 = LevelKDominant((1, 0, 0, 1, 0, 0, 1))
 
@@ -113,9 +123,35 @@ def test_bfs_x_agrees_with_solver_and_class():
             coeffs[rng.randrange(e)] += 1
         base = LevelKDominant(tuple(coeffs))
         q = build_quiver(base)
-        assert {v.weight for v in q.vertices} == set(equiv_class(base))
+        assert {v.weight for v in q.vertices} == set(composition_equiv_class(base))
         for v in q.vertices:
             assert v.x == solve_x(base, v.weight)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dominant_weights(max_e=13, levels=(1, 5)))
+def test_quivers_match_label_by_label_oracles(base):
+    if base.level < 2:
+        for build in (build_quiver, t_subquiver, label_bfs_quiver, label_t_subquiver):
+            with pytest.raises(LevelTooSmallError):
+                build(base)
+        return
+    # dataclass equality: rank, base, every vertex field, every arrow, every tag
+    assert build_quiver(base) == label_bfs_quiver(base)
+    assert t_subquiver(base) == label_t_subquiver(base)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=2, max_size=13))
+def test_has_arrow_matches_interval_scan(x):
+    rank = AffineRank(len(x) - 1)
+    for i in range(-1, rank.e + 1):
+        for j in range(-1, rank.e + 1):
+            if (j - (i - 1)) % rank.e == 0:
+                with pytest.raises(ValueError):
+                    has_arrow(x, i, j, rank)
+            else:
+                assert has_arrow(x, i, j, rank) == interval_has_arrow(x, i, j, rank)
 
 
 def test_level_too_small():

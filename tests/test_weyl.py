@@ -11,9 +11,7 @@ from klrblocks.cartan import (
     AffineRank,
     RootVector,
     WeightCoeffs,
-    alpha_to_weight,
     delta_decompose,
-    pairing,
     rotate_tuple,
     root_to_weight,
     solve_pinned,
@@ -30,6 +28,8 @@ from klrblocks.weyl import (
     simple_reflect,
 )
 
+from oracles import alpha_to_weight, pairing, scale
+
 
 # --- reference oracle: WeightCoeffs arithmetic and the sieving-class lookup ---
 
@@ -39,7 +39,7 @@ def dataclass_simple_reflect(mu: WeightCoeffs, i: int, rank: AffineRank) -> Weig
     c = pairing(i, mu)
     if c == 0:
         return mu
-    return mu - alpha_to_weight(i, rank).scale(c)
+    return mu - scale(alpha_to_weight(i, rank), c)
 
 
 def dataclass_dominate(
