@@ -120,10 +120,6 @@ class BrauerGraph:
         if len(seen) != nv:
             raise InvalidGraphError("graph is not connected")
 
-    def vertex_of(self, dart: Dart) -> int:
-        eid, end = dart
-        return self.edges[eid][end]
-
     def degree(self, v: int) -> int:
         return len(self.rotations[v])
 
@@ -133,9 +129,6 @@ class BrauerGraph:
     def has_multi_edge(self) -> bool:
         normalized = [tuple(sorted(e)) for e in self.edges]
         return len(set(normalized)) != len(normalized)
-
-    def is_tree(self) -> bool:
-        return len(self.edges) == len(self.multiplicities) - 1 and not self.has_loop()
 
 
 @dataclass(frozen=True)
@@ -374,7 +367,8 @@ def decomp_search(
     The search space follows the fixed convention: entries are bounded by the
     integer square root of the smallest diagonal entry, rows are nonzero, and
     at most trace(C) rows are used.  Solutions are canonicalized with rows
-    sorted lexicographically descending and deduplicated.
+    sorted lexicographically descending and deduplicated.  More than max_nodes
+    candidate rows, or search nodes, raise SearchSpaceExceededError.
     """
     n = len(c)
     if any(len(row) != n for row in c):
@@ -385,7 +379,7 @@ def decomp_search(
         raise ValueError("Cartan matrix must have a nonnegative diagonal")
 
     bound = isqrt(min(c[i][i] for i in range(n))) if n else 0
-    candidates = _candidate_rows(c, n, bound)
+    candidates = _candidate_rows(c, n, bound, max_nodes)
     solutions: set[tuple[tuple[int, ...], ...]] = set()
     nodes = 0
     max_rows = sum(c[i][i] for i in range(n))
@@ -434,13 +428,17 @@ def decomp_search(
     return DecompResult(sols, unique=len(sols) == 1, searched_nodes=nodes)
 
 
-def _candidate_rows(c, n, bound) -> list[tuple[int, ...]]:
+def _candidate_rows(c, n, bound, max_rows) -> list[tuple[int, ...]]:
     """Nonzero candidate rows in descending lex order, pruned entrywise."""
     rows: list[tuple[int, ...]] = []
 
     def extend(prefix: tuple[int, ...]) -> None:
         if len(prefix) == n:
             if any(prefix):
+                if len(rows) == max_rows:
+                    raise SearchSpaceExceededError(
+                        f"decomposition search exceeded {max_rows} candidate rows"
+                    )
                 rows.append(prefix)
             return
         j = len(prefix)

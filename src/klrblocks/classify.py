@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import isqrt
 
 from .cartan import RootVector, alpha_sum, interval_delta
 from .maxweights import LevelKDominant
 from .quiver import LevelTooSmallError
 from .weyl import OrbitStatus, orbit_representative
+
+MAX_CHAR = 10**12  # primality is checked by trial division up to 10**6
 
 
 class TClass(enum.Enum):
@@ -47,8 +50,13 @@ class FieldParams:
     def __post_init__(self) -> None:
         if self.char_p < 0 or self.char_p == 1:
             raise ValueError("char_p must be 0 or a prime")
+        if self.char_p > MAX_CHAR:
+            raise ValueError(
+                f"char_p above {MAX_CHAR} is refused: every prime >= 5 classifies "
+                "like 0, since only 2 and 3 enter the script sets"
+            )
         if self.char_p > 1 and any(
-            self.char_p % d == 0 for d in range(2, int(self.char_p**0.5) + 1)
+            self.char_p % d == 0 for d in range(2, isqrt(self.char_p) + 1)
         ):
             raise ValueError(f"char_p = {self.char_p} is not prime")
 

@@ -14,6 +14,8 @@ degree of the step, together with the degree generating function of every
 shape.  The total dimension sums the squares of those functions over the
 shapes of content beta; a pair query runs a DP along nu and along nu' over
 the recorded moves.  Every standard tableau is listed only by std_tableaux.
+The shapes of content beta alone come from a depth-first search along the
+same moves, stopped at the first shape when only existence is asked.
 
 Node coordinates in the public API are 1-based (component, row, column),
 with the residue of a node in row a, column b of the s-th component equal to
@@ -23,6 +25,7 @@ with larger index; "below" always refers to this stacked picture.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -111,10 +114,6 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
-    @classmethod
-    def q_power(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({exp: coeff})
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
         for k, v in other.terms.items():
@@ -127,12 +126,6 @@ class LaurentPoly:
             for k2, v2 in other.terms.items():
                 out[k1 + k2] = out.get(k1 + k2, 0) + v1 * v2
         return LaurentPoly(out)
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        out = LaurentPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
@@ -169,41 +162,6 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-@lru_cache(maxsize=64)
-def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, largest first (reverse lexicographic)."""
-    if n == 0:
-        return ((),)
-    out: list[Partition] = []
-
-    def extend(remaining: int, cap: int, prefix: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            extend(remaining - part, part, prefix + (part,))
-
-    extend(n, n, ())
-    return tuple(out)
-
-
-def multipartitions(k: int, n: int) -> list[Multipartition]:
-    """All k-multipartitions of n, in a fixed lexicographic order."""
-    out: list[Multipartition] = []
-
-    def split(idx: int, remaining: int, prefix: tuple[Partition, ...]) -> None:
-        if idx == k - 1:
-            for p in partitions_of(remaining):
-                out.append(Multipartition(prefix + (p,)))
-            return
-        for here in range(remaining, -1, -1):
-            for p in partitions_of(here):
-                split(idx + 1, remaining - here, prefix + (p,))
-
-    split(0, n, ())
-    return out
-
-
 def _addable(comp: Partition) -> list[tuple[int, int]]:
     """Addable node positions (row, col), 0-based, of one partition."""
     nodes = []
@@ -228,21 +186,14 @@ def _res(charges: tuple[int, ...], e: int, s: int, r: int, c: int) -> int:
     return (charges[s] + c - r) % e
 
 
-def _content(
-    components: tuple[Partition, ...], charges: tuple[int, ...], e: int
-) -> tuple[int, ...]:
-    """How many nodes of each residue the charged components have."""
-    counts = [0] * e
-    for s, comp in enumerate(components):
-        for r, width in enumerate(comp):
-            for c in range(width):
-                counts[_res(charges, e, s, r, c)] += 1
-    return tuple(counts)
-
-
 def content_counts(shape: ChargedShape) -> tuple[int, ...]:
     """How many nodes of each residue the charged shape has."""
-    return _content(shape.mp.components, shape.charges, shape.e)
+    counts = [0] * shape.e
+    for s, comp in enumerate(shape.mp.components):
+        for r, width in enumerate(comp):
+            for c in range(width):
+                counts[_res(shape.charges, shape.e, s, r, c)] += 1
+    return tuple(counts)
 
 
 def _check_height(beta: RootVector, max_height: int) -> None:
@@ -284,22 +235,6 @@ def d_below(shape: ChargedShape, p: tuple[int, int, int]) -> int:
     return _d_statistic(comps, shape.charges, shape.e, (s - 1, a - 1, b - 1))
 
 
-def enumerate_with_content(
-    k: int,
-    charges: tuple[int, ...],
-    beta: RootVector,
-    max_height: int = DEFAULT_MAX_HEIGHT,
-) -> list[Multipartition]:
-    """All k-multipartitions whose residue multiset equals beta, fixed order."""
-    _check_height(beta, max_height)
-    e = len(beta.coeffs)
-    return [
-        mp
-        for mp in multipartitions(k, beta.height)
-        if _content(mp.components, charges, e) == beta.coeffs
-    ]
-
-
 def _grow(
     components: tuple[Partition, ...], s: int, r: int
 ) -> tuple[Partition, ...]:
@@ -320,6 +255,49 @@ def _shrink(
     else:
         new = comp[:r] + (comp[r] - 1,) + comp[r + 1 :]
     return components[:s] + (new,) + components[s + 1 :]
+
+
+def _shapes_of_content(
+    charges: tuple[int, ...], beta_coeffs: tuple[int, ...]
+) -> Iterator[tuple[Partition, ...]]:
+    """Each shape of content beta once: a depth-first search from the empty
+    shape that adds only addable nodes whose residue beta still owes."""
+    e, k = len(beta_coeffs), len(charges)
+    empty = ((),) * k
+    seen = {empty}
+    stack = [(empty, beta_coeffs)]
+    while stack:
+        comps, rem = stack.pop()
+        if not any(rem):
+            yield comps
+            continue
+        for s in range(k):
+            for r, c in _addable(comps[s]):
+                res = _res(charges, e, s, r, c)
+                if rem[res] == 0:
+                    continue
+                grown = _grow(comps, s, r)
+                if grown not in seen:
+                    seen.add(grown)
+                    stack.append((grown, rem[:res] + (rem[res] - 1,) + rem[res + 1 :]))
+
+
+def enumerate_with_content(
+    k: int,
+    charges: tuple[int, ...],
+    beta: RootVector,
+    max_height: int = DEFAULT_MAX_HEIGHT,
+) -> list[Multipartition]:
+    """All k-multipartitions whose residue multiset equals beta, largest first."""
+    _check_height(beta, max_height)
+    if k != len(charges):
+        raise ValueError(f"need one charge per component: k = {k}, {len(charges)} charges")
+    shapes = sorted(
+        _shapes_of_content(charges, beta.coeffs),
+        key=lambda comps: [(sum(p), p) for p in comps],
+        reverse=True,
+    )
+    return [Multipartition(comps) for comps in shapes]
 
 
 def std_tableaux(shape: ChargedShape) -> list[StandardTableau]:
@@ -372,12 +350,13 @@ def _degree_table(
     ids = {empty: 0}
     shapes = [empty]
     owed = [beta_coeffs]
-    gf: list[dict[int, int]] = [{0: 1}]
+    gf: list[dict[int, int] | None] = [{0: 1}]
     moves: _Moves = []
     # Ids follow discovery, so every move goes from a smaller id to a larger
-    # one and a shape's function is complete by the time its id comes up.
+    # one and a shape's function is complete by the time its id comes up;
+    # once pushed along its moves it is dropped unless it has content beta.
     for i, comps in enumerate(shapes):
-        rem = owed[i]
+        rem, own = owed[i], gf[i]
         out: list[list[tuple[int, int]]] = [[] for _ in range(e)]
         for s in range(k):
             for r, c in _addable(comps[s]):
@@ -394,9 +373,11 @@ def _degree_table(
                     gf.append({})
                 out[res].append((j, d))
                 target = gf[j]
-                for deg, count in gf[i].items():
+                for deg, count in own.items():
                     target[deg + d] = target.get(deg + d, 0) + count
         moves.append(out)
+        if any(rem):
+            gf[i] = None
     alive = [not any(rem) for rem in owed]
     for i in range(len(shapes) - 1, -1, -1):
         moves[i] = [[(j, d) for j, d in by_res if alive[j]] for by_res in moves[i]]
@@ -475,17 +456,10 @@ def charges_of(base_coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=256)
-def _content_set(charges: tuple[int, ...], e: int, n: int) -> frozenset[tuple[int, ...]]:
-    return frozenset(
-        _content(mp.components, charges, e) for mp in multipartitions(len(charges), n)
-    )
-
-
 def block_is_nonzero(
     base_coeffs: tuple[int, ...], beta: RootVector, max_height: int = DEFAULT_MAX_HEIGHT
 ) -> bool:
     """Whether some multipartition has residue content beta (block nonvanishing)."""
     _check_height(beta, max_height)
-    charges = charges_of(base_coeffs)
-    return beta.coeffs in _content_set(charges, len(beta.coeffs), beta.height)
+    shapes = _shapes_of_content(charges_of(base_coeffs), beta.coeffs)
+    return next(shapes, None) is not None

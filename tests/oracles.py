@@ -4,10 +4,14 @@ Each one is the slower construction the package used before its integer
 replacement: weight arithmetic on `WeightCoeffs` (pairing, simple roots,
 scaling), the sieving class by composition recursion with X from the
 closed-form solve, and the weight quiver by testing every label at every
-vertex on the cyclic interval.  They share no code with `class_walk`.
+vertex on the cyclic interval.  They share no code with `class_walk`.  The
+shapes of a given residue content come from every k-multipartition of |beta|
+filtered by content, not from the shape search of `tableaux`.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from klrblocks.cartan import (
     AffineRank,
@@ -19,6 +23,7 @@ from klrblocks.cartan import (
 )
 from klrblocks.maxweights import LevelKDominant, MaxWeightEntry, ev, solve_x
 from klrblocks.quiver import Arrow, LevelTooSmallError, TQuiver, WeightQuiver, move
+from klrblocks.tableaux import ChargedShape, Multipartition, Partition, charges_of, content_counts
 
 
 # --- weight arithmetic ---
@@ -185,3 +190,57 @@ def label_t_subquiver(base: LevelKDominant) -> TQuiver:
     ordering = {v.weight.coeffs: vid for vid, v in enumerate(vertices)}
     tagmap = {ordering[c]: frozenset(ts) for c, ts in tags.items()}
     return TQuiver(rank, base, vertices, arrows, tagmap)
+
+
+# --- charged multipartitions of a given content ---
+
+
+@lru_cache(maxsize=64)
+def partitions_of(n: int) -> tuple[Partition, ...]:
+    """All partitions of n, largest first (reverse lexicographic)."""
+    if n == 0:
+        return ((),)
+    out: list[Partition] = []
+
+    def extend(remaining: int, cap: int, prefix: tuple[int, ...]) -> None:
+        if remaining == 0:
+            out.append(prefix)
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            extend(remaining - part, part, prefix + (part,))
+
+    extend(n, n, ())
+    return tuple(out)
+
+
+def multipartitions(k: int, n: int) -> list[Multipartition]:
+    """All k-multipartitions of n, in a fixed lexicographic order."""
+    out: list[Multipartition] = []
+
+    def split(idx: int, remaining: int, prefix: tuple[Partition, ...]) -> None:
+        if idx == k - 1:
+            for p in partitions_of(remaining):
+                out.append(Multipartition(prefix + (p,)))
+            return
+        for here in range(remaining, -1, -1):
+            for p in partitions_of(here):
+                split(idx + 1, remaining - here, prefix + (p,))
+
+    split(0, n, ())
+    return out
+
+
+def filtered_with_content(
+    charges: tuple[int, ...], beta_coeffs: tuple[int, ...]
+) -> list[Multipartition]:
+    """Every len(charges)-multipartition of |beta| with content beta, in the
+    order of `multipartitions`."""
+    return [
+        mp
+        for mp in multipartitions(len(charges), sum(beta_coeffs))
+        if content_counts(ChargedShape(mp, charges, len(beta_coeffs))) == beta_coeffs
+    ]
+
+
+def filtered_is_nonzero(base_coeffs: tuple[int, ...], beta_coeffs: tuple[int, ...]) -> bool:
+    return bool(filtered_with_content(charges_of(base_coeffs), beta_coeffs))

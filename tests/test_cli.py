@@ -4,12 +4,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import klrblocks
 from klrblocks.cli import run
 from klrblocks.maxweights import LevelKDominant
 from klrblocks.quiver import WeightQuiver, build_quiver
@@ -274,6 +277,29 @@ def test_negative_beta_is_usage_error_in_classify_and_gdim():
             code, out, err = capture([cmd, *weight, *beta])
             assert code == 2 and out == ""
             assert err.startswith("usage error: --") and err.count("\n") == 1
+
+
+def test_huge_characteristic_is_one_error_line():
+    # in a child process, so that a primality test that never ends fails on
+    # the timeout instead of hanging the suite
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(klrblocks.__file__))}
+    block = ["classify", "--ell", "2", "--weight", "3,0,0", "--beta", "1,1,1"]
+    for char in ("1" + "0" * 400, "1000000000000000003"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "klrblocks.cli", *block, "--char", char],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "like 0" in proc.stderr
+
+
+def test_candidate_rows_are_bounded():
+    # 7x7 with every entry 100 has about 19.5M candidate rows
+    cartan = ";".join([",".join(["100"] * 7)] * 7)
+    code, out, err = capture(["decomp", "--cartan", cartan])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "candidate rows" in err and err.count("\n") == 1
 
 
 # --- fuzz: every argv ends in exit 0, 1 or 2 with at most one stderr line ---

@@ -19,21 +19,21 @@ from klrblocks.tableaux import (
     NodeNotRemovableError,
     Partition,
     _addable,
-    _content_set,
     _d_statistic,
     _degree_table,
     _grow,
     _res,
+    block_is_nonzero,
     charges_of,
     content_counts,
     d_below,
     enumerate_with_content,
     graded_dim,
     graded_dim_total,
-    multipartitions,
-    partitions_of,
     std_tableaux,
 )
+
+from oracles import filtered_is_nonzero, filtered_with_content, multipartitions, partitions_of
 
 
 def _tableau_walks(
@@ -110,6 +110,12 @@ def test_enumerate_with_content_examples():
 def test_enumerate_with_content_bound():
     with pytest.raises(EnumerationLimitError):
         enumerate_with_content(1, (0,), RootVector((8, 8)), max_height=10)
+
+
+def test_enumerate_with_content_needs_one_charge_per_component():
+    for k in (1, 3):
+        with pytest.raises(ValueError, match="one charge per component"):
+            enumerate_with_content(k, (0, 1), RootVector((1, 1)))
 
 
 def test_std_tableaux_counts():
@@ -335,5 +341,43 @@ def test_degree_table_cache_is_bounded():
         _degree_table((0,), beta)
     assert _degree_table.cache_info().currsize == DEGREE_TABLE_CACHE
     _degree_table.cache_clear()
-    for cache in (_degree_table, _content_set, partitions_of):
-        assert cache.cache_parameters()["maxsize"] is not None
+    assert _degree_table.cache_parameters()["maxsize"] is not None
+
+
+# --- the shape search against every multipartition filtered by content -------
+
+
+@st.composite
+def shape_search_cases(draw):
+    """(charges, beta) with e <= 5, level <= 4 and |beta| <= 9; beta is the
+    content of a random shape or an arbitrary vector (mostly no shape)."""
+    e = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 4))
+    charges = tuple(draw(st.lists(st.integers(0, e - 1), min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        comps = ((),) * k
+        for _ in range(draw(st.integers(0, 9))):
+            s, r = draw(st.sampled_from([(s, r) for s in range(k) for r, _ in _addable(comps[s])]))
+            comps = _grow(comps, s, r)
+        beta = content_counts(ChargedShape(Multipartition(comps), charges, e))
+    else:
+        beta = tuple(draw(st.lists(st.integers(0, 9), min_size=e, max_size=e)))
+        if sum(beta) > 9:
+            beta = tuple(c * 9 // sum(beta) for c in beta)
+    return charges, beta
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape_search_cases())
+def test_enumerate_with_content_matches_filter(case):
+    charges, beta = case
+    got = enumerate_with_content(len(charges), charges, RootVector(beta))
+    assert got == filtered_with_content(charges, beta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape_search_cases())
+def test_block_is_nonzero_matches_filter(case):
+    charges, beta = case
+    base = tuple(charges.count(i) for i in range(len(beta)))
+    assert block_is_nonzero(base, RootVector(beta)) == filtered_is_nonzero(base, beta)
