@@ -13,6 +13,7 @@ from .cartan import (
 )
 from .classify import FieldParams, RepType, ScriptSets, TClass, classify, script_sets
 from .maxweights import (
+    ClassTooLargeError,
     LevelKDominant,
     MaxWeightEntry,
     NoSolutionError,

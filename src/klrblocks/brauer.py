@@ -75,6 +75,11 @@ class BrauerGraph:
         for eid, (a, b) in enumerate(edge_list):
             darts_at[a].append((eid, 0))
             darts_at[b].append((eid, 1))
+        for v in rotations or ():
+            if type(v) is not int or not 0 <= v < nv:
+                raise InvalidGraphError(
+                    f"rotation key {v!r} names no vertex of 0..{nv - 1}"
+                )
         rot: list[tuple[Dart, ...]] = []
         for v in range(nv):
             incident = darts_at[v]

@@ -157,10 +157,7 @@ def script_sets(base: LevelKDominant, char_p: int = 0) -> ScriptSets:
 
 
 def classify(
-    base: LevelKDominant,
-    beta: RootVector,
-    params: FieldParams = FieldParams(),
-    cap: int | None = None,
+    base: LevelKDominant, beta: RootVector, params: FieldParams = FieldParams()
 ) -> RepType:
     """Representation type of the block of `base` labelled by `beta`.
 
@@ -171,7 +168,7 @@ def classify(
     rank = base.rank
     params.check_rank(rank.ell)
 
-    result = orbit_representative(base, beta, cap)
+    result = orbit_representative(base, beta)
     if result.status is OrbitStatus.ZERO:
         return RepType.ZERO
     beta0, m = result.beta0, result.m

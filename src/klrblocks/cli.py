@@ -210,7 +210,7 @@ def _cmd_classify(args, out) -> int:
         params.check_rank(args.ell)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    result = classify(base, beta, params, cap=args.cap)
+    result = classify(base, beta, params)
     if args.format == "json":
         _write_json(
             {
@@ -293,7 +293,9 @@ def _graph_from_args(args) -> BrauerGraph:
         if vid in mults:
             raise InvalidGraphError(f"duplicate vertex id {vid}")
         mults[vid] = v.get("mult")
-    rotations = {int(k): order for k, order in rotation.items()}
+    # only "0".."n-1" name a vertex; build refuses every other key
+    names = {str(i): i for i in range(n)}
+    rotations = {names.get(k, k): order for k, order in rotation.items()}
     return BrauerGraph.build([mults[i] for i in range(n)], data["edges"], rotations)
 
 
@@ -417,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="other",
         help="t class: 'two'/'minustwo' (ell=1), 'signell' (ell>=2) or 'other'",
     )
-    p.add_argument("--cap", type=int, default=None, help="reflection iteration cap")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_classify)
 

@@ -86,6 +86,11 @@ def ev(w: LevelKDominant) -> int:
 
 
 LABEL_TABLE_CACHE = 32  # label tables kept, one per rank
+MAX_CLASS_MEMBERS = 20_000  # members one class walk may reach
+
+
+class ClassTooLargeError(ValueError):
+    """The sieving class has more than MAX_CLASS_MEMBERS members."""
 
 
 @lru_cache(maxsize=LABEL_TABLE_CACHE)
@@ -121,6 +126,8 @@ def class_walk(
     walk reaches them, and each X is the unique solution of
     A X = <h, base - member> with min X = 0.  When `arrows` is a list, every
     arrow (source coeffs, target coeffs, (i, j)) is appended to it once.
+    Raises ClassTooLargeError once the walk reaches more than
+    MAX_CLASS_MEMBERS members.
     """
     e = len(coeffs)
     table = _label_table(e)
@@ -146,6 +153,11 @@ def class_walk(
                     if dst not in xs:
                         x_dst = tuple(map(add, x, label[1]))
                         xs[dst] = x_dst
+                        if len(xs) > MAX_CLASS_MEMBERS:
+                            raise ClassTooLargeError(
+                                f"the class of {coeffs} has more than "
+                                f"{MAX_CLASS_MEMBERS} members"
+                            )
                         nxt.append((dst, x_dst, zeros & label[0]))
                     if arrows is not None:
                         arrows.append((src, dst, (i, j)))

@@ -1,14 +1,20 @@
 """Reduction of an arbitrary positive root to its orbit representative.
 
-A block labelled by beta is nonvanishing exactly when Lambda - beta is a
-weight of the integrable module V(Lambda).  The reduction reflects
-Lambda - beta into the dominant chamber the plain way: repeatedly reflect at
-the smallest index with a negative pairing, in integers on the Lambda/delta
-coefficients.  The dominant result mu+ satisfies Lambda - mu+ = sum_i x_i
-alpha_i for one integer X, and the block is nonvanishing iff X >= 0: the
-weights of V(Lambda) are W . {mu in P+ : mu <= Lambda} (Kac, Infinite-
-Dimensional Lie Algebras, Prop. 12.5).  X - min(X) is then the solution
-vector of the class member on mu+'s Lambda part, so no sieving class is built.
+A block labelled by beta is nonvanishing exactly when mu = Lambda - beta is
+a weight of V(Lambda).  At level k >= 1 the affine Weyl group acts on the
+partial sums p_a = sum_{i>a} <h_i, mu> as S_e x| kQ^v (Kac, Infinite-
+Dimensional Lie Algebras, Ch. 6): it permutes them and adds multiples of k
+that sum to 0.  So mu is made dominant in closed form: reduce the p_a mod k,
+sort the residues and spread the quotients evenly, the extra k going to the
+smallest residues; the invariant form gives the delta change.  The number
+of reflections is the length of that affine permutation (Shi, LNM 1179), a
+sum over the pairs a < b: O(e^2) integer work, whatever the size of beta.
+
+The dominant mu+ satisfies Lambda - mu+ = sum_i x_i alpha_i for one integer
+X, and the block is nonvanishing iff X >= 0: the weights of V(Lambda) are
+W . {mu in P+ : mu <= Lambda} (Kac, Prop. 12.5).  X - min(X) is then the
+solution vector of the class member on mu+'s Lambda part, so no sieving
+class is built.
 """
 
 from __future__ import annotations
@@ -27,11 +33,6 @@ from .cartan import (
 from .maxweights import LevelKDominant
 
 
-class IterationCapExceededError(RuntimeError):
-    """The dominance loop hit its cap; the input is outside every integrable
-    weight system or the cap was too small."""
-
-
 class OrbitStatus(enum.Enum):
     ZERO = "Zero"
     NONZERO = "Nonzero"
@@ -45,69 +46,54 @@ class OrbitResult:
     reflection_count: int
 
 
-def _reflect(lam: list[int], i: int, e: int) -> int:
-    """Apply r_i to the Lambda coefficients `lam` in place; return the delta change.
-
-    r_i(mu) = mu - c alpha_i with c = lam[i] and alpha_i = 2 Lambda_i -
-    Lambda_{i-1} - Lambda_{i+1} (+ delta if i = 0); at e = 2 both neighbours
-    are the other index.
-    """
-    c = lam[i]
-    lam[i] = -c
-    lam[(i - 1) % e] += c
-    lam[(i + 1) % e] += c
-    return -c if i == 0 else 0
-
-
 def simple_reflect(mu: WeightCoeffs, i: int, rank: AffineRank) -> WeightCoeffs:
-    """r_i(mu) = mu - <h_i, mu> alpha_i."""
-    lam = list(mu.lam)
-    delta = mu.delta + _reflect(lam, rank.reduce(i), rank.e)
-    return WeightCoeffs(tuple(lam), delta)
+    """r_i(mu) = mu - c alpha_i with c = <h_i, mu>.
 
-
-def default_cap(beta_height: int, rank: AffineRank) -> int:
-    return 10 * (beta_height + 1) * rank.e
-
-
-def dominate(
-    mu: WeightCoeffs, rank: AffineRank, cap: int = 10_000
-) -> tuple[WeightCoeffs, int]:
-    """Reflect mu into the dominant chamber; pivot at the smallest negative index.
-
-    Returns the dominant representative and the number of reflections applied.
+    alpha_i = 2 Lambda_i - Lambda_{i-1} - Lambda_{i+1} (+ delta if i = 0); at
+    e = 2 both neighbours are the other index.
     """
     e = rank.e
+    i = rank.reduce(i)
     lam = list(mu.lam)
-    delta = mu.delta
-    count = 0
-    while True:
-        neg = next((i for i in range(e) if lam[i] < 0), None)
-        if neg is None:
-            return WeightCoeffs(tuple(lam), delta), count
-        if count >= cap:
-            raise IterationCapExceededError(
-                f"dominance did not terminate within {cap} reflections"
-            )
-        delta += _reflect(lam, neg, e)
-        count += 1
+    c = lam[i]
+    lam[i] = -c
+    lam[i - 1] += c
+    lam[(i + 1) % e] += c
+    return WeightCoeffs(tuple(lam), mu.delta - c if i == 0 else mu.delta)
 
 
-def orbit_representative(
-    base: LevelKDominant, beta: RootVector, cap: int | None = None
-) -> OrbitResult:
+def dominate(mu: WeightCoeffs, rank: AffineRank) -> tuple[WeightCoeffs, int]:
+    """The dominant weight in the orbit of mu and the length of the shortest
+    w with w(mu) dominant, which is the count of any loop that reflects at a
+    negative pairing until none is left.  Raises ValueError below level 1.
+    """
+    k = mu.level
+    if k < 1:
+        raise ValueError(f"dominance needs level >= 1, got {k}")
+    e = rank.e
+    p = [0] * e
+    for a in range(e - 2, -1, -1):
+        p[a] = p[a + 1] + mu.lam[a + 1]
+    quotients, residues = zip(*(divmod(v, k) for v in p))
+    share, extra = divmod(sum(quotients), e)
+    spread = [r + k * (share + (n < extra)) for n, r in enumerate(sorted(residues))]
+    u = sorted(spread, reverse=True)
+    lam = (k - u[0] + u[-1],) + tuple(u[a] - u[a + 1] for a in range(e - 1))
+    delta = mu.delta + (sum(v * v for v in p) - sum(v * v for v in u)) // (2 * k)
+    diffs = [pa - pb for a, pa in enumerate(p) for pb in p[a + 1:]]
+    length = sum([(x - 1) // k if x > 0 else -(x // k) for x in diffs])
+    return WeightCoeffs(lam, delta), length
+
+
+def orbit_representative(base: LevelKDominant, beta: RootVector) -> OrbitResult:
     """Reduce beta to (beta0, m) with beta0 in the class's beta set, or Zero.
 
     Zero means Lambda - beta is not a weight of the module, i.e. the block
     vanishes.
     """
-    if base.level < 1:
-        raise ValueError("base must have level >= 1")
     rank = base.rank
-    if cap is None:
-        cap = default_cap(beta.height, rank)
     mu = base.to_weight() - root_to_weight(beta.coeffs, rank)
-    mu_plus, count = dominate(mu, rank, cap)
+    mu_plus, count = dominate(mu, rank)
     diff = base.to_weight() - mu_plus
     # Expand diff on the alpha basis: the delta coefficient pins x_0.
     x = solve_pinned(rank, diff.lam, diff.delta)

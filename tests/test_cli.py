@@ -76,6 +76,10 @@ def test_usage_errors_exit_two():
     assert code == 2  # t class inconsistent with the rank
     code, _, _ = capture(["nonsense"])
     assert code == 2
+    code, _, err = capture(
+        ["classify", "--ell", "2", "--weight", "3,0,0", "--beta", "1,1,1", "--cap", "5"]
+    )
+    assert code == 2 and err.count("\n") == 1
 
 
 def test_argparse_rejections_are_one_usage_line():
@@ -259,6 +263,9 @@ PAIR = [{"id": 0, "mult": 2}, {"id": 1, "mult": 2}]
         {"vertices": PAIR, "edges": [[0, "1"]]},
         {"vertices": [{"id": 0, "mult": 2.7}, {"id": 1, "mult": 2}], "edges": [[0, 1]]},
         {"vertices": [{"id": 0, "mult": True}, {"id": 1, "mult": 2}], "edges": [[0, 1]]},
+        {"vertices": PAIR, "edges": [[0, 1]], "rotation": {"5": [0]}},
+        {"vertices": PAIR, "edges": [[0, 1]], "rotation": {" 1": [0]}},
+        {"vertices": PAIR, "edges": [[0, 1]], "rotation": {"1": [0], "01": [0]}},
     ],
 )
 def test_malformed_graph_json_is_domain_error(tmp_path, data):
@@ -292,6 +299,27 @@ def test_huge_characteristic_is_one_error_line():
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "like 0" in proc.stderr
+
+
+def test_tall_block_classifies_in_closed_form():
+    # in a child process, so that a dominance step linear in beta's height
+    # fails on the timeout instead of hanging the suite
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(klrblocks.__file__))}
+    block = ["classify", "--ell", "3", "--weight", "3,0,0,0", "--beta", "0,1000000000,0,0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "klrblocks.cli", *block],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Zero\n", "")
+
+
+def test_class_walk_is_bounded():
+    # Λ0+Λ2+...+Λ14 at ell 16 has 43,263 members
+    weight = ",".join("1" if i % 2 == 0 and i < 16 else "0" for i in range(17))
+    code, out, err = capture(["quiver", "--ell", "16", "--weight", weight])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "more than 20000 members" in err
 
 
 def test_candidate_rows_are_bounded():
@@ -383,8 +411,6 @@ def weight_argv(draw, cmd: str) -> list[str]:
         argv.append(f"--char={draw(st.sampled_from([0, 2, 3, 4, -1]))}")
         t = draw(st.sampled_from(["other", "two", "minustwo", "signell", "bogus"]))
         argv.append(f"--t={t}")
-        if draw(st.booleans()):
-            argv.append(f"--cap={draw(st.integers(0, 4))}")
     if cmd == "gdim":
         residues = [i for i, c in enumerate(final) for _ in range(max(c, 0))]
         for opt in draw(st.sampled_from([(), ("nu", "nup"), ("nu",)])):
