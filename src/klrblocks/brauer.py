@@ -30,6 +30,10 @@ class SearchSpaceExceededError(RuntimeError):
     pass
 
 
+MAX_SEARCH_NODES = 1_000_000  # nodes one decomposition search may visit
+MAX_CANDIDATE_ROWS = 10_000  # rows it may build; a Brauer graph's matrix gives tens
+
+
 def _integers(values, what: str) -> tuple[int, ...]:
     """`values` as a tuple if every entry is an int; bools and floats are not."""
     values = tuple(values)
@@ -364,16 +368,15 @@ class DecompResult:
     searched_nodes: int = field(compare=False, default=0)
 
 
-def decomp_search(
-    c: list[list[int]], max_nodes: int = 1_000_000
-) -> DecompResult:
+def decomp_search(c: list[list[int]]) -> DecompResult:
     """All D with D^t D = C, over nonnegative integers, up to row permutation.
 
     The search space follows the fixed convention: entries are bounded by the
     integer square root of the smallest diagonal entry, rows are nonzero, and
     at most trace(C) rows are used.  Solutions are canonicalized with rows
-    sorted lexicographically descending and deduplicated.  More than max_nodes
-    candidate rows, or search nodes, raise SearchSpaceExceededError.
+    sorted lexicographically descending and deduplicated.  More than
+    MAX_CANDIDATE_ROWS candidate rows, or MAX_SEARCH_NODES search nodes,
+    raise SearchSpaceExceededError.
     """
     n = len(c)
     if any(len(row) != n for row in c):
@@ -384,7 +387,7 @@ def decomp_search(
         raise ValueError("Cartan matrix must have a nonnegative diagonal")
 
     bound = isqrt(min(c[i][i] for i in range(n))) if n else 0
-    candidates = _candidate_rows(c, n, bound, max_nodes)
+    candidates = _candidate_rows(c, n, bound)
     solutions: set[tuple[tuple[int, ...], ...]] = set()
     nodes = 0
     max_rows = sum(c[i][i] for i in range(n))
@@ -392,9 +395,9 @@ def decomp_search(
     def backtrack(remaining: list[list[int]], start: int, rows: list[tuple[int, ...]]):
         nonlocal nodes
         nodes += 1
-        if nodes > max_nodes:
+        if nodes > MAX_SEARCH_NODES:
             raise SearchSpaceExceededError(
-                f"decomposition search exceeded {max_nodes} nodes"
+                f"decomposition search exceeded {MAX_SEARCH_NODES} nodes"
             )
         if all(remaining[i][j] == 0 for i in range(n) for j in range(n)):
             solutions.add(tuple(rows))
@@ -433,16 +436,17 @@ def decomp_search(
     return DecompResult(sols, unique=len(sols) == 1, searched_nodes=nodes)
 
 
-def _candidate_rows(c, n, bound, max_rows) -> list[tuple[int, ...]]:
+def _candidate_rows(c, n, bound) -> list[tuple[int, ...]]:
     """Nonzero candidate rows in descending lex order, pruned entrywise."""
     rows: list[tuple[int, ...]] = []
 
     def extend(prefix: tuple[int, ...]) -> None:
         if len(prefix) == n:
             if any(prefix):
-                if len(rows) == max_rows:
+                if len(rows) == MAX_CANDIDATE_ROWS:
                     raise SearchSpaceExceededError(
-                        f"decomposition search exceeded {max_rows} candidate rows"
+                        f"decomposition search exceeded {MAX_CANDIDATE_ROWS} "
+                        "candidate rows"
                     )
                 rows.append(prefix)
             return

@@ -25,7 +25,7 @@ from .cartan import RootVector
 from .classify import FieldParams, TClass, classify
 from .maxweights import LevelKDominant, max_plus
 from .quiver import TQuiver, WeightQuiver, build_quiver, t_subquiver
-from .tableaux import DEFAULT_MAX_HEIGHT, charges_of, graded_dim, graded_dim_total
+from .tableaux import charges_of, graded_dim, graded_dim_total
 
 
 class UsageError(ValueError):
@@ -235,12 +235,12 @@ def _cmd_gdim(args, out) -> int:
     if (args.nu is None) != (args.nup is None):
         raise UsageError("--nu and --nup must be given together")
     if args.nu is None:
-        poly = graded_dim_total(charges, beta, max_height=args.max_height)
+        poly = graded_dim_total(charges, beta)
         label = "total"
     else:
         nu = _parse_int_vector(args.nu, beta.height, "nu")
         nup = _parse_int_vector(args.nup, beta.height, "nup")
-        poly = graded_dim(charges, beta, nu, nup, max_height=args.max_height)
+        poly = graded_dim(charges, beta, nu, nup)
         label = f"e{_vec(nu)} .. e{_vec(nup)}"
     if args.format == "json":
         _write_json(
@@ -428,9 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mdelta", type=int, default=0, help="add m copies of delta")
     p.add_argument("--nu", default=None, help="residue sequence of the left idempotent")
     p.add_argument("--nup", default=None, help="residue sequence of the right idempotent")
-    p.add_argument(
-        "--max-height", type=int, default=DEFAULT_MAX_HEIGHT, help="enumeration bound"
-    )
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_gdim)
 

@@ -26,7 +26,6 @@ from .cartan import (
     NoSolutionError,
     RootVector,
     WeightCoeffs,
-    interval_delta,
     rotate_tuple,
     solve_pinned,
 )
@@ -94,25 +93,28 @@ class ClassTooLargeError(ValueError):
 
 
 @lru_cache(maxsize=LABEL_TABLE_CACHE)
-def _label_table(e: int) -> tuple[tuple[tuple[int, tuple[int, ...]] | None, ...], ...]:
-    """Per label (i, j) at e = ell + 1: the bitmask of the gap [j+1, i-1] and
-    the indicator of [i, j]; None for the loop labels j = i - 1 mod e.
+def _label_table(e: int) -> tuple[tuple[tuple | None, ...], ...]:
+    """Per label (i, j) at e = ell + 1: (gap, window, start), where gap is the
+    bitmask of [j+1, i-1] and window[start:start + e] is the indicator of
+    [i, j]; None for the loop labels j = i - 1 mod e.
 
-    The gap is the complement of [i, j], so it is also the bitmask of the
-    zeros of X that survive the arrow.
+    The window is a doubled 0/1 pattern shared by every label whose interval
+    has the same length, so a table holds O(e^2) integers.  The gap is the
+    complement of [i, j], so it is also the bitmask of the zeros of X that
+    survive the arrow.
     """
-    rank = AffineRank(e - 1)
     full = (1 << e) - 1
+    windows = [((1,) * n + (0,) * (e - n)) * 2 for n in range(e)]
     table = []
     for i in range(e):
         row = []
         for j in range(e):
-            if (j - (i - 1)) % e == 0:
+            n = (j - i) % e + 1  # the length of [i, j]
+            if n == e:
                 row.append(None)
                 continue
-            inside = interval_delta(i, j, rank)
-            mask = sum(bit << h for h, bit in enumerate(inside))
-            row.append((full & ~mask, inside))
+            inside = ((1 << n) - 1) << i
+            row.append((full & ~(inside | inside >> e), windows[n], -i % e))
         table.append(tuple(row))
     return tuple(table)
 
@@ -151,7 +153,8 @@ def class_walk(
                     dst[(j + 1) % e] += 1
                     dst = tuple(dst)
                     if dst not in xs:
-                        x_dst = tuple(map(add, x, label[1]))
+                        _, window, start = label
+                        x_dst = tuple(map(add, x, window[start : start + e]))
                         xs[dst] = x_dst
                         if len(xs) > MAX_CLASS_MEMBERS:
                             raise ClassTooLargeError(

@@ -172,7 +172,8 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
         x = xmap[src.coeffs]
         assert has_arrow(x, i, j, rank)
         dst = move(src, i, j)
-        x_dst = tuple(map(add, x, table[i][j][1]))
+        _, window, start = table[i][j]
+        x_dst = tuple(map(add, x, window[start : start + e]))
         prev = xmap.setdefault(dst.coeffs, x_dst)
         assert prev == x_dst
         tags.setdefault(dst.coeffs, set()).add(tag)

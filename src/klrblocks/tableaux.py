@@ -31,8 +31,9 @@ from functools import lru_cache
 
 from .cartan import RootVector
 
-DEFAULT_MAX_HEIGHT = 14
-DEGREE_TABLE_CACHE = 64  # content lattices kept, one per (charges, beta)
+# shapes of content <= beta one lattice or search may reach (~0.8 s, 20 MB)
+MAX_LATTICE_SHAPES = 20_000
+DEGREE_TABLE_CACHE = 4  # lattices kept, so at most 4 * MAX_LATTICE_SHAPES shapes
 
 Partition = tuple[int, ...]
 
@@ -196,10 +197,11 @@ def content_counts(shape: ChargedShape) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _check_height(beta: RootVector, max_height: int) -> None:
-    if beta.height > max_height:
+def _check_shapes(count: int, beta_coeffs: tuple[int, ...]) -> None:
+    if count > MAX_LATTICE_SHAPES:
         raise EnumerationLimitError(
-            f"|beta| = {beta.height} exceeds the enumeration bound {max_height}"
+            f"beta = {beta_coeffs} has more than {MAX_LATTICE_SHAPES} shapes "
+            "of content <= beta"
         )
 
 
@@ -279,17 +281,14 @@ def _shapes_of_content(
                 grown = _grow(comps, s, r)
                 if grown not in seen:
                     seen.add(grown)
+                    _check_shapes(len(seen), beta_coeffs)
                     stack.append((grown, rem[:res] + (rem[res] - 1,) + rem[res + 1 :]))
 
 
 def enumerate_with_content(
-    k: int,
-    charges: tuple[int, ...],
-    beta: RootVector,
-    max_height: int = DEFAULT_MAX_HEIGHT,
+    k: int, charges: tuple[int, ...], beta: RootVector
 ) -> list[Multipartition]:
     """All k-multipartitions whose residue multiset equals beta, largest first."""
-    _check_height(beta, max_height)
     if k != len(charges):
         raise ValueError(f"need one charge per component: k = {k}, {len(charges)} charges")
     shapes = sorted(
@@ -369,6 +368,7 @@ def _degree_table(
                 if j is None:
                     j = ids[grown] = len(shapes)
                     shapes.append(grown)
+                    _check_shapes(len(shapes), beta_coeffs)
                     owed.append(rem[:res] + (rem[res] - 1,) + rem[res + 1 :])
                     gf.append({})
                 out[res].append((j, d))
@@ -410,10 +410,8 @@ def graded_dim(
     beta: RootVector,
     nu: tuple[int, ...],
     nu_prime: tuple[int, ...],
-    max_height: int = DEFAULT_MAX_HEIGHT,
 ) -> LaurentPoly:
     """Graded dimension between the idempotents of residue sequences nu, nu'."""
-    _check_height(beta, max_height)
     e = len(beta.coeffs)
     nu = tuple(r % e for r in nu)
     nu_prime = tuple(r % e for r in nu_prime)
@@ -432,13 +430,8 @@ def graded_dim(
     return LaurentPoly(terms)
 
 
-def graded_dim_total(
-    charges: tuple[int, ...],
-    beta: RootVector,
-    max_height: int = DEFAULT_MAX_HEIGHT,
-) -> LaurentPoly:
+def graded_dim_total(charges: tuple[int, ...], beta: RootVector) -> LaurentPoly:
     """The full graded dimension: sum over shapes of (sum of q^deg)^2."""
-    _check_height(beta, max_height)
     terms: dict[int, int] = {}
     _, full = _degree_table(charges, beta.coeffs)
     for by_deg in full.values():
@@ -456,10 +449,7 @@ def charges_of(base_coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def block_is_nonzero(
-    base_coeffs: tuple[int, ...], beta: RootVector, max_height: int = DEFAULT_MAX_HEIGHT
-) -> bool:
+def block_is_nonzero(base_coeffs: tuple[int, ...], beta: RootVector) -> bool:
     """Whether some multipartition has residue content beta (block nonvanishing)."""
-    _check_height(beta, max_height)
     shapes = _shapes_of_content(charges_of(base_coeffs), beta.coeffs)
     return next(shapes, None) is not None

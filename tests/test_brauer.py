@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from klrblocks import brauer
 from klrblocks.brauer import (
     BrauerGraph,
     InvalidGraphError,
@@ -240,10 +241,18 @@ def test_decomp_search_one_exceptional_line():
             verify(c, sol)
 
 
-def test_decomp_search_node_cap():
-    c = graph_cartan_matrix(gamma_family(4, 1, 4))
-    with pytest.raises(SearchSpaceExceededError):
-        decomp_search(c, max_nodes=5)
+def test_decomp_search_node_cap(monkeypatch):
+    c = graph_cartan_matrix(gamma_family(1, 1, 3))  # a full search takes 105 nodes
+    monkeypatch.setattr(brauer, "MAX_SEARCH_NODES", 5)
+    with pytest.raises(SearchSpaceExceededError, match="5 nodes"):
+        decomp_search(c)
+
+
+def test_decomp_search_row_cap(monkeypatch):
+    c = [[4, 2], [2, 4]]  # 7 nonzero candidate rows
+    monkeypatch.setattr(brauer, "MAX_CANDIDATE_ROWS", 3)
+    with pytest.raises(SearchSpaceExceededError, match="3 candidate rows"):
+        decomp_search(c)
 
 
 def test_decomp_search_input_validation():

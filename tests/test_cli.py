@@ -3,7 +3,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -16,6 +18,8 @@ import klrblocks
 from klrblocks.cli import run
 from klrblocks.maxweights import LevelKDominant
 from klrblocks.quiver import WeightQuiver, build_quiver
+
+from oracles import partitions_of
 
 
 def quiver_from_json_dict(data: dict) -> WeightQuiver:
@@ -80,6 +84,10 @@ def test_usage_errors_exit_two():
         ["classify", "--ell", "2", "--weight", "3,0,0", "--beta", "1,1,1", "--cap", "5"]
     )
     assert code == 2 and err.count("\n") == 1
+    code, _, err = capture(
+        ["gdim", "--ell", "1", "--weight", "2,1", "--beta", "1,1", "--max-height", "3"]
+    )
+    assert code == 2 and err.startswith("usage error: ") and err.count("\n") == 1
 
 
 def test_argparse_rejections_are_one_usage_line():
@@ -170,6 +178,21 @@ def test_gdim_text():
     )
     assert code == 0
     assert out.strip().startswith("q^{-2} + 3 + 5q^2")
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        commands = [shlex.split(line)[1:] for line in fh if line.startswith("klrblocks ")]
+    assert len(commands) == 12
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.json").write_text(
+        json.dumps({"vertices": [{"id": 0, "mult": 2}, {"id": 1, "mult": 1}], "edges": [[0, 1]]})
+    )
+    for argv in commands:
+        code, out, err = capture(argv)
+        assert (code, err) == (0, ""), argv
+        assert out
 
 
 def test_brauer_and_decomp_subcommands(tmp_path):
@@ -322,6 +345,33 @@ def test_class_walk_is_bounded():
     assert "more than 20000 members" in err
 
 
+def test_tall_level_one_block_answers():
+    # |beta| = 20, but its content lattice has only 1,036 shapes
+    block = ["--ell", "9", "--weight", "1" + ",0" * 9, "--beta", ",".join(["2"] * 10)]
+    code, out, err = capture(["gdim", *block, "--format", "json"])
+    assert (code, err) == (0, "")
+    # at q = 1: the sum of (f^lambda)^2, by the hook length formula, over the
+    # partitions of 20 with two nodes of each residue mod 10
+    expected = 0
+    for lam in partitions_of(20):
+        cols = [sum(1 for row in lam if row > c) for c in range(lam[0])]
+        contents = [(c - r) % 10 for r, row in enumerate(lam) for c in range(row)]
+        if all(contents.count(i) == 2 for i in range(10)):
+            hooks = math.prod(
+                row - c + cols[c] - r - 1 for r, row in enumerate(lam) for c in range(row)
+            )
+            expected += (math.factorial(20) // hooks) ** 2
+    assert json.loads(out)["at_one"] == expected
+
+
+def test_lattice_shapes_are_bounded():
+    # 6Λ0 at e = 2 has 379,858 shapes of content <= (6, 6)
+    code, out, err = capture(["gdim", "--ell", "1", "--weight", "6,0", "--beta", "6,6"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "more than 20000 shapes" in err
+
+
 def test_candidate_rows_are_bounded():
     # 7x7 with every entry 100 has about 19.5M candidate rows
     cartan = ";".join([",".join(["100"] * 7)] * 7)
@@ -415,8 +465,6 @@ def weight_argv(draw, cmd: str) -> list[str]:
         residues = [i for i, c in enumerate(final) for _ in range(max(c, 0))]
         for opt in draw(st.sampled_from([(), ("nu", "nup"), ("nu",)])):
             argv.append(f"--{opt}={draw(vector_text(draw(st.permutations(residues))))}")
-        if draw(st.booleans()):
-            argv.append(f"--max-height={draw(st.integers(0, 8))}")
     return argv
 
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klrblocks.cartan import apply_cartan, rotate_tuple
+from klrblocks.cartan import AffineRank, apply_cartan, interval_delta, rotate_tuple
 from klrblocks.maxweights import (
     LevelKDominant,
     NoSolutionError,
+    _label_table,
     equiv_class,
     ev,
     max_plus,
@@ -30,6 +31,20 @@ def brute_force_x(base: LevelKDominant, target: LevelKDominant, bound: int):
         if min(x) == 0 and apply_cartan(rank, x) == y:
             found.append(x)
     return found
+
+
+def test_label_table_slices_are_interval_indicators():
+    for e in range(2, 13):
+        rank = AffineRank(e - 1)
+        for i, row in enumerate(_label_table(e)):
+            for j, label in enumerate(row):
+                if (j - (i - 1)) % e == 0:
+                    assert label is None
+                    continue
+                gap, window, start = label
+                inside = interval_delta(i, j, rank)
+                assert window[start : start + e] == inside
+                assert gap == sum(1 << h for h, bit in enumerate(inside) if not bit)
 
 
 def test_ev_examples():

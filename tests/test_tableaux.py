@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klrblocks import tableaux
 from klrblocks.cartan import RootVector
 from klrblocks.tableaux import (
     DEGREE_TABLE_CACHE,
@@ -107,9 +108,24 @@ def test_enumerate_with_content_examples():
     assert {mp.components for mp in both} == {((2,),), ((1, 1),)}
 
 
-def test_enumerate_with_content_bound():
-    with pytest.raises(EnumerationLimitError):
-        enumerate_with_content(1, (0,), RootVector((8, 8)), max_height=10)
+def test_shape_limit_bounds_every_public_function(monkeypatch):
+    # no shape of charges (0, 0, 1) has content (6, 2), so the search and
+    # the lattice both reach all 200 shapes of content <= beta
+    charges, beta, nu = (0, 0, 1), RootVector((6, 2)), (0,) * 6 + (1,) * 2
+    calls = [
+        lambda: graded_dim(charges, beta, nu, nu),
+        lambda: graded_dim_total(charges, beta),
+        lambda: enumerate_with_content(3, charges, beta),
+        lambda: block_is_nonzero((2, 1), beta),
+    ]
+    _degree_table.cache_clear()
+    monkeypatch.setattr(tableaux, "MAX_LATTICE_SHAPES", 150)
+    for call in calls:
+        with pytest.raises(EnumerationLimitError, match="more than 150 shapes"):
+            call()
+    monkeypatch.undo()
+    assert [call() for call in calls] == [LaurentPoly.zero(), LaurentPoly.zero(), [], False]
+    _degree_table.cache_clear()
 
 
 def test_enumerate_with_content_needs_one_charge_per_component():
