@@ -3,7 +3,6 @@ in affine type A: dominant maximal weights, weight quivers, representation
 type, graded dimensions and the Brauer graphs of the non-wild blocks."""
 
 from .cartan import (
-    AffineRank,
     RootVector,
     WeightCoeffs,
     cartan_matrix,
@@ -36,12 +35,9 @@ from .tableaux import (
     ChargedShape,
     LaurentPoly,
     Multipartition,
-    StandardTableau,
-    d_below,
     enumerate_with_content,
     graded_dim,
     graded_dim_total,
-    std_tableaux,
 )
 from .weyl import OrbitResult, OrbitStatus, dominate, orbit_representative, simple_reflect
 from .brauer import (

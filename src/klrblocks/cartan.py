@@ -1,36 +1,16 @@
 """Affine type A Cartan datum: matrix, closed-form solve, root/weight conversions.
 
-All index arithmetic is cyclic modulo the quantum characteristic e = ell + 1.
-Every coefficient is an exact integer; there is no floating point anywhere in
-this package.
+All index arithmetic is cyclic modulo the quantum characteristic e = ell + 1,
+and e is the length of every coefficient tuple: a function that gets a weight,
+a root or a solution vector reads e off it.  Only the functions that get no
+vector (`cartan_matrix`, `cyclic_interval`, `interval_delta`, `alpha_sum`)
+take e as a plain integer.  Every coefficient is an exact integer; there is
+no floating point anywhere in this package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class AffineRank:
-    """Index data for affine type A with indices I = {0, ..., ell} mod e."""
-
-    ell: int
-
-    def __post_init__(self) -> None:
-        if self.ell < 1:
-            raise ValueError(f"ell must be >= 1, got {self.ell}")
-
-    @property
-    def e(self) -> int:
-        """Quantum characteristic e = ell + 1."""
-        return self.ell + 1
-
-    def reduce(self, i: int) -> int:
-        return i % self.e
-
-    @property
-    def indices(self) -> range:
-        return range(self.e)
 
 
 @dataclass(frozen=True)
@@ -53,13 +33,13 @@ class WeightCoeffs:
 
     def __add__(self, other: "WeightCoeffs") -> "WeightCoeffs":
         return WeightCoeffs(
-            tuple(a + b for a, b in zip(self.lam, other.lam)),
+            tuple(a + b for a, b in zip(self.lam, other.lam, strict=True)),
             self.delta + other.delta,
         )
 
     def __sub__(self, other: "WeightCoeffs") -> "WeightCoeffs":
         return WeightCoeffs(
-            tuple(a - b for a, b in zip(self.lam, other.lam)),
+            tuple(a - b for a, b in zip(self.lam, other.lam, strict=True)),
             self.delta - other.delta,
         )
 
@@ -82,27 +62,20 @@ class RootVector:
         return all(c == 0 for c in self.coeffs)
 
 
-def cartan_matrix(rank: AffineRank) -> list[list[int]]:
-    """The affine Cartan matrix: 2 on the diagonal, -1 at distance 1 mod e.
-
-    For ell = 1 the two off-diagonal entries are -2.
-    """
-    e = rank.e
-    if rank.ell == 1:
-        return [[2, -2], [-2, 2]]
+def cartan_matrix(e: int) -> list[list[int]]:
+    """The e x e affine Cartan matrix: 2 on the diagonal, -1 for each
+    neighbour at distance 1 mod e (so -2 off the diagonal at e = 2)."""
     a = [[0] * e for _ in range(e)]
     for i in range(e):
         a[i][i] = 2
-        a[i][(i + 1) % e] = -1
-        a[i][(i - 1) % e] = -1
+        a[i][(i + 1) % e] -= 1
+        a[i][(i - 1) % e] -= 1
     return a
 
 
-def apply_cartan(rank: AffineRank, x: tuple[int, ...]) -> tuple[int, ...]:
+def apply_cartan(x: tuple[int, ...]) -> tuple[int, ...]:
     """Compute A @ x for the affine Cartan matrix, without materializing A."""
-    e = rank.e
-    if rank.ell == 1:
-        return (2 * x[0] - 2 * x[1], 2 * x[1] - 2 * x[0])
+    e = len(x)
     return tuple(2 * x[i] - x[(i - 1) % e] - x[(i + 1) % e] for i in range(e))
 
 
@@ -110,7 +83,7 @@ class NoSolutionError(ValueError):
     """Raised when the linear system has no nonnegative integer solution."""
 
 
-def solve_pinned(rank: AffineRank, rhs: tuple[int, ...], x0: int) -> tuple[int, ...]:
+def solve_pinned(rhs: tuple[int, ...], x0: int) -> tuple[int, ...]:
     """Solve A x = rhs in integers with x_0 pinned, in closed form.
 
     Row i reads 2 x_i - x_{i-1} - x_{i+1} = y_i, a cyclic second difference
@@ -124,7 +97,7 @@ def solve_pinned(rank: AffineRank, rhs: tuple[int, ...], x0: int) -> tuple[int, 
     x_0 by one prefix pass.  Row 0 holds iff sum(y) = 0, which the final
     check enforces.  Raises NoSolutionError in either failing case.
     """
-    e = rank.e
+    e = len(rhs)
     num = sum((e - i) * rhs[i] for i in range(1, e))
     if num % e:
         raise NoSolutionError(f"no integral solution for rhs {rhs}")
@@ -134,17 +107,17 @@ def solve_pinned(rank: AffineRank, rhs: tuple[int, ...], x0: int) -> tuple[int, 
         x.append(x[-1] + d)
         d -= rhs[i]
     x = tuple(x)
-    if apply_cartan(rank, x) != tuple(rhs):
+    if apply_cartan(x) != tuple(rhs):
         raise NoSolutionError(f"inconsistent system for rhs {rhs}")
     return x
 
 
-def root_to_weight(beta: tuple[int, ...], rank: AffineRank) -> WeightCoeffs:
+def root_to_weight(beta: tuple[int, ...]) -> WeightCoeffs:
     """Expand sum_i beta_i alpha_i on the Lambda/delta basis.
 
     The Lambda part is A @ beta and the delta coefficient is beta_0.
     """
-    return WeightCoeffs(apply_cartan(rank, beta), beta[0])
+    return WeightCoeffs(apply_cartan(beta), beta[0])
 
 
 def delta_decompose(beta: RootVector) -> tuple[RootVector, int]:
@@ -172,19 +145,18 @@ def sigma_rotate(x, shift: int):
     raise TypeError(f"cannot rotate object of type {type(x).__name__}")
 
 
-def cyclic_interval(i: int, j: int, rank: AffineRank) -> list[int]:
+def cyclic_interval(i: int, j: int, e: int) -> list[int]:
     """The cyclic interval [i, j] = {i, i+1, ..., j} of indices mod e."""
-    e = rank.e
     i, j = i % e, j % e
     if i <= j:
         return list(range(i, j + 1))
     return list(range(0, j + 1)) + list(range(i, e))
 
 
-def interval_delta(i: int, j: int, rank: AffineRank) -> tuple[int, ...]:
+def interval_delta(i: int, j: int, e: int) -> tuple[int, ...]:
     """Indicator vector of the cyclic interval [i, j]; all-ones iff j = i - 1 mod e."""
-    bits = [0] * rank.e
-    for h in cyclic_interval(i, j, rank):
+    bits = [0] * e
+    for h in cyclic_interval(i, j, e):
         bits[h] = 1
     return tuple(bits)
 

@@ -96,8 +96,7 @@ def script_sets(base: LevelKDominant, char_p: int = 0) -> ScriptSets:
     i_0 = i_h and i_{h+1} = i_1.
     """
     _require_level_3(base)
-    rank = base.rank
-    e = rank.e
+    e = len(base.coeffs)
     m = base.coeffs
     occupied = base.support()
     h = len(occupied)
@@ -125,7 +124,7 @@ def script_sets(base: LevelKDominant, char_p: int = 0) -> ScriptSets:
             i, nx = occupied[j], nxt(j)
             if (nx - (i - 1)) % e == 0:  # interval would be all of I
                 continue
-            beta = RootVector(interval_delta(i, nx, rank))
+            beta = RootVector(interval_delta(i, nx, e))
             if m[i] == 1 and m[nx] == 1:
                 finite.add(beta)
             elif m[i] == 1 or m[nx] == 1:
@@ -134,9 +133,9 @@ def script_sets(base: LevelKDominant, char_p: int = 0) -> ScriptSets:
     for j, i in enumerate(occupied):
         before_ok = (prv(j) - (i - 1)) % e != 0
         after_ok = (nxt(j) - (i + 1)) % e != 0
-        if rank.ell >= 3 and m[i] == 2 and before_ok and after_ok and char_p != 2:
+        if e >= 4 and m[i] == 2 and before_ok and after_ok and char_p != 2:
             t2.add(alpha_sum(e, i, i, i - 1, i + 1))
-        if rank.ell >= 2 and m[i] == 3 and char_p != 3:
+        if e >= 3 and m[i] == 3 and char_p != 3:
             if after_ok:
                 t3.add(alpha_sum(e, i, i, i + 1))
             if before_ok:
@@ -144,7 +143,7 @@ def script_sets(base: LevelKDominant, char_p: int = 0) -> ScriptSets:
         if m[i] == 4 and char_p != 2:
             t4.add(alpha_sum(e, i, i))
 
-    if rank.ell >= 2:
+    if e >= 3:
         for i in occupied:
             for j in occupied:
                 if i != j and m[i] == 2 and m[j] == 2 and (j - i) % e not in (1, e - 1):
@@ -165,8 +164,7 @@ def classify(
     its orbit representative.  A vanishing block reports Zero.
     """
     _require_level_3(base)
-    rank = base.rank
-    params.check_rank(rank.ell)
+    params.check_rank(len(base.coeffs) - 1)
 
     result = orbit_representative(base, beta)
     if result.status is OrbitStatus.ZERO:

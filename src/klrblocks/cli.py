@@ -104,7 +104,7 @@ def _tag_suffix(q: WeightQuiver, vid: int) -> str:
 
 def quiver_to_json_dict(q: WeightQuiver | TQuiver) -> dict:
     data = {
-        "ell": q.rank.ell,
+        "ell": len(q.base.coeffs) - 1,
         "k": q.base.level,
         "base": list(q.base.coeffs),
         "vertices": [

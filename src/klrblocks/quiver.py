@@ -6,16 +6,17 @@ exists out of a vertex with solution vector X exactly when some position in
 the cyclic interval [j+1, i-1] of X is zero, and then the target's solution
 vector is X plus the indicator of [i, j].  The full quiver is the walk that
 also yields the class and its solution vectors (`maxweights.class_walk`); the
-tagged subquiver reads its intervals from the same per-rank label table.
+tagged subquiver reads its intervals from the same label table, one per e.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import add
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .cartan import AffineRank, RootVector, alpha_sum, interval_delta
+from .cartan import RootVector, alpha_sum, interval_delta
 from .maxweights import (
     LevelKDominant,
     MaxWeightEntry,
@@ -47,7 +48,6 @@ class Arrow(NamedTuple):
 class WeightQuiver:
     """Quiver on a sieving class; vertices ordered by (height of beta, coeffs)."""
 
-    rank: AffineRank
     base: LevelKDominant
     vertices: tuple[MaxWeightEntry, ...]
     arrows: tuple[Arrow, ...]
@@ -92,13 +92,14 @@ def move(w: LevelKDominant, i: int, j: int) -> LevelKDominant:
     return LevelKDominant(tuple(c))
 
 
-def has_arrow(x: Iterable[int], i: int, j: int, rank: AffineRank) -> bool:
+def has_arrow(x: Sequence[int], i: int, j: int) -> bool:
     """Whether the arrow (i, j) leaves a vertex with solution vector x.
 
     Requires j != i - 1 mod e; true iff x vanishes somewhere on [j+1, i-1],
     equivalently min(x + interval indicator of [i, j]) = 0.
     """
-    label = _label_table(rank.e)[i % rank.e][j % rank.e]
+    e = len(x)
+    label = _label_table(e)[i % e][j % e]
     if label is None:
         raise ValueError(f"({i},{j}) is a loop label (j = i - 1 mod e)")
     return any(v == 0 and label[0] >> h & 1 for h, v in enumerate(x))
@@ -114,18 +115,6 @@ def _canonical(xmap, raw_arrows) -> tuple[tuple, tuple]:
     return vertices, arrows
 
 
-def _label_pairs(w: LevelKDominant, rank: AffineRank):
-    e = rank.e
-    support = w.support()
-    for i in support:
-        for j in support:
-            if i == j and w.coeffs[i] < 2:
-                continue
-            if (j - (i - 1)) % e == 0:
-                continue
-            yield i, j
-
-
 def build_quiver(base: LevelKDominant) -> WeightQuiver:
     """The full weight quiver, from the breadth-first walk out of the base.
 
@@ -137,7 +126,7 @@ def build_quiver(base: LevelKDominant) -> WeightQuiver:
     raw_arrows: list = []
     xmap = class_walk(base.coeffs, raw_arrows)
     vertices, arrows = _canonical(xmap, raw_arrows)
-    return WeightQuiver(base.rank, base, vertices, arrows)
+    return WeightQuiver(base, vertices, arrows)
 
 
 def successors(q: WeightQuiver, v) -> set[LevelKDominant]:
@@ -159,10 +148,9 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
     """
     if base.level < 2:
         raise LevelTooSmallError(f"need level >= 2, got {base.level}")
-    rank = base.rank
-    e = rank.e
+    e = len(base.coeffs)
     table = _label_table(e)
-    _, i1, i2, i3 = _supports(base.coeffs)
+    i0, i1, i2, i3 = _supports(base.coeffs)
     xmap: dict[tuple[int, ...], tuple[int, ...]] = {base.coeffs: (0,) * e}
     tags: dict[tuple[int, ...], set[int]] = {}
     raw_arrows = set()
@@ -170,7 +158,7 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
     def record(src: LevelKDominant, i: int, j: int, tag: int) -> LevelKDominant:
         i, j = i % e, j % e
         x = xmap[src.coeffs]
-        assert has_arrow(x, i, j, rank)
+        assert has_arrow(x, i, j)
         dst = move(src, i, j)
         _, window, start = table[i][j]
         x_dst = tuple(map(add, x, window[start : start + e]))
@@ -181,17 +169,18 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
         return dst
 
     # (1) pairs of distinct summands, skipping the wrap-around interval
-    for i, j in _label_pairs(base, rank):
-        if i != j:
-            record(base, i, j, 0)
+    for i in i0:
+        for j in i0:
+            if i != j and (j - (i - 1)) % e != 0:
+                record(base, i, j, 0)
     # (2) doubled summands, one step
     first = {i: record(base, i, i, 1) for i in i1}
     # (2-1) then spread to both neighbours
-    if rank.ell >= 3:
+    if e >= 4:
         for i in i1:
             record(first[i], i - 1, i + 1, 2)
     # (2-2) tripled summands, one-sided spreads
-    if rank.ell >= 2:
+    if e >= 3:
         for i in i2:
             record(first[i], i, i + 1, 3)
             record(first[i], i - 1, i, 3)
@@ -199,7 +188,7 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
     for i in i3:
         record(first[i], i, i, 4)
     # (2-4) two distinct doubled summands
-    if rank.ell >= 2:
+    if e >= 3:
         for i in i1:
             for j in i1:
                 if i != j:
@@ -208,25 +197,24 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
     vertices, arrows = _canonical(xmap, raw_arrows)
     ordering = {entry.weight.coeffs: vid for vid, entry in enumerate(vertices)}
     tagmap = {ordering[c]: frozenset(ts) for c, ts in tags.items()}
-    return TQuiver(rank, base, vertices, arrows, tagmap)
+    return TQuiver(base, vertices, arrows, tagmap)
 
 
 def t_beta_sets(base: LevelKDominant) -> dict[int, set[RootVector]]:
     """Closed forms for the beta sets of the six constructions."""
-    rank = base.rank
-    e = rank.e
+    e = len(base.coeffs)
     i0, i1, i2, i3 = _supports(base.coeffs)
     sets: dict[int, set[RootVector]] = {s: set() for s in range(6)}
     for i in i0:
         for j in i0:
             if i != j and (j - (i - 1)) % e != 0:
-                sets[0].add(RootVector(interval_delta(i, j, rank)))
+                sets[0].add(RootVector(interval_delta(i, j, e)))
     sets[1] = {alpha_sum(e, i) for i in i1}
-    if rank.ell >= 3:
+    if e >= 4:
         sets[2] = {alpha_sum(e, i, i, i - 1, i + 1) for i in i1}
-    if rank.ell >= 2:
+    if e >= 3:
         sets[3] = {alpha_sum(e, i, i, i + d) for i in i2 for d in (1, -1)}
     sets[4] = {alpha_sum(e, i, i) for i in i3}
-    if rank.ell >= 2:
+    if e >= 3:
         sets[5] = {alpha_sum(e, i, j) for i in i1 for j in i1 if i != j}
     return sets

@@ -13,9 +13,9 @@ and each addable node whose residue beta still owes, the grown shape and the
 degree of the step, together with the degree generating function of every
 shape.  The total dimension sums the squares of those functions over the
 shapes of content beta; a pair query runs a DP along nu and along nu' over
-the recorded moves.  Every standard tableau is listed only by std_tableaux.
-The shapes of content beta alone come from a depth-first search along the
-same moves, stopped at the first shape when only existence is asked.
+the recorded moves, so no standard tableau is ever listed.  The shapes of
+content beta alone come from a depth-first search along the same moves,
+stopped at the first shape when only existence is asked.
 
 Node coordinates in the public API are 1-based (component, row, column),
 with the residue of a node in row a, column b of the s-th component equal to
@@ -36,10 +36,6 @@ MAX_LATTICE_SHAPES = 20_000
 DEGREE_TABLE_CACHE = 4  # lattices kept, so at most 4 * MAX_LATTICE_SHAPES shapes
 
 Partition = tuple[int, ...]
-
-
-class NodeNotRemovableError(ValueError):
-    pass
 
 
 class ContentMismatchError(ValueError):
@@ -87,16 +83,6 @@ class ChargedShape:
     def residue(self, s: int, a: int, b: int) -> int:
         """Residue of the node in row a, column b (1-based) of component s (1-based)."""
         return (self.charges[s - 1] + b - a) % self.e
-
-
-@dataclass(frozen=True)
-class StandardTableau:
-    """A standard tableau recorded through its growth sequence of nodes."""
-
-    shape: ChargedShape
-    nodes: tuple[tuple[int, int, int], ...]  # (s, a, b), 1-based, in filling order
-    residue_seq: tuple[int, ...]
-    degree: int
 
 
 class LaurentPoly:
@@ -226,17 +212,6 @@ def _d_statistic(
     return total
 
 
-def d_below(shape: ChargedShape, p: tuple[int, int, int]) -> int:
-    """The degree statistic of a removable node p = (component, row, column), 1-based."""
-    s, a, b = p
-    comps = shape.mp.components
-    if not (
-        1 <= s <= len(comps) and (a - 1, b - 1) in _removable(comps[s - 1])
-    ):
-        raise NodeNotRemovableError(f"node {p} is not removable from {comps}")
-    return _d_statistic(comps, shape.charges, shape.e, (s - 1, a - 1, b - 1))
-
-
 def _grow(
     components: tuple[Partition, ...], s: int, r: int
 ) -> tuple[Partition, ...]:
@@ -245,17 +220,6 @@ def _grow(
         new = comp + (1,)
     else:
         new = comp[:r] + (comp[r] + 1,) + comp[r + 1 :]
-    return components[:s] + (new,) + components[s + 1 :]
-
-
-def _shrink(
-    components: tuple[Partition, ...], s: int, r: int
-) -> tuple[Partition, ...]:
-    comp = components[s]
-    if comp[r] == 1:
-        new = comp[:r]
-    else:
-        new = comp[:r] + (comp[r] - 1,) + comp[r + 1 :]
     return components[:s] + (new,) + components[s + 1 :]
 
 
@@ -297,35 +261,6 @@ def enumerate_with_content(
         reverse=True,
     )
     return [Multipartition(comps) for comps in shapes]
-
-
-def std_tableaux(shape: ChargedShape) -> list[StandardTableau]:
-    """All standard tableaux of the charged shape, with degrees and residues.
-
-    Built backwards: a tableau is a tableau of the shape minus one removable
-    node, followed by that node, whose step degree is its statistic in the
-    shape.
-    """
-    charges, e = shape.charges, shape.e
-
-    def fillings(comps):
-        if not any(comps):
-            return [((), (), 0)]
-        out = []
-        for s, comp in enumerate(comps):
-            for r, c in _removable(comp):
-                d = _d_statistic(comps, charges, e, (s, r, c))
-                node, res = (s + 1, r + 1, c + 1), _res(charges, e, s, r, c)
-                for nodes, seq, deg in fillings(_shrink(comps, s, r)):
-                    out.append((nodes + (node,), seq + (res,), deg + d))
-        return out
-
-    out = [
-        StandardTableau(shape, nodes, seq, deg)
-        for nodes, seq, deg in fillings(shape.mp.components)
-    ]
-    out.sort(key=lambda t: t.nodes)
-    return out
 
 
 _Moves = list[list[list[tuple[int, int]]]]
@@ -450,6 +385,13 @@ def charges_of(base_coeffs: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def block_is_nonzero(base_coeffs: tuple[int, ...], beta: RootVector) -> bool:
-    """Whether some multipartition has residue content beta (block nonvanishing)."""
+    """Whether some multipartition has residue content beta (block nonvanishing).
+
+    Raises ValueError when beta and the weight differ in length.
+    """
+    if len(beta.coeffs) != len(base_coeffs):
+        raise ValueError(
+            f"beta has length {len(beta.coeffs)}, the weight {len(base_coeffs)}"
+        )
     shapes = _shapes_of_content(charges_of(base_coeffs), beta.coeffs)
     return next(shapes, None) is not None

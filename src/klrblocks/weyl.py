@@ -23,7 +23,6 @@ import enum
 from dataclasses import dataclass
 
 from .cartan import (
-    AffineRank,
     RootVector,
     WeightCoeffs,
     delta_decompose,
@@ -46,14 +45,14 @@ class OrbitResult:
     reflection_count: int
 
 
-def simple_reflect(mu: WeightCoeffs, i: int, rank: AffineRank) -> WeightCoeffs:
+def simple_reflect(mu: WeightCoeffs, i: int) -> WeightCoeffs:
     """r_i(mu) = mu - c alpha_i with c = <h_i, mu>.
 
     alpha_i = 2 Lambda_i - Lambda_{i-1} - Lambda_{i+1} (+ delta if i = 0); at
     e = 2 both neighbours are the other index.
     """
-    e = rank.e
-    i = rank.reduce(i)
+    e = len(mu.lam)
+    i %= e
     lam = list(mu.lam)
     c = lam[i]
     lam[i] = -c
@@ -62,7 +61,7 @@ def simple_reflect(mu: WeightCoeffs, i: int, rank: AffineRank) -> WeightCoeffs:
     return WeightCoeffs(tuple(lam), mu.delta - c if i == 0 else mu.delta)
 
 
-def dominate(mu: WeightCoeffs, rank: AffineRank) -> tuple[WeightCoeffs, int]:
+def dominate(mu: WeightCoeffs) -> tuple[WeightCoeffs, int]:
     """The dominant weight in the orbit of mu and the length of the shortest
     w with w(mu) dominant, which is the count of any loop that reflects at a
     negative pairing until none is left.  Raises ValueError below level 1.
@@ -70,7 +69,7 @@ def dominate(mu: WeightCoeffs, rank: AffineRank) -> tuple[WeightCoeffs, int]:
     k = mu.level
     if k < 1:
         raise ValueError(f"dominance needs level >= 1, got {k}")
-    e = rank.e
+    e = len(mu.lam)
     p = [0] * e
     for a in range(e - 2, -1, -1):
         p[a] = p[a + 1] + mu.lam[a + 1]
@@ -89,14 +88,17 @@ def orbit_representative(base: LevelKDominant, beta: RootVector) -> OrbitResult:
     """Reduce beta to (beta0, m) with beta0 in the class's beta set, or Zero.
 
     Zero means Lambda - beta is not a weight of the module, i.e. the block
-    vanishes.
+    vanishes.  Raises ValueError when beta and base differ in length.
     """
-    rank = base.rank
-    mu = base.to_weight() - root_to_weight(beta.coeffs, rank)
-    mu_plus, count = dominate(mu, rank)
+    if len(beta.coeffs) != len(base.coeffs):
+        raise ValueError(
+            f"beta has length {len(beta.coeffs)}, the weight {len(base.coeffs)}"
+        )
+    mu = base.to_weight() - root_to_weight(beta.coeffs)
+    mu_plus, count = dominate(mu)
     diff = base.to_weight() - mu_plus
     # Expand diff on the alpha basis: the delta coefficient pins x_0.
-    x = solve_pinned(rank, diff.lam, diff.delta)
+    x = solve_pinned(diff.lam, diff.delta)
     if any(v < 0 for v in x):
         return OrbitResult(OrbitStatus.ZERO, None, 0, count)
     beta0, m = delta_decompose(RootVector(x))

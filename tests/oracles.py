@@ -14,7 +14,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from klrblocks.cartan import (
-    AffineRank,
     RootVector,
     WeightCoeffs,
     cyclic_interval,
@@ -34,10 +33,9 @@ def pairing(i: int, mu: WeightCoeffs) -> int:
     return mu.lam[i % len(mu.lam)]
 
 
-def alpha_to_weight(i: int, rank: AffineRank) -> WeightCoeffs:
+def alpha_to_weight(i: int, e: int) -> WeightCoeffs:
     """Expand alpha_i = 2 Lambda_i - Lambda_{i-1} - Lambda_{i+1} (+ delta if i = 0)."""
-    e = rank.e
-    i = rank.reduce(i)
+    i %= e
     lam = [0] * e
     lam[i] += 2
     lam[(i - 1) % e] -= 1
@@ -75,7 +73,7 @@ def composition_equiv_class(w: LevelKDominant) -> list[LevelKDominant]:
 
 def entry(base: LevelKDominant, member: LevelKDominant, x: tuple[int, ...]) -> MaxWeightEntry:
     """The entry of `member`, its max weight computed as base - sum_i x_i alpha_i."""
-    max_weight = base.to_weight() - root_to_weight(x, base.rank)
+    max_weight = base.to_weight() - root_to_weight(x)
     return MaxWeightEntry(member, x, RootVector(x), max_weight)
 
 
@@ -87,12 +85,13 @@ def solver_max_plus(base: LevelKDominant) -> list[MaxWeightEntry]:
 # --- the weight quiver and its tagged subquiver ---
 
 
-def interval_has_arrow(x, i: int, j: int, rank: AffineRank) -> bool:
+def interval_has_arrow(x, i: int, j: int) -> bool:
     """Whether x vanishes somewhere on the cyclic interval [j+1, i-1]."""
     xs = tuple(x)
-    if (j - (i - 1)) % rank.e == 0:
+    e = len(xs)
+    if (j - (i - 1)) % e == 0:
         raise ValueError(f"({i},{j}) is a loop label (j = i - 1 mod e)")
-    return any(xs[h] == 0 for h in cyclic_interval(j + 1, i - 1, rank))
+    return any(xs[h] == 0 for h in cyclic_interval(j + 1, i - 1, e))
 
 
 def _add_vec(x, bits):
@@ -107,8 +106,8 @@ def _canonical(base, xmap, raw_arrows) -> tuple[tuple, tuple]:
     return vertices, arrows
 
 
-def _label_pairs(w: LevelKDominant, rank: AffineRank):
-    e = rank.e
+def _label_pairs(w: LevelKDominant):
+    e = len(w.coeffs)
     support = w.support()
     for i in support:
         for j in support:
@@ -123,34 +122,33 @@ def label_bfs_quiver(base: LevelKDominant) -> WeightQuiver:
     """The full quiver by testing every label at every vertex of a BFS."""
     if base.level < 2:
         raise LevelTooSmallError(f"need level >= 2, got {base.level}")
-    rank = base.rank
-    xmap = {base.coeffs: (0,) * rank.e}
+    e = len(base.coeffs)
+    xmap = {base.coeffs: (0,) * e}
     raw_arrows = set()
     frontier = [base]
     while frontier:
         nxt = []
         for src in frontier:
             x = xmap[src.coeffs]
-            for i, j in _label_pairs(src, rank):
-                if not interval_has_arrow(x, i, j, rank):
+            for i, j in _label_pairs(src):
+                if not interval_has_arrow(x, i, j):
                     continue
                 dst = move(src, i, j)
-                x_dst = _add_vec(x, interval_delta(i, j, rank))
+                x_dst = _add_vec(x, interval_delta(i, j, e))
                 if dst.coeffs not in xmap:
                     xmap[dst.coeffs] = x_dst
                     nxt.append(dst)
                 raw_arrows.add((src.coeffs, dst.coeffs, (i, j)))
         frontier = nxt
     vertices, arrows = _canonical(base, xmap, raw_arrows)
-    return WeightQuiver(rank, base, vertices, arrows)
+    return WeightQuiver(base, vertices, arrows)
 
 
 def label_t_subquiver(base: LevelKDominant) -> TQuiver:
     """The six depth <= 2 constructions, each arrow checked on its interval."""
     if base.level < 2:
         raise LevelTooSmallError(f"need level >= 2, got {base.level}")
-    rank = base.rank
-    e = rank.e
+    e = len(base.coeffs)
     i1, i2, i3 = ([i for i, c in enumerate(base.coeffs) if c >= k] for k in (2, 3, 4))
     xmap = {base.coeffs: (0,) * e}
     tags: dict[tuple[int, ...], set[int]] = {}
@@ -158,29 +156,29 @@ def label_t_subquiver(base: LevelKDominant) -> TQuiver:
 
     def record(src: LevelKDominant, i: int, j: int, tag: int) -> LevelKDominant:
         i, j = i % e, j % e
-        assert interval_has_arrow(xmap[src.coeffs], i, j, rank)
+        assert interval_has_arrow(xmap[src.coeffs], i, j)
         dst = move(src, i, j)
-        x_dst = _add_vec(xmap[src.coeffs], interval_delta(i, j, rank))
+        x_dst = _add_vec(xmap[src.coeffs], interval_delta(i, j, e))
         prev = xmap.setdefault(dst.coeffs, x_dst)
         assert prev == x_dst
         tags.setdefault(dst.coeffs, set()).add(tag)
         raw_arrows.add((src.coeffs, dst.coeffs, (i, j)))
         return dst
 
-    for i, j in _label_pairs(base, rank):
+    for i, j in _label_pairs(base):
         if i != j:
             record(base, i, j, 0)
     first = {i: record(base, i, i, 1) for i in i1}
-    if rank.ell >= 3:
+    if e >= 4:
         for i in i1:
             record(first[i], i - 1, i + 1, 2)
-    if rank.ell >= 2:
+    if e >= 3:
         for i in i2:
             record(first[i], i, i + 1, 3)
             record(first[i], i - 1, i, 3)
     for i in i3:
         record(first[i], i, i, 4)
-    if rank.ell >= 2:
+    if e >= 3:
         for i in i1:
             for j in i1:
                 if i != j:
@@ -189,7 +187,7 @@ def label_t_subquiver(base: LevelKDominant) -> TQuiver:
     vertices, arrows = _canonical(base, xmap, raw_arrows)
     ordering = {v.weight.coeffs: vid for vid, v in enumerate(vertices)}
     tagmap = {ordering[c]: frozenset(ts) for c, ts in tags.items()}
-    return TQuiver(rank, base, vertices, arrows, tagmap)
+    return TQuiver(base, vertices, arrows, tagmap)
 
 
 # --- charged multipartitions of a given content ---

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from klrblocks.cartan import RootVector, rotate_tuple
+from klrblocks.cartan import RootVector, WeightCoeffs, rotate_tuple
 from klrblocks.classify import FieldParams, RepType, TClass, classify, script_sets
 from klrblocks.maxweights import LevelKDominant, max_plus
 from klrblocks.quiver import LevelTooSmallError, build_quiver
+from klrblocks.tableaux import block_is_nonzero
+from klrblocks.weyl import orbit_representative
 
 
 def alpha(e, *idx):
@@ -200,3 +202,19 @@ def test_badness_never_decreases_along_arrows():
             src = types[q.vertices[a.src].weight.coeffs]
             dst = types[q.vertices[a.dst].weight.coeffs]
             assert order[dst] >= order[src]
+
+
+def test_unequal_lengths_raise():
+    # the weight fixes e; a beta of another length names no block of it
+    base = LevelKDominant((3, 0, 0))
+    for coeffs in ((1, 1, 1, 5), (0, 0, 0, 9), (1, 1)):
+        beta = RootVector(coeffs)
+        for call in (
+            lambda: classify(base, beta),
+            lambda: orbit_representative(base, beta),
+            lambda: block_is_nonzero(base.coeffs, beta),
+        ):
+            with pytest.raises(ValueError, match="beta has length"):
+                call()
+    with pytest.raises(ValueError):
+        WeightCoeffs((1, 0, 0)) - WeightCoeffs((1, 1))

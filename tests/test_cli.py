@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import klrblocks
 from klrblocks.cli import run
-from klrblocks.maxweights import LevelKDominant
+from klrblocks.maxweights import MAX_E, LevelKDominant
 from klrblocks.quiver import WeightQuiver, build_quiver
 
 from oracles import partitions_of
@@ -362,6 +362,21 @@ def test_tall_level_one_block_answers():
             )
             expected += (math.factorial(20) // hooks) ** 2
     assert json.loads(out)["at_one"] == expected
+
+
+def test_e_is_bounded():
+    # a weight of MAX_E coefficients is accepted, one more is refused
+    LevelKDominant((3,) + (0,) * (MAX_E - 1))
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        LevelKDominant((3,) + (0,) * MAX_E)
+    zeros = ",0" * (MAX_E - 1)
+    block = ["--ell", str(MAX_E - 1), "--weight", "3" + zeros, "--beta", "0" + zeros]
+    assert capture(["classify", *block]) == (0, "Finite\n", "")
+    for cmd in (["maxweights"], ["classify", "--beta", "0,0" + zeros]):
+        code, out, err = capture([*cmd, "--ell", str(MAX_E), "--weight", "1,0" + zeros])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"e = {MAX_E + 1} exceeds the limit" in err
 
 
 def test_lattice_shapes_are_bounded():

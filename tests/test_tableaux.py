@@ -17,7 +17,6 @@ from klrblocks.tableaux import (
     EnumerationLimitError,
     LaurentPoly,
     Multipartition,
-    NodeNotRemovableError,
     Partition,
     _addable,
     _d_statistic,
@@ -27,11 +26,9 @@ from klrblocks.tableaux import (
     block_is_nonzero,
     charges_of,
     content_counts,
-    d_below,
     enumerate_with_content,
     graded_dim,
     graded_dim_total,
-    std_tableaux,
 )
 
 from oracles import filtered_is_nonzero, filtered_with_content, multipartitions, partitions_of
@@ -39,18 +36,18 @@ from oracles import filtered_is_nonzero, filtered_with_content, multipartitions,
 
 def _tableau_walks(
     charges: tuple[int, ...], e: int, remaining: list[int]
-) -> list[tuple[tuple[Partition, ...], tuple[int, ...], int, tuple]]:
+) -> list[tuple[tuple[Partition, ...], tuple[int, ...], int]]:
     """All standard fillings using exactly the prescribed residue counts.
 
-    Returns (final shape, residue sequence, degree, node sequence) tuples.
+    Returns (final shape, residue sequence, degree) triples.
     """
     k = len(charges)
     results = []
     empty = ((),) * k
 
-    def walk(components, seq, deg, nodes):
+    def walk(components, seq, deg):
         if all(v == 0 for v in remaining):
-            results.append((components, tuple(seq), deg, tuple(nodes)))
+            results.append((components, tuple(seq), deg))
             return
         for s in range(k):
             for r, c in _addable(components[s]):
@@ -61,13 +58,11 @@ def _tableau_walks(
                 grown = _grow(components, s, r)
                 d = _d_statistic(grown, charges, e, (s, r, c))
                 seq.append(res)
-                nodes.append((s + 1, r + 1, c + 1))
-                walk(grown, seq, deg + d, nodes)
-                nodes.pop()
+                walk(grown, seq, deg + d)
                 seq.pop()
                 remaining[res] += 1
 
-    walk(empty, [], 0, [])
+    walk(empty, [], 0)
     return results
 
 
@@ -86,15 +81,11 @@ def test_multipartition_counts():
 
 
 def test_d_below_examples():
-    shape = ChargedShape(Multipartition(((1,),)), (0,), 2)
-    assert d_below(shape, (1, 1, 1)) == 0
+    # the degree statistic of a removable node, 0-based (component, row, column)
+    assert _d_statistic(((1,),), (0,), 2, (0, 0, 0)) == 0
     # a second empty component of equal charge hangs an addable node below
-    shape2 = ChargedShape(Multipartition(((1,), ())), (0, 0), 3)
-    assert d_below(shape2, (1, 1, 1)) == 1
-    column = ChargedShape(Multipartition(((1, 1, 1),)), (0,), 3)
-    assert d_below(column, (1, 3, 1)) == 0
-    with pytest.raises(NodeNotRemovableError):
-        d_below(column, (1, 1, 1))
+    assert _d_statistic(((1,), ()), (0, 0), 3, (0, 0, 0)) == 1
+    assert _d_statistic(((1, 1, 1),), (0,), 3, (0, 2, 0)) == 0
 
 
 def test_enumerate_with_content_examples():
@@ -132,16 +123,6 @@ def test_enumerate_with_content_needs_one_charge_per_component():
     for k in (1, 3):
         with pytest.raises(ValueError, match="one charge per component"):
             enumerate_with_content(k, (0, 1), RootVector((1, 1)))
-
-
-def test_std_tableaux_counts():
-    row = ChargedShape(Multipartition(((4,),)), (0,), 3)
-    assert len(std_tableaux(row)) == 1
-    hook = ChargedShape(Multipartition(((2, 1),)), (0,), 3)
-    assert len(std_tableaux(hook)) == 2
-    for t in std_tableaux(hook):
-        assert len(t.residue_seq) == 3
-        assert t.residue_seq[0] == 0
 
 
 def test_graded_dim_level3_rank1_block():
@@ -261,7 +242,7 @@ def test_laurent_poly_str():
 def walk_table(charges: tuple[int, ...], beta: tuple[int, ...]) -> dict:
     """Per final shape: residue sequence -> {degree: count}, from the walk."""
     table: dict = {}
-    for comps, seq, deg, _ in _tableau_walks(charges, len(beta), list(beta)):
+    for comps, seq, deg in _tableau_walks(charges, len(beta), list(beta)):
         by_deg = table.setdefault(comps, {}).setdefault(seq, {})
         by_deg[deg] = by_deg.get(deg, 0) + 1
     return table
@@ -327,7 +308,7 @@ def test_graded_dim_total_matches_walk_on_any_content(case):
 @given(charged_shapes(), st.data())
 def test_graded_dim_pairs_match_walk(shape, data):
     beta = content_counts(shape)
-    seqs = sorted({t.residue_seq for t in std_tableaux(shape)})
+    seqs = sorted(walk_table(shape.charges, beta)[shape.mp.components])
     nu = data.draw(st.sampled_from(seqs))
     nup = data.draw(st.sampled_from(seqs))
     shuffled = tuple(data.draw(st.permutations(nu)))
@@ -336,18 +317,6 @@ def test_graded_dim_pairs_match_walk(shape, data):
         expected = oracle_pair(shape.charges, beta, left, right)
         assert graded_dim(shape.charges, rv, left, right) == expected
         assert graded_dim(shape.charges, rv, right, left) == expected
-
-
-@settings(max_examples=150, deadline=None)
-@given(charged_shapes())
-def test_std_tableaux_match_filtered_walk(shape):
-    walks = _tableau_walks(shape.charges, shape.e, list(content_counts(shape)))
-    expected = sorted(
-        (nodes, seq, deg) for comps, seq, deg, nodes in walks if comps == shape.mp.components
-    )
-    got = std_tableaux(shape)
-    assert [(t.nodes, t.residue_seq, t.degree) for t in got] == expected
-    assert all(t.shape == shape for t in got)
 
 
 def test_degree_table_cache_is_bounded():

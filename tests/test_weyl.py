@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klrblocks.cartan import (
-    AffineRank,
     RootVector,
     WeightCoeffs,
     delta_decompose,
@@ -34,29 +33,27 @@ from oracles import alpha_to_weight, pairing, scale
 ORACLE_CAP = 100_000  # reflections the loop oracle may apply before it gives up
 
 
-def dataclass_simple_reflect(mu: WeightCoeffs, i: int, rank: AffineRank) -> WeightCoeffs:
+def dataclass_simple_reflect(mu: WeightCoeffs, i: int) -> WeightCoeffs:
     """r_i(mu) = mu - <h_i, mu> alpha_i."""
     c = pairing(i, mu)
     if c == 0:
         return mu
-    return mu - scale(alpha_to_weight(i, rank), c)
+    return mu - scale(alpha_to_weight(i, len(mu.lam)), c)
 
 
-def dataclass_dominate(
-    mu: WeightCoeffs, rank: AffineRank, cap: int = ORACLE_CAP
-) -> tuple[WeightCoeffs, int]:
+def dataclass_dominate(mu: WeightCoeffs, cap: int = ORACLE_CAP) -> tuple[WeightCoeffs, int]:
     """Reflect mu into the dominant chamber; pivot at the smallest negative index.
 
     Returns the dominant representative and the number of reflections applied.
     """
     count = 0
     while True:
-        neg = next((i for i in rank.indices if mu.lam[i] < 0), None)
+        neg = next((i for i, c in enumerate(mu.lam) if c < 0), None)
         if neg is None:
             return mu, count
         if count >= cap:
             raise RuntimeError(f"the oracle did not terminate within {cap} reflections")
-        mu = dataclass_simple_reflect(mu, neg, rank)
+        mu = dataclass_simple_reflect(mu, neg)
         count += 1
 
 
@@ -68,12 +65,11 @@ def sieving_orbit_representative(base: LevelKDominant, beta: RootVector) -> Orbi
     """
     if base.level < 1:
         raise ValueError("base must have level >= 1")
-    rank = base.rank
-    mu = base.to_weight() - root_to_weight(beta.coeffs, rank)
-    mu_plus, count = dataclass_dominate(mu, rank)
+    mu = base.to_weight() - root_to_weight(beta.coeffs)
+    mu_plus, count = dataclass_dominate(mu)
     diff = base.to_weight() - mu_plus
     # Expand diff on the alpha basis: the delta coefficient pins x_0.
-    x = solve_pinned(rank, diff.lam, diff.delta)
+    x = solve_pinned(diff.lam, diff.delta)
     if any(v < 0 for v in x):
         return OrbitResult(OrbitStatus.ZERO, None, 0, count)
     beta0, m = delta_decompose(RootVector(x))
@@ -83,47 +79,39 @@ def sieving_orbit_representative(base: LevelKDominant, beta: RootVector) -> Orbi
 
 
 def test_simple_reflect_fixed_point():
-    rank = AffineRank(3)
     mu = WeightCoeffs((1, 0, 2, 0), -1)
-    assert simple_reflect(mu, 1, rank) == mu
+    assert simple_reflect(mu, 1) == mu
 
 
 def test_simple_reflect_example_rank_one():
-    rank = AffineRank(1)
     mu = WeightCoeffs((2, 0), 0)
-    r0 = simple_reflect(mu, 0, rank)
+    r0 = simple_reflect(mu, 0)
     assert r0.lam == (-2, 4) and r0.delta == -2
 
 
 def test_simple_reflect_involution():
     rng = random.Random(3)
     for _ in range(100):
-        ell = rng.randrange(1, 7)
-        rank = AffineRank(ell)
-        mu = WeightCoeffs(
-            tuple(rng.randrange(-3, 4) for _ in range(rank.e)), rng.randrange(-2, 3)
-        )
-        i = rng.randrange(rank.e)
-        assert simple_reflect(simple_reflect(mu, i, rank), i, rank) == mu
-        assert simple_reflect(mu, i, rank).level == mu.level
+        e = rng.randrange(1, 7) + 1
+        mu = WeightCoeffs(tuple(rng.randrange(-3, 4) for _ in range(e)), rng.randrange(-2, 3))
+        i = rng.randrange(e)
+        assert simple_reflect(simple_reflect(mu, i), i) == mu
+        assert simple_reflect(mu, i).level == mu.level
 
 
 def test_dominate_trivial_and_small_orbit():
-    rank = AffineRank(1)
     mu = WeightCoeffs((2, 0), 0)
-    out, n = dominate(mu, rank)
+    out, n = dominate(mu)
     assert out == mu and n == 0
-    refl = simple_reflect(mu, 0, rank)
-    back, n = dominate(refl, rank)
+    refl = simple_reflect(mu, 0)
+    back, n = dominate(refl)
     assert back == mu and n == 1
 
 
 def test_dominate_recovers_after_random_words():
     rng = random.Random(17)
     for _ in range(120):
-        ell = rng.randrange(1, 6)
-        rank = AffineRank(ell)
-        e = rank.e
+        e = rng.randrange(1, 6) + 1
         k = rng.randrange(1, 4)
         coeffs = [0] * e
         for _ in range(k):
@@ -133,17 +121,16 @@ def test_dominate_recovers_after_random_words():
         mu = entries[rng.randrange(len(entries))].max_weight
         moved = mu
         for _ in range(rng.randrange(31)):
-            moved = simple_reflect(moved, rng.randrange(e), rank)
-        back, _ = dominate(moved, rank)
+            moved = simple_reflect(moved, rng.randrange(e))
+        back, _ = dominate(moved)
         assert back == mu
 
 
 def test_dominate_refuses_level_below_one():
-    rank = AffineRank(2)
     # no orbit point of a level-zero weight off every weight system is dominant
     for lam in ((1, -1, 0), (0, 0, 0), (2, -3, 0)):
         with pytest.raises(ValueError, match="level >= 1"):
-            dominate(WeightCoeffs(lam, 0), rank)
+            dominate(WeightCoeffs(lam, 0))
 
 
 def test_tall_block_length_is_exact():
@@ -185,9 +172,7 @@ def test_orbit_invariance_under_reflections():
     rng = random.Random(29)
     rank_pool = [1, 2, 3, 4]
     for _ in range(60):
-        ell = rng.choice(rank_pool)
-        rank = AffineRank(ell)
-        e = rank.e
+        e = rng.choice(rank_pool) + 1
         k = rng.randrange(1, 4)
         coeffs = [0] * e
         for _ in range(k):
@@ -195,14 +180,14 @@ def test_orbit_invariance_under_reflections():
         base = LevelKDominant(tuple(coeffs))
         beta = RootVector(tuple(rng.randrange(0, 3) for _ in range(e)))
         ref = orbit_representative(base, beta)
-        mu = base.to_weight() - root_to_weight(beta.coeffs, rank)
+        mu = base.to_weight() - root_to_weight(beta.coeffs)
         for _ in range(rng.randrange(1, 12)):
-            mu = simple_reflect(mu, rng.randrange(e), rank)
+            mu = simple_reflect(mu, rng.randrange(e))
         diff = base.to_weight() - mu
         # rebuild the moved beta when it stays in the positive cone
         from klrblocks.cartan import solve_pinned as _solve_pinned
 
-        x = _solve_pinned(rank, diff.lam, diff.delta)
+        x = _solve_pinned(diff.lam, diff.delta)
         if any(v < 0 for v in x):
             continue
         moved = orbit_representative(base, RootVector(x))
@@ -279,7 +264,7 @@ def weights(draw):
     e = draw(st.integers(2, 8))
     lam = draw(st.lists(st.integers(-20, 20), min_size=e, max_size=e))
     i = draw(st.integers(-e, 2 * e - 1))
-    return WeightCoeffs(tuple(lam), draw(st.integers(-4, 4))), i, AffineRank(e - 1)
+    return WeightCoeffs(tuple(lam), draw(st.integers(-4, 4))), i
 
 
 @settings(max_examples=400, deadline=None)
@@ -287,10 +272,10 @@ def weights(draw):
 def test_integer_reflections_match_dataclass_arithmetic(case):
     """The closed form against the reflection loop: the same dominant weight
     and a length equal to the loop's reflection count."""
-    mu, i, rank = case
-    assert simple_reflect(mu, i, rank) == dataclass_simple_reflect(mu, i, rank)
+    mu, i = case
+    assert simple_reflect(mu, i) == dataclass_simple_reflect(mu, i)
     if mu.level < 1:
         with pytest.raises(ValueError):
-            dominate(mu, rank)
+            dominate(mu)
     else:
-        assert dominate(mu, rank) == dataclass_dominate(mu, rank)
+        assert dominate(mu) == dataclass_dominate(mu)
