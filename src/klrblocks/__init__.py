@@ -10,7 +10,7 @@ from .cartan import (
     interval_delta,
     sigma_rotate,
 )
-from .classify import FieldParams, RepType, ScriptSets, TClass, classify, script_sets
+from .classify import FieldParams, RepType, ScriptSets, TClass, TClassRankError, classify, script_sets
 from .maxweights import (
     ClassTooLargeError,
     LevelKDominant,

@@ -42,6 +42,10 @@ class RepType(enum.IntEnum):
         return self.name.capitalize()
 
 
+class TClassRankError(ValueError):
+    """The t class given does not exist at this rank."""
+
+
 @dataclass(frozen=True)
 class FieldParams:
     char_p: int = 0
@@ -62,9 +66,9 @@ class FieldParams:
 
     def check_rank(self, ell: int) -> None:
         if ell == 1 and self.t_class is TClass.SIGN_ELL:
-            raise ValueError("t class 'signell' only applies for ell >= 2")
+            raise TClassRankError("t class 'signell' only applies for ell >= 2")
         if ell >= 2 and self.t_class in (TClass.TWO, TClass.MINUS_TWO):
-            raise ValueError("t classes 'two'/'minustwo' only apply for ell = 1")
+            raise TClassRankError("t classes 'two'/'minustwo' only apply for ell = 1")
 
 
 @dataclass(frozen=True)
@@ -163,8 +167,8 @@ def classify(
     Any beta in the positive root cone is accepted; it is first reduced to
     its orbit representative.  A vanishing block reports Zero.
     """
+    params.check_rank(len(base.coeffs) - 1)  # first, so a bad t is reported at any level
     _require_level_3(base)
-    params.check_rank(len(base.coeffs) - 1)
 
     result = orbit_representative(base, beta)
     if result.status is OrbitStatus.ZERO:

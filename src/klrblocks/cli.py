@@ -6,11 +6,10 @@ an error), 2 on usage errors.
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import functools
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from .brauer import (
     BrauerGraph,
@@ -22,7 +21,7 @@ from .brauer import (
     quiver_presentation,
 )
 from .cartan import RootVector
-from .classify import FieldParams, TClass, classify
+from .classify import FieldParams, TClass, TClassRankError, classify
 from .maxweights import LevelKDominant, max_plus
 from .quiver import TQuiver, WeightQuiver, build_quiver, t_subquiver
 from .tableaux import charges_of, graded_dim, graded_dim_total
@@ -37,14 +36,6 @@ class UsageError(ValueError):
 _LINE_BREAKS = str.maketrans(
     {c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 )
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    """An argparse parser whose rejections raise UsageError, so that `run`
-    reports them as one line instead of printing the usage block."""
-
-    def error(self, message: str):
-        raise UsageError(message)
 
 
 def _write_json(obj, out) -> None:
@@ -186,20 +177,15 @@ def _cmd_tquiver(args, out) -> int:
     return _emit_quiver(t_subquiver(_weight_from_args(args)), args, out)
 
 
+_T_ALIASES = {"2": "two", "-2": "minustwo", "sign": "signell"}
+
+
 def _t_class_from_args(args) -> TClass:
-    mapping = {
-        "2": TClass.TWO,
-        "two": TClass.TWO,
-        "-2": TClass.MINUS_TWO,
-        "minustwo": TClass.MINUS_TWO,
-        "sign": TClass.SIGN_ELL,
-        "signell": TClass.SIGN_ELL,
-        "other": TClass.OTHER,
-    }
     key = args.t.lower()
-    if key not in mapping:
-        raise UsageError(f"--t: unknown class {args.t!r}")
-    return mapping[key]
+    try:
+        return TClass(_T_ALIASES.get(key, key))
+    except ValueError:
+        raise UsageError(f"--t: unknown class {args.t!r}") from None
 
 
 def _cmd_classify(args, out) -> int:
@@ -207,22 +193,12 @@ def _cmd_classify(args, out) -> int:
     beta = _beta_from_args(args)
     params = FieldParams(char_p=args.char, t_class=_t_class_from_args(args))
     try:
-        params.check_rank(args.ell)
-    except ValueError as exc:
+        result = classify(base, beta, params)
+    except TClassRankError as exc:
         raise UsageError(str(exc)) from exc
-    result = classify(base, beta, params)
     if args.format == "json":
-        _write_json(
-            {
-                "ell": args.ell,
-                "base": list(base.coeffs),
-                "beta": list(beta.coeffs),
-                "char": args.char,
-                "t": args.t,
-                "type": str(result),
-            },
-            out,
-        )
+        _write_json({"ell": args.ell, "base": list(base.coeffs), "beta": list(beta.coeffs),
+                     "char": args.char, "t": args.t, "type": str(result)}, out)
     else:
         out.write(f"{result}\n")
     return 0
@@ -243,17 +219,9 @@ def _cmd_gdim(args, out) -> int:
         poly = graded_dim(charges, beta, nu, nup)
         label = f"e{_vec(nu)} .. e{_vec(nup)}"
     if args.format == "json":
-        _write_json(
-            {
-                "ell": args.ell,
-                "base": list(base.coeffs),
-                "beta": list(beta.coeffs),
-                "which": label,
-                "terms": {str(k): v for k, v in sorted(poly.terms.items())},
-                "at_one": poly.at_one(),
-            },
-            out,
-        )
+        terms = {str(k): v for k, v in sorted(poly.terms.items())}
+        _write_json({"ell": args.ell, "base": list(base.coeffs), "beta": list(beta.coeffs),
+                     "which": label, "terms": terms, "at_one": poly.at_one()}, out)
     else:
         out.write(f"{poly}\n")
     return 0
@@ -376,90 +344,121 @@ def _cmd_decomp(args, out) -> int:
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on first use and shared by every later `run`."""
-    parser = _ArgumentParser(
-        prog="klrblocks",
-        description="Dominant maximal weights, weight quivers, block types and "
-        "graded dimensions in affine type A",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = object()  # the default of an option that must be given
 
-    def add_weight_opts(p):
-        p.add_argument("--ell", type=int, required=True, help="rank (e = ell + 1)")
-        p.add_argument(
-            "--weight",
-            required=True,
-            help="comma-separated coefficients on Λ0..Λell (length ell+1)",
-        )
+# option tuples: (name, int or str, default or _REQUIRED, choices, help)
+_WEIGHT = (
+    ("ell", int, _REQUIRED, None, "rank (e = ell + 1)"),
+    ("weight", str, _REQUIRED, None, "comma-separated coefficients on Λ0..Λell (length ell+1)"),
+)
+_BETA = (
+    ("beta", str, _REQUIRED, None, "comma-separated alpha coefficients"),
+    ("mdelta", int, 0, None, "add m copies of delta"),
+)
+_GRAPH = (
+    ("graph", str, None, None, "JSON graph file"),
+    ("gamma", str, None, None, "line family parameters s,a,m"),
+)
+_JSON = (("format", str, "text", ("text", "json"), "output format"),)
+_DOT = (("format", str, "text", ("text", "json", "dot"), "output format"),)
+_T_HELP = "t class: 'two'/'minustwo' (ell=1), 'signell' (ell>=2) or 'other'"
 
-    p = sub.add_parser("maxweights", help="dominant maximal weights of a class")
-    add_weight_opts(p)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_maxweights)
+# subcommand -> (handler, help line, options in the order help and errors list them)
+COMMANDS = {
+    "maxweights": (_cmd_maxweights, "dominant maximal weights of a class", _WEIGHT + _JSON),
+    "quiver": (_cmd_quiver, "the full weight quiver", _WEIGHT + _DOT),
+    "tquiver": (_cmd_tquiver, "the tagged depth-2 subquiver", _WEIGHT + _DOT),
+    "classify": (_cmd_classify, "representation type of a block", _WEIGHT + _BETA + (
+        ("char", int, 0, None, "field characteristic"), ("t", str, "other", None, _T_HELP),
+    ) + _JSON),
+    "gdim": (_cmd_gdim, "graded dimension of a block", _WEIGHT + _BETA + (
+        ("nu", str, None, None, "residue sequence of the left idempotent"),
+        ("nup", str, None, None, "residue sequence of the right idempotent"),
+    ) + _JSON),
+    "brauer": (_cmd_brauer, "Brauer graph data", _GRAPH + (
+        ("what", str, "all", ("invariants", "cartan", "quiver", "all"), "what to show"),
+    ) + _JSON),
+    "decomp": (_cmd_decomp, "decomposition matrices with D^t D = C",
+               (("cartan", str, None, None, "matrix rows 'a,b;c,d'"),) + _GRAPH + _JSON),
+}
+# what argparse reads as the value of an option: empty text, text that does not
+# start with "-", a lone "-", a negative number, or text holding a space
+_VALUE = re.compile(r"\Z|[^-]|-\Z|-\d+$|-\d*\.\d+$|.* ", re.DOTALL)
 
-    p = sub.add_parser("quiver", help="the full weight quiver")
-    add_weight_opts(p)
-    p.add_argument("--format", choices=["text", "json", "dot"], default="text")
-    p.set_defaults(func=_cmd_quiver)
 
-    p = sub.add_parser("tquiver", help="the tagged depth-2 subquiver")
-    add_weight_opts(p)
-    p.add_argument("--format", choices=["text", "json", "dot"], default="text")
-    p.set_defaults(func=_cmd_tquiver)
+def _help_text(command: str | None = None) -> str:
+    if command is None:
+        head = ("<command> [options]\n\nDominant maximal weights, weight quivers, block "
+                "types and graded dimensions in affine type A\n\ncommands:")
+        rows = [f"  {name:<12}{line}" for name, (_, line, _) in COMMANDS.items()]
+    else:
+        _, line, opts = COMMANDS[command]
+        head = f"{command} [options]\n\n{line}\n\noptions:"
+        rows = [
+            f"  --{name} {'{' + ','.join(choices) + '}' if choices else name.upper()}  {text} ("
+            + ("required)" if default is _REQUIRED else f"default: {default})")
+            for name, _, default, choices, text in opts
+        ]
+    return "\n".join([f"usage: klrblocks {head}", *rows]) + "\n"
 
-    p = sub.add_parser("classify", help="representation type of a block")
-    add_weight_opts(p)
-    p.add_argument("--beta", required=True, help="comma-separated alpha coefficients")
-    p.add_argument("--mdelta", type=int, default=0, help="add m copies of delta")
-    p.add_argument("--char", type=int, default=0, help="field characteristic")
-    p.add_argument(
-        "--t",
-        default="other",
-        help="t class: 'two'/'minustwo' (ell=1), 'signell' (ell>=2) or 'other'",
-    )
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("gdim", help="graded dimension of a block")
-    add_weight_opts(p)
-    p.add_argument("--beta", required=True, help="comma-separated alpha coefficients")
-    p.add_argument("--mdelta", type=int, default=0, help="add m copies of delta")
-    p.add_argument("--nu", default=None, help="residue sequence of the left idempotent")
-    p.add_argument("--nup", default=None, help="residue sequence of the right idempotent")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_gdim)
+def _parse(argv: list[str]) -> SimpleNamespace | str:
+    """The handler and options that argv names, or the help text it asks for.
 
-    p = sub.add_parser("brauer", help="Brauer graph data")
-    p.add_argument("--graph", default=None, help="JSON graph file")
-    p.add_argument("--gamma", default=None, help="line family parameters s,a,m")
-    p.add_argument(
-        "--what", choices=["invariants", "cartan", "quiver", "all"], default="all"
-    )
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_brauer)
-
-    p = sub.add_parser("decomp", help="decomposition matrices with D^t D = C")
-    p.add_argument("--cartan", default=None, help="matrix rows 'a,b;c,d'")
-    p.add_argument("--graph", default=None, help="JSON graph file")
-    p.add_argument("--gamma", default=None, help="line family parameters s,a,m")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_decomp)
-
-    return parser
+    Option names are exact; `--opt value` and `--opt=value` both work, and a
+    repeated option keeps its last value.  Tokens are read left to right, so
+    -h/--help wins over a later fault but not an earlier one.  Each rejection
+    is a UsageError with argparse's message.
+    """
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    if argv[0] in ("-h", "--help"):
+        return _help_text()
+    if argv[0] not in COMMANDS:
+        raise UsageError(f"argument command: invalid choice: {argv[0]!r} "
+                         f"(choose from {', '.join(map(repr, COMMANDS))})")
+    func, _, opts = COMMANDS[argv[0]]
+    table = {f"--{opt[0]}": opt for opt in opts}
+    args = SimpleNamespace(func=func, **{opt[0]: opt[2] for opt in opts})
+    tokens, extras = argv[:0:-1], []  # reversed, so that pop() reads left to right
+    while tokens:
+        token = tokens.pop()
+        if token in ("-h", "--help"):
+            return _help_text(argv[0])
+        flag, eq, value = token.partition("=")
+        if flag not in table:
+            extras.append(token)
+            continue
+        if not eq:
+            if not tokens or not _VALUE.match(tokens[-1]):
+                raise UsageError(f"argument {flag}: expected one argument")
+            value = tokens.pop()
+        name, typ, _, choices, _ = table[flag]
+        try:
+            value = typ(value)
+        except ValueError:
+            raise UsageError(f"argument {flag}: invalid int value: {value!r}") from None
+        if choices and value not in choices:
+            raise UsageError(f"argument {flag}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, choices))})")
+        setattr(args, name, value)
+    missing = [flag for flag, opt in table.items() if getattr(args, opt[0]) is _REQUIRED]
+    if missing:
+        raise UsageError("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise UsageError("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def run(argv: list[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        # argparse prints --help to sys.stdout; send it to `out` instead
-        with contextlib.redirect_stdout(out):
-            args = build_parser().parse_args(argv)
+        args = _parse(argv)
+        if isinstance(args, str):  # -h/--help
+            out.write(args)
+            return 0
         return args.func(args, out)
-    except SystemExit:  # --help printed the help text
-        return 0
     except UsageError as exc:
         err.write(f"usage error: {str(exc).translate(_LINE_BREAKS)}\n")
         return 2

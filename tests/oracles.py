@@ -6,11 +6,13 @@ scaling), the sieving class by composition recursion with X from the
 closed-form solve, and the weight quiver by testing every label at every
 vertex on the cyclic interval.  They share no code with `class_walk`.  The
 shapes of a given residue content come from every k-multipartition of |beta|
-filtered by content, not from the shape search of `tableaux`.
+filtered by content, not from the shape search of `tableaux`.  The command
+line is read by the argparse parser that the option table of `cli` replaced.
 """
 
 from __future__ import annotations
 
+import argparse
 from functools import lru_cache
 
 from klrblocks.cartan import (
@@ -20,6 +22,7 @@ from klrblocks.cartan import (
     interval_delta,
     root_to_weight,
 )
+from klrblocks.cli import UsageError
 from klrblocks.maxweights import LevelKDominant, MaxWeightEntry, ev, solve_x
 from klrblocks.quiver import Arrow, LevelTooSmallError, TQuiver, WeightQuiver, move
 from klrblocks.tableaux import ChargedShape, Multipartition, Partition, charges_of, content_counts
@@ -242,3 +245,79 @@ def filtered_with_content(
 
 def filtered_is_nonzero(base_coeffs: tuple[int, ...], beta_coeffs: tuple[int, ...]) -> bool:
     return bool(filtered_with_content(charges_of(base_coeffs), beta_coeffs))
+
+
+# --- the command line, read by argparse ---
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose rejections raise UsageError, as the table's do."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser before the option table; its namespaces carry no handler."""
+    parser = _ArgumentParser(
+        prog="klrblocks",
+        description="Dominant maximal weights, weight quivers, block types and "
+        "graded dimensions in affine type A",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_weight_opts(p):
+        p.add_argument("--ell", type=int, required=True, help="rank (e = ell + 1)")
+        p.add_argument(
+            "--weight",
+            required=True,
+            help="comma-separated coefficients on Λ0..Λell (length ell+1)",
+        )
+
+    p = sub.add_parser("maxweights", help="dominant maximal weights of a class")
+    add_weight_opts(p)
+    p.add_argument("--format", choices=["text", "json"], default="text")
+
+    p = sub.add_parser("quiver", help="the full weight quiver")
+    add_weight_opts(p)
+    p.add_argument("--format", choices=["text", "json", "dot"], default="text")
+
+    p = sub.add_parser("tquiver", help="the tagged depth-2 subquiver")
+    add_weight_opts(p)
+    p.add_argument("--format", choices=["text", "json", "dot"], default="text")
+
+    p = sub.add_parser("classify", help="representation type of a block")
+    add_weight_opts(p)
+    p.add_argument("--beta", required=True, help="comma-separated alpha coefficients")
+    p.add_argument("--mdelta", type=int, default=0, help="add m copies of delta")
+    p.add_argument("--char", type=int, default=0, help="field characteristic")
+    p.add_argument(
+        "--t",
+        default="other",
+        help="t class: 'two'/'minustwo' (ell=1), 'signell' (ell>=2) or 'other'",
+    )
+    p.add_argument("--format", choices=["text", "json"], default="text")
+
+    p = sub.add_parser("gdim", help="graded dimension of a block")
+    add_weight_opts(p)
+    p.add_argument("--beta", required=True, help="comma-separated alpha coefficients")
+    p.add_argument("--mdelta", type=int, default=0, help="add m copies of delta")
+    p.add_argument("--nu", default=None, help="residue sequence of the left idempotent")
+    p.add_argument("--nup", default=None, help="residue sequence of the right idempotent")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+
+    p = sub.add_parser("brauer", help="Brauer graph data")
+    p.add_argument("--graph", default=None, help="JSON graph file")
+    p.add_argument("--gamma", default=None, help="line family parameters s,a,m")
+    p.add_argument(
+        "--what", choices=["invariants", "cartan", "quiver", "all"], default="all"
+    )
+    p.add_argument("--format", choices=["text", "json"], default="text")
+
+    p = sub.add_parser("decomp", help="decomposition matrices with D^t D = C")
+    p.add_argument("--cartan", default=None, help="matrix rows 'a,b;c,d'")
+    p.add_argument("--graph", default=None, help="JSON graph file")
+    p.add_argument("--gamma", default=None, help="line family parameters s,a,m")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+
+    return parser

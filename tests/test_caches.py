@@ -17,7 +17,6 @@ def test_every_package_cache_is_bounded():
             if cached and value.__module__ == module.__name__:
                 caches[f"{module.__name__}.{name}"] = value
     assert "klrblocks.maxweights.p_lambda_set" in caches
-    assert "klrblocks.cli.build_parser" in caches
     assert "klrblocks.maxweights._label_table" in caches
     unbounded = [
         name

@@ -15,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import klrblocks
-from klrblocks.cli import run
+from klrblocks.cartan import RootVector
+from klrblocks.classify import FieldParams, TClass, TClassRankError, classify
+from klrblocks.cli import _REQUIRED, COMMANDS, UsageError, _parse, run
 from klrblocks.maxweights import MAX_E, LevelKDominant
 from klrblocks.quiver import WeightQuiver, build_quiver
 
-from oracles import partitions_of
+from oracles import build_parser, partitions_of
 
 
 def quiver_from_json_dict(data: dict) -> WeightQuiver:
@@ -538,9 +540,244 @@ def test_cli_fuzz_exits_cleanly(case):
         with contextlib.redirect_stderr(parse_err):
             code, out, err = capture(argv)
     assert code in (0, 1, 2) and "Traceback" not in parse_err.getvalue() + err
-    assert parse_err.getvalue() == ""  # argparse's rejections go to err as well
+    assert parse_err.getvalue() == ""  # parse rejections go to err as well
     if code:
         assert out == "" and err.count("\n") == 1 and err.endswith("\n")
         assert len(err.splitlines()) == 1
     else:
         assert err == ""
+
+
+def test_t_class_is_checked_once_per_query(monkeypatch):
+    calls = []
+    check_rank = FieldParams.check_rank
+    monkeypatch.setattr(
+        FieldParams, "check_rank", lambda self, ell: calls.append(ell) or check_rank(self, ell)
+    )
+    two = "usage error: t classes 'two'/'minustwo' only apply for ell = 1\n"
+    signell = "usage error: t class 'signell' only applies for ell >= 2\n"
+    # a level-3 and a level-2 base at each rank: a bad --t is a usage error at any level
+    for block, message in (
+        (["--ell", "2", "--weight", "3,0,0", "--beta", "1,1,1", "--t", "two"], two),
+        (["--ell", "2", "--weight", "2,0,0", "--beta", "1,1,1", "--t", "two"], two),
+        (["--ell", "1", "--weight", "3,0", "--beta", "1,1", "--t", "signell"], signell),
+        (["--ell", "1", "--weight", "1,1", "--beta", "1,1", "--t", "signell"], signell),
+        (["--ell", "2", "--weight", "3,0,0", "--beta", "1,1,1"], None),
+    ):
+        calls.clear()
+        expected = (2, "", message) if message else (0, "Tame\n", "")
+        assert capture(["classify", *block]) == expected
+        assert len(calls) == 1
+    with pytest.raises(TClassRankError, match="only apply for ell = 1"):
+        classify(LevelKDominant((2, 0, 0)), RootVector((1, 1, 1)), FieldParams(t_class=TClass.TWO))
+
+
+# --- the option table against the argparse parser it replaced ---
+
+ORACLE = build_parser()
+# per subcommand: (option, "int", "text" or its choices, required), written out
+# here rather than read from the table under test
+WEIGHT_OPTS = [("ell", "int", True), ("weight", "text", True)]
+BETA_OPTS = [("beta", "text", True), ("mdelta", "int", False)]
+GRAPH_OPTS = [("graph", "text", False), ("gamma", "text", False)]
+TEXT_JSON = [("format", ("text", "json"), False)]
+WITH_DOT = [("format", ("text", "json", "dot"), False)]
+OPTIONS = {
+    "maxweights": WEIGHT_OPTS + TEXT_JSON,
+    "quiver": WEIGHT_OPTS + WITH_DOT,
+    "tquiver": WEIGHT_OPTS + WITH_DOT,
+    "classify": WEIGHT_OPTS + BETA_OPTS + [("char", "int", False), ("t", "text", False)]
+    + TEXT_JSON,
+    "gdim": WEIGHT_OPTS + BETA_OPTS + [("nu", "text", False), ("nup", "text", False)]
+    + TEXT_JSON,
+    "brauer": GRAPH_OPTS + [("what", ("invariants", "cartan", "quiver", "all"), False)]
+    + TEXT_JSON,
+    "decomp": [("cartan", "text", False)] + GRAPH_OPTS + TEXT_JSON,
+}
+# text argparse reads as a value: anything not starting with "-", and negative numbers
+OPTION_TEXT = st.text(max_size=6).filter(lambda t: not t.startswith("-")) | st.sampled_from(
+    ["-1", "-12", "-1.5", "-.5", "-"]
+)
+NOT_INTS = st.sampled_from(["x", "1.5", "", "two", "1,2", "0x1", "-"])
+CHOICE_TEXTS = ["xml", "JSON", " text", "q", "", "dot", "all", "text"]
+UNKNOWN_OPTIONS = st.sampled_from(
+    [["--bogus"], ["--cap", "5"], ["--max-height=3"], ["-x"], ["--stats"], ["--help-me"]]
+)
+
+
+def option_value(kind):
+    if kind == "int":
+        return st.integers(-20, 20).map(str)
+    return OPTION_TEXT if kind == "text" else st.sampled_from(kind)
+
+
+@st.composite
+def well_formed(draw):
+    """A subcommand and its options, each [flag, value, joined by "="], shuffled;
+    an optional option is given zero, one or two times, a required one once or twice."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    given = []
+    for name, kind, required in OPTIONS[command]:
+        for _ in range(draw(st.integers(1 if required else 0, 2))):
+            given.append([f"--{name}", draw(option_value(kind)), draw(st.booleans())])
+    return command, draw(st.permutations(given))
+
+
+def tokens(given) -> list[str]:
+    out = []
+    for flag, value, joined in given:
+        out += [f"{flag}={value}"] if joined else [flag, value]
+    return out
+
+
+def table_namespace(argv) -> dict:
+    ns = vars(_parse(argv))
+    del ns["func"]
+    return ns
+
+
+def oracle_namespace(argv) -> dict:
+    ns = vars(ORACLE.parse_args(argv))
+    del ns["command"]
+    return ns
+
+
+def rejection(parse, argv) -> str:
+    """The UsageError text, up to a list of choices (whose quoting varies
+    between Python versions)."""
+    with pytest.raises(UsageError) as info:
+        parse(argv)
+    return str(info.value).split(" (choose from ")[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(well_formed())
+def test_table_parses_like_argparse(case):
+    command, given = case
+    argv = [command, *tokens(given)]
+    assert table_namespace(argv) == oracle_namespace(argv)
+
+
+@pytest.mark.parametrize("command", list(OPTIONS))
+def test_every_option_and_choice_reads_like_argparse(command):
+    block = [f"--{name}=1" for name, _, required in OPTIONS[command] if required]
+    for name, kind, _ in OPTIONS[command]:
+        for value in CHOICE_TEXTS if isinstance(kind, tuple) else ["3", "-1", "x", ""]:
+            argv = [command, *block, f"--{name}", value]
+            try:
+                expected = oracle_namespace(argv)
+            except UsageError:
+                assert rejection(_parse, argv) == rejection(ORACLE.parse_args, argv)
+            else:
+                assert table_namespace(argv) == expected
+
+
+@st.composite
+def malformed(draw):
+    """A well-formed command line with one fault of the given kind."""
+    command, given = draw(well_formed())
+    opts = OPTIONS[command]
+    ints = [name for name, kind, _ in opts if kind == "int"]
+    required = [name for name, _, req in opts if req]
+    kinds = ["unknown option", "bad choice", "unknown command", "missing command"]
+    kinds += ["no value"] * bool(given) + ["non-int"] * bool(ints) + ["missing"] * bool(required)
+    kind = draw(st.sampled_from(kinds))
+    at = draw(st.integers(0, len(given)))
+    if kind == "unknown option":
+        return kind, [command, *tokens(given[:at]), *draw(UNKNOWN_OPTIONS), *tokens(given[at:])]
+    if kind == "missing":
+        names = {f"--{name}" for name in draw(st.sets(st.sampled_from(required), min_size=1))}
+        return kind, [command, *tokens(g for g in given if g[0] not in names)]
+    if kind == "no value":
+        at = min(at, len(given) - 1)
+        return kind, [command, *tokens(given[:at]), given[at][0], *tokens(given[at + 1:])]
+    if kind == "unknown command":
+        return kind, [draw(st.sampled_from(["nonsense", "Classify", "classify2", "help", ""]))]
+    if kind == "missing command":
+        return kind, []
+    if kind == "non-int":
+        fault = [f"--{draw(st.sampled_from(ints))}", draw(NOT_INTS), draw(st.booleans())]
+    else:
+        name, choices = draw(st.sampled_from([(n, k) for n, k, _ in opts if isinstance(k, tuple)]))
+        bad = draw(st.sampled_from([text for text in CHOICE_TEXTS if text not in choices]))
+        fault = [f"--{name}", bad, draw(st.booleans())]
+    return kind, [command, *tokens(given[:at] + [fault] + given[at:])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed())
+def test_table_rejects_like_argparse(case):
+    kind, argv = case
+    assert rejection(_parse, argv) == rejection(ORACLE.parse_args, argv), kind
+    code, out, err = capture(argv)
+    assert code == 2 and out == "", kind
+    assert err.startswith("usage error: ") and len(err.splitlines()) == 1 and err.endswith("\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=6) | st.sampled_from(["-1", "- 1", "-1 ", "-1\n", "-x", "-", ""]))
+def test_option_values_are_read_like_argparse(token):
+    """Whether a token is the value of the option before it, or an option."""
+    argv = ["maxweights", "--weight", "2,0", "--ell", token]
+    try:
+        expected = oracle_namespace(argv)
+    except UsageError:
+        expected = None
+    if expected is None:
+        message = rejection(_parse, argv)
+        # argparse also reads "-h…" and "-…=…" as options when they hold a
+        # space; the table takes them as a value, which --ell then refuses
+        if not (token.startswith("-") and " " in token):
+            assert message == rejection(ORACLE.parse_args, argv)
+    else:
+        assert table_namespace(argv) == expected
+
+
+def test_option_names_are_exact():
+    argv = ["classify", "--ell", "2", "--wei", "3,0,0", "--beta", "1,1,1"]
+    assert oracle_namespace(argv)["weight"] == "3,0,0"  # argparse took the prefix
+    message = "usage error: the following arguments are required: --weight\n"
+    assert capture(argv) == (2, "", message)
+    argv = ["classify", "--ell", "2", "--weight", "3,0,0", "--beta", "1,1,1", "--form", "json"]
+    assert capture(argv) == (2, "", "usage error: unrecognized arguments: --form json\n")
+
+
+def test_both_option_forms_and_the_last_repeat_wins():
+    block = ["classify", "--ell=2", "--weight", "3,0,0"]
+    assert capture([*block, "--beta", "0,1,0", "--beta=1,1,1"]) == (0, "Tame\n", "")
+    assert capture([*block, "--beta=1,1,1", "--beta", "0,1,0"]) == (0, "Zero\n", "")
+    assert capture([*block, "--beta=1,1,1", "--format", "json", "--format=text"]) == (
+        0, "Tame\n", ""
+    )
+    assert capture([*block, "--beta", "1,1,1", "--mdelta", "-1"]) == (0, "Finite\n", "")
+
+
+def test_top_level_help_lists_every_subcommand():
+    for flag in ("--help", "-h"):
+        code, out, err = capture([flag])
+        assert (code, err) == (0, "") and out.startswith("usage: klrblocks")
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+        assert listed == list(OPTIONS) == list(COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_subcommand_help_names_every_option(command):
+    code, out, err = capture([command, "--help"])
+    assert (code, err) == (0, "") and out.startswith(f"usage: klrblocks {command}")
+    assert capture([command, "-h"]) == (code, out, err)
+    rows = {line.split()[0]: line for line in out.splitlines() if line.startswith("  --")}
+    _, _, opts = COMMANDS[command]
+    assert list(rows) == [f"--{name}" for name, *_ in opts]
+    for name, _, default, choices, text in opts:
+        row = rows[f"--{name}"]
+        assert text in row
+        assert "{" + ",".join(choices) + "}" in row if choices else name.upper() in row
+        assert ("(required)" if default is _REQUIRED else f"(default: {default})") in row
+
+
+def test_help_stops_the_parse_where_argparse_did():
+    # a fault before --help is reported, one after it is not
+    code, out, err = capture(["classify", "--help", "--ell", "x"])
+    assert (code, err) == (0, "") and out.startswith("usage: klrblocks classify")
+    message = "usage error: argument --ell: invalid int value: 'x'\n"
+    assert capture(["classify", "--ell", "x", "--help"]) == (2, "", message)
