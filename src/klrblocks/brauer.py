@@ -3,7 +3,7 @@
 A graph is stored as vertex multiplicities, an edge list, and one cyclic
 ordering of half-edges per vertex.  Faces are traced with the standard dart
 walk: cross to the other end of the edge, then step to the successor in that
-vertex's cyclic order.  Derived-equivalence comparison uses the counts of
+vertex's cyclic order.  The derived invariants are the counts of
 vertices/edges/faces, the multisets of multiplicities and face perimeters,
 and bipartiteness.
 """
@@ -20,10 +20,6 @@ class InvalidGraphError(ValueError):
 
 class UnsupportedGraphError(ValueError):
     """Cartan matrices for graphs with loops or multiple edges are out of scope."""
-
-
-class LocalAlgebraUnsupportedError(ValueError):
-    """Derived-equivalence comparison requires non-local inputs (>= 2 edges)."""
 
 
 class SearchSpaceExceededError(RuntimeError):
@@ -128,9 +124,6 @@ class BrauerGraph:
                     frontier.append(w)
         if len(seen) != nv:
             raise InvalidGraphError("graph is not connected")
-
-    def degree(self, v: int) -> int:
-        return len(self.rotations[v])
 
     def has_loop(self) -> bool:
         return any(a == b for a, b in self.edges)
@@ -334,15 +327,6 @@ def derived_invariants(g: BrauerGraph) -> DerivedInvariants:
     )
 
 
-def derived_equivalent(g1: BrauerGraph, g2: BrauerGraph) -> bool:
-    """Derived equivalence of the associated algebras, via the invariant list."""
-    if len(g1.edges) < 2 or len(g2.edges) < 2:
-        raise LocalAlgebraUnsupportedError(
-            "derived-equivalence test requires non-local algebras (>= 2 edges)"
-        )
-    return derived_invariants(g1) == derived_invariants(g2)
-
-
 def gamma_family(s: int, a: int, m: int) -> BrauerGraph:
     """The straight line with s+2 vertices, all multiplicity m except the a-th
     (1-based), which has multiplicity 1."""
@@ -351,13 +335,6 @@ def gamma_family(s: int, a: int, m: int) -> BrauerGraph:
     mult = [m] * (s + 2)
     mult[a - 1] = 1
     edges = [(i, i + 1) for i in range(s + 1)]
-    return BrauerGraph.build(mult, edges)
-
-
-def line_graph(multiplicities) -> BrauerGraph:
-    """A straight-line Brauer graph with the given vertex multiplicities."""
-    mult = list(multiplicities)
-    edges = [(i, i + 1) for i in range(len(mult) - 1)]
     return BrauerGraph.build(mult, edges)
 
 
@@ -383,8 +360,10 @@ def decomp_search(c: list[list[int]]) -> DecompResult:
         raise ValueError("Cartan matrix must be square")
     if any(c[i][j] != c[j][i] for i in range(n) for j in range(n)):
         raise ValueError("Cartan matrix must be symmetric")
-    if any(c[i][i] < 0 for i in range(n)):
-        raise ValueError("Cartan matrix must have a nonnegative diagonal")
+    # D^t D >= 0 for D >= 0; and with C >= 0 a zero entry always extends a
+    # candidate prefix, so MAX_CANDIDATE_ROWS bounds the row walk.
+    if any(v < 0 for row in c for v in row):
+        raise ValueError("Cartan matrix entries must be nonnegative")
 
     bound = isqrt(min(c[i][i] for i in range(n))) if n else 0
     candidates = _candidate_rows(c, n, bound)

@@ -1,11 +1,11 @@
-"""Affine type A Cartan datum: matrix, closed-form solve, root/weight conversions.
+"""Affine type A Cartan datum: closed-form solve, root/weight conversions.
 
 All index arithmetic is cyclic modulo the quantum characteristic e = ell + 1,
 and e is the length of every coefficient tuple: a function that gets a weight,
 a root or a solution vector reads e off it.  Only the functions that get no
-vector (`cartan_matrix`, `cyclic_interval`, `interval_delta`, `alpha_sum`)
-take e as a plain integer.  Every coefficient is an exact integer; there is
-no floating point anywhere in this package.
+vector (`cyclic_interval`, `interval_delta`, `alpha_sum`) take e as a plain
+integer.  Every coefficient is an exact integer; there is no floating point
+anywhere in this package.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ class WeightCoeffs:
     """A weight written on the Lambda_0..Lambda_ell basis plus a delta part.
 
     Coefficients may be negative (reflections of non-dominant weights need
-    that); dominance is the predicate `is_dominant`, not an invariant.
+    that), so dominance is not an invariant.
     """
 
     lam: tuple[int, ...]
@@ -27,9 +27,6 @@ class WeightCoeffs:
     @property
     def level(self) -> int:
         return sum(self.lam)
-
-    def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.lam)
 
     def __add__(self, other: "WeightCoeffs") -> "WeightCoeffs":
         return WeightCoeffs(
@@ -60,17 +57,6 @@ class RootVector:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-
-def cartan_matrix(e: int) -> list[list[int]]:
-    """The e x e affine Cartan matrix: 2 on the diagonal, -1 for each
-    neighbour at distance 1 mod e (so -2 off the diagonal at e = 2)."""
-    a = [[0] * e for _ in range(e)]
-    for i in range(e):
-        a[i][i] = 2
-        a[i][(i + 1) % e] -= 1
-        a[i][(i - 1) % e] -= 1
-    return a
 
 
 def apply_cartan(x: tuple[int, ...]) -> tuple[int, ...]:
@@ -124,25 +110,6 @@ def delta_decompose(beta: RootVector) -> tuple[RootVector, int]:
     """Split beta = beta0 + m * delta with min(beta0) = 0 and m = min(beta)."""
     m = min(beta.coeffs)
     return RootVector(tuple(c - m for c in beta.coeffs)), m
-
-
-def rotate_tuple(x: tuple[int, ...], shift: int) -> tuple[int, ...]:
-    """Send the coefficient at index i to index i + shift mod e."""
-    e = len(x)
-    s = shift % e
-    out = [0] * e
-    for i, c in enumerate(x):
-        out[(i + s) % e] = c
-    return tuple(out)
-
-
-def sigma_rotate(x, shift: int):
-    """The rotation automorphism i -> i + shift on weights or root vectors."""
-    if isinstance(x, WeightCoeffs):
-        return WeightCoeffs(rotate_tuple(x.lam, shift), x.delta)
-    if isinstance(x, RootVector):
-        return RootVector(rotate_tuple(x.coeffs, shift))
-    raise TypeError(f"cannot rotate object of type {type(x).__name__}")
 
 
 def cyclic_interval(i: int, j: int, e: int) -> list[int]:

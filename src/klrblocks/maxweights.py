@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
-from .cartan import (
-    NoSolutionError,
-    RootVector,
-    WeightCoeffs,
-    rotate_tuple,
-    solve_pinned,
-)
+from .cartan import NoSolutionError, RootVector, WeightCoeffs, solve_pinned
 
 
 # e one weight may have.  The class walk's label table holds e^2 labels of e
@@ -56,9 +50,6 @@ class LevelKDominant:
     def level(self) -> int:
         return sum(self.coeffs)
 
-    def sigma(self, shift: int) -> "LevelKDominant":
-        return LevelKDominant(rotate_tuple(self.coeffs, shift))
-
     def to_weight(self) -> WeightCoeffs:
         return WeightCoeffs(self.coeffs, 0)
 
@@ -79,12 +70,6 @@ class MaxWeightEntry:
     x: tuple[int, ...]
     beta: RootVector
     max_weight: WeightCoeffs
-
-
-def ev(w: LevelKDominant) -> int:
-    """The sieving statistic: sum over i >= 1 of coeffs[i] * i, mod e."""
-    e = len(w.coeffs)
-    return sum(i * c for i, c in enumerate(w.coeffs)) % e
 
 
 LABEL_TABLE_CACHE = 32  # label tables kept, one per e

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple
 
-from .cartan import RootVector, alpha_sum, interval_delta
 from .maxweights import (
     LevelKDominant,
     MaxWeightEntry,
@@ -34,10 +33,6 @@ class InsufficientMultiplicityError(ValueError):
     """Raised when a move needs a summand the weight does not have."""
 
 
-class VertexNotFoundError(KeyError):
-    """Raised when a vertex is not in the quiver."""
-
-
 class Arrow(NamedTuple):
     src: int
     dst: int
@@ -52,24 +47,12 @@ class WeightQuiver:
     vertices: tuple[MaxWeightEntry, ...]
     arrows: tuple[Arrow, ...]
 
-    def vertex_id(self, v) -> int:
-        coeffs = v.coeffs if isinstance(v, LevelKDominant) else tuple(v)
-        for i, entry in enumerate(self.vertices):
-            if entry.weight.coeffs == coeffs:
-                return i
-        raise VertexNotFoundError(f"vertex {coeffs} not in quiver")
-
 
 @dataclass(frozen=True)
 class TQuiver(WeightQuiver):
     """The depth at most 2 subquiver, with per-vertex tag sets in {0,...,5}."""
 
     tags: dict[int, frozenset[int]]
-
-    def tagged(self, s: int) -> set[tuple[int, ...]]:
-        return {
-            self.vertices[i].weight.coeffs for i, ts in self.tags.items() if s in ts
-        }
 
 
 def move(w: LevelKDominant, i: int, j: int) -> LevelKDominant:
@@ -127,12 +110,6 @@ def build_quiver(base: LevelKDominant) -> WeightQuiver:
     xmap = class_walk(base.coeffs, raw_arrows)
     vertices, arrows = _canonical(xmap, raw_arrows)
     return WeightQuiver(base, vertices, arrows)
-
-
-def successors(q: WeightQuiver, v) -> set[LevelKDominant]:
-    """Targets of the arrows with source v."""
-    vid = q.vertex_id(v)
-    return {q.vertices[a.dst].weight for a in q.arrows if a.src == vid}
 
 
 def _supports(m: tuple[int, ...]) -> list[list[int]]:
@@ -198,23 +175,3 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
     ordering = {entry.weight.coeffs: vid for vid, entry in enumerate(vertices)}
     tagmap = {ordering[c]: frozenset(ts) for c, ts in tags.items()}
     return TQuiver(base, vertices, arrows, tagmap)
-
-
-def t_beta_sets(base: LevelKDominant) -> dict[int, set[RootVector]]:
-    """Closed forms for the beta sets of the six constructions."""
-    e = len(base.coeffs)
-    i0, i1, i2, i3 = _supports(base.coeffs)
-    sets: dict[int, set[RootVector]] = {s: set() for s in range(6)}
-    for i in i0:
-        for j in i0:
-            if i != j and (j - (i - 1)) % e != 0:
-                sets[0].add(RootVector(interval_delta(i, j, e)))
-    sets[1] = {alpha_sum(e, i) for i in i1}
-    if e >= 4:
-        sets[2] = {alpha_sum(e, i, i, i - 1, i + 1) for i in i1}
-    if e >= 3:
-        sets[3] = {alpha_sum(e, i, i, i + d) for i in i2 for d in (1, -1)}
-    sets[4] = {alpha_sum(e, i, i) for i in i3}
-    if e >= 3:
-        sets[5] = {alpha_sum(e, i, j) for i in i1 for j in i1 if i != j}
-    return sets

@@ -17,8 +17,7 @@ the recorded moves, so no standard tableau is ever listed.  The shapes of
 content beta alone come from a depth-first search along the same moves,
 stopped at the first shape when only existence is asked.
 
-Node coordinates in the public API are 1-based (component, row, column),
-with the residue of a node in row a, column b of the s-th component equal to
+The residue of the node in row a, column b of the s-th component is
 charge_s + b - a mod e.  Components with smaller index sit above components
 with larger index; "below" always refers to this stacked picture.
 """
@@ -59,60 +58,14 @@ class Multipartition:
             ):
                 raise ValueError(f"not a partition: {comp}")
 
-    @property
-    def n(self) -> int:
-        return sum(sum(comp) for comp in self.components)
-
-    @property
-    def k(self) -> int:
-        return len(self.components)
-
-
-@dataclass(frozen=True)
-class ChargedShape:
-    """A multipartition together with one charge per component and the modulus."""
-
-    mp: Multipartition
-    charges: tuple[int, ...]
-    e: int
-
-    def __post_init__(self) -> None:
-        if len(self.charges) != self.mp.k:
-            raise ValueError("need one charge per component")
-
-    def residue(self, s: int, a: int, b: int) -> int:
-        """Residue of the node in row a, column b (1-based) of component s (1-based)."""
-        return (self.charges[s - 1] + b - a) % self.e
-
 
 class LaurentPoly:
-    """Integer Laurent polynomial in q; exact arithmetic, zero terms dropped."""
+    """Integer Laurent polynomial in q: {exponent: coefficient}, zero terms dropped."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[int, int] | None = None) -> None:
         self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return LaurentPoly(out)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                out[k1 + k2] = out.get(k1 + k2, 0) + v1 * v2
-        return LaurentPoly(out)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
@@ -171,16 +124,6 @@ def _removable(comp: Partition) -> list[tuple[int, int]]:
 def _res(charges: tuple[int, ...], e: int, s: int, r: int, c: int) -> int:
     """Residue of 0-based node (component s, row r, column c)."""
     return (charges[s] + c - r) % e
-
-
-def content_counts(shape: ChargedShape) -> tuple[int, ...]:
-    """How many nodes of each residue the charged shape has."""
-    counts = [0] * shape.e
-    for s, comp in enumerate(shape.mp.components):
-        for r, width in enumerate(comp):
-            for c in range(width):
-                counts[_res(shape.charges, shape.e, s, r, c)] += 1
-    return tuple(counts)
 
 
 def _check_shapes(count: int, beta_coeffs: tuple[int, ...]) -> None:
@@ -249,12 +192,9 @@ def _shapes_of_content(
                     stack.append((grown, rem[:res] + (rem[res] - 1,) + rem[res + 1 :]))
 
 
-def enumerate_with_content(
-    k: int, charges: tuple[int, ...], beta: RootVector
-) -> list[Multipartition]:
-    """All k-multipartitions whose residue multiset equals beta, largest first."""
-    if k != len(charges):
-        raise ValueError(f"need one charge per component: k = {k}, {len(charges)} charges")
+def enumerate_with_content(charges: tuple[int, ...], beta: RootVector) -> list[Multipartition]:
+    """All multipartitions with one component per charge whose residue
+    multiset equals beta, largest first."""
     shapes = sorted(
         _shapes_of_content(charges, beta.coeffs),
         key=lambda comps: [(sum(p), p) for p in comps],

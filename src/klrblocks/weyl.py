@@ -45,22 +45,6 @@ class OrbitResult:
     reflection_count: int
 
 
-def simple_reflect(mu: WeightCoeffs, i: int) -> WeightCoeffs:
-    """r_i(mu) = mu - c alpha_i with c = <h_i, mu>.
-
-    alpha_i = 2 Lambda_i - Lambda_{i-1} - Lambda_{i+1} (+ delta if i = 0); at
-    e = 2 both neighbours are the other index.
-    """
-    e = len(mu.lam)
-    i %= e
-    lam = list(mu.lam)
-    c = lam[i]
-    lam[i] = -c
-    lam[i - 1] += c
-    lam[(i + 1) % e] += c
-    return WeightCoeffs(tuple(lam), mu.delta - c if i == 0 else mu.delta)
-
-
 def dominate(mu: WeightCoeffs) -> tuple[WeightCoeffs, int]:
     """The dominant weight in the orbit of mu and the length of the shortest
     w with w(mu) dominant, which is the count of any loop that reflects at a

@@ -8,6 +8,11 @@ vertex on the cyclic interval.  They share no code with `class_walk`.  The
 shapes of a given residue content come from every k-multipartition of |beta|
 filtered by content, not from the shape search of `tableaux`.  The command
 line is read by the argparse parser that the option table of `cli` replaced.
+
+The rest are references the package no longer needs: the materialized Cartan
+matrix, the rotation of a coefficient tuple, one simple reflection, the ev
+statistic, the closed-form beta sets of the tagged subquiver and the straight
+line Brauer graph.
 """
 
 from __future__ import annotations
@@ -15,17 +20,19 @@ from __future__ import annotations
 import argparse
 from functools import lru_cache
 
+from klrblocks.brauer import BrauerGraph
 from klrblocks.cartan import (
     RootVector,
     WeightCoeffs,
+    alpha_sum,
     cyclic_interval,
     interval_delta,
     root_to_weight,
 )
 from klrblocks.cli import UsageError
-from klrblocks.maxweights import LevelKDominant, MaxWeightEntry, ev, solve_x
+from klrblocks.maxweights import LevelKDominant, MaxWeightEntry, solve_x
 from klrblocks.quiver import Arrow, LevelTooSmallError, TQuiver, WeightQuiver, move
-from klrblocks.tableaux import ChargedShape, Multipartition, Partition, charges_of, content_counts
+from klrblocks.tableaux import Multipartition, Partition, charges_of
 
 
 # --- weight arithmetic ---
@@ -50,7 +57,37 @@ def scale(mu: WeightCoeffs, c: int) -> WeightCoeffs:
     return WeightCoeffs(tuple(c * a for a in mu.lam), c * mu.delta)
 
 
+def simple_reflect(mu: WeightCoeffs, i: int) -> WeightCoeffs:
+    """r_i(mu) = mu - <h_i, mu> alpha_i."""
+    return mu - scale(alpha_to_weight(i, len(mu.lam)), pairing(i, mu))
+
+
+def cartan_matrix(e: int) -> list[list[int]]:
+    """The e x e affine Cartan matrix: 2 on the diagonal, -1 for each
+    neighbour at distance 1 mod e (so -2 off the diagonal at e = 2)."""
+    a = [[0] * e for _ in range(e)]
+    for i in range(e):
+        a[i][i] = 2
+        a[i][(i + 1) % e] -= 1
+        a[i][(i - 1) % e] -= 1
+    return a
+
+
+def rotate_tuple(x: tuple[int, ...], shift: int) -> tuple[int, ...]:
+    """The rotation sigma^shift: the coefficient at index i goes to i + shift mod e."""
+    e = len(x)
+    out = [0] * e
+    for i, c in enumerate(x):
+        out[(i + shift) % e] = c
+    return tuple(out)
+
+
 # --- the sieving class and its dominant maximal weights ---
+
+
+def ev(w: LevelKDominant) -> int:
+    """The sieving statistic: sum over i >= 1 of coeffs[i] * i, mod e."""
+    return sum(i * c for i, c in enumerate(w.coeffs)) % len(w.coeffs)
 
 
 def composition_equiv_class(w: LevelKDominant) -> list[LevelKDominant]:
@@ -193,6 +230,26 @@ def label_t_subquiver(base: LevelKDominant) -> TQuiver:
     return TQuiver(base, vertices, arrows, tagmap)
 
 
+def t_beta_sets(base: LevelKDominant) -> dict[int, set[RootVector]]:
+    """Closed forms for the beta sets of the six constructions."""
+    e = len(base.coeffs)
+    i0, i1, i2, i3 = ([i for i, c in enumerate(base.coeffs) if c >= k] for k in (1, 2, 3, 4))
+    sets: dict[int, set[RootVector]] = {s: set() for s in range(6)}
+    for i in i0:
+        for j in i0:
+            if i != j and (j - (i - 1)) % e != 0:
+                sets[0].add(RootVector(interval_delta(i, j, e)))
+    sets[1] = {alpha_sum(e, i) for i in i1}
+    if e >= 4:
+        sets[2] = {alpha_sum(e, i, i, i - 1, i + 1) for i in i1}
+    if e >= 3:
+        sets[3] = {alpha_sum(e, i, i, i + d) for i in i2 for d in (1, -1)}
+    sets[4] = {alpha_sum(e, i, i) for i in i3}
+    if e >= 3:
+        sets[5] = {alpha_sum(e, i, j) for i in i1 for j in i1 if i != j}
+    return sets
+
+
 # --- charged multipartitions of a given content ---
 
 
@@ -231,6 +288,19 @@ def multipartitions(k: int, n: int) -> list[Multipartition]:
     return out
 
 
+def residue_counts(
+    components: tuple[Partition, ...], charges: tuple[int, ...], e: int
+) -> tuple[int, ...]:
+    """How many nodes of each residue the charged shape has: the node in row
+    r, column c (0-based) of component s has residue charges[s] + c - r."""
+    counts = [0] * e
+    for charge, comp in zip(charges, components):
+        for r, width in enumerate(comp):
+            for c in range(width):
+                counts[(charge + c - r) % e] += 1
+    return tuple(counts)
+
+
 def filtered_with_content(
     charges: tuple[int, ...], beta_coeffs: tuple[int, ...]
 ) -> list[Multipartition]:
@@ -239,12 +309,21 @@ def filtered_with_content(
     return [
         mp
         for mp in multipartitions(len(charges), sum(beta_coeffs))
-        if content_counts(ChargedShape(mp, charges, len(beta_coeffs))) == beta_coeffs
+        if residue_counts(mp.components, charges, len(beta_coeffs)) == beta_coeffs
     ]
 
 
 def filtered_is_nonzero(base_coeffs: tuple[int, ...], beta_coeffs: tuple[int, ...]) -> bool:
     return bool(filtered_with_content(charges_of(base_coeffs), beta_coeffs))
+
+
+# --- Brauer graphs ---
+
+
+def line_graph(multiplicities) -> BrauerGraph:
+    """A straight-line Brauer graph with the given vertex multiplicities."""
+    mult = list(multiplicities)
+    return BrauerGraph.build(mult, [(i, i + 1) for i in range(len(mult) - 1)])
 
 
 # --- the command line, read by argparse ---

@@ -1,0 +1,85 @@
+"""The public API is what the CLI, the benchmark harness and the README use."""
+
+from __future__ import annotations
+
+import ast
+import glob
+import os
+import re
+
+from klrblocks import FieldParams, RepType, TClass, classify
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
+
+
+def read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def units(module: str, tree: ast.Module):
+    """(owner, node) pairs covering the module: each top-level function, each
+    method, the rest of each class, and the module-level statements."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            owner = f"{module}.{stmt.name}"
+            for sub in stmt.body:
+                yield (f"{owner}.{sub.name}" if isinstance(sub, ast.FunctionDef) else owner), sub
+            for sub in stmt.bases + stmt.decorator_list:
+                yield owner, sub
+        elif isinstance(stmt, ast.FunctionDef):
+            yield f"{module}.{stmt.name}", stmt
+        else:
+            yield f"{module}.<module>", stmt
+
+
+def test_every_public_name_has_a_caller():
+    """Each public top-level function and class of the package, and each
+    public method of those classes, is read somewhere in the package other
+    than its own definition and __init__.py (its own module counts), or is
+    named by the benchmark harness or the README."""
+    defined: dict[str, tuple[str, bool]] = {}  # qualified name -> (name, is a method)
+    readers: dict[str, set[str]] = {}  # name -> owners reading it as a name or attribute
+    attr_readers: dict[str, set[str]] = {}  # name -> owners reading it as an attribute
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "klrblocks", "*.py"))):
+        module = os.path.basename(path)[:-3]
+        if module == "__init__":
+            continue
+        tree = ast.parse(read(path))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                defined[f"{module}.{stmt.name}"] = (stmt.name, False)
+                for sub in stmt.body if isinstance(stmt, ast.ClassDef) else ():
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        defined[f"{module}.{stmt.name}.{sub.name}"] = (sub.name, True)
+        for owner, node in units(module, tree):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    readers.setdefault(sub.id, set()).add(owner)
+                elif isinstance(sub, ast.Attribute):
+                    readers.setdefault(sub.attr, set()).add(owner)
+                    attr_readers.setdefault(sub.attr, set()).add(owner)
+    assert {"tableaux.graded_dim", "brauer.BrauerGraph.build", "cartan.RootVector.height"} <= set(defined)
+    outside = "\n".join(
+        read(path) for path in [*sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py"))), README]
+    )
+    dead = []
+    for qualified, (name, is_method) in defined.items():
+        users = (attr_readers if is_method else readers).get(name, set())
+        users = {u for u in users if u != qualified and not u.startswith(qualified + ".")}
+        pattern = rf"\.{name}\b" if is_method else rf"\b{name}\b"
+        if not users and not re.search(pattern, outside):
+            dead.append(qualified)
+    assert dead == []
+
+
+def test_readme_library_block_runs():
+    text = read(README)
+    section = text[text.index("## Library use"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace: dict = {}
+    exec(compile(block, README, "exec"), namespace)
+    # the answer the block's comment gives for its classify line
+    params = FieldParams(char_p=0, t_class=TClass.OTHER)
+    assert classify(namespace["base"], namespace["delta"], params) is RepType.TAME

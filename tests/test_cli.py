@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -395,6 +396,28 @@ def test_candidate_rows_are_bounded():
     code, out, err = capture(["decomp", "--cartan", cartan])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "candidate rows" in err and err.count("\n") == 1
+
+
+
+def test_negative_cartan_entries_are_refused():
+    # A negative entry in the last column once let no candidate prefix grow
+    # to a full row, so the row walk visited all 2^(n-1) prefixes before it
+    # answered "unique: no" (2 s at n = 18).  In a child process, so that
+    # such a walk fails on the timeout instead of hanging the suite.
+    n = 30
+    rows = [["1"] * n for _ in range(n)]
+    rows[n - 2][n - 1] = rows[n - 1][n - 2] = "-1"
+    argv = ["decomp", "--cartan", ";".join(",".join(row) for row in rows)]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(klrblocks.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "klrblocks.cli", *argv],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    expected = (1, "", "error: Cartan matrix entries must be nonnegative\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    started = time.perf_counter()
+    assert capture(argv) == expected
+    assert time.perf_counter() - started < 0.5
 
 
 # --- fuzz: every argv ends in exit 0, 1 or 2 with at most one stderr line ---
