@@ -13,7 +13,7 @@ from .maxweights import (
     max_plus,
     solve_x,
 )
-from .quiver import TQuiver, WeightQuiver, build_quiver, has_arrow, move, t_subquiver
+from .quiver import TQuiver, WeightQuiver, build_quiver, t_subquiver
 from .tableaux import (
     LaurentPoly,
     Multipartition,

@@ -137,7 +137,6 @@ class BrauerGraph:
 class PresArrow:
     name: str
     vertex: int
-    pos: int  # position in the vertex's cyclic order, 0-based
     src_edge: int
     dst_edge: int
 
@@ -177,7 +176,7 @@ def _vertex_cycles(g: BrauerGraph) -> list[list[PresArrow]]:
         for i in range(c):
             src = rot[i][0]
             dst = rot[(i + 1) % c][0]
-            arrows.append(PresArrow(f"a[{v},{i + 1}]", v, i, src, dst))
+            arrows.append(PresArrow(f"a[{v},{i + 1}]", v, src, dst))
         cycles.append(arrows)
     return cycles
 
@@ -430,11 +429,9 @@ def _candidate_rows(c, n, bound) -> list[tuple[int, ...]]:
                 rows.append(prefix)
             return
         j = len(prefix)
-        for v in range(bound, -1, -1):
-            if v * v > c[j][j]:
-                continue
-            if any(prefix[i] * v > c[i][j] for i in range(j)):
-                continue
+        # v <= bound <= isqrt(c[j][j]), and prefix[i] * v <= c[i][j]
+        top = min([bound] + [c[i][j] // p for i, p in enumerate(prefix) if p])
+        for v in range(top, -1, -1):
             extend(prefix + (v,))
 
     extend(())

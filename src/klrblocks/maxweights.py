@@ -12,7 +12,9 @@ exactly when X vanishes somewhere on the cyclic interval [j+1, i-1]; it adds
 the indicator of [i, j] to X.  Every arrow keeps a zero of X in its gap, so
 min X = 0 all along, and A X = Lambda - Lambda' holds arrow by arrow.  With
 bitmasks of the intervals (one table per e), an arrow test is one AND on the
-bitmask of X's zeros.  Everything is integer arithmetic.
+bitmask of X's zeros.  `follow` takes one checked step along a chosen label,
+for the walks that pick their arrows (the tagged subquiver).  Everything is
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -156,6 +158,34 @@ def class_walk(
     return xs
 
 
+def follow(
+    src: tuple[int, ...], x: tuple[int, ...], i: int, j: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The arrow (i, j) out of the member `src` with solution vector `x`:
+    its target and the target's X.  Indices are read mod e.
+
+    Raises ValueError when no such arrow leaves `src`: (i, j) is a loop label
+    (j = i - 1 mod e), `x` has no zero on [j+1, i-1], or `src` lacks the
+    summands Lambda_i + Lambda_j.
+    """
+    e = len(src)
+    i, j = i % e, j % e
+    label = _label_table(e)[i][j]
+    if label is None:
+        raise ValueError(f"({i},{j}) is a loop label (j = i - 1 mod e)")
+    gap, window, start = label
+    if not any(v == 0 and gap >> h & 1 for h, v in enumerate(x)):
+        raise ValueError(f"X = {x} has no zero on [{(j + 1) % e},{(i - 1) % e}]")
+    if src[i] < 1 + (i == j) or src[j] < 1:
+        raise ValueError(f"weight {src} has no move ({i},{j})")
+    dst = list(src)
+    dst[i] -= 1
+    dst[j] -= 1
+    dst[i - 1] += 1
+    dst[(j + 1) % e] += 1
+    return tuple(dst), tuple(map(add, x, window[start : start + e]))
+
+
 def equiv_class(w: LevelKDominant) -> list[LevelKDominant]:
     """All level-k dominant weights equivalent to w, sorted lexicographically."""
     return [LevelKDominant(c) for c in sorted(class_walk(w.coeffs))]
@@ -197,4 +227,4 @@ P_LAMBDA_CACHE = 256  # X-vector sets kept, one per base weight
 @lru_cache(maxsize=P_LAMBDA_CACHE)
 def p_lambda_set(base: LevelKDominant) -> frozenset[tuple[int, ...]]:
     """The set of X-vectors of the class of `base` (membership test for beta)."""
-    return frozenset(entry.x for entry in max_plus(base))
+    return frozenset(class_walk(base.coeffs).values())

@@ -6,31 +6,20 @@ exists out of a vertex with solution vector X exactly when some position in
 the cyclic interval [j+1, i-1] of X is zero, and then the target's solution
 vector is X plus the indicator of [i, j].  The full quiver is the walk that
 also yields the class and its solution vectors (`maxweights.class_walk`); the
-tagged subquiver reads its intervals from the same label table, one per e.
+tagged subquiver follows its label paths one checked arrow at a time
+(`maxweights.follow`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import add
 from typing import NamedTuple
 
-from .maxweights import (
-    LevelKDominant,
-    MaxWeightEntry,
-    _label_table,
-    class_walk,
-    max_weight_entry,
-)
+from .maxweights import LevelKDominant, MaxWeightEntry, class_walk, follow, max_weight_entry
 
 
 class LevelTooSmallError(ValueError):
     """Raised for operations that need level at least 2 (or 3)."""
-
-
-class InsufficientMultiplicityError(ValueError):
-    """Raised when a move needs a summand the weight does not have."""
 
 
 class Arrow(NamedTuple):
@@ -53,39 +42,6 @@ class TQuiver(WeightQuiver):
     """The depth at most 2 subquiver, with per-vertex tag sets in {0,...,5}."""
 
     tags: dict[int, frozenset[int]]
-
-
-def move(w: LevelKDominant, i: int, j: int) -> LevelKDominant:
-    """Replace Lambda_i + Lambda_j by Lambda_{i-1} + Lambda_{j+1} inside w.
-
-    Fixes w exactly when j = i - 1 mod e.
-    """
-    e = len(w.coeffs)
-    i, j = i % e, j % e
-    need = 2 if i == j else 1
-    if w.coeffs[i] < need or w.coeffs[j] < need:
-        raise InsufficientMultiplicityError(
-            f"weight {w.coeffs} has no move ({i},{j})"
-        )
-    c = list(w.coeffs)
-    c[i] -= 1
-    c[j] -= 1
-    c[(i - 1) % e] += 1
-    c[(j + 1) % e] += 1
-    return LevelKDominant(tuple(c))
-
-
-def has_arrow(x: Sequence[int], i: int, j: int) -> bool:
-    """Whether the arrow (i, j) leaves a vertex with solution vector x.
-
-    Requires j != i - 1 mod e; true iff x vanishes somewhere on [j+1, i-1],
-    equivalently min(x + interval indicator of [i, j]) = 0.
-    """
-    e = len(x)
-    label = _label_table(e)[i % e][j % e]
-    if label is None:
-        raise ValueError(f"({i},{j}) is a loop label (j = i - 1 mod e)")
-    return any(v == 0 and label[0] >> h & 1 for h, v in enumerate(x))
 
 
 def _canonical(xmap, raw_arrows) -> tuple[tuple, tuple]:
@@ -112,64 +68,44 @@ def build_quiver(base: LevelKDominant) -> WeightQuiver:
     return WeightQuiver(base, vertices, arrows)
 
 
-def _supports(m: tuple[int, ...]) -> list[list[int]]:
-    """The indices i0, i1, i2, i3 with multiplicity at least 1, 2, 3, 4."""
-    return [[i for i, c in enumerate(m) if c >= k] for k in (1, 2, 3, 4)]
-
-
 def t_subquiver(base: LevelKDominant) -> TQuiver:
     """The tagged subquiver reached by the six depth <= 2 constructions.
 
-    Tag s marks the vertices of the s-th construction; a vertex can carry
-    several tags.  Arrows are exactly those the constructions traverse.
+    Each construction is a set of label paths from the base; tag s marks the
+    last vertex of each path of the s-th construction, and a vertex can carry
+    several tags.  Arrows are exactly those the paths traverse.
     """
     if base.level < 2:
         raise LevelTooSmallError(f"need level >= 2, got {base.level}")
     e = len(base.coeffs)
-    table = _label_table(e)
-    i0, i1, i2, i3 = _supports(base.coeffs)
+    # the indices with multiplicity at least 1, 2, 3, 4
+    i0, i1, i2, i3 = ([i for i, c in enumerate(base.coeffs) if c >= k] for k in (1, 2, 3, 4))
+    paths = [
+        # (1) pairs of distinct summands, skipping the wrap-around interval
+        *((0, [(i, j)]) for i in i0 for j in i0 if i != j and (j - (i - 1)) % e != 0),
+        # (2) doubled summands, one step
+        *((1, [(i, i)]) for i in i1),
+        # (2-1) then spread to both neighbours
+        *((2, [(i, i), (i - 1, i + 1)]) for i in i1 if e >= 4),
+        # (2-2) tripled summands, one-sided spreads
+        *((3, [(i, i), step]) for i in i2 if e >= 3 for step in ((i, i + 1), (i - 1, i))),
+        # (2-3) quadrupled summands, the same move twice
+        *((4, [(i, i), (i, i)]) for i in i3),
+        # (2-4) two distinct doubled summands
+        *((5, [(i, i), (j, j)]) for i in i1 for j in i1 if i != j and e >= 3),
+    ]
     xmap: dict[tuple[int, ...], tuple[int, ...]] = {base.coeffs: (0,) * e}
     tags: dict[tuple[int, ...], set[int]] = {}
     raw_arrows = set()
-
-    def record(src: LevelKDominant, i: int, j: int, tag: int) -> LevelKDominant:
-        i, j = i % e, j % e
-        x = xmap[src.coeffs]
-        assert has_arrow(x, i, j)
-        dst = move(src, i, j)
-        _, window, start = table[i][j]
-        x_dst = tuple(map(add, x, window[start : start + e]))
-        prev = xmap.setdefault(dst.coeffs, x_dst)
-        assert prev == x_dst
-        tags.setdefault(dst.coeffs, set()).add(tag)
-        raw_arrows.add((src.coeffs, dst.coeffs, (i, j)))
-        return dst
-
-    # (1) pairs of distinct summands, skipping the wrap-around interval
-    for i in i0:
-        for j in i0:
-            if i != j and (j - (i - 1)) % e != 0:
-                record(base, i, j, 0)
-    # (2) doubled summands, one step
-    first = {i: record(base, i, i, 1) for i in i1}
-    # (2-1) then spread to both neighbours
-    if e >= 4:
-        for i in i1:
-            record(first[i], i - 1, i + 1, 2)
-    # (2-2) tripled summands, one-sided spreads
-    if e >= 3:
-        for i in i2:
-            record(first[i], i, i + 1, 3)
-            record(first[i], i - 1, i, 3)
-    # (2-3) quadrupled summands, the same move twice
-    for i in i3:
-        record(first[i], i, i, 4)
-    # (2-4) two distinct doubled summands
-    if e >= 3:
-        for i in i1:
-            for j in i1:
-                if i != j:
-                    record(first[i], j, j, 5)
+    for tag, path in paths:
+        src = base.coeffs
+        for i, j in path:
+            dst, x_dst = follow(src, xmap[src], i, j)
+            if xmap.setdefault(dst, x_dst) != x_dst:
+                raise RuntimeError(f"vertex {dst} reached with two solution vectors")
+            raw_arrows.add((src, dst, (i % e, j % e)))
+            src = dst
+        tags.setdefault(src, set()).add(tag)
 
     vertices, arrows = _canonical(xmap, raw_arrows)
     ordering = {entry.weight.coeffs: vid for vid, entry in enumerate(vertices)}

@@ -4,10 +4,13 @@ Each one is the slower construction the package used before its integer
 replacement: weight arithmetic on `WeightCoeffs` (pairing, simple roots,
 scaling), the sieving class by composition recursion with X from the
 closed-form solve, and the weight quiver by testing every label at every
-vertex on the cyclic interval.  They share no code with `class_walk`.  The
+vertex on the cyclic interval and moving the summands by hand (`move`).  They
+share no code with `class_walk` or `follow`.  The
 shapes of a given residue content come from every k-multipartition of |beta|
-filtered by content, not from the shape search of `tableaux`.  The command
-line is read by the argparse parser that the option table of `cli` replaced.
+filtered by content, not from the shape search of `tableaux`.  The candidate
+rows of the decomposition search come from a scan of every value at every
+prefix, not from the bound the entries of C set.  The command line is read by
+the argparse parser that the option table of `cli` replaced.
 
 The rest are references the package no longer needs: the materialized Cartan
 matrix, the rotation of a coefficient tuple, one simple reflection, the ev
@@ -20,7 +23,8 @@ from __future__ import annotations
 import argparse
 from functools import lru_cache
 
-from klrblocks.brauer import BrauerGraph
+from klrblocks import brauer
+from klrblocks.brauer import BrauerGraph, SearchSpaceExceededError
 from klrblocks.cartan import (
     RootVector,
     WeightCoeffs,
@@ -31,7 +35,7 @@ from klrblocks.cartan import (
 )
 from klrblocks.cli import UsageError
 from klrblocks.maxweights import LevelKDominant, MaxWeightEntry, solve_x
-from klrblocks.quiver import Arrow, LevelTooSmallError, TQuiver, WeightQuiver, move
+from klrblocks.quiver import Arrow, LevelTooSmallError, TQuiver, WeightQuiver
 from klrblocks.tableaux import Multipartition, Partition, charges_of
 
 
@@ -123,6 +127,24 @@ def solver_max_plus(base: LevelKDominant) -> list[MaxWeightEntry]:
 
 
 # --- the weight quiver and its tagged subquiver ---
+
+
+def move(w: LevelKDominant, i: int, j: int) -> LevelKDominant:
+    """Replace Lambda_i + Lambda_j by Lambda_{i-1} + Lambda_{j+1} inside w.
+
+    Fixes w exactly when j = i - 1 mod e.
+    """
+    e = len(w.coeffs)
+    i, j = i % e, j % e
+    need = 2 if i == j else 1
+    if w.coeffs[i] < need or w.coeffs[j] < need:
+        raise ValueError(f"weight {w.coeffs} has no move ({i},{j})")
+    c = list(w.coeffs)
+    c[i] -= 1
+    c[j] -= 1
+    c[(i - 1) % e] += 1
+    c[(j + 1) % e] += 1
+    return LevelKDominant(tuple(c))
 
 
 def interval_has_arrow(x, i: int, j: int) -> bool:
@@ -324,6 +346,34 @@ def line_graph(multiplicities) -> BrauerGraph:
     """A straight-line Brauer graph with the given vertex multiplicities."""
     mult = list(multiplicities)
     return BrauerGraph.build(mult, [(i, i + 1) for i in range(len(mult) - 1)])
+
+
+def scan_candidate_rows(c, n: int, bound: int) -> list[tuple[int, ...]]:
+    """The candidate rows of `decomp_search` by scanning every value from
+    `bound` down to 0 at every prefix and testing each against the diagonal
+    and the entries of C; raises as the package does past MAX_CANDIDATE_ROWS."""
+    rows: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple[int, ...]) -> None:
+        if len(prefix) == n:
+            if any(prefix):
+                if len(rows) == brauer.MAX_CANDIDATE_ROWS:
+                    raise SearchSpaceExceededError(
+                        f"decomposition search exceeded {brauer.MAX_CANDIDATE_ROWS} "
+                        "candidate rows"
+                    )
+                rows.append(prefix)
+            return
+        j = len(prefix)
+        for v in range(bound, -1, -1):
+            if v * v > c[j][j]:
+                continue
+            if any(prefix[i] * v > c[i][j] for i in range(j)):
+                continue
+            extend(prefix + (v,))
+
+    extend(())
+    return rows
 
 
 # --- the command line, read by argparse ---

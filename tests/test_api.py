@@ -18,6 +18,12 @@ def read(path: str) -> str:
         return fh.read()
 
 
+def package_trees():
+    """(module name, AST) for each module of the package."""
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "klrblocks", "*.py"))):
+        yield os.path.basename(path)[:-3], ast.parse(read(path))
+
+
 def units(module: str, tree: ast.Module):
     """(owner, node) pairs covering the module: each top-level function, each
     method, the rest of each class, and the module-level statements."""
@@ -42,11 +48,9 @@ def test_every_public_name_has_a_caller():
     defined: dict[str, tuple[str, bool]] = {}  # qualified name -> (name, is a method)
     readers: dict[str, set[str]] = {}  # name -> owners reading it as a name or attribute
     attr_readers: dict[str, set[str]] = {}  # name -> owners reading it as an attribute
-    for path in sorted(glob.glob(os.path.join(ROOT, "src", "klrblocks", "*.py"))):
-        module = os.path.basename(path)[:-3]
+    for module, tree in package_trees():
         if module == "__init__":
             continue
-        tree = ast.parse(read(path))
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
                 defined[f"{module}.{stmt.name}"] = (stmt.name, False)
@@ -72,6 +76,31 @@ def test_every_public_name_has_a_caller():
         if not users and not re.search(pattern, outside):
             dead.append(qualified)
     assert dead == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A name with a leading underscore stays inside its own module."""
+    leaks = [
+        f"{module} imports {alias.name} from {node.module}"
+        for module, tree in package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "klrblocks")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert leaks == []
+
+
+def test_no_assert_statements():
+    """`python -O` drops assert statements, so no check of the package is one."""
+    asserts = [
+        f"{module}:{node.lineno}"
+        for module, tree in package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
 
 
 def test_readme_library_block_runs():

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+from math import isqrt
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klrblocks import brauer
 from klrblocks.brauer import (
@@ -15,7 +20,7 @@ from klrblocks.brauer import (
     quiver_presentation,
 )
 
-from oracles import line_graph
+from oracles import line_graph, scan_candidate_rows
 
 
 def test_build_validation():
@@ -242,6 +247,34 @@ def test_decomp_search_row_cap(monkeypatch):
     monkeypatch.setattr(brauer, "MAX_CANDIDATE_ROWS", 3)
     with pytest.raises(SearchSpaceExceededError, match="3 candidate rows"):
         decomp_search(c)
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=4, max_entry=12):
+    """Symmetric nonnegative integer matrices, n from 1 to max_n."""
+    n = draw(st.integers(1, max_n))
+    c = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            c[i][j] = c[j][i] = draw(st.integers(0, max_entry))
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices(), st.integers(1, 400))
+def test_candidate_rows_match_value_scan(c, cap):
+    # same rows in the same order, or the same error at the same cap
+    n = len(c)
+    bound = isqrt(min(c[i][i] for i in range(n)))
+    with mock.patch.object(brauer, "MAX_CANDIDATE_ROWS", cap):
+        try:
+            expected = scan_candidate_rows(c, n, bound)
+        except SearchSpaceExceededError as exc:
+            with pytest.raises(SearchSpaceExceededError) as got:
+                brauer._candidate_rows(c, n, bound)
+            assert str(got.value) == str(exc)
+        else:
+            assert brauer._candidate_rows(c, n, bound) == expected
 
 
 def test_decomp_search_input_validation():

@@ -399,6 +399,21 @@ def test_candidate_rows_are_bounded():
 
 
 
+def test_large_diagonals_are_refused_at_once():
+    # Each column once scanned every value from isqrt(min diagonal) down to 0,
+    # so this matrix (bound 10,000) ran 111 s before its 10,001st row was
+    # refused.  In a child process, so that a slow scan fails on the timeout.
+    argv = ["decomp", "--cartan", "100000000,0;0,100000000"]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(klrblocks.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "klrblocks.cli", *argv],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "candidate rows" in proc.stderr
+
+
 def test_negative_cartan_entries_are_refused():
     # A negative entry in the last column once let no candidate prefix grow
     # to a full row, so the row walk visited all 2^(n-1) prefixes before it

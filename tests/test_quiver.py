@@ -7,21 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klrblocks.cartan import RootVector, interval_delta
-from klrblocks.maxweights import LevelKDominant, solve_x
-from klrblocks.quiver import (
-    InsufficientMultiplicityError,
-    LevelTooSmallError,
-    build_quiver,
-    has_arrow,
-    move,
-    t_subquiver,
-)
+from klrblocks.maxweights import LevelKDominant, follow, solve_x
+from klrblocks.quiver import LevelTooSmallError, build_quiver, t_subquiver
 
 from oracles import (
     composition_equiv_class,
     interval_has_arrow,
     label_bfs_quiver,
     label_t_subquiver,
+    move,
     rotate_tuple,
     t_beta_sets,
 )
@@ -76,24 +70,29 @@ def tagged(t, s: int) -> set[tuple[int, ...]]:
     return {t.vertices[vid].weight.coeffs for vid, tags in t.tags.items() if s in tags}
 
 
-def test_move_examples():
-    assert move(LevelKDominant((2, 0, 0)), 0, 0).coeffs == (0, 1, 1)
-    w = LevelKDominant((0, 1, 0, 1, 0, 1, 0))
-    assert move(w, 1, 3).coeffs == (1, 0, 0, 0, 1, 1, 0)
-    # (i, i-1) fixes the weight
-    w2 = LevelKDominant((1, 1, 0, 1))
-    assert move(w2, 1, 0) == w2
-    with pytest.raises(InsufficientMultiplicityError):
-        move(LevelKDominant((1, 0, 1)), 0, 0)
+def test_follow_examples():
+    assert follow((2, 0, 0), (0, 0, 0), 0, 0) == ((0, 1, 1), (1, 0, 0))
+    src = (0, 1, 0, 1, 0, 1, 0)
+    assert follow(src, (1, 0, 0, 0, 0, 0, 1), 1, 3) == (
+        (1, 0, 0, 0, 1, 1, 0),
+        (1, 1, 1, 1, 0, 0, 1),
+    )
+    # indices are read mod e
+    src = (0, 0, 1, 0, 0, 1, 0)
+    assert follow(src, (0,) * 7, 5, 2) == ((0, 0, 0, 1, 1, 0, 0), (1, 1, 1, 0, 0, 1, 1))
+    assert follow(src, (0,) * 7, -2, 9) == follow(src, (0,) * 7, 5, 2)
 
 
-def test_has_arrow_examples():
-    assert has_arrow((1, 0, 0, 0, 0, 0, 1), 1, 3)
-    assert has_arrow((0,) * 7, 5, 2)
+def test_follow_refuses_missing_arrows():
+    # a loop label: the oracle's move fixes the weight, follow refuses it
+    assert move(LevelKDominant((1, 1, 0, 1)), 1, 0).coeffs == (1, 1, 0, 1)
+    with pytest.raises(ValueError, match="loop label"):
+        follow((1, 1, 0, 1), (0,) * 4, 1, 0)
+    with pytest.raises(ValueError, match="no move"):
+        follow((1, 0, 1), (0,) * 3, 0, 0)
     # x for a doubled tail summand under a tripled base: no (2, ell) arrow
-    assert not has_arrow((2, 1, 0, 0), 2, 3)
-    with pytest.raises(ValueError):
-        has_arrow((0,) * 7, 1, 0)  # loop label
+    with pytest.raises(ValueError, match="no zero"):
+        follow((1, 0, 1, 1), (2, 1, 0, 0), 2, 3)
 
 
 def test_quiver_chain_for_doubled_base():
@@ -152,16 +151,24 @@ def test_quivers_match_label_by_label_oracles(base):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 2), min_size=2, max_size=13))
-def test_has_arrow_matches_interval_scan(x):
+@given(
+    st.integers(2, 13).flatmap(
+        lambda e: st.tuples(*(st.lists(st.integers(0, 2), min_size=e, max_size=e),) * 2)
+    )
+)
+def test_follow_matches_interval_scan(src_and_x):
+    src, x = map(tuple, src_and_x)
     e = len(x)
     for i in range(-1, e + 1):
         for j in range(-1, e + 1):
-            if (j - (i - 1)) % e == 0:
+            loop = (j - (i - 1)) % e == 0
+            summands = src[i % e] >= 1 + (i % e == j % e) and src[j % e] >= 1
+            if loop or not summands or not interval_has_arrow(x, i, j):
                 with pytest.raises(ValueError):
-                    has_arrow(x, i, j)
+                    follow(src, x, i, j)
             else:
-                assert has_arrow(x, i, j) == interval_has_arrow(x, i, j)
+                x_dst = tuple(a + b for a, b in zip(x, interval_delta(i, j, e)))
+                assert follow(src, x, i, j) == (move(LevelKDominant(src), i, j).coeffs, x_dst)
 
 
 def test_level_too_small():
@@ -212,8 +219,8 @@ def test_orientation_dichotomy():
             i, j = a.label
             x_src = q.vertices[a.src].x
             x_dst = q.vertices[a.dst].x
-            assert has_arrow(x_src, i, j)
-            assert not has_arrow(x_dst, j + 1, i - 1)
+            assert interval_has_arrow(x_src, i, j)
+            assert not interval_has_arrow(x_dst, j + 1, i - 1)
             # the recurrence dichotomy: min(x + interval) is 0 or 1
             for ii, jj in ((i, j), (j + 1, i - 1)):
                 bits = interval_delta(ii, jj, e)
