@@ -3,9 +3,11 @@
 A graph is stored as vertex multiplicities, an edge list, and one cyclic
 ordering of half-edges per vertex.  Faces are traced with the standard dart
 walk: cross to the other end of the edge, then step to the successor in that
-vertex's cyclic order.  The derived invariants are the counts of
-vertices/edges/faces, the multisets of multiplicities and face perimeters,
-and bipartiteness.
+vertex's cyclic order.  One dart table, giving each dart's vertex and place
+in its rotation, serves the face walk and the quiver presentation; one
+breadth-first colouring serves connectedness and bipartiteness.  The derived
+invariants are the counts of vertices/edges/faces, the multisets of
+multiplicities and face perimeters, and bipartiteness.
 """
 
 from __future__ import annotations
@@ -106,31 +108,31 @@ class BrauerGraph:
                     f"vertex {v} has degree {len(incident)}; a rotation is required"
                 )
         g = BrauerGraph(mult, tuple(edge_list), tuple(rot))
-        g._check_connected()
+        if not nv:
+            raise InvalidGraphError("empty graph")
+        if -1 in _colours(g):
+            raise InvalidGraphError("graph is not connected")
         return g
 
-    def _check_connected(self) -> None:
-        nv = len(self.multiplicities)
-        if nv == 0:
-            raise InvalidGraphError("empty graph")
-        seen = {0}
-        frontier = [0]
-        adj = _adjacency(self)
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if len(seen) != nv:
-            raise InvalidGraphError("graph is not connected")
 
-    def has_loop(self) -> bool:
-        return any(a == b for a, b in self.edges)
+def _colours(g: BrauerGraph) -> list[int]:
+    """A 0/1 colouring by breadth-first search from vertex 0, each vertex
+    coloured unlike the one it was reached from; -1 where it never reaches."""
+    colour = [-1] * len(g.multiplicities)
+    colour[0] = 0
+    frontier = [0]
+    for v in frontier:
+        for eid, end in g.rotations[v]:
+            w = g.edges[eid][1 - end]
+            if colour[w] == -1:
+                colour[w] = 1 - colour[v]
+                frontier.append(w)
+    return colour
 
-    def has_multi_edge(self) -> bool:
-        normalized = [tuple(sorted(e)) for e in self.edges]
-        return len(set(normalized)) != len(normalized)
+
+def _places(g: BrauerGraph) -> dict[Dart, tuple[int, int]]:
+    """The dart table: each dart's vertex and its place in that rotation."""
+    return {d: (v, i) for v, rot in enumerate(g.rotations) for i, d in enumerate(rot)}
 
 
 @dataclass(frozen=True)
@@ -167,20 +169,6 @@ class DerivedInvariants:
         return (2 - chi) // 2
 
 
-def _vertex_cycles(g: BrauerGraph) -> list[list[PresArrow]]:
-    """The arrows around each vertex, in cyclic-order positions."""
-    cycles = []
-    for v, rot in enumerate(g.rotations):
-        c = len(rot)
-        arrows = []
-        for i in range(c):
-            src = rot[i][0]
-            dst = rot[(i + 1) % c][0]
-            arrows.append(PresArrow(f"a[{v},{i + 1}]", v, src, dst))
-        cycles.append(arrows)
-    return cycles
-
-
 def quiver_presentation(g: BrauerGraph) -> QuiverPresentation:
     """The bound-quiver presentation read off the ribbon structure.
 
@@ -190,52 +178,38 @@ def quiver_presentation(g: BrauerGraph) -> QuiverPresentation:
     the two full cycles through a shared edge agree, and a product of two
     consecutive arrows turning around different vertices is zero.
     """
-    cycles = _vertex_cycles(g)
+    # cycles[v][i] leaves the i-th dart of v's rotation for the next one
+    cycles = [
+        [PresArrow(f"a[{v},{i + 1}]", v, eid, rot[(i + 1) % len(rot)][0])
+         for i, (eid, _) in enumerate(rot)]
+        for v, rot in enumerate(g.rotations)
+    ]
+    place = _places(g)
 
-    def cycle_from(v: int, start_pos: int) -> list[PresArrow]:
-        c = len(cycles[v])
-        return [cycles[v][(start_pos + t) % c] for t in range(c)]
+    def cycle_power(d: Dart) -> str:
+        """The full cycle at d's vertex from d, raised to its multiplicity."""
+        v, i = place[d]
+        body = " ".join(a.name for a in cycles[v][i:] + cycles[v][:i])
+        m = g.multiplicities[v]
+        return body if m == 1 else f"({body})^{m}"
 
-    def path_str(arrows: list[PresArrow], power: int = 1) -> str:
-        body = " ".join(a.name for a in arrows)
-        if power == 1:
-            return body
-        return f"({body})^{power}"
-
-    overshoot = []
-    for v, rot in enumerate(g.rotations):
-        mv = g.multiplicities[v]
-        for j in range(len(rot)):
-            cyc = cycle_from(v, j)
-            overshoot.append(f"{path_str(cyc, mv)} {cyc[0].name}")
-
-    equality = []
-    for eid, (a, b) in enumerate(g.edges):
-        if a == b:
-            continue
-        pos_a = next(i for i, d in enumerate(g.rotations[a]) if d[0] == eid)
-        pos_b = next(i for i, d in enumerate(g.rotations[b]) if d[0] == eid)
-        lhs = path_str(cycle_from(a, pos_a), g.multiplicities[a])
-        rhs = path_str(cycle_from(b, pos_b), g.multiplicities[b])
-        equality.append(f"{lhs} - {rhs}")
-
+    overshoot = [f"{cycle_power(d)} {cycles[v][i].name}" for d, (v, i) in place.items()]
+    equality = [
+        f"{cycle_power((eid, 0))} - {cycle_power((eid, 1))}"
+        for eid, (a, b) in enumerate(g.edges)
+        if a != b
+    ]
+    # the arrow into a dart, then the arrow out of the edge's other dart
     mixed = []
-    for v, arrows_v in enumerate(cycles):
-        for arr in arrows_v:
-            eid = arr.dst_edge
-            a, b = g.edges[eid]
-            if a == b:
-                continue
-            u = a if b == v else b if a == v else None
-            if u is None or u == v:
-                continue
-            follow = next(x for x in cycles[u] if x.src_edge == eid)
-            mixed.append(f"{arr.name} {follow.name}")
+    for (eid, end), (v, i) in place.items():
+        a, b = g.edges[eid]
+        if a != b:
+            u, j = place[(eid, 1 - end)]
+            mixed.append(f"{cycles[v][i - 1].name} {cycles[u][j].name}")
 
-    q_arrows = tuple(a for cyc in cycles for a in cyc)
     return QuiverPresentation(
         tuple(range(len(g.edges))),
-        q_arrows,
+        tuple(a for cyc in cycles for a in cyc),
         tuple(overshoot),
         tuple(equality),
         tuple(sorted(mixed)),
@@ -248,7 +222,7 @@ def graph_cartan_matrix(g: BrauerGraph) -> list[list[int]]:
     Diagonal: the sum of the two endpoint multiplicities; off-diagonal: the
     multiplicity sum over shared endpoints.
     """
-    if g.has_loop() or g.has_multi_edge():
+    if len({frozenset(e) for e in g.edges if e[0] != e[1]}) != len(g.edges):
         raise UnsupportedGraphError(
             "Cartan matrix is only defined here for loopless simple graphs"
         )
@@ -265,13 +239,9 @@ def graph_cartan_matrix(g: BrauerGraph) -> list[list[int]]:
 
 def _faces(g: BrauerGraph) -> list[int]:
     """Perimeters of the ribbon faces (dart-walk cycle lengths)."""
-    succ: dict[Dart, Dart] = {}
-    for rot in g.rotations:
-        c = len(rot)
-        for i in range(c):
-            succ[rot[i]] = rot[(i + 1) % c]
+    place = _places(g)
     perimeters = []
-    unvisited: set[Dart] = {(eid, end) for eid in range(len(g.edges)) for end in (0, 1)}
+    unvisited = set(place)
     while unvisited:
         start = min(unvisited)
         dart = start
@@ -280,49 +250,25 @@ def _faces(g: BrauerGraph) -> list[int]:
             unvisited.discard(dart)
             length += 1
             eid, end = dart
-            dart = succ[(eid, 1 - end)]
+            v, i = place[(eid, 1 - end)]
+            rot = g.rotations[v]
+            dart = rot[(i + 1) % len(rot)]
             if dart == start:
                 break
         perimeters.append(length)
     return sorted(perimeters)
 
 
-def _adjacency(g: BrauerGraph) -> list[list[int]]:
-    """The neighbours of each vertex, once per incident edge end."""
-    adj: list[list[int]] = [[] for _ in g.multiplicities]
-    for a, b in g.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
-
-
-def _is_bipartite(g: BrauerGraph) -> bool:
-    if g.has_loop():
-        return False
-    color = [-1] * len(g.multiplicities)
-    color[0] = 0
-    frontier = [0]
-    adj = _adjacency(g)
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if color[w] == -1:
-                color[w] = 1 - color[v]
-                frontier.append(w)
-            elif color[w] == color[v]:
-                return False
-    return True
-
-
 def derived_invariants(g: BrauerGraph) -> DerivedInvariants:
     perims = _faces(g)
+    colour = _colours(g)
     return DerivedInvariants(
         n_vertices=len(g.multiplicities),
         n_edges=len(g.edges),
         n_faces=len(perims),
         mult_multiset=tuple(sorted(g.multiplicities)),
         perimeter_multiset=tuple(perims),
-        bipartite=_is_bipartite(g),
+        bipartite=all(colour[a] != colour[b] for a, b in g.edges),
     )
 
 
@@ -368,8 +314,18 @@ def decomp_search(c: list[list[int]]) -> DecompResult:
     candidates = _candidate_rows(c, n, bound)
     solutions: set[tuple[tuple[int, ...], ...]] = set()
     nodes = 0
-    max_rows = sum(c[i][i] for i in range(n))
 
+    def fits(r: tuple[int, ...], remaining: list[list[int]]) -> bool:
+        """Whether r r^t is at most the remainder, entry by entry."""
+        for i in range(n):
+            if r[i]:
+                for j in range(i, n):
+                    if r[i] * r[j] > remaining[i][j]:
+                        return False
+        return True
+
+    # Every row takes at least 1 from the trace, so no branch is deeper than
+    # trace(C) rows: there the diagonal is exhausted and the node returns.
     def backtrack(remaining: list[list[int]], start: int, rows: list[tuple[int, ...]]):
         nonlocal nodes
         nodes += 1
@@ -377,30 +333,15 @@ def decomp_search(c: list[list[int]]) -> DecompResult:
             raise SearchSpaceExceededError(
                 f"decomposition search exceeded {MAX_SEARCH_NODES} nodes"
             )
-        if all(remaining[i][j] == 0 for i in range(n) for j in range(n)):
+        # A positive entry in a row whose diagonal is exhausted is a dead end.
+        if any(not remaining[i][i] and any(remaining[i]) for i in range(n)):
+            return
+        if not any(remaining[i][i] for i in range(n)):
             solutions.add(tuple(rows))
             return
-        if len(rows) >= max_rows:
-            return
-        # A positive off-diagonal entry with an exhausted diagonal is a dead end.
-        for i in range(n):
-            if remaining[i][i] == 0 and any(
-                remaining[i][j] != 0 for j in range(n)
-            ):
-                return
         for idx in range(start, len(candidates)):
             r = candidates[idx]
-            ok = True
-            for i in range(n):
-                if r[i] == 0:
-                    continue
-                for j in range(i, n):
-                    if r[i] * r[j] > remaining[i][j]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+            if not fits(r, remaining):
                 continue
             nxt = [
                 [remaining[i][j] - r[i] * r[j] for j in range(n)] for i in range(n)

@@ -269,10 +269,10 @@ def _graph_from_args(args) -> BrauerGraph:
 
 def _cmd_brauer(args, out) -> int:
     g = _graph_from_args(args)
-    inv = derived_invariants(g)
     show = args.what
     result: dict = {}
     if show in ("invariants", "all"):
+        inv = derived_invariants(g)
         result["invariants"] = {
             "vertices": inv.n_vertices,
             "edges": inv.n_edges,
@@ -462,7 +462,7 @@ def run(argv: list[str], out=None, err=None) -> int:
     except UsageError as exc:
         err.write(f"usage error: {str(exc).translate(_LINE_BREAKS)}\n")
         return 2
-    except (ValueError, KeyError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         err.write(f"error: {str(exc).translate(_LINE_BREAKS)}\n")
         return 1
 

@@ -9,8 +9,13 @@ share no code with `class_walk` or `follow`.  The
 shapes of a given residue content come from every k-multipartition of |beta|
 filtered by content, not from the shape search of `tableaux`.  The candidate
 rows of the decomposition search come from a scan of every value at every
-prefix, not from the bound the entries of C set.  The command line is read by
-the argparse parser that the option table of `cli` replaced.
+prefix, not from the bound the entries of C set.  The Brauer graph layer is
+the one that read the graph once per question: two depth-first walks over
+adjacency lists for connectedness and bipartiteness, arrow cycles found by
+scanning, and a successor map for the faces; its decomposition search is the
+one with a row-count prune and separate all-zero and dead-end scans.  The
+command line is read by the argparse parser that the option table of `cli`
+replaced.
 
 The rest are references the package no longer needs: the materialized Cartan
 matrix, the rotation of a coefficient tuple, one simple reflection, the ev
@@ -22,9 +27,18 @@ from __future__ import annotations
 
 import argparse
 from functools import lru_cache
+from math import isqrt
 
 from klrblocks import brauer
-from klrblocks.brauer import BrauerGraph, SearchSpaceExceededError
+from klrblocks.brauer import (
+    BrauerGraph,
+    DecompResult,
+    DerivedInvariants,
+    PresArrow,
+    QuiverPresentation,
+    SearchSpaceExceededError,
+    UnsupportedGraphError,
+)
 from klrblocks.cartan import (
     RootVector,
     WeightCoeffs,
@@ -375,6 +389,239 @@ def scan_candidate_rows(c, n: int, bound: int) -> list[tuple[int, ...]]:
     extend(())
     return rows
 
+
+
+def _adjacency(g: BrauerGraph) -> list[list[int]]:
+    """The neighbours of each vertex, once per incident edge end."""
+    adj: list[list[int]] = [[] for _ in g.multiplicities]
+    for a, b in g.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def is_connected(g: BrauerGraph) -> bool:
+    seen = {0}
+    frontier = [0]
+    adj = _adjacency(g)
+    while frontier:
+        v = frontier.pop()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return len(seen) == len(g.multiplicities)
+
+
+def has_loop(g: BrauerGraph) -> bool:
+    return any(a == b for a, b in g.edges)
+
+
+def has_multi_edge(g: BrauerGraph) -> bool:
+    normalized = [tuple(sorted(e)) for e in g.edges]
+    return len(set(normalized)) != len(normalized)
+
+
+def _vertex_cycles(g: BrauerGraph) -> list[list[PresArrow]]:
+    """The arrows around each vertex, in cyclic-order positions."""
+    cycles = []
+    for v, rot in enumerate(g.rotations):
+        c = len(rot)
+        arrows = []
+        for i in range(c):
+            src = rot[i][0]
+            dst = rot[(i + 1) % c][0]
+            arrows.append(PresArrow(f"a[{v},{i + 1}]", v, src, dst))
+        cycles.append(arrows)
+    return cycles
+
+
+def scan_quiver_presentation(g: BrauerGraph) -> QuiverPresentation:
+    """`quiver_presentation` with each arrow position found by a linear scan."""
+    cycles = _vertex_cycles(g)
+
+    def cycle_from(v: int, start_pos: int) -> list[PresArrow]:
+        c = len(cycles[v])
+        return [cycles[v][(start_pos + t) % c] for t in range(c)]
+
+    def path_str(arrows: list[PresArrow], power: int = 1) -> str:
+        body = " ".join(a.name for a in arrows)
+        if power == 1:
+            return body
+        return f"({body})^{power}"
+
+    overshoot = []
+    for v, rot in enumerate(g.rotations):
+        mv = g.multiplicities[v]
+        for j in range(len(rot)):
+            cyc = cycle_from(v, j)
+            overshoot.append(f"{path_str(cyc, mv)} {cyc[0].name}")
+
+    equality = []
+    for eid, (a, b) in enumerate(g.edges):
+        if a == b:
+            continue
+        pos_a = next(i for i, d in enumerate(g.rotations[a]) if d[0] == eid)
+        pos_b = next(i for i, d in enumerate(g.rotations[b]) if d[0] == eid)
+        lhs = path_str(cycle_from(a, pos_a), g.multiplicities[a])
+        rhs = path_str(cycle_from(b, pos_b), g.multiplicities[b])
+        equality.append(f"{lhs} - {rhs}")
+
+    mixed = []
+    for v, arrows_v in enumerate(cycles):
+        for arr in arrows_v:
+            eid = arr.dst_edge
+            a, b = g.edges[eid]
+            if a == b:
+                continue
+            u = a if b == v else b if a == v else None
+            if u is None or u == v:
+                continue
+            follow = next(x for x in cycles[u] if x.src_edge == eid)
+            mixed.append(f"{arr.name} {follow.name}")
+
+    q_arrows = tuple(a for cyc in cycles for a in cyc)
+    return QuiverPresentation(
+        tuple(range(len(g.edges))),
+        q_arrows,
+        tuple(overshoot),
+        tuple(equality),
+        tuple(sorted(mixed)),
+    )
+
+
+def pairwise_cartan_matrix(g: BrauerGraph) -> list[list[int]]:
+    """`graph_cartan_matrix` refusing loops and multi-edges by two scans."""
+    if has_loop(g) or has_multi_edge(g):
+        raise UnsupportedGraphError(
+            "Cartan matrix is only defined here for loopless simple graphs"
+        )
+    ne = len(g.edges)
+    c = [[0] * ne for _ in range(ne)]
+    for i, (a, b) in enumerate(g.edges):
+        c[i][i] = g.multiplicities[a] + g.multiplicities[b]
+        for j in range(i + 1, ne):
+            shared = set(g.edges[i]) & set(g.edges[j])
+            val = sum(g.multiplicities[v] for v in shared)
+            c[i][j] = c[j][i] = val
+    return c
+
+
+def _faces(g: BrauerGraph) -> list[int]:
+    """Perimeters of the ribbon faces (dart-walk cycle lengths)."""
+    succ = {}
+    for rot in g.rotations:
+        c = len(rot)
+        for i in range(c):
+            succ[rot[i]] = rot[(i + 1) % c]
+    perimeters = []
+    unvisited = {(eid, end) for eid in range(len(g.edges)) for end in (0, 1)}
+    while unvisited:
+        start = min(unvisited)
+        dart = start
+        length = 0
+        while True:
+            unvisited.discard(dart)
+            length += 1
+            eid, end = dart
+            dart = succ[(eid, 1 - end)]
+            if dart == start:
+                break
+        perimeters.append(length)
+    return sorted(perimeters)
+
+
+def _is_bipartite(g: BrauerGraph) -> bool:
+    if has_loop(g):
+        return False
+    color = [-1] * len(g.multiplicities)
+    color[0] = 0
+    frontier = [0]
+    adj = _adjacency(g)
+    while frontier:
+        v = frontier.pop()
+        for w in adj[v]:
+            if color[w] == -1:
+                color[w] = 1 - color[v]
+                frontier.append(w)
+            elif color[w] == color[v]:
+                return False
+    return True
+
+
+def walk_derived_invariants(g: BrauerGraph) -> DerivedInvariants:
+    """`derived_invariants` from a successor map and a depth-first colouring."""
+    perims = _faces(g)
+    return DerivedInvariants(
+        n_vertices=len(g.multiplicities),
+        n_edges=len(g.edges),
+        n_faces=len(perims),
+        mult_multiset=tuple(sorted(g.multiplicities)),
+        perimeter_multiset=tuple(perims),
+        bipartite=_is_bipartite(g),
+    )
+
+
+def pruned_decomp_search(c: list[list[int]]) -> DecompResult:
+    """`decomp_search` with a row-count prune at trace(C) rows, an all-zero
+    scan, a dead-end scan and a flagged fit loop; the candidate rows come
+    from `scan_candidate_rows`.  Raises as the package does past
+    MAX_SEARCH_NODES or MAX_CANDIDATE_ROWS."""
+    n = len(c)
+    if any(len(row) != n for row in c):
+        raise ValueError("Cartan matrix must be square")
+    if any(c[i][j] != c[j][i] for i in range(n) for j in range(n)):
+        raise ValueError("Cartan matrix must be symmetric")
+    if any(v < 0 for row in c for v in row):
+        raise ValueError("Cartan matrix entries must be nonnegative")
+
+    bound = isqrt(min(c[i][i] for i in range(n))) if n else 0
+    candidates = scan_candidate_rows(c, n, bound)
+    solutions = set()
+    nodes = 0
+    max_rows = sum(c[i][i] for i in range(n))
+
+    def backtrack(remaining: list[list[int]], start: int, rows: list[tuple[int, ...]]):
+        nonlocal nodes
+        nodes += 1
+        if nodes > brauer.MAX_SEARCH_NODES:
+            raise SearchSpaceExceededError(
+                f"decomposition search exceeded {brauer.MAX_SEARCH_NODES} nodes"
+            )
+        if all(remaining[i][j] == 0 for i in range(n) for j in range(n)):
+            solutions.add(tuple(rows))
+            return
+        if len(rows) >= max_rows:
+            return
+        for i in range(n):
+            if remaining[i][i] == 0 and any(
+                remaining[i][j] != 0 for j in range(n)
+            ):
+                return
+        for idx in range(start, len(candidates)):
+            r = candidates[idx]
+            ok = True
+            for i in range(n):
+                if r[i] == 0:
+                    continue
+                for j in range(i, n):
+                    if r[i] * r[j] > remaining[i][j]:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                continue
+            nxt = [
+                [remaining[i][j] - r[i] * r[j] for j in range(n)] for i in range(n)
+            ]
+            rows.append(r)
+            backtrack(nxt, idx, rows)
+            rows.pop()
+
+    backtrack([list(row) for row in c], 0, [])
+    sols = tuple(sorted(solutions))
+    return DecompResult(sols, unique=len(sols) == 1, searched_nodes=nodes)
 
 # --- the command line, read by argparse ---
 

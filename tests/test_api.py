@@ -78,6 +78,39 @@ def test_every_public_name_has_a_caller():
     assert dead == []
 
 
+
+def unread_private_helpers(module: str, tree: ast.Module) -> list[str]:
+    """Each module-level `_name` function or class that nothing in its module
+    reads outside its own definition."""
+    readers: dict[str, set[str]] = {}  # name -> owners reading it
+    for owner, node in units(module, tree):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                readers.setdefault(sub.id, set()).add(owner)
+            elif isinstance(sub, ast.Attribute):
+                readers.setdefault(sub.attr, set()).add(owner)
+    dead = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_"):
+            qualified = f"{module}.{stmt.name}"
+            users = readers.get(stmt.name, set())
+            if not {u for u in users if u != qualified and not u.startswith(qualified + ".")}:
+                dead.append(qualified)
+    return dead
+
+
+def test_every_private_helper_has_a_reader():
+    """A helper that a rewrite leaves behind fails here, not in review."""
+    sample = ast.parse(
+        "def _kept(): pass\n"
+        "def _orphan(): return _orphan()\n"
+        "class _Unused:\n    def m(self): return _Unused\n"
+        "def public(): return _kept()\n"
+    )
+    assert unread_private_helpers("m", sample) == ["m._orphan", "m._Unused"]
+    dead = [name for module, tree in package_trees() for name in unread_private_helpers(module, tree)]
+    assert dead == []
+
 def test_no_module_imports_a_private_name_of_another():
     """A name with a leading underscore stays inside its own module."""
     leaks = [

@@ -20,7 +20,15 @@ from klrblocks.brauer import (
     quiver_presentation,
 )
 
-from oracles import line_graph, scan_candidate_rows
+from oracles import (
+    is_connected,
+    line_graph,
+    pairwise_cartan_matrix,
+    pruned_decomp_search,
+    scan_candidate_rows,
+    scan_quiver_presentation,
+    walk_derived_invariants,
+)
 
 
 def test_build_validation():
@@ -286,3 +294,74 @@ def test_decomp_search_input_validation():
     for c in ([[2, -1], [-1, 2]], [[-1]], [[1, 1, 1], [1, 1, -1], [1, -1, 1]]):
         with pytest.raises(ValueError, match="entries must be nonnegative"):
             decomp_search(c)
+
+
+@st.composite
+def ribbon_graphs(draw):
+    """(multiplicities, edges, rotations) of a multigraph on 1 to 6 vertices
+    with loops and multi-edges, usually connected; every vertex gets a random
+    rotation, except that one of degree <= 2 sometimes gets none."""
+    nv = draw(st.integers(1, 6))
+    mult = draw(st.lists(st.integers(1, 3), min_size=nv, max_size=nv))
+    vertex = st.integers(0, nv - 1)
+    # each later vertex hangs off an earlier one, unless the draw leaves it out
+    edges = [
+        (draw(st.integers(0, v - 1)), v)
+        for v in range(1, nv)
+        if draw(st.integers(0, 9))
+    ]
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=5))
+    edges = [e if draw(st.booleans()) else e[::-1] for e in draw(st.permutations(edges))]
+    rotations = {}
+    for v in range(nv):
+        incident = [eid for eid, e in enumerate(edges) for end in e if end == v]
+        if len(incident) > 2 or draw(st.booleans()):
+            rotations[v] = draw(st.permutations(incident))
+    return mult, edges, rotations
+
+
+def outcome(f, *args):
+    """f(*args), or the type and text of the error it raises."""
+    try:
+        return f(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ribbon_graphs())
+def test_graph_layer_matches_oracle(graph):
+    mult, edges, rotations = graph
+    if not is_connected(BrauerGraph(tuple(mult), tuple(edges), ())):
+        with pytest.raises(InvalidGraphError, match="not connected"):
+            BrauerGraph.build(mult, edges, rotations)
+        return
+    g = BrauerGraph.build(mult, edges, rotations)
+    assert quiver_presentation(g) == scan_quiver_presentation(g)
+    inv, oracle = derived_invariants(g), walk_derived_invariants(g)
+    assert inv == oracle
+    assert outcome(lambda: inv.genus) == outcome(lambda: oracle.genus)
+    assert outcome(graph_cartan_matrix, g) == outcome(pairwise_cartan_matrix, g)
+
+
+@st.composite
+def gram_matrices(draw):
+    """D^t D for D with entries 0..2, at most 4 columns and at most 4 rows."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), max_size=4))
+    return [[sum(r[i] * r[j] for r in d) for j in range(n)] for i in range(n)]
+
+
+# A cap keeps each example short: some 4x4 D^t D run to MAX_SEARCH_NODES,
+# tens of seconds in either search.  Past the cap both must fail alike.
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(gram_matrices(), symmetric_matrices(max_entry=4)), st.integers(1, 20_000))
+def test_decomp_search_matches_oracle(c, cap):
+    # the same solutions and node count, or the same error at the same node cap
+    with mock.patch.object(brauer, "MAX_SEARCH_NODES", cap):
+        expected = outcome(pruned_decomp_search, c)
+        got = outcome(decomp_search, c)
+    assert got == expected
+    if isinstance(got, brauer.DecompResult):
+        assert got.unique == expected.unique
+        assert got.searched_nodes == expected.searched_nodes
