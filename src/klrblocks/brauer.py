@@ -12,8 +12,9 @@ multiplicities and face perimeters, and bipartiteness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt
+
+from .cartan import Record
 
 
 class InvalidGraphError(ValueError):
@@ -45,11 +46,18 @@ def _integers(values, what: str) -> tuple[int, ...]:
 Dart = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class BrauerGraph:
-    multiplicities: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    rotations: tuple[tuple[Dart, ...], ...]  # cyclic dart order around each vertex
+class BrauerGraph(Record):
+    __slots__ = ("multiplicities", "edges", "rotations")
+
+    def __init__(
+        self,
+        multiplicities: tuple[int, ...],
+        edges: tuple[tuple[int, int], ...],
+        rotations: tuple[tuple[Dart, ...], ...],  # cyclic dart order around each vertex
+    ) -> None:
+        object.__setattr__(self, "multiplicities", multiplicities)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "rotations", rotations)
 
     @staticmethod
     def build(
@@ -112,6 +120,9 @@ class BrauerGraph:
             raise InvalidGraphError("empty graph")
         if -1 in _colours(g):
             raise InvalidGraphError("graph is not connected")
+        # a lone vertex: its Brauer graph algebra has no simple module
+        if not edge_list:
+            raise InvalidGraphError("graph has no edges")
         return g
 
 
@@ -135,38 +146,71 @@ def _places(g: BrauerGraph) -> dict[Dart, tuple[int, int]]:
     return {d: (v, i) for v, rot in enumerate(g.rotations) for i, d in enumerate(rot)}
 
 
-@dataclass(frozen=True)
-class PresArrow:
-    name: str
-    vertex: int
-    src_edge: int
-    dst_edge: int
+class PresArrow(Record):
+    __slots__ = ("name", "vertex", "src_edge", "dst_edge")
+
+    def __init__(self, name: str, vertex: int, src_edge: int, dst_edge: int) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "src_edge", src_edge)
+        object.__setattr__(self, "dst_edge", dst_edge)
 
 
-@dataclass(frozen=True)
-class QuiverPresentation:
-    q_vertices: tuple[int, ...]  # edge ids
-    q_arrows: tuple[PresArrow, ...]
-    rel_cycle_overshoot: tuple[str, ...]  # (cycle at v)^m(v) followed by one more step
-    rel_cycle_equality: tuple[str, ...]   # the two special cycles through an edge agree
-    rel_mixed_products: tuple[str, ...]   # consecutive arrows around different vertices
+class QuiverPresentation(Record):
+    __slots__ = (
+        "q_vertices",
+        "q_arrows",
+        "rel_cycle_overshoot",
+        "rel_cycle_equality",
+        "rel_mixed_products",
+    )
+
+    def __init__(
+        self,
+        q_vertices: tuple[int, ...],  # edge ids
+        q_arrows: tuple[PresArrow, ...],
+        rel_cycle_overshoot: tuple[str, ...],  # (cycle at v)^m(v) followed by one more step
+        rel_cycle_equality: tuple[str, ...],  # the two special cycles through an edge agree
+        rel_mixed_products: tuple[str, ...],  # consecutive arrows around different vertices
+    ) -> None:
+        object.__setattr__(self, "q_vertices", q_vertices)
+        object.__setattr__(self, "q_arrows", q_arrows)
+        object.__setattr__(self, "rel_cycle_overshoot", rel_cycle_overshoot)
+        object.__setattr__(self, "rel_cycle_equality", rel_cycle_equality)
+        object.__setattr__(self, "rel_mixed_products", rel_mixed_products)
 
 
-@dataclass(frozen=True)
-class DerivedInvariants:
-    n_vertices: int
-    n_edges: int
-    n_faces: int
-    mult_multiset: tuple[int, ...]
-    perimeter_multiset: tuple[int, ...]
-    bipartite: bool
+class DerivedInvariants(Record):
+    __slots__ = (
+        "n_vertices",
+        "n_edges",
+        "n_faces",
+        "mult_multiset",
+        "perimeter_multiset",
+        "bipartite",
+    )
+
+    def __init__(
+        self,
+        n_vertices: int,
+        n_edges: int,
+        n_faces: int,
+        mult_multiset: tuple[int, ...],
+        perimeter_multiset: tuple[int, ...],
+        bipartite: bool,
+    ) -> None:
+        object.__setattr__(self, "n_vertices", n_vertices)
+        object.__setattr__(self, "n_edges", n_edges)
+        object.__setattr__(self, "n_faces", n_faces)
+        object.__setattr__(self, "mult_multiset", mult_multiset)
+        object.__setattr__(self, "perimeter_multiset", perimeter_multiset)
+        object.__setattr__(self, "bipartite", bipartite)
 
     @property
     def genus(self) -> int:
-        chi = self.n_vertices - self.n_edges + self.n_faces
-        if chi % 2 != 0:
-            raise InvalidGraphError("odd Euler characteristic: invalid ribbon data")
-        return (2 - chi) // 2
+        # a built graph is connected with an edge, so its ribbon surface is
+        # closed and orientable and the Euler characteristic is even
+        return (2 - (self.n_vertices - self.n_edges + self.n_faces)) // 2
 
 
 def quiver_presentation(g: BrauerGraph) -> QuiverPresentation:
@@ -283,11 +327,18 @@ def gamma_family(s: int, a: int, m: int) -> BrauerGraph:
     return BrauerGraph.build(mult, edges)
 
 
-@dataclass(frozen=True)
-class DecompResult:
-    solutions: tuple[tuple[tuple[int, ...], ...], ...]  # each: rows, lex-descending
-    unique: bool
-    searched_nodes: int = field(compare=False, default=0)
+class DecompResult(Record, uncompared=("searched_nodes",)):
+    __slots__ = ("solutions", "unique", "searched_nodes")
+
+    def __init__(
+        self,
+        solutions: tuple[tuple[tuple[int, ...], ...], ...],  # each: rows, lex-descending
+        unique: bool,
+        searched_nodes: int = 0,
+    ) -> None:
+        object.__setattr__(self, "solutions", solutions)
+        object.__setattr__(self, "unique", unique)
+        object.__setattr__(self, "searched_nodes", searched_nodes)
 
 
 def decomp_search(c: list[list[int]]) -> DecompResult:

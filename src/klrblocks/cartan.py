@@ -10,19 +10,70 @@ anywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
-class WeightCoeffs:
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields in `__slots__` (after those of the record it
+    extends) and sets each once in `__init__` with `object.__setattr__`.  A
+    record equals another of exactly its class with equal compared fields,
+    hashes like the tuple of those fields, and refuses assignment and
+    deletion.  The class keyword `uncompared` leaves fields out of `==` and
+    `hash`; the repr still shows them.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, uncompared: tuple[str, ...] = ()) -> None:
+        cls._fields = cls.__match_args__ = cls._fields + cls.__dict__.get("__slots__", ())
+        compared = [name for name in cls._fields if name not in uncompared]
+        key = attrgetter(*compared)
+        # attrgetter of one name gives the bare value, so wrap it to hash
+        # like the one-element tuple
+        if len(compared) == 1:
+            def __hash__(self) -> int:
+                return hash((key(self),))
+        else:
+            def __hash__(self) -> int:
+                return hash(key(self))
+
+        def __eq__(self, other: object) -> bool:
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        cls.__hash__, cls.__eq__ = __hash__, __eq__
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, which takes every field
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class WeightCoeffs(Record):
     """A weight written on the Lambda_0..Lambda_ell basis plus a delta part.
 
     Coefficients may be negative (reflections of non-dominant weights need
     that), so dominance is not an invariant.
     """
 
-    lam: tuple[int, ...]
-    delta: int = 0
+    __slots__ = ("lam", "delta")
+
+    def __init__(self, lam: tuple[int, ...], delta: int = 0) -> None:
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "delta", delta)
 
     @property
     def level(self) -> int:
@@ -41,15 +92,15 @@ class WeightCoeffs:
         )
 
 
-@dataclass(frozen=True)
-class RootVector:
+class RootVector(Record):
     """An element of the positive root cone, as coefficients on alpha_0..alpha_ell."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if min(self.coeffs, default=0) < 0:
-            raise ValueError(f"root vector must be nonnegative, got {self.coeffs}")
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+        if min(coeffs, default=0) < 0:
+            raise ValueError(f"root vector must be nonnegative, got {coeffs}")
 
     @property
     def height(self) -> int:

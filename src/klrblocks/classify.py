@@ -10,10 +10,9 @@ specific field characteristic; the parameter t enters only for beta = delta.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import isqrt
 
-from .cartan import RootVector, alpha_sum, interval_delta
+from .cartan import Record, RootVector, alpha_sum, interval_delta
 from .maxweights import LevelKDominant
 from .quiver import LevelTooSmallError
 from .weyl import OrbitStatus, orbit_representative
@@ -46,23 +45,21 @@ class TClassRankError(ValueError):
     """The t class given does not exist at this rank."""
 
 
-@dataclass(frozen=True)
-class FieldParams:
-    char_p: int = 0
-    t_class: TClass = TClass.OTHER
+class FieldParams(Record):
+    __slots__ = ("char_p", "t_class")
 
-    def __post_init__(self) -> None:
-        if self.char_p < 0 or self.char_p == 1:
+    def __init__(self, char_p: int = 0, t_class: TClass = TClass.OTHER) -> None:
+        object.__setattr__(self, "char_p", char_p)
+        object.__setattr__(self, "t_class", t_class)
+        if char_p < 0 or char_p == 1:
             raise ValueError("char_p must be 0 or a prime")
-        if self.char_p > MAX_CHAR:
+        if char_p > MAX_CHAR:
             raise ValueError(
                 f"char_p above {MAX_CHAR} is refused: every prime >= 5 classifies "
                 "like 0, since only 2 and 3 enter the script sets"
             )
-        if self.char_p > 1 and any(
-            self.char_p % d == 0 for d in range(2, isqrt(self.char_p) + 1)
-        ):
-            raise ValueError(f"char_p = {self.char_p} is not prime")
+        if char_p > 1 and any(char_p % d == 0 for d in range(2, isqrt(char_p) + 1)):
+            raise ValueError(f"char_p = {char_p} is not prime")
 
     def check_rank(self, ell: int) -> None:
         if ell == 1 and self.t_class is TClass.SIGN_ELL:
@@ -71,12 +68,18 @@ class FieldParams:
             raise TClassRankError("t classes 'two'/'minustwo' only apply for ell = 1")
 
 
-@dataclass(frozen=True)
-class ScriptSets:
+class ScriptSets(Record):
     """The finite set and the five tame sets of the classification."""
 
-    finite: frozenset[RootVector]
-    tame: tuple[frozenset[RootVector], ...]  # indexed 1..5 at positions 0..4
+    __slots__ = ("finite", "tame")
+
+    def __init__(
+        self,
+        finite: frozenset[RootVector],
+        tame: tuple[frozenset[RootVector], ...],  # indexed 1..5 at positions 0..4
+    ) -> None:
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "tame", tame)
 
     def tame_union(self) -> frozenset[RootVector]:
         out: set[RootVector] = set()

@@ -6,7 +6,6 @@ an error), 2 on usage errors.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from types import SimpleNamespace
@@ -40,6 +39,8 @@ _LINE_BREAKS = str.maketrans(
 
 def _write_json(obj, out) -> None:
     """One JSON document and a newline; json.dumps takes the C encoder."""
+    import json  # only JSON output needs it, so text queries start faster
+
     out.write(json.dumps(obj) + "\n")
 
 
@@ -233,6 +234,8 @@ def _graph_from_args(args) -> BrauerGraph:
         return gamma_family(s, a, m)
     if args.graph is None:
         raise UsageError("need either --graph FILE or --gamma s,a,m")
+    import json  # only --graph input needs it
+
     try:
         with open(args.graph, "r", encoding="utf-8") as fh:
             data = json.load(fh)

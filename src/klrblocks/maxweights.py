@@ -19,11 +19,10 @@ integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
-from .cartan import NoSolutionError, RootVector, WeightCoeffs, solve_pinned
+from .cartan import NoSolutionError, Record, RootVector, WeightCoeffs, solve_pinned
 
 
 # e one weight may have.  The class walk's label table holds e^2 labels of e
@@ -32,20 +31,20 @@ from .cartan import NoSolutionError, RootVector, WeightCoeffs, solve_pinned
 MAX_E = 512
 
 
-@dataclass(frozen=True)
-class LevelKDominant:
+class LevelKDominant(Record):
     """A level-k dominant weight with implicit delta coefficient zero."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) < 2:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+        if len(coeffs) < 2:
             raise ValueError("need at least 2 coefficients (ell >= 1)")
-        if len(self.coeffs) > MAX_E:
-            raise ValueError(f"e = {len(self.coeffs)} exceeds the limit MAX_E = {MAX_E}")
-        if min(self.coeffs) < 0:
-            raise ValueError(f"coefficients must be nonnegative, got {self.coeffs}")
-        if sum(self.coeffs) < 1:
+        if len(coeffs) > MAX_E:
+            raise ValueError(f"e = {len(coeffs)} exceeds the limit MAX_E = {MAX_E}")
+        if min(coeffs) < 0:
+            raise ValueError(f"coefficients must be nonnegative, got {coeffs}")
+        if sum(coeffs) < 1:
             raise ValueError("level must be >= 1")
 
     @property
@@ -59,8 +58,7 @@ class LevelKDominant:
         return [i for i, c in enumerate(self.coeffs) if c > 0]
 
 
-@dataclass(frozen=True)
-class MaxWeightEntry:
+class MaxWeightEntry(Record):
     """One dominant maximal weight, indexed by its class member.
 
     `x` solves A x = <h, Lambda - weight> with min x = 0, `beta` is the
@@ -68,10 +66,19 @@ class MaxWeightEntry:
     Lambda/delta basis (its delta coefficient is -x_0).
     """
 
-    weight: LevelKDominant
-    x: tuple[int, ...]
-    beta: RootVector
-    max_weight: WeightCoeffs
+    __slots__ = ("weight", "x", "beta", "max_weight")
+
+    def __init__(
+        self,
+        weight: LevelKDominant,
+        x: tuple[int, ...],
+        beta: RootVector,
+        max_weight: WeightCoeffs,
+    ) -> None:
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "max_weight", max_weight)
 
 
 LABEL_TABLE_CACHE = 32  # label tables kept, one per e

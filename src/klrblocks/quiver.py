@@ -12,9 +12,9 @@ tagged subquiver follows its label paths one checked arrow at a time
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
+from .cartan import Record
 from .maxweights import LevelKDominant, MaxWeightEntry, class_walk, follow, max_weight_entry
 
 
@@ -22,26 +22,42 @@ class LevelTooSmallError(ValueError):
     """Raised for operations that need level at least 2 (or 3)."""
 
 
-class Arrow(NamedTuple):
-    src: int
-    dst: int
-    label: tuple[int, int]
+# src and dst are vertex indices, label the (i, j) of the arrow's interval
+Arrow = namedtuple("Arrow", ["src", "dst", "label"])
 
 
-@dataclass(frozen=True)
-class WeightQuiver:
+class WeightQuiver(Record):
     """Quiver on a sieving class; vertices ordered by (height of beta, coeffs)."""
 
-    base: LevelKDominant
-    vertices: tuple[MaxWeightEntry, ...]
-    arrows: tuple[Arrow, ...]
+    __slots__ = ("base", "vertices", "arrows")
+
+    def __init__(
+        self,
+        base: LevelKDominant,
+        vertices: tuple[MaxWeightEntry, ...],
+        arrows: tuple[Arrow, ...],
+    ) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "arrows", arrows)
 
 
-@dataclass(frozen=True)
 class TQuiver(WeightQuiver):
     """The depth at most 2 subquiver, with per-vertex tag sets in {0,...,5}."""
 
-    tags: dict[int, frozenset[int]]
+    __slots__ = ("tags",)
+
+    def __init__(
+        self,
+        base: LevelKDominant,
+        vertices: tuple[MaxWeightEntry, ...],
+        arrows: tuple[Arrow, ...],
+        tags: dict[int, frozenset[int]],
+    ) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "tags", tags)
 
 
 def _canonical(xmap, raw_arrows) -> tuple[tuple, tuple]:

@@ -25,10 +25,9 @@ with larger index; "below" always refers to this stacked picture.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .cartan import RootVector
+from .cartan import Record, RootVector
 
 # shapes of content <= beta one lattice or search may reach (~0.8 s, 20 MB)
 MAX_LATTICE_SHAPES = 20_000
@@ -45,14 +44,14 @@ class EnumerationLimitError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Multipartition:
+class Multipartition(Record):
     """An ordered tuple of partitions (weakly decreasing positive rows)."""
 
-    components: tuple[Partition, ...]
+    __slots__ = ("components",)
 
-    def __post_init__(self) -> None:
-        for comp in self.components:
+    def __init__(self, components: tuple[Partition, ...]) -> None:
+        object.__setattr__(self, "components", components)
+        for comp in components:
             if any(a < b for a, b in zip(comp, comp[1:])) or any(
                 r <= 0 for r in comp
             ):

@@ -20,9 +20,9 @@ class is built.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .cartan import (
+    Record,
     RootVector,
     WeightCoeffs,
     delta_decompose,
@@ -37,12 +37,16 @@ class OrbitStatus(enum.Enum):
     NONZERO = "Nonzero"
 
 
-@dataclass(frozen=True)
-class OrbitResult:
-    status: OrbitStatus
-    beta0: RootVector | None
-    m: int
-    reflection_count: int
+class OrbitResult(Record):
+    __slots__ = ("status", "beta0", "m", "reflection_count")
+
+    def __init__(
+        self, status: OrbitStatus, beta0: RootVector | None, m: int, reflection_count: int
+    ) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "beta0", beta0)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "reflection_count", reflection_count)
 
 
 def dominate(mu: WeightCoeffs) -> tuple[WeightCoeffs, int]:

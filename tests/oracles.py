@@ -21,13 +21,19 @@ The rest are references the package no longer needs: the materialized Cartan
 matrix, the rotation of a coefficient tuple, one simple reflection, the ev
 statistic, the closed-form beta sets of the tagged subquiver and the straight
 line Brauer graph.
+
+The package's `__slots__` records are checked against the frozen dataclasses
+they replaced (`Frozen*`; `FrozenArrow` is the `typing.NamedTuple` that
+`quiver.Arrow` was).
 """
 
 from __future__ import annotations
 
 import argparse
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from klrblocks import brauer
 from klrblocks.brauer import (
@@ -47,10 +53,12 @@ from klrblocks.cartan import (
     interval_delta,
     root_to_weight,
 )
+from klrblocks.classify import MAX_CHAR, TClass
 from klrblocks.cli import UsageError
-from klrblocks.maxweights import LevelKDominant, MaxWeightEntry, solve_x
+from klrblocks.maxweights import MAX_E, LevelKDominant, MaxWeightEntry, solve_x
 from klrblocks.quiver import Arrow, LevelTooSmallError, TQuiver, WeightQuiver
 from klrblocks.tableaux import Multipartition, Partition, charges_of
+from klrblocks.weyl import OrbitStatus
 
 
 # --- weight arithmetic ---
@@ -622,6 +630,156 @@ def pruned_decomp_search(c: list[list[int]]) -> DecompResult:
     backtrack([list(row) for row in c], 0, [])
     sols = tuple(sorted(solutions))
     return DecompResult(sols, unique=len(sols) == 1, searched_nodes=nodes)
+
+
+# --- the records as frozen dataclasses ---
+#
+# Each has the fields, defaults and checks of the package record it is named
+# after; `searched_nodes` is left out of comparison as before.  Their field
+# values are whatever the caller passes, so the same values can build both.
+
+
+@dataclass(frozen=True)
+class FrozenWeightCoeffs:
+    lam: tuple[int, ...]
+    delta: int = 0
+
+
+@dataclass(frozen=True)
+class FrozenRootVector:
+    coeffs: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if min(self.coeffs, default=0) < 0:
+            raise ValueError(f"root vector must be nonnegative, got {self.coeffs}")
+
+
+@dataclass(frozen=True)
+class FrozenLevelKDominant:
+    coeffs: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.coeffs) < 2:
+            raise ValueError("need at least 2 coefficients (ell >= 1)")
+        if len(self.coeffs) > MAX_E:
+            raise ValueError(f"e = {len(self.coeffs)} exceeds the limit MAX_E = {MAX_E}")
+        if min(self.coeffs) < 0:
+            raise ValueError(f"coefficients must be nonnegative, got {self.coeffs}")
+        if sum(self.coeffs) < 1:
+            raise ValueError("level must be >= 1")
+
+
+@dataclass(frozen=True)
+class FrozenMaxWeightEntry:
+    weight: LevelKDominant
+    x: tuple[int, ...]
+    beta: RootVector
+    max_weight: WeightCoeffs
+
+
+class FrozenArrow(NamedTuple):
+    src: int
+    dst: int
+    label: tuple[int, int]
+
+
+@dataclass(frozen=True)
+class FrozenWeightQuiver:
+    base: LevelKDominant
+    vertices: tuple[MaxWeightEntry, ...]
+    arrows: tuple[Arrow, ...]
+
+
+@dataclass(frozen=True)
+class FrozenTQuiver(FrozenWeightQuiver):
+    tags: dict[int, frozenset[int]]
+
+
+@dataclass(frozen=True)
+class FrozenFieldParams:
+    char_p: int = 0
+    t_class: TClass = TClass.OTHER
+
+    def __post_init__(self) -> None:
+        if self.char_p < 0 or self.char_p == 1:
+            raise ValueError("char_p must be 0 or a prime")
+        if self.char_p > MAX_CHAR:
+            raise ValueError(
+                f"char_p above {MAX_CHAR} is refused: every prime >= 5 classifies "
+                "like 0, since only 2 and 3 enter the script sets"
+            )
+        if self.char_p > 1 and any(
+            self.char_p % d == 0 for d in range(2, isqrt(self.char_p) + 1)
+        ):
+            raise ValueError(f"char_p = {self.char_p} is not prime")
+
+
+@dataclass(frozen=True)
+class FrozenScriptSets:
+    finite: frozenset[RootVector]
+    tame: tuple[frozenset[RootVector], ...]
+
+
+@dataclass(frozen=True)
+class FrozenOrbitResult:
+    status: OrbitStatus
+    beta0: RootVector | None
+    m: int
+    reflection_count: int
+
+
+@dataclass(frozen=True)
+class FrozenMultipartition:
+    components: tuple[Partition, ...]
+
+    def __post_init__(self) -> None:
+        for comp in self.components:
+            if any(a < b for a, b in zip(comp, comp[1:])) or any(
+                r <= 0 for r in comp
+            ):
+                raise ValueError(f"not a partition: {comp}")
+
+
+@dataclass(frozen=True)
+class FrozenBrauerGraph:
+    multiplicities: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
+    rotations: tuple[tuple[tuple[int, int], ...], ...]
+
+
+@dataclass(frozen=True)
+class FrozenPresArrow:
+    name: str
+    vertex: int
+    src_edge: int
+    dst_edge: int
+
+
+@dataclass(frozen=True)
+class FrozenQuiverPresentation:
+    q_vertices: tuple[int, ...]
+    q_arrows: tuple[PresArrow, ...]
+    rel_cycle_overshoot: tuple[str, ...]
+    rel_cycle_equality: tuple[str, ...]
+    rel_mixed_products: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class FrozenDerivedInvariants:
+    n_vertices: int
+    n_edges: int
+    n_faces: int
+    mult_multiset: tuple[int, ...]
+    perimeter_multiset: tuple[int, ...]
+    bipartite: bool
+
+
+@dataclass(frozen=True)
+class FrozenDecompResult:
+    solutions: tuple[tuple[tuple[int, ...], ...], ...]
+    unique: bool
+    searched_nodes: int = field(compare=False, default=0)
+
 
 # --- the command line, read by argparse ---
 

@@ -6,6 +6,8 @@ import ast
 import glob
 import os
 import re
+import subprocess
+import sys
 
 from klrblocks import FieldParams, RepType, TClass, classify
 
@@ -134,6 +136,45 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_no_module_imports_dataclasses_typing_or_json_at_load():
+    """dataclasses (with inspect), typing and json cost start-up time; json
+    may only be imported inside the functions that read or write JSON."""
+    offences = []
+    for module, tree in package_trees():
+        top_level = set(map(id, tree.body))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                root = name.split(".")[0]
+                if root in ("dataclasses", "typing") or (root == "json" and id(node) in top_level):
+                    offences.append(f"{module}:{node.lineno} imports {name}")
+    assert offences == []
+
+
+def test_cli_import_loads_no_heavy_module():
+    """In a fresh isolated interpreter, `import klrblocks.cli` loads none of
+    argparse, dataclasses, inspect or json (those that start-up already
+    loaded do not count)."""
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import klrblocks.cli\n"
+        "print(*sorted(set(sys.argv[2:]) & (set(sys.modules) - before)))\n"
+    )
+    heavy = ["argparse", "dataclasses", "inspect", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, os.path.join(ROOT, "src"), *heavy],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.split() == []
 
 
 def test_readme_library_block_runs():

@@ -336,6 +336,10 @@ def test_graph_layer_matches_oracle(graph):
         with pytest.raises(InvalidGraphError, match="not connected"):
             BrauerGraph.build(mult, edges, rotations)
         return
+    if not edges:  # the one-vertex graph
+        with pytest.raises(InvalidGraphError, match="no edges"):
+            BrauerGraph.build(mult, edges, rotations)
+        return
     g = BrauerGraph.build(mult, edges, rotations)
     assert quiver_presentation(g) == scan_quiver_presentation(g)
     inv, oracle = derived_invariants(g), walk_derived_invariants(g)

@@ -248,6 +248,14 @@ def test_bad_vertex_ids_are_domain_errors(tmp_path):
         assert err.startswith("error: ") and "vertex id" in err and err.count("\n") == 1
 
 
+def test_one_vertex_graph_is_a_domain_error(tmp_path):
+    graph_file = tmp_path / "point.json"
+    graph_file.write_text(json.dumps({"vertices": [{"id": 0, "mult": 2}], "edges": []}))
+    for argv in (["brauer"], ["brauer", "--what", "cartan"], ["decomp"]):
+        code, out, err = capture([*argv, "--graph", str(graph_file)])
+        assert (code, out, err) == (1, "", "error: graph has no edges\n")
+
+
 def test_non_integer_cartan_is_usage_error():
     for text in ("4,x;2,4", "4,;2,4", "1.5,2;2,4"):
         code, out, err = capture(["decomp", "--cartan", text])

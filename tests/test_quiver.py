@@ -145,7 +145,7 @@ def test_quivers_match_label_by_label_oracles(base):
             with pytest.raises(LevelTooSmallError):
                 build(base)
         return
-    # dataclass equality: base, every vertex field, every arrow, every tag
+    # record equality: base, every vertex field, every arrow, every tag
     assert build_quiver(base) == label_bfs_quiver(base)
     assert t_subquiver(base) == label_t_subquiver(base)
 

@@ -26,7 +26,7 @@ from oracles import rotate_tuple, simple_reflect
 ORACLE_CAP = 100_000  # reflections the loop oracle may apply before it gives up
 
 
-def dataclass_dominate(mu: WeightCoeffs, cap: int = ORACLE_CAP) -> tuple[WeightCoeffs, int]:
+def weight_coeffs_dominate(mu: WeightCoeffs, cap: int = ORACLE_CAP) -> tuple[WeightCoeffs, int]:
     """Reflect mu into the dominant chamber; pivot at the smallest negative index.
 
     Returns the dominant representative and the number of reflections applied.
@@ -51,7 +51,7 @@ def sieving_orbit_representative(base: LevelKDominant, beta: RootVector) -> Orbi
     if base.level < 1:
         raise ValueError("base must have level >= 1")
     mu = base.to_weight() - root_to_weight(beta.coeffs)
-    mu_plus, count = dataclass_dominate(mu)
+    mu_plus, count = weight_coeffs_dominate(mu)
     diff = base.to_weight() - mu_plus
     # Expand diff on the alpha basis: the delta coefficient pins x_0.
     x = solve_pinned(diff.lam, diff.delta)
@@ -255,7 +255,7 @@ def weights(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(weights())
-def test_integer_reflections_match_dataclass_arithmetic(case):
+def test_integer_reflections_match_weight_coeffs_arithmetic(case):
     """The closed form against the reflection loop: the same dominant weight
     and a length equal to the loop's reflection count; a reflection of mu,
     at an index that may need reducing, has the same dominant weight."""
@@ -264,5 +264,5 @@ def test_integer_reflections_match_dataclass_arithmetic(case):
         with pytest.raises(ValueError):
             dominate(mu)
     else:
-        assert dominate(mu) == dataclass_dominate(mu)
+        assert dominate(mu) == weight_coeffs_dominate(mu)
         assert dominate(simple_reflect(mu, i))[0] == dominate(mu)[0]
