@@ -5,7 +5,8 @@ content beta is the sum over multipartitions with that residue content and
 over pairs of standard tableaux with residue sequences nu, nu' of
 q^(deg S + deg T) (the Brundan-Kleshchev graded dimension formula).  Degrees
 are the usual addable-minus-removable statistics accumulated along the growth
-sequence of a tableau.
+sequence of a tableau.  One bottom-up sweep over a shape gives every addable
+node its residue and the degree of adding it.
 
 These sums are read from a content lattice instead of a list of tableaux:
 one forward pass over the shapes of content <= beta records, for each shape
@@ -15,7 +16,9 @@ shape.  The total dimension sums the squares of those functions over the
 shapes of content beta; a pair query runs a DP along nu and along nu' over
 the recorded moves, so no standard tableau is ever listed.  The shapes of
 content beta alone come from a depth-first search along the same moves,
-stopped at the first shape when only existence is asked.
+stopped at the first shape when only existence is asked.  Every shape is a
+tuple with one partition per charge, so the level is bounded by MAX_LEVEL
+before any such tuple is built.
 
 The residue of the node in row a, column b of the s-th component is
 charge_s + b - a mod e.  Components with smaller index sit above components
@@ -32,6 +35,8 @@ from .cartan import Record, RootVector
 # shapes of content <= beta one lattice or search may reach (~0.8 s, 20 MB)
 MAX_LATTICE_SHAPES = 20_000
 DEGREE_TABLE_CACHE = 4  # lattices kept, so at most 4 * MAX_LATTICE_SHAPES shapes
+# charges, so partitions per shape (level 1,000 with |beta| = 1: ~0.7 s, 24 MB)
+MAX_LEVEL = 1_000
 
 Partition = tuple[int, ...]
 
@@ -101,28 +106,34 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-def _addable(comp: Partition) -> list[tuple[int, int]]:
-    """Addable node positions (row, col), 0-based, of one partition."""
+def _addable_nodes(
+    components: tuple[Partition, ...], charges: tuple[int, ...], e: int
+) -> list[tuple[int, int, int, int]]:
+    """Each addable node as (component, row, residue, degree), top to bottom.
+
+    The degree of adding a node is the number of addable minus removable
+    nodes of its residue strictly below it in the grown shape.  One
+    bottom-up sweep keeps that count per residue.  It may be read off the
+    shape before the node is added: adding a node changes only its four
+    neighbours, whose residues differ from its own when e >= 2.
+    """
+    below = [0] * e
     nodes = []
-    for r, width in enumerate(comp):
-        if r == 0 or comp[r - 1] > width:
-            nodes.append((r, width))
-    nodes.append((len(comp), 0))
+    for s in range(len(components) - 1, -1, -1):
+        comp, charge = components[s], charges[s]
+        res = (charge - len(comp)) % e
+        nodes.append((s, len(comp), res, below[res]))
+        below[res] += 1
+        for r in range(len(comp) - 1, -1, -1):
+            width = comp[r]
+            if r == 0 or comp[r - 1] > width:
+                res = (charge + width - r) % e
+                nodes.append((s, r, res, below[res]))
+                below[res] += 1
+            if r + 1 == len(comp) or comp[r + 1] < width:
+                below[(charge + width - 1 - r) % e] -= 1
+    nodes.reverse()
     return nodes
-
-
-def _removable(comp: Partition) -> list[tuple[int, int]]:
-    """Removable node positions (row, col), 0-based, of one partition."""
-    return [
-        (r, width - 1)
-        for r, width in enumerate(comp)
-        if r + 1 == len(comp) or comp[r + 1] < width
-    ]
-
-
-def _res(charges: tuple[int, ...], e: int, s: int, r: int, c: int) -> int:
-    """Residue of 0-based node (component s, row r, column c)."""
-    return (charges[s] + c - r) % e
 
 
 def _check_shapes(count: int, beta_coeffs: tuple[int, ...]) -> None:
@@ -133,25 +144,9 @@ def _check_shapes(count: int, beta_coeffs: tuple[int, ...]) -> None:
         )
 
 
-def _d_statistic(
-    components: tuple[Partition, ...],
-    charges: tuple[int, ...],
-    e: int,
-    node: tuple[int, int, int],
-) -> int:
-    """Addable minus removable nodes of the node's residue strictly below it."""
-    s, r, c = node
-    omega = _res(charges, e, s, r, c)
-    total = 0
-    for s2 in range(s, len(components)):
-        comp = components[s2]
-        for r2, c2 in _addable(comp):
-            if (s2 > s or r2 > r) and _res(charges, e, s2, r2, c2) == omega:
-                total += 1
-        for r2, c2 in _removable(comp):
-            if (s2 > s or r2 > r) and _res(charges, e, s2, r2, c2) == omega:
-                total -= 1
-    return total
+def _check_level(level: int) -> None:
+    if level > MAX_LEVEL:
+        raise EnumerationLimitError(f"level {level} exceeds the limit MAX_LEVEL = {MAX_LEVEL}")
 
 
 def _grow(
@@ -171,6 +166,7 @@ def _shapes_of_content(
     """Each shape of content beta once: a depth-first search from the empty
     shape that adds only addable nodes whose residue beta still owes."""
     e, k = len(beta_coeffs), len(charges)
+    _check_level(k)
     empty = ((),) * k
     seen = {empty}
     stack = [(empty, beta_coeffs)]
@@ -179,16 +175,14 @@ def _shapes_of_content(
         if not any(rem):
             yield comps
             continue
-        for s in range(k):
-            for r, c in _addable(comps[s]):
-                res = _res(charges, e, s, r, c)
-                if rem[res] == 0:
-                    continue
-                grown = _grow(comps, s, r)
-                if grown not in seen:
-                    seen.add(grown)
-                    _check_shapes(len(seen), beta_coeffs)
-                    stack.append((grown, rem[:res] + (rem[res] - 1,) + rem[res + 1 :]))
+        for s, r, res, _ in _addable_nodes(comps, charges, e):
+            if rem[res] == 0:
+                continue
+            grown = _grow(comps, s, r)
+            if grown not in seen:
+                seen.add(grown)
+                _check_shapes(len(seen), beta_coeffs)
+                stack.append((grown, rem[:res] + (rem[res] - 1,) + rem[res + 1 :]))
 
 
 def enumerate_with_content(charges: tuple[int, ...], beta: RootVector) -> list[Multipartition]:
@@ -219,6 +213,9 @@ def _degree_table(
     pass drops the moves into shapes that cannot reach content beta.
     """
     e, k = len(beta_coeffs), len(charges)
+    if e < 2:
+        raise ValueError(f"graded dimensions need e >= 2 (ell >= 1), got e = {e}")
+    _check_level(k)
     empty = ((),) * k
     ids = {empty: 0}
     shapes = [empty]
@@ -231,24 +228,21 @@ def _degree_table(
     for i, comps in enumerate(shapes):
         rem, own = owed[i], gf[i]
         out: list[list[tuple[int, int]]] = [[] for _ in range(e)]
-        for s in range(k):
-            for r, c in _addable(comps[s]):
-                res = _res(charges, e, s, r, c)
-                if rem[res] == 0:
-                    continue
-                grown = _grow(comps, s, r)
-                d = _d_statistic(grown, charges, e, (s, r, c))
-                j = ids.get(grown)
-                if j is None:
-                    j = ids[grown] = len(shapes)
-                    shapes.append(grown)
-                    _check_shapes(len(shapes), beta_coeffs)
-                    owed.append(rem[:res] + (rem[res] - 1,) + rem[res + 1 :])
-                    gf.append({})
-                out[res].append((j, d))
-                target = gf[j]
-                for deg, count in own.items():
-                    target[deg + d] = target.get(deg + d, 0) + count
+        for s, r, res, d in _addable_nodes(comps, charges, e):
+            if rem[res] == 0:
+                continue
+            grown = _grow(comps, s, r)
+            j = ids.get(grown)
+            if j is None:
+                j = ids[grown] = len(shapes)
+                shapes.append(grown)
+                _check_shapes(len(shapes), beta_coeffs)
+                owed.append(rem[:res] + (rem[res] - 1,) + rem[res + 1 :])
+                gf.append({})
+            out[res].append((j, d))
+            target = gf[j]
+            for deg, count in own.items():
+                target[deg + d] = target.get(deg + d, 0) + count
         moves.append(out)
         if any(rem):
             gf[i] = None
@@ -317,6 +311,7 @@ def graded_dim_total(charges: tuple[int, ...], beta: RootVector) -> LaurentPoly:
 
 def charges_of(base_coeffs: tuple[int, ...]) -> tuple[int, ...]:
     """The canonical (weakly increasing) charge expression of a dominant weight."""
+    _check_level(sum(base_coeffs))
     out: list[int] = []
     for i, c in enumerate(base_coeffs):
         out.extend([i] * c)

@@ -7,7 +7,10 @@ closed-form solve, and the weight quiver by testing every label at every
 vertex on the cyclic interval and moving the summands by hand (`move`).  They
 share no code with `class_walk` or `follow`.  The
 shapes of a given residue content come from every k-multipartition of |beta|
-filtered by content, not from the shape search of `tableaux`.  The candidate
+filtered by content, not from the shape search of `tableaux`, and the degree
+of a tableau step is recounted from every addable and removable node of
+every later component (`_d_statistic`), not read from the one bottom-up sweep
+of `tableaux`.  The candidate
 rows of the decomposition search come from a scan of every value at every
 prefix, not from the bound the entries of C set.  The Brauer graph layer is
 the one that read the graph once per question: two depth-first walks over
@@ -21,6 +24,12 @@ The rest are references the package no longer needs: the materialized Cartan
 matrix, the rotation of a coefficient tuple, one simple reflection, the ev
 statistic, the closed-form beta sets of the tagged subquiver and the straight
 line Brauer graph.
+
+`defect` is the weight of a block, def(beta) = (Lambda, beta) - (beta,
+beta)/2.  It checks three layers against theorems instead of against a
+predecessor: graded dimensions are palindromes about q^def, a block of
+defect 0 has one shape, a nonzero block of defect <= 1 is Finite, and the
+defect is constant on Weyl orbits.
 
 The package's `__slots__` records are checked against the frozen dataclasses
 they replaced (`Frozen*`; `FrozenArrow` is the `typing.NamedTuple` that
@@ -49,6 +58,7 @@ from klrblocks.cartan import (
     RootVector,
     WeightCoeffs,
     alpha_sum,
+    apply_cartan,
     cyclic_interval,
     interval_delta,
     root_to_weight,
@@ -343,6 +353,58 @@ def residue_counts(
             for c in range(width):
                 counts[(charge + c - r) % e] += 1
     return tuple(counts)
+
+
+def _addable(comp: Partition) -> list[tuple[int, int]]:
+    """Addable node positions (row, col), 0-based, of one partition."""
+    nodes = []
+    for r, width in enumerate(comp):
+        if r == 0 or comp[r - 1] > width:
+            nodes.append((r, width))
+    nodes.append((len(comp), 0))
+    return nodes
+
+
+def _removable(comp: Partition) -> list[tuple[int, int]]:
+    """Removable node positions (row, col), 0-based, of one partition."""
+    return [
+        (r, width - 1)
+        for r, width in enumerate(comp)
+        if r + 1 == len(comp) or comp[r + 1] < width
+    ]
+
+
+def _res(charges: tuple[int, ...], e: int, s: int, r: int, c: int) -> int:
+    """Residue of 0-based node (component s, row r, column c)."""
+    return (charges[s] + c - r) % e
+
+
+def _d_statistic(
+    components: tuple[Partition, ...],
+    charges: tuple[int, ...],
+    e: int,
+    node: tuple[int, int, int],
+) -> int:
+    """Addable minus removable nodes of the node's residue strictly below it."""
+    s, r, c = node
+    omega = _res(charges, e, s, r, c)
+    total = 0
+    for s2 in range(s, len(components)):
+        comp = components[s2]
+        for r2, c2 in _addable(comp):
+            if (s2 > s or r2 > r) and _res(charges, e, s2, r2, c2) == omega:
+                total += 1
+        for r2, c2 in _removable(comp):
+            if (s2 > s or r2 > r) and _res(charges, e, s2, r2, c2) == omega:
+                total -= 1
+    return total
+
+
+def defect(lam: tuple[int, ...], beta: tuple[int, ...]) -> int:
+    """def(beta) = (Lambda, beta) - (beta, beta)/2 for the symmetrised affine
+    Cartan form; lam holds Lambda's fundamental-weight coefficients."""
+    pairing = sum(l * b for l, b in zip(lam, beta))
+    return pairing - sum(b * cb for b, cb in zip(beta, apply_cartan(beta))) // 2
 
 
 def filtered_with_content(

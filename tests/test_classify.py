@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from klrblocks.quiver import LevelTooSmallError, build_quiver
 from klrblocks.tableaux import block_is_nonzero
 from klrblocks.weyl import orbit_representative
 
-from oracles import rotate_tuple
+from oracles import defect, rotate_tuple
 
 
 def alpha(e, *idx):
@@ -165,6 +166,28 @@ def test_classify_sigma_invariance():
         lhs = classify(rotated, RootVector(rotate_tuple(beta.coeffs, shift)), params)
         rhs = classify(base, beta, params)
         assert lhs == rhs
+
+
+def test_low_defect_blocks_are_finite():
+    # Blocks of defect 0 are simple and blocks of defect 1 are Brauer tree
+    # algebras, so every nonzero one is Finite, in every characteristic and
+    # t class; at defect 2 all three nonzero types occur, so there is no
+    # converse.  Over e = 2..4, level 3..4 and beta entries <= 2.
+    cases = 0
+    for e in (2, 3, 4):
+        t_classes = (TClass.OTHER, TClass.TWO, TClass.MINUS_TWO) if e == 2 else (
+            TClass.OTHER, TClass.SIGN_ELL)
+        for k in (3, 4):
+            for parts in itertools.combinations_with_replacement(range(e), k):
+                lam = tuple(parts.count(i) for i in range(e))
+                for beta in itertools.product(range(3), repeat=e):
+                    if defect(lam, beta) > 1:
+                        continue
+                    for char_p, t_class in itertools.product((0, 2, 3), t_classes):
+                        got = classify(LevelKDominant(lam), RootVector(beta), FieldParams(char_p, t_class))
+                        assert got in (RepType.ZERO, RepType.FINITE), (lam, beta, char_p, t_class, got)
+                        cases += got is RepType.FINITE
+    assert cases == 6663
 
 
 def test_partition_of_class_betas():

@@ -21,6 +21,7 @@ from klrblocks.classify import FieldParams, TClass, TClassRankError, classify
 from klrblocks.cli import _REQUIRED, COMMANDS, UsageError, _parse, run
 from klrblocks.maxweights import MAX_E, LevelKDominant
 from klrblocks.quiver import WeightQuiver, build_quiver
+from klrblocks.tableaux import MAX_LEVEL
 
 from oracles import build_parser, partitions_of
 
@@ -354,6 +355,25 @@ def test_class_walk_is_bounded():
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "more than 20000 members" in err
+
+
+def test_level_limit_is_one_error_line():
+    # Each shape of the lattice is a level-tuple, so level 100,000 once filled
+    # about 16 GB before the shape limit fired, and level 10^9 first built a
+    # 10^9-entry charge list.  In a child process, so that such a build fails
+    # on the timeout instead of exhausting memory in the suite.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(klrblocks.__file__))}
+    for level in (MAX_LEVEL + 1, 10**9):
+        argv = ["gdim", "--ell", "1", "--weight", f"{level},0", "--beta", "1,0"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "klrblocks.cli", *argv],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        expected = f"error: level {level} exceeds the limit MAX_LEVEL = {MAX_LEVEL}\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", expected)
+        started = time.perf_counter()
+        assert capture(argv) == (1, "", expected)
+        assert time.perf_counter() - started < 0.5
 
 
 def test_tall_level_one_block_answers():

@@ -17,11 +17,9 @@ from klrblocks.tableaux import (
     LaurentPoly,
     Multipartition,
     Partition,
-    _addable,
-    _d_statistic,
+    _addable_nodes,
     _degree_table,
     _grow,
-    _res,
     block_is_nonzero,
     charges_of,
     enumerate_with_content,
@@ -30,6 +28,10 @@ from klrblocks.tableaux import (
 )
 
 from oracles import (
+    _addable,
+    _d_statistic,
+    _res,
+    defect,
     filtered_is_nonzero,
     filtered_with_content,
     multipartitions,
@@ -98,11 +100,13 @@ def test_multipartition_counts():
 
 
 def test_d_below_examples():
-    # the degree statistic of a removable node, 0-based (component, row, column)
-    assert _d_statistic(((1,),), (0,), 2, (0, 0, 0)) == 0
+    # (component, row, residue, degree) of each addable node, top to bottom
+    assert _addable_nodes(((),), (0,), 2) == [(0, 0, 0, 0)]
     # a second empty component of equal charge hangs an addable node below
-    assert _d_statistic(((1,), ()), (0, 0), 3, (0, 0, 0)) == 1
-    assert _d_statistic(((1, 1, 1),), (0,), 3, (0, 2, 0)) == 0
+    assert _addable_nodes(((), ()), (0, 0), 3) == [(0, 0, 0, 1), (1, 0, 0, 0)]
+    # in (1, 1) at e = 3 both addable nodes have residue 1; the removable node
+    # between them has residue 2, so only the lower one counts for the upper
+    assert _addable_nodes(((1, 1),), (0,), 3) == [(0, 0, 1, 1), (0, 2, 1, 0)]
 
 
 def test_enumerate_with_content_examples():
@@ -240,6 +244,16 @@ def test_graded_dim_content_mismatch():
         graded_dim((0,), RootVector((1, 1)), (0, 0), (0, 1))
 
 
+def test_graded_dim_refuses_e_below_two():
+    # the degree statistic is defined for e >= 2 only: at e = 1 a node's
+    # neighbours share its residue
+    for beta in ((), (3,)):
+        with pytest.raises(ValueError, match="e >= 2"):
+            graded_dim_total((0,), RootVector(beta))
+        with pytest.raises(ValueError, match="e >= 2"):
+            graded_dim((0,), RootVector(beta), (0,) * sum(beta), (0,) * sum(beta))
+
+
 def test_laurent_poly_str():
     assert str(poly((0, 1), (2, 2), (6, 1))) == "1 + 2q^2 + q^6"
     assert str(poly((-2, 1), (0, 3))) == "q^{-2} + 3"
@@ -279,11 +293,11 @@ def oracle_pair(charges, beta, nu, nup) -> LaurentPoly:
 
 
 @st.composite
-def charged_shapes(draw, max_n: int = 7):
-    """(charges, components, e) of a charged shape with e <= 4, level <= 3 and
-    at most max_n nodes."""
-    e = draw(st.integers(2, 4))
-    k = draw(st.integers(1, 3))
+def charged_shapes(draw, max_n: int = 7, max_e: int = 4, max_level: int = 3):
+    """(charges, components, e) of a charged shape with 2 <= e <= max_e, level
+    at most max_level and at most max_n nodes."""
+    e = draw(st.integers(2, max_e))
+    k = draw(st.integers(1, max_level))
     charges = tuple(sorted(draw(st.lists(st.integers(0, e - 1), min_size=k, max_size=k))))
     comps = ((),) * k
     for _ in range(draw(st.integers(0, max_n))):
@@ -291,6 +305,19 @@ def charged_shapes(draw, max_n: int = 7):
         s, r = draw(st.sampled_from(addable))
         comps = _grow(comps, s, r)
     return charges, comps, e
+
+
+@settings(max_examples=300, deadline=None)
+@given(charged_shapes(max_n=25, max_e=6, max_level=5))
+def test_addable_nodes_match_d_statistic(shape):
+    # the one sweep against the statistic recounted on the grown shape
+    charges, comps, e = shape
+    expected = [
+        (s, r, _res(charges, e, s, r, c), _d_statistic(_grow(comps, s, r), charges, e, (s, r, c)))
+        for s in range(len(comps))
+        for r, c in _addable(comps[s])
+    ]
+    assert _addable_nodes(comps, charges, e) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -332,6 +359,76 @@ def test_graded_dim_pairs_match_walk(shape, data):
         expected = oracle_pair(charges, beta, left, right)
         assert graded_dim(charges, rv, left, right) == expected
         assert graded_dim(charges, rv, right, left) == expected
+
+
+# --- theorems about the defect def(beta) = (Lambda, beta) - (beta, beta)/2 ----
+
+
+def is_palindrome(poly: LaurentPoly, centre: int) -> bool:
+    """Whether the coefficients of q^d and q^(2 centre - d) agree for all d."""
+    return all(poly.terms.get(2 * centre - d) == c for d, c in poly.terms.items())
+
+
+def test_defect_theorems_on_every_small_block():
+    """Over e = 2..4, level 1..3 and beta entries <= 2 with |beta| <= 5, every
+    nonzero block has def >= 0, exactly one shape when def = 0, and graded
+    dimensions that are palindromes about q^def (the cyclotomic quotient is
+    graded symmetric of degree 2 def); pairs of residue sequences are checked
+    up to |beta| = 4."""
+    zero_defect = pairs = 0
+    for e in (2, 3, 4):
+        for k in (1, 2, 3):
+            for parts in itertools.combinations_with_replacement(range(e), k):
+                lam = tuple(parts.count(i) for i in range(e))
+                charges = charges_of(lam)
+                for beta in itertools.product(range(3), repeat=e):
+                    rv = RootVector(beta)
+                    shapes = enumerate_with_content(charges, rv)
+                    if sum(beta) > 5 or not shapes:
+                        continue
+                    d = defect(lam, beta)
+                    assert d >= 0
+                    if d == 0:
+                        zero_defect += 1
+                        assert len(shapes) == 1
+                    assert is_palindrome(graded_dim_total(charges, rv), d)
+                    if sum(beta) > 4:
+                        continue
+                    seqs = set(itertools.permutations([i for i in range(e) for _ in range(beta[i])]))
+                    live = [nu for nu in sorted(seqs) if graded_dim(charges, rv, nu, nu)]
+                    for nu, nup in itertools.product(live, repeat=2):
+                        pairs += 1
+                        assert is_palindrome(graded_dim(charges, rv, nu, nup), d)
+    assert (zero_defect, pairs) == (468, 12358)
+
+
+@settings(max_examples=40, deadline=None)
+@given(charged_shapes(max_n=8), st.data())
+def test_graded_dims_are_palindromes_about_the_defect(shape, data):
+    charges, comps, e = shape
+    beta = residue_counts(comps, charges, e)
+    d = defect(tuple(charges.count(i) for i in range(e)), beta)
+    rv = RootVector(beta)
+    assert is_palindrome(graded_dim_total(charges, rv), d)
+    seqs = sorted(walk_table(charges, beta)[comps])
+    nu, nup = data.draw(st.sampled_from(seqs)), data.draw(st.sampled_from(seqs))
+    assert is_palindrome(graded_dim(charges, rv, nu, nup), d)
+    if d == 0:
+        assert enumerate_with_content(charges, rv) == [Multipartition(comps)]
+
+
+def test_level_limit():
+    k = tableaux.MAX_LEVEL + 1
+    calls = [
+        lambda: charges_of((k, 0)),
+        lambda: block_is_nonzero((k, 0), RootVector((1, 0))),
+        lambda: enumerate_with_content((0,) * k, RootVector((1, 0))),
+        lambda: graded_dim_total((0,) * k, RootVector((1, 0))),
+    ]
+    for call in calls:
+        with pytest.raises(EnumerationLimitError, match=f"level {k} exceeds"):
+            call()
+    assert len(charges_of((tableaux.MAX_LEVEL - 1, 1))) == tableaux.MAX_LEVEL
 
 
 def test_degree_table_cache_is_bounded():

@@ -18,7 +18,7 @@ from klrblocks.maxweights import LevelKDominant, max_plus, p_lambda_set
 from klrblocks.tableaux import block_is_nonzero
 from klrblocks.weyl import OrbitResult, OrbitStatus, dominate, orbit_representative
 
-from oracles import rotate_tuple, simple_reflect
+from oracles import defect, rotate_tuple, simple_reflect
 
 
 # --- reference oracle: WeightCoeffs arithmetic and the sieving-class lookup ---
@@ -242,6 +242,18 @@ def test_nonzero_beta0_lies_in_the_sieving_class(case):
     res = orbit_representative(base, beta)
     if res.status is OrbitStatus.NONZERO:
         assert res.beta0.coeffs in p_lambda_set(base)
+
+
+@settings(max_examples=300, deadline=None)
+@given(orbit_cases())
+def test_defect_is_constant_on_the_orbit(case):
+    # def(beta) = ((Lambda, Lambda) - (mu, mu))/2 with mu = Lambda - beta, and
+    # (mu, mu) is Weyl invariant; a nonzero block has def >= 0
+    base, beta = case
+    res = orbit_representative(base, beta)
+    if res.status is OrbitStatus.NONZERO:
+        rep = tuple(c + res.m for c in res.beta0.coeffs)
+        assert defect(base.coeffs, beta.coeffs) == defect(base.coeffs, rep) >= 0
 
 
 @st.composite
