@@ -5,6 +5,10 @@ read off finite lists attached to the base weight: interval sums between
 cyclically consecutive occupied indices, and small corrections at doubled,
 tripled and quadrupled summands.  Three of the tame families disappear in a
 specific field characteristic; the parameter t enters only for beta = delta.
+
+`script_sets` pairs each occupied index i with the next one j, cyclically, and
+skips the interval [i, j] when i = j or when j = i - 1 (it would be all of I).
+A neighbour i +- 1 of a summand is free exactly when it is unoccupied.
 """
 
 from __future__ import annotations
@@ -97,69 +101,40 @@ def _require_level_3(base: LevelKDominant) -> None:
 
 
 def script_sets(base: LevelKDominant, char_p: int = 0) -> ScriptSets:
-    """Build the finite/tame beta sets of the main classification for `base`.
-
-    Uses the cyclic enumeration i_1 < ... < i_h of occupied indices, with
-    i_0 = i_h and i_{h+1} = i_1.
-    """
+    """Build the finite/tame beta sets of the main classification for `base`."""
     _require_level_3(base)
-    e = len(base.coeffs)
     m = base.coeffs
+    e = len(m)
     occupied = base.support()
-    h = len(occupied)
-
-    def nxt(j: int) -> int:
-        return occupied[(j + 1) % h]
-
-    def prv(j: int) -> int:
-        return occupied[(j - 1) % h]
-
     finite: set[RootVector] = {RootVector((0,) * e)}
-    t1: set[RootVector] = set()
-    t2: set[RootVector] = set()
-    t3: set[RootVector] = set()
-    t4: set[RootVector] = set()
-    t5: set[RootVector] = set()
+    tame: list[set[RootVector]] = [set() for _ in range(5)]  # indexed like ScriptSets.tame
 
-    # alpha_i at a doubled summand is representation-finite
-    for i in occupied:
+    for i, j in zip(occupied, occupied[1:] + occupied[:1]):
+        # the interval to the next occupied index, unless i is alone or it is all of I
+        if i != j and (j - (i - 1)) % e != 0 and min(m[i], m[j]) == 1:
+            beta = RootVector(interval_delta(i, j, e))
+            if max(m[i], m[j]) == 1:
+                finite.add(beta)
+            else:
+                tame[0].add(beta)
+        # alpha_i at a doubled summand is representation-finite
         if m[i] >= 2:
             finite.add(alpha_sum(e, i))
-
-    if h >= 2:
-        for j in range(h):
-            i, nx = occupied[j], nxt(j)
-            if (nx - (i - 1)) % e == 0:  # interval would be all of I
-                continue
-            beta = RootVector(interval_delta(i, nx, e))
-            if m[i] == 1 and m[nx] == 1:
-                finite.add(beta)
-            elif m[i] == 1 or m[nx] == 1:
-                t1.add(beta)
-
-    for j, i in enumerate(occupied):
-        before_ok = (prv(j) - (i - 1)) % e != 0
-        after_ok = (nxt(j) - (i + 1)) % e != 0
-        if e >= 4 and m[i] == 2 and before_ok and after_ok and char_p != 2:
-            t2.add(alpha_sum(e, i, i, i - 1, i + 1))
+        if e >= 4 and m[i] == 2 and m[i - 1] == 0 and m[(i + 1) % e] == 0 and char_p != 2:
+            tame[1].add(alpha_sum(e, i, i, i - 1, i + 1))
         if e >= 3 and m[i] == 3 and char_p != 3:
-            if after_ok:
-                t3.add(alpha_sum(e, i, i, i + 1))
-            if before_ok:
-                t3.add(alpha_sum(e, i, i, i - 1))
+            if m[(i + 1) % e] == 0:
+                tame[2].add(alpha_sum(e, i, i, i + 1))
+            if m[i - 1] == 0:
+                tame[2].add(alpha_sum(e, i, i, i - 1))
         if m[i] == 4 and char_p != 2:
-            t4.add(alpha_sum(e, i, i))
+            tame[3].add(alpha_sum(e, i, i))
+        if e >= 3 and m[i] == 2:
+            for k in occupied:
+                if k != i and m[k] == 2 and (k - i) % e not in (1, e - 1):
+                    tame[4].add(alpha_sum(e, i, k))
 
-    if e >= 3:
-        for i in occupied:
-            for j in occupied:
-                if i != j and m[i] == 2 and m[j] == 2 and (j - i) % e not in (1, e - 1):
-                    t5.add(alpha_sum(e, i, j))
-
-    return ScriptSets(
-        frozenset(finite),
-        (frozenset(t1), frozenset(t2), frozenset(t3), frozenset(t4), frozenset(t5)),
-    )
+    return ScriptSets(frozenset(finite), tuple(frozenset(s) for s in tame))
 
 
 def classify(

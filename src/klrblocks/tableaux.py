@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import lru_cache
 
-from .cartan import Record, RootVector
+from .cartan import Record, RootVector, alpha_sum
 
 # shapes of content <= beta one lattice or search may reach (~0.8 s, 20 MB)
 MAX_LATTICE_SHAPES = 20_000
@@ -253,13 +253,6 @@ def _degree_table(
     return moves, {i: gf[i] for i, rem in enumerate(owed) if not any(rem)}
 
 
-def residue_content(nu: tuple[int, ...], e: int) -> tuple[int, ...]:
-    counts = [0] * e
-    for r in nu:
-        counts[r % e] += 1
-    return tuple(counts)
-
-
 def _along(moves: _Moves, nu: tuple[int, ...]) -> dict[tuple[int, int], int]:
     """(shape id, degree) -> number of standard fillings with residue sequence nu."""
     states = {(0, 0): 1}
@@ -284,7 +277,7 @@ def graded_dim(
     nu = tuple(r % e for r in nu)
     nu_prime = tuple(r % e for r in nu_prime)
     for seq in (nu, nu_prime):
-        if residue_content(seq, e) != beta.coeffs:
+        if alpha_sum(e, *seq) != beta:
             raise ContentMismatchError(f"residue sequence {seq} has content != beta")
     moves, _ = _degree_table(charges, beta.coeffs)
     left = _along(moves, nu)

@@ -5,7 +5,10 @@ replacement: weight arithmetic on `WeightCoeffs` (pairing, simple roots,
 scaling), the sieving class by composition recursion with X from the
 closed-form solve, and the weight quiver by testing every label at every
 vertex on the cyclic interval and moving the summands by hand (`move`).  They
-share no code with `class_walk` or `follow`.  The
+share no code with `class_walk` or `follow`.  The script sets of the
+classification come from the walk that finds each summand's neighbours by
+stepping along the occupied list (`nxt`, `prv`) and testing them mod e, not
+from the one pass of `classify.script_sets`.  The
 shapes of a given residue content come from every k-multipartition of |beta|
 filtered by content, not from the shape search of `tableaux`, and the degree
 of a tableau step is recounted from every addable and removable node of
@@ -63,7 +66,7 @@ from klrblocks.cartan import (
     interval_delta,
     root_to_weight,
 )
-from klrblocks.classify import MAX_CHAR, TClass
+from klrblocks.classify import MAX_CHAR, ScriptSets, TClass, _require_level_3
 from klrblocks.cli import UsageError
 from klrblocks.maxweights import MAX_E, LevelKDominant, MaxWeightEntry, solve_x
 from klrblocks.quiver import Arrow, LevelTooSmallError, TQuiver, WeightQuiver
@@ -302,6 +305,75 @@ def t_beta_sets(base: LevelKDominant) -> dict[int, set[RootVector]]:
     if e >= 3:
         sets[5] = {alpha_sum(e, i, j) for i in i1 for j in i1 if i != j}
     return sets
+
+
+# --- the script sets of the classification ---
+
+
+def walk_script_sets(base: LevelKDominant, char_p: int = 0) -> ScriptSets:
+    """Build the finite/tame beta sets of the main classification for `base`.
+
+    Uses the cyclic enumeration i_1 < ... < i_h of occupied indices, with
+    i_0 = i_h and i_{h+1} = i_1.
+    """
+    _require_level_3(base)
+    e = len(base.coeffs)
+    m = base.coeffs
+    occupied = base.support()
+    h = len(occupied)
+
+    def nxt(j: int) -> int:
+        return occupied[(j + 1) % h]
+
+    def prv(j: int) -> int:
+        return occupied[(j - 1) % h]
+
+    finite: set[RootVector] = {RootVector((0,) * e)}
+    t1: set[RootVector] = set()
+    t2: set[RootVector] = set()
+    t3: set[RootVector] = set()
+    t4: set[RootVector] = set()
+    t5: set[RootVector] = set()
+
+    # alpha_i at a doubled summand is representation-finite
+    for i in occupied:
+        if m[i] >= 2:
+            finite.add(alpha_sum(e, i))
+
+    if h >= 2:
+        for j in range(h):
+            i, nx = occupied[j], nxt(j)
+            if (nx - (i - 1)) % e == 0:  # interval would be all of I
+                continue
+            beta = RootVector(interval_delta(i, nx, e))
+            if m[i] == 1 and m[nx] == 1:
+                finite.add(beta)
+            elif m[i] == 1 or m[nx] == 1:
+                t1.add(beta)
+
+    for j, i in enumerate(occupied):
+        before_ok = (prv(j) - (i - 1)) % e != 0
+        after_ok = (nxt(j) - (i + 1)) % e != 0
+        if e >= 4 and m[i] == 2 and before_ok and after_ok and char_p != 2:
+            t2.add(alpha_sum(e, i, i, i - 1, i + 1))
+        if e >= 3 and m[i] == 3 and char_p != 3:
+            if after_ok:
+                t3.add(alpha_sum(e, i, i, i + 1))
+            if before_ok:
+                t3.add(alpha_sum(e, i, i, i - 1))
+        if m[i] == 4 and char_p != 2:
+            t4.add(alpha_sum(e, i, i))
+
+    if e >= 3:
+        for i in occupied:
+            for j in occupied:
+                if i != j and m[i] == 2 and m[j] == 2 and (j - i) % e not in (1, e - 1):
+                    t5.add(alpha_sum(e, i, j))
+
+    return ScriptSets(
+        frozenset(finite),
+        (frozenset(t1), frozenset(t2), frozenset(t3), frozenset(t4), frozenset(t5)),
+    )
 
 
 # --- charged multipartitions of a given content ---

@@ -8,11 +8,11 @@ import pytest
 from klrblocks.cartan import RootVector, WeightCoeffs
 from klrblocks.classify import FieldParams, RepType, TClass, classify, script_sets
 from klrblocks.maxweights import LevelKDominant, max_plus
-from klrblocks.quiver import LevelTooSmallError, build_quiver
+from klrblocks.quiver import LevelTooSmallError, build_quiver, t_subquiver
 from klrblocks.tableaux import block_is_nonzero
 from klrblocks.weyl import orbit_representative
 
-from oracles import defect, rotate_tuple
+from oracles import defect, rotate_tuple, walk_script_sets
 
 
 def alpha(e, *idx):
@@ -53,6 +53,48 @@ def test_script_sets_char_dependence():
     base3 = LevelKDominant((3, 0, 1, 0))
     assert script_sets(base3, 0).tame[3 - 1] == {alpha(4, 0, 0, 1), alpha(4, 0, 0, 3)}
     assert script_sets(base3, 3).tame[3 - 1] == frozenset()
+
+
+def small_bases():
+    """Every dominant weight of level 3..5 at e = 2..7 (1,593 of them)."""
+    for e in range(2, 8):
+        for k in (3, 4, 5):
+            for parts in itertools.combinations_with_replacement(range(e), k):
+                yield LevelKDominant(tuple(parts.count(i) for i in range(e)))
+
+
+def test_script_sets_match_walk_oracle():
+    calls = 0
+    for base in small_bases():
+        for char_p in (0, 2, 3, 5):
+            got, want = script_sets(base, char_p), walk_script_sets(base, char_p)
+            assert got.finite == want.finite, (base.coeffs, char_p)
+            assert got.tame == want.tame, (base.coeffs, char_p)
+            calls += 1
+    assert calls == 6372
+
+
+def test_script_sets_lie_on_the_tagged_subquiver():
+    # The classification is read off the tagged subquiver: every non-wild
+    # beta other than 0 is the beta of a vertex reached by the construction
+    # of its family.  Intervals (finite or tame family 1) carry tag 0, the
+    # doubled alphas tag 1, and tame families 2..5 tags 2..5.
+    cases = 0
+    for base in small_bases():
+        tq = t_subquiver(base)
+        tagged: list[set[RootVector]] = [set() for _ in range(6)]
+        for vid, tags in tq.tags.items():
+            for tag in tags:
+                tagged[tag].add(tq.vertices[vid].beta)
+        zero = RootVector((0,) * len(base.coeffs))
+        for char_p in (0, 2, 3):
+            sets = script_sets(base, char_p)
+            assert sets.finite - {zero} <= tagged[0] | tagged[1], (base.coeffs, char_p)
+            assert sets.tame[0] <= tagged[0], (base.coeffs, char_p)
+            for family in range(1, 5):
+                assert sets.tame[family] <= tagged[family + 1], (base.coeffs, char_p, family)
+            cases += 1
+    assert cases == 4779
 
 
 def test_level_too_small_rejected():
