@@ -5,8 +5,7 @@ content beta is the sum over multipartitions with that residue content and
 over pairs of standard tableaux with residue sequences nu, nu' of
 q^(deg S + deg T) (the Brundan-Kleshchev graded dimension formula).  Degrees
 are the usual addable-minus-removable statistics accumulated along the growth
-sequence of a tableau.  One bottom-up sweep over a shape gives every addable
-node its residue and the degree of adding it.
+sequence of a tableau.
 
 These sums are read from a content lattice instead of a list of tableaux:
 one forward pass over the shapes of content <= beta records, for each shape
@@ -16,9 +15,18 @@ shape.  The total dimension sums the squares of those functions over the
 shapes of content beta; a pair query runs a DP along nu and along nu' over
 the recorded moves, so no standard tableau is ever listed.  The shapes of
 content beta alone come from a depth-first search along the same moves,
-stopped at the first shape when only existence is asked.  Every shape is a
-tuple with one partition per charge, so the level is bounded by MAX_LEVEL
-before any such tuple is built.
+stopped at the first shape when only existence is asked.
+
+Each shape is one integer, a stacked abacus.  Component s owns a section of
+2h + 2 bits, component 0 the highest, and the bead of row a (for rows 0..h)
+sits at bit h - a + lambda_a of its section, so a lower bit is always lower
+in the stacked picture.  Adding a node moves a bead up one bit.  The degree
+of the step counts the addable minus the removable nodes of its residue on
+lower bits, read with one mask of bits per residue.  h starts at
+min(|beta|, 31).  A move that would outgrow it (a bead onto a section's top
+bit, or a row-h bead moving) starts the walk again at twice the height, at
+most |beta|; discovery order does not depend on h, so that changes no
+outcome.  The level is bounded by MAX_LEVEL before any shape is built.
 
 The residue of the node in row a, column b of the s-th component is
 charge_s + b - a mod e.  Components with smaller index sit above components
@@ -27,15 +35,17 @@ with larger index; "below" always refers to this stacked picture.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import lru_cache
 
 from .cartan import Record, RootVector, alpha_sum
 
-# shapes of content <= beta one lattice or search may reach (~0.8 s, 20 MB)
+# shapes of content <= beta one lattice or search may reach (gdim on a block
+# of 16,113 shapes at e = 4: ~0.5 s, 30 MB)
 MAX_LATTICE_SHAPES = 20_000
-DEGREE_TABLE_CACHE = 4  # lattices kept, so at most 4 * MAX_LATTICE_SHAPES shapes
-# charges, so partitions per shape (level 1,000 with |beta| = 1: ~0.7 s, 24 MB)
+# lattices kept; one of 16,113 shapes holds about 12 MB, at any e, since a
+# shape keeps moves only for the residues it can add
+DEGREE_TABLE_CACHE = 4
+# charges, so sections per shape (level 1,000 with |beta| = 1: ~0.1 s, 15 MB)
 MAX_LEVEL = 1_000
 
 Partition = tuple[int, ...]
@@ -106,36 +116,6 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-def _addable_nodes(
-    components: tuple[Partition, ...], charges: tuple[int, ...], e: int
-) -> list[tuple[int, int, int, int]]:
-    """Each addable node as (component, row, residue, degree), top to bottom.
-
-    The degree of adding a node is the number of addable minus removable
-    nodes of its residue strictly below it in the grown shape.  One
-    bottom-up sweep keeps that count per residue.  It may be read off the
-    shape before the node is added: adding a node changes only its four
-    neighbours, whose residues differ from its own when e >= 2.
-    """
-    below = [0] * e
-    nodes = []
-    for s in range(len(components) - 1, -1, -1):
-        comp, charge = components[s], charges[s]
-        res = (charge - len(comp)) % e
-        nodes.append((s, len(comp), res, below[res]))
-        below[res] += 1
-        for r in range(len(comp) - 1, -1, -1):
-            width = comp[r]
-            if r == 0 or comp[r - 1] > width:
-                res = (charge + width - r) % e
-                nodes.append((s, r, res, below[res]))
-                below[res] += 1
-            if r + 1 == len(comp) or comp[r + 1] < width:
-                below[(charge + width - 1 - r) % e] -= 1
-    nodes.reverse()
-    return nodes
-
-
 def _check_shapes(count: int, beta_coeffs: tuple[int, ...]) -> None:
     if count > MAX_LATTICE_SHAPES:
         raise EnumerationLimitError(
@@ -149,40 +129,104 @@ def _check_level(level: int) -> None:
         raise EnumerationLimitError(f"level {level} exceeds the limit MAX_LEVEL = {MAX_LEVEL}")
 
 
-def _grow(
-    components: tuple[Partition, ...], s: int, r: int
-) -> tuple[Partition, ...]:
-    comp = components[s]
-    if r == len(comp):
-        new = comp + (1,)
-    else:
-        new = comp[:r] + (comp[r] + 1,) + comp[r + 1 :]
-    return components[:s] + (new,) + components[s + 1 :]
+def _abacus(
+    charges: tuple[int, ...], residues: set[int], e: int, h: int
+) -> tuple[int, int, int, dict[int, int]]:
+    """(empty, fixed, edge, res) on the stacked abacus of section height h.
+
+    empty is the empty shape, fixed holds the row-h beads and edge the bit
+    below each section's top bit.  res[r], for each r in residues, holds the
+    bits whose bead adds a node of residue r when it moves up; a bead in
+    res[r + 1] can remove one of residue r.
+    """
+    width = 2 * h + 2
+    fixed = ((1 << width * len(charges)) - 1) // ((1 << width) - 1)
+    res = {}
+    for r in residues:
+        section = {c: sum(1 << p for p in range((r - c + h) % e, width, e)) for c in set(charges)}
+        mask = 0
+        for c in charges:
+            mask = mask << width | section[c]
+        res[r] = mask
+    return ((1 << h + 1) - 1) * fixed, fixed, fixed << 2 * h, res
 
 
-def _shapes_of_content(
-    charges: tuple[int, ...], beta_coeffs: tuple[int, ...]
-) -> Iterator[tuple[Partition, ...]]:
-    """Each shape of content beta once: a depth-first search from the empty
-    shape that adds only addable nodes whose residue beta still owes."""
-    e, k = len(beta_coeffs), len(charges)
-    _check_level(k)
-    empty = ((),) * k
+def _widened(walk, charges: tuple[int, ...], beta_coeffs: tuple[int, ...], *args):
+    """walk(charges, beta_coeffs, h, *args) from h = min(|beta|, 31), again
+    at twice the height while it returns None (no shape of content <= beta
+    outgrows height |beta|)."""
+    size = sum(beta_coeffs)
+    h = min(size, 31)
+    while (out := walk(charges, beta_coeffs, h, *args)) is None:
+        h = min(2 * h, size)
+    return out
+
+
+def _decode(shape: int, empty: int, k: int, h: int) -> tuple[Partition, ...]:
+    """The partitions of a shape, component 0 first; only the sections that
+    differ from the empty shape are read."""
+    width = 2 * h + 2
+    comps: list[Partition] = [()] * k
+    differ = shape ^ empty
+    while differ:
+        s = (differ.bit_length() - 1) // width
+        section, rows = shape >> s * width, []
+        for p in range(width - 1, -1, -1):
+            if section >> p & 1:
+                if p - h + len(rows) == 0:
+                    break
+                rows.append(p - h + len(rows))
+        comps[k - 1 - s] = tuple(rows)
+        differ &= (1 << s * width) - 1
+    return tuple(comps)
+
+
+def _search(
+    charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int, first: bool
+) -> list[tuple[Partition, ...]] | None:
+    """The shape search on sections of height h, or None once a move
+    outgrows them."""
+    live = [r for r, c in enumerate(beta_coeffs) if c]
+    empty, fixed, edge, res = _abacus(charges, set(live), len(beta_coeffs), h)
+    outgrown = fixed | edge
     seen = {empty}
-    stack = [(empty, beta_coeffs)]
+    stack = [(empty, tuple(beta_coeffs[r] for r in live))]
+    found = []
     while stack:
-        comps, rem = stack.pop()
+        shape, rem = stack.pop()
         if not any(rem):
-            yield comps
+            found.append(shape)
+            if first:
+                break
             continue
-        for s, r, res, _ in _addable_nodes(comps, charges, e):
-            if rem[res] == 0:
-                continue
-            grown = _grow(comps, s, r)
+        add = shape & ~(shape >> 1)
+        steps = []
+        for x, r in enumerate(live):
+            bits = add & res[r] if rem[x] else 0
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                steps.append((low, x))
+        # pushed top to bottom, so the lowest node is grown first
+        for low, x in sorted(steps, reverse=True):
+            if low & outgrown:
+                return None
+            grown = shape + low
             if grown not in seen:
                 seen.add(grown)
                 _check_shapes(len(seen), beta_coeffs)
-                stack.append((grown, rem[:res] + (rem[res] - 1,) + rem[res + 1 :]))
+                stack.append((grown, rem[:x] + (rem[x] - 1,) + rem[x + 1 :]))
+    return [_decode(shape, empty, len(charges), h) for shape in found]
+
+
+def _shapes_of_content(
+    charges: tuple[int, ...], beta_coeffs: tuple[int, ...], first: bool = False
+) -> list[tuple[Partition, ...]]:
+    """Each shape of content beta once (only the first found when first is
+    set): a depth-first search from the empty shape that adds only addable
+    nodes whose residue beta still owes."""
+    _check_level(len(charges))
+    return _widened(_search, charges, beta_coeffs, first)
 
 
 def enumerate_with_content(charges: tuple[int, ...], beta: RootVector) -> list[Multipartition]:
@@ -196,60 +240,86 @@ def enumerate_with_content(charges: tuple[int, ...], beta: RootVector) -> list[M
     return [Multipartition(comps) for comps in shapes]
 
 
-_Moves = list[list[list[tuple[int, int]]]]
+_Moves = list[dict[int, list[tuple[int, int]]]]
+_Table = tuple[_Moves, dict[int, dict[int, int]]]
 
 
 @lru_cache(maxsize=DEGREE_TABLE_CACHE)
-def _degree_table(
-    charges: tuple[int, ...], beta_coeffs: tuple[int, ...]
-) -> tuple[_Moves, dict[int, dict[int, int]]]:
+def _degree_table(charges: tuple[int, ...], beta_coeffs: tuple[int, ...]) -> _Table:
     """The content lattice of the block: (moves, full).
 
     Its shapes are those of content <= beta that grow to content beta, with
-    integer ids (the empty shape is 0).  moves[id][res] lists (grown id, step
-    degree) for the addable nodes of residue res; full maps the id of each
-    shape of content beta to the sum of q^deg over its standard tableaux, as
-    {deg: count}.  One forward pass over shapes builds it, and one backward
-    pass drops the moves into shapes that cannot reach content beta.
+    integer ids (the empty shape is 0).  moves[id] maps each residue res that
+    has a move to the list of (grown id, step degree) for the addable nodes
+    of residue res, bottom to top; full maps the id of each shape of content
+    beta to the sum of q^deg over its standard tableaux, as {deg: count}.  One
+    forward pass over shapes builds it, and one backward pass drops the moves
+    into shapes that cannot reach content beta.
     """
-    e, k = len(beta_coeffs), len(charges)
+    e = len(beta_coeffs)
     if e < 2:
         raise ValueError(f"graded dimensions need e >= 2 (ell >= 1), got e = {e}")
-    _check_level(k)
-    empty = ((),) * k
+    _check_level(len(charges))
+    return _widened(_lattice, charges, beta_coeffs)
+
+
+def _lattice(charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int) -> _Table | None:
+    """The content lattice on sections of height h, or None once a move
+    outgrows them."""
+    e = len(beta_coeffs)
+    live = [r for r, c in enumerate(beta_coeffs) if c]
+    empty, fixed, edge, res = _abacus(charges, {(r + i) % e for r in live for i in (0, 1)}, e, h)
+    steps = [(x, r, res[r], res[(r + 1) % e]) for x, r in enumerate(live)]
+    movable, outgrown = ~fixed, fixed | edge
     ids = {empty: 0}
     shapes = [empty]
-    owed = [beta_coeffs]
+    owed = [tuple(beta_coeffs[r] for r in live)]
     gf: list[dict[int, int] | None] = [{0: 1}]
     moves: _Moves = []
     # Ids follow discovery, so every move goes from a smaller id to a larger
     # one and a shape's function is complete by the time its id comes up;
     # once pushed along its moves it is dropped unless it has content beta.
-    for i, comps in enumerate(shapes):
+    for i, shape in enumerate(shapes):
         rem, own = owed[i], gf[i]
-        out: list[list[tuple[int, int]]] = [[] for _ in range(e)]
-        for s, r, res, d in _addable_nodes(comps, charges, e):
-            if rem[res] == 0:
+        add = shape & ~(shape >> 1)
+        removable = shape & ~(shape << 1) & movable
+        out: dict[int, list[tuple[int, int]]] = {}
+        for x, r, adds, removes in steps:
+            bits = add & adds if rem[x] else 0
+            if not bits:
                 continue
-            grown = _grow(comps, s, r)
-            j = ids.get(grown)
-            if j is None:
-                j = ids[grown] = len(shapes)
-                shapes.append(grown)
-                _check_shapes(len(shapes), beta_coeffs)
-                owed.append(rem[:res] + (rem[res] - 1,) + rem[res + 1 :])
-                gf.append({})
-            out[res].append((j, d))
-            target = gf[j]
-            for deg, count in own.items():
-                target[deg + d] = target.get(deg + d, 0) + count
+            if bits & outgrown:
+                return None
+            removes &= removable
+            out[r] = by_res = []
+            # the addable nodes of residue r below this one come first
+            for below in range(bits.bit_count()):
+                low = bits & -bits
+                bits ^= low
+                d = below - (removes & (low - 1)).bit_count()
+                grown = shape + low
+                j = ids.get(grown)
+                if j is None:
+                    j = ids[grown] = len(shapes)
+                    shapes.append(grown)
+                    _check_shapes(len(shapes), beta_coeffs)
+                    owed.append(rem[:x] + (rem[x] - 1,) + rem[x + 1 :])
+                    gf.append({})
+                by_res.append((j, d))
+                target = gf[j]
+                for deg, count in own.items():
+                    target[deg + d] = target.get(deg + d, 0) + count
         moves.append(out)
         if any(rem):
             gf[i] = None
     alive = [not any(rem) for rem in owed]
     for i in range(len(shapes) - 1, -1, -1):
-        moves[i] = [[(j, d) for j, d in by_res if alive[j]] for by_res in moves[i]]
-        alive[i] = alive[i] or any(moves[i])
+        kept = {}
+        for r, by_res in moves[i].items():
+            if live_moves := [(j, d) for j, d in by_res if alive[j]]:
+                kept[r] = live_moves
+        moves[i] = kept
+        alive[i] = alive[i] or bool(kept)
     return moves, {i: gf[i] for i, rem in enumerate(owed) if not any(rem)}
 
 
@@ -259,7 +329,7 @@ def _along(moves: _Moves, nu: tuple[int, ...]) -> dict[tuple[int, int], int]:
     for res in nu:
         nxt: dict[tuple[int, int], int] = {}
         for (i, deg), count in states.items():
-            for j, d in moves[i][res]:
+            for j, d in moves[i].get(res, ()):
                 key = (j, deg + d)
                 nxt[key] = nxt.get(key, 0) + count
         states = nxt
@@ -320,5 +390,4 @@ def block_is_nonzero(base_coeffs: tuple[int, ...], beta: RootVector) -> bool:
         raise ValueError(
             f"beta has length {len(beta.coeffs)}, the weight {len(base_coeffs)}"
         )
-    shapes = _shapes_of_content(charges_of(base_coeffs), beta.coeffs)
-    return next(shapes, None) is not None
+    return bool(_shapes_of_content(charges_of(base_coeffs), beta.coeffs, first=True))

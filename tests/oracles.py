@@ -12,8 +12,11 @@ from the one pass of `classify.script_sets`.  The
 shapes of a given residue content come from every k-multipartition of |beta|
 filtered by content, not from the shape search of `tableaux`, and the degree
 of a tableau step is recounted from every addable and removable node of
-every later component (`_d_statistic`), not read from the one bottom-up sweep
-of `tableaux`.  The candidate
+every later component (`_d_statistic`).  The content lattice and the shape
+search themselves have a reference that keeps each shape as a tuple of
+partitions and reads its addable nodes from one bottom-up sweep
+(`tuple_degree_table`, `tuple_shapes_of_content`, `_addable_nodes`), not from
+the stacked abacus of `tableaux`.  The candidate
 rows of the decomposition search come from a scan of every value at every
 prefix, not from the bound the entries of C set.  The Brauer graph layer is
 the one that read the graph once per question: two depth-first walks over
@@ -493,6 +496,142 @@ def filtered_with_content(
 
 def filtered_is_nonzero(base_coeffs: tuple[int, ...], beta_coeffs: tuple[int, ...]) -> bool:
     return bool(filtered_with_content(charges_of(base_coeffs), beta_coeffs))
+
+
+# --- the content lattice on tuples of partitions ---
+
+
+def _addable_nodes(
+    components: tuple[Partition, ...], charges: tuple[int, ...], e: int
+) -> list[tuple[int, int, int, int]]:
+    """Each addable node as (component, row, residue, degree), top to bottom.
+
+    The degree of adding a node is the number of addable minus removable
+    nodes of its residue strictly below it in the grown shape.  One
+    bottom-up sweep keeps that count per residue.  It may be read off the
+    shape before the node is added: adding a node changes only its four
+    neighbours, whose residues differ from its own when e >= 2.
+    """
+    below = [0] * e
+    nodes = []
+    for s in range(len(components) - 1, -1, -1):
+        comp, charge = components[s], charges[s]
+        res = (charge - len(comp)) % e
+        nodes.append((s, len(comp), res, below[res]))
+        below[res] += 1
+        for r in range(len(comp) - 1, -1, -1):
+            width = comp[r]
+            if r == 0 or comp[r - 1] > width:
+                res = (charge + width - r) % e
+                nodes.append((s, r, res, below[res]))
+                below[res] += 1
+            if r + 1 == len(comp) or comp[r + 1] < width:
+                below[(charge + width - 1 - r) % e] -= 1
+    nodes.reverse()
+    return nodes
+
+
+def _grow(components: tuple[Partition, ...], s: int, r: int) -> tuple[Partition, ...]:
+    """The shape with one node added at the end of row r of component s."""
+    comp = components[s]
+    if r == len(comp):
+        new = comp + (1,)
+    else:
+        new = comp[:r] + (comp[r] + 1,) + comp[r + 1 :]
+    return components[:s] + (new,) + components[s + 1 :]
+
+
+def tuple_shapes_of_content(
+    charges: tuple[int, ...], beta_coeffs: tuple[int, ...]
+) -> list[tuple[Partition, ...]]:
+    """Each shape of content beta once, in the order a depth-first search
+    from the empty shape finds them; it adds only addable nodes whose residue
+    beta still owes, and pushes them top to bottom."""
+    e, k = len(beta_coeffs), len(charges)
+    empty = ((),) * k
+    seen = {empty}
+    stack = [(empty, beta_coeffs)]
+    found = []
+    while stack:
+        comps, rem = stack.pop()
+        if not any(rem):
+            found.append(comps)
+            continue
+        for s, r, res, _ in _addable_nodes(comps, charges, e):
+            if rem[res] == 0:
+                continue
+            grown = _grow(comps, s, r)
+            if grown not in seen:
+                seen.add(grown)
+                stack.append((grown, rem[:res] + (rem[res] - 1,) + rem[res + 1 :]))
+    return found
+
+
+def tuple_degree_table(
+    charges: tuple[int, ...], beta_coeffs: tuple[int, ...]
+) -> tuple[list[list[list[tuple[int, int]]]], dict[int, dict[int, int]]]:
+    """The content lattice with one tuple of partitions per shape: (moves,
+    full), where moves[id][res] lists (grown id, step degree) for the
+    addable nodes of residue res, top to bottom, and full maps the id of each
+    shape of content beta to its {degree: number of standard tableaux}."""
+    e = len(beta_coeffs)
+    empty = ((),) * len(charges)
+    ids = {empty: 0}
+    shapes = [empty]
+    owed = [beta_coeffs]
+    gf: list[dict[int, int] | None] = [{0: 1}]
+    moves: list[list[list[tuple[int, int]]]] = []
+    for i, comps in enumerate(shapes):
+        rem, own = owed[i], gf[i]
+        out: list[list[tuple[int, int]]] = [[] for _ in range(e)]
+        for s, r, res, d in _addable_nodes(comps, charges, e):
+            if rem[res] == 0:
+                continue
+            grown = _grow(comps, s, r)
+            j = ids.get(grown)
+            if j is None:
+                j = ids[grown] = len(shapes)
+                shapes.append(grown)
+                owed.append(rem[:res] + (rem[res] - 1,) + rem[res + 1 :])
+                gf.append({})
+            out[res].append((j, d))
+            target = gf[j]
+            for deg, count in own.items():
+                target[deg + d] = target.get(deg + d, 0) + count
+        moves.append(out)
+        if any(rem):
+            gf[i] = None
+    alive = [not any(rem) for rem in owed]
+    for i in range(len(shapes) - 1, -1, -1):
+        moves[i] = [[(j, d) for j, d in by_res if alive[j]] for by_res in moves[i]]
+        alive[i] = alive[i] or any(moves[i])
+    return moves, {i: gf[i] for i, rem in enumerate(owed) if not any(rem)}
+
+
+def tuple_graded_dim(
+    charges: tuple[int, ...], beta_coeffs: tuple[int, ...], nu: tuple[int, ...], nu_prime: tuple[int, ...]
+) -> dict[int, int]:
+    """The graded dimension between e(nu) and e(nu') from `tuple_degree_table`
+    by a DP along each sequence, as {degree: coefficient} without zeros."""
+    moves, _ = tuple_degree_table(charges, beta_coeffs)
+
+    def along(seq):
+        states = {(0, 0): 1}
+        for res in seq:
+            nxt: dict[tuple[int, int], int] = {}
+            for (i, deg), count in states.items():
+                for j, d in moves[i][res]:
+                    nxt[(j, deg + d)] = nxt.get((j, deg + d), 0) + count
+            states = nxt
+        return states
+
+    right = along(nu_prime)
+    terms: dict[int, int] = {}
+    for (j, deg), count in along(nu).items():
+        for (j2, deg2), count2 in right.items():
+            if j2 == j:
+                terms[deg + deg2] = terms.get(deg + deg2, 0) + count * count2
+    return {d: c for d, c in terms.items() if c}
 
 
 # --- Brauer graphs ---

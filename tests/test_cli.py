@@ -358,10 +358,11 @@ def test_class_walk_is_bounded():
 
 
 def test_level_limit_is_one_error_line():
-    # Each shape of the lattice is a level-tuple, so level 100,000 once filled
-    # about 16 GB before the shape limit fired, and level 10^9 first built a
-    # 10^9-entry charge list.  In a child process, so that such a build fails
-    # on the timeout instead of exhausting memory in the suite.
+    # Each shape of the lattice holds one abacus section per charge, so the
+    # level bounds its size; when shapes were level-tuples, level 100,000
+    # filled about 16 GB before the shape limit fired, and level 10^9 first
+    # built a 10^9-entry charge list.  In a child process, so that such a
+    # build fails on the timeout instead of exhausting memory in the suite.
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(klrblocks.__file__))}
     for level in (MAX_LEVEL + 1, 10**9):
         argv = ["gdim", "--ell", "1", "--weight", f"{level},0", "--beta", "1,0"]

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import klrblocks
 from klrblocks import tableaux
 from klrblocks.cartan import RootVector
 from klrblocks.tableaux import (
@@ -17,9 +23,7 @@ from klrblocks.tableaux import (
     LaurentPoly,
     Multipartition,
     Partition,
-    _addable_nodes,
     _degree_table,
-    _grow,
     block_is_nonzero,
     charges_of,
     enumerate_with_content,
@@ -29,7 +33,10 @@ from klrblocks.tableaux import (
 
 from oracles import (
     _addable,
+    _addable_nodes,
     _d_statistic,
+    _grow,
+    _removable,
     _res,
     defect,
     filtered_is_nonzero,
@@ -37,6 +44,9 @@ from oracles import (
     multipartitions,
     partitions_of,
     residue_counts,
+    tuple_degree_table,
+    tuple_graded_dim,
+    tuple_shapes_of_content,
 )
 
 
@@ -478,3 +488,170 @@ def test_block_is_nonzero_matches_filter(case):
     charges, beta = case
     base = tuple(charges.count(i) for i in range(len(beta)))
     assert block_is_nonzero(base, RootVector(beta)) == filtered_is_nonzero(base, beta)
+
+
+# --- the stacked abacus against the lattice and search on tuples --------------
+
+
+def largest_first(shapes):
+    """Shapes in the order of `enumerate_with_content`."""
+    return sorted(shapes, key=lambda comps: [(sum(p), p) for p in comps], reverse=True)
+
+
+def degree_functions(full: dict) -> Counter:
+    """The multiset of the {degree: count} functions of a lattice's full shapes."""
+    return Counter(tuple(sorted(f.items())) for f in full.values())
+
+
+def shrink(comps: tuple[Partition, ...], s: int, r: int, c: int) -> tuple[Partition, ...]:
+    """The shape with its removable node (s, r, c) taken away."""
+    comp = comps[s][:r] + ((c,) if c else ()) + comps[s][r + 1 :]
+    return comps[:s] + (comp,) + comps[s + 1 :]
+
+
+def below_any(shapes) -> set:
+    """Every shape contained in one of the given shapes."""
+    seen, stack = set(shapes), list(shapes)
+    while stack:
+        comps = stack.pop()
+        for s, comp in enumerate(comps):
+            for r, c in _removable(comp):
+                smaller = shrink(comps, s, r, c)
+                if smaller not in seen:
+                    seen.add(smaller)
+                    stack.append(smaller)
+    return seen
+
+
+def drawn_sequence(data, charges, beta, shapes) -> tuple[int, ...]:
+    """The residue sequence of a drawn standard tableau of a drawn shape of
+    content beta, or a drawn ordering of beta's residues when there is none."""
+    e = len(beta)
+    if not shapes:
+        return tuple(data.draw(st.permutations([r for r in range(e) for _ in range(beta[r])])))
+    comps, seq = data.draw(st.sampled_from(shapes)), []
+    while any(comps):
+        nodes = [(s, r, c) for s, comp in enumerate(comps) for r, c in _removable(comp)]
+        s, r, c = data.draw(st.sampled_from(nodes))
+        seq.append(_res(charges, e, s, r, c))
+        comps = shrink(comps, s, r, c)
+    return tuple(reversed(seq))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape_search_cases(), st.data())
+def test_abacus_lattice_matches_tuple_lattice(case, data):
+    charges, beta = case
+    moves, full = _degree_table(charges, beta)
+    tuple_moves, tuple_full = tuple_degree_table(charges, beta)
+    assert len(moves) == len(tuple_moves)
+    assert degree_functions(full) == degree_functions(tuple_full)
+    rv = RootVector(beta)
+    shapes = tuple_shapes_of_content(charges, beta)
+    assert [mp.components for mp in enumerate_with_content(charges, rv)] == largest_first(shapes)
+    nu, nup = drawn_sequence(data, charges, beta, shapes), drawn_sequence(data, charges, beta, shapes)
+    assert graded_dim(charges, rv, nu, nup).terms == tuple_graded_dim(charges, beta, nu, nup)
+
+
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape_search_cases())
+def test_abacus_steps_match_d_statistic(case):
+    """Each move of the lattice adds the right node with the degree that
+    `_d_statistic` recounts on the grown shape.  The shape of each id is
+    recovered by following the moves from the empty shape: moves[id][res]
+    lists the addable nodes of residue res that can still reach content
+    beta, bottom to top."""
+    charges, beta = case
+    e, k = len(beta), len(charges)
+    moves, full = _degree_table(charges, beta)
+    targets = tuple_shapes_of_content(charges, beta)
+    alive = below_any(targets)
+    shape_of = {0: ((),) * k}
+    for i, by_res in enumerate(moves):
+        if i not in shape_of:  # a shape that cannot reach content beta
+            assert by_res == {}
+            continue
+        comps = shape_of[i]
+        nodes = [(s, r, c) for s in range(k) for r, c in _addable(comps[s])][::-1]
+        expected: dict[int, list] = {}
+        for s, r, c in nodes:
+            grown = _grow(comps, s, r)
+            if grown in alive:
+                expected.setdefault(_res(charges, e, s, r, c), []).append((grown, (s, r, c)))
+        assert sorted(by_res) == sorted(expected)
+        for res, steps in by_res.items():
+            assert len(steps) == len(expected[res])
+            for (j, d), (grown, node) in zip(steps, expected[res]):
+                assert shape_of.setdefault(j, grown) == grown
+                assert d == _d_statistic(grown, charges, e, node)
+    assert sorted(shape_of[i] for i in full) == sorted(targets)
+
+
+def test_lattice_moves_example():
+    # one node of residue 0 at charges (0, 0): the node of the lower component
+    # first, whose degree counts nothing below it, then the upper one, which
+    # counts the lower one's addable node
+    moves, full = _degree_table((0, 0), (1, 0, 0))
+    assert moves == [{0: [(1, 0), (2, 1)]}, {}, {}]
+    assert full == {1: {0: 1}, 2: {1: 1}}
+
+
+@pytest.mark.parametrize(
+    "charges, beta, count, heights",
+    [
+        # level 1, e = 64, one node of each residue: the 64 hooks of size 64
+        # outgrow sections of height 31 and then 62 (a bead onto the top bit
+        # first, or the row-h bead moving first)
+        ((0,), (1,) * 64, 64, [31, 62, 64]),
+        # one node of each residue 0..39 at e = 64: a row of 40 in either
+        # component, which outgrows the top bit only
+        ((0, 0), (1,) * 40 + (0,) * 24, 2, [31, 40]),
+    ],
+)
+def test_large_shapes_widen_the_abacus(monkeypatch, charges, beta, count, heights):
+    walked = []
+    for name in ("_lattice", "_search"):
+        walk = getattr(tableaux, name)
+        monkeypatch.setattr(tableaux, name, lambda *args, walk=walk: walked.append(args[2]) or walk(*args))
+    _degree_table.cache_clear()
+    moves, full = _degree_table(charges, beta)
+    tuple_moves, tuple_full = tuple_degree_table(charges, beta)
+    assert (len(moves), len(full)) == (len(tuple_moves), count)
+    assert degree_functions(full) == degree_functions(tuple_full)
+    shapes = [mp.components for mp in enumerate_with_content(charges, RootVector(beta))]
+    assert shapes == largest_first(tuple_shapes_of_content(charges, beta))
+    assert block_is_nonzero(tuple(charges.count(i) for i in range(len(beta))), RootVector(beta))
+    assert walked == heights * 3
+    _degree_table.cache_clear()
+
+
+def test_wide_block_fits_in_bounded_memory():
+    """At e = 512 the lattice of 4 Lambda_0 with beta = 2 on residues 0..6 and
+    506..511 has 16,367 shapes.  A shape keeps only the residues it can move
+    on, so `gdim` on this block runs under a 400 MB address-space limit; when
+    every shape kept e lists it took 668 MB.  In a child process, so that the
+    limit binds only there."""
+    beta = tuple(2 if i <= 6 or i >= 506 else 0 for i in range(512))
+    argv = ["gdim", "--ell", "511", "--weight", ",".join(["4"] + ["0"] * 511)]
+    argv += ["--beta", ",".join(map(str, beta))]
+    code = (
+        "import io, sys\n"
+        "from klrblocks import cli, tableaux\n"
+        "out = io.StringIO()\n"
+        "code = cli.run(sys.argv[2:], out)\n"
+        "moves, _ = tableaux._degree_table((0, 0, 0, 0), eval(sys.argv[1]))\n"
+        "print(code, tableaux._degree_table.cache_info().hits, len(moves), out.getvalue()[:23])\n"
+    )
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(klrblocks.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, repr(beta), *argv],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit_memory,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "0 1 16367 7312459672336q^{-26} + \n"
