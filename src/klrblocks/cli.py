@@ -385,7 +385,8 @@ COMMANDS = {
                (("cartan", str, None, None, "matrix rows 'a,b;c,d'"),) + _GRAPH + _JSON),
 }
 # what argparse reads as the value of an option: empty text, text that does not
-# start with "-", a lone "-", a negative number, or text holding a space
+# start with "-", a lone "-", a negative number, or text holding a space, unless
+# the text before its first "=" names an option ("--gamma= " is an option)
 _VALUE = re.compile(r"\Z|[^-]|-\Z|-\d+$|-\d*\.\d+$|.* ", re.DOTALL)
 
 
@@ -422,6 +423,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
                          f"(choose from {', '.join(map(repr, COMMANDS))})")
     func, _, opts = COMMANDS[argv[0]]
     table = {f"--{opt[0]}": opt for opt in opts}
+    flags = table.keys() | {"-h", "--help"}
     args = SimpleNamespace(func=func, **{opt[0]: opt[2] for opt in opts})
     tokens, extras = argv[:0:-1], []  # reversed, so that pop() reads left to right
     while tokens:
@@ -433,7 +435,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
             extras.append(token)
             continue
         if not eq:
-            if not tokens or not _VALUE.match(tokens[-1]):
+            if not tokens or tokens[-1].partition("=")[0] in flags or not _VALUE.match(tokens[-1]):
                 raise UsageError(f"argument {flag}: expected one argument")
             value = tokens.pop()
         name, typ, _, choices, _ = table[flag]

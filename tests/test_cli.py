@@ -848,3 +848,11 @@ def test_help_stops_the_parse_where_argparse_did():
     assert (code, err) == (0, "") and out.startswith("usage: klrblocks classify")
     message = "usage error: argument --ell: invalid int value: 'x'\n"
     assert capture(["classify", "--ell", "x", "--help"]) == (2, "", message)
+
+
+@pytest.mark.parametrize("token", ["--gamma= ", "--gamma=1 2", "--graph= x", "--help= ", "-h= "])
+def test_option_with_spaced_value_is_not_a_value(token):
+    """A token naming an option before its "=" is an option even when it holds
+    a space, so the option before it has no value."""
+    argv = ["decomp", "--graph", token]
+    assert rejection(_parse, argv) == rejection(ORACLE.parse_args, argv)
