@@ -13,9 +13,17 @@ and each addable node whose residue beta still owes, the grown shape and the
 degree of the step, together with the degree generating function of every
 shape.  The total dimension sums the squares of those functions over the
 shapes of content beta; a pair query runs a DP along nu and along nu' over
-the recorded moves, so no standard tableau is ever listed.  The shapes of
+the recorded moves and sums, over the shapes both reach, the product of the
+two functions, so no standard tableau is ever listed.  The shapes of
 content beta alone come from a depth-first search along the same moves,
 stopped at the first shape when only existence is asked.
+
+A degree generating function is a pair (packed, low): one int holding the
+coefficient of q^(low + i) in its i-th field of a fixed number of bits, wide
+enough that no coefficient reaches the next field (_field_width).  Adding
+two functions is one int addition after a shift that lines up their lowest
+degrees, multiplying by q^d changes low only, and a product is one int
+product; a LaurentPoly is read off the result only at the end of a query.
 
 Each shape is one integer, a stacked abacus.  Component s owns a section of
 2h + 2 bits, component 0 the highest, and the bead of row a (for rows 0..h)
@@ -36,14 +44,15 @@ with larger index; "below" always refers to this stacked picture.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 
 from .cartan import Record, RootVector, alpha_sum
 
-# shapes of content <= beta one lattice or search may reach (gdim on a block
-# of 16,113 shapes at e = 4: ~0.5 s, 30 MB)
+# shapes of content <= beta one lattice or search may reach (gdim on
+# 4 Lambda_0 with beta = (3, 3, 3, 3), 16,113 shapes at e = 4: ~0.2 s, 32 MB)
 MAX_LATTICE_SHAPES = 20_000
-# lattices kept; one of 16,113 shapes holds about 12 MB, at any e, since a
-# shape keeps moves only for the residues it can add
+# lattices kept; that one holds about 10 MB, at any e, since a shape keeps
+# moves only for the residues it can add
 DEGREE_TABLE_CACHE = 4
 # charges, so sections per shape (level 1,000 with |beta| = 1: ~0.1 s, 15 MB)
 MAX_LEVEL = 1_000
@@ -71,6 +80,13 @@ class Multipartition(Record):
                 r <= 0 for r in comp
             ):
                 raise ValueError(f"not a partition: {comp}")
+
+    @classmethod
+    def _unchecked(cls, components: tuple[Partition, ...]) -> Multipartition:
+        """A multipartition from components already known to be partitions."""
+        mp = object.__new__(cls)
+        object.__setattr__(mp, "components", components)
+        return mp
 
 
 class LaurentPoly:
@@ -237,11 +253,40 @@ def enumerate_with_content(charges: tuple[int, ...], beta: RootVector) -> list[M
         key=lambda comps: [(sum(p), p) for p in comps],
         reverse=True,
     )
-    return [Multipartition(comps) for comps in shapes]
+    return [Multipartition._unchecked(comps) for comps in shapes]
 
 
 _Moves = list[dict[int, list[tuple[int, int]]]]
-_Table = tuple[_Moves, dict[int, dict[int, int]]]
+# a degree generating function: (packed, low) stands for the polynomial whose
+# coefficient of q^(low + i) is field i of packed (see _field_width)
+_Packed = tuple[int, int]
+_Table = tuple[_Moves, dict[int, _Packed]]
+
+
+def _field_width(level: int, size: int) -> int:
+    """Bits per degree field of a packed function of a block of this level
+    and |beta| = size, a whole number of bytes.
+
+    Every coefficient that a shape's function, a pair answer or the total
+    holds, or passes through while it is summed, counts pairs of standard
+    tableaux of shapes with at most `size` nodes (or single tableaux, fewer),
+    so it is at most the sum of (f^lambda)^2 over the level-tuples of
+    partitions of size, which is level**size * size!, the dimension of the
+    Ariki-Koike algebra.  No coefficient reaches 2**width, so no field ever
+    carries into the next and one int add, shift or product acts on all of
+    them at once (Kronecker substitution).
+    """
+    bits = (level**size * factorial(size)).bit_length() + 1
+    return (bits + 7) // 8 * 8
+
+
+def _poly(packed: int, low: int, width: int) -> LaurentPoly:
+    """The LaurentPoly of a packed function, read in one to_bytes call."""
+    size = width // 8
+    data = packed.to_bytes((packed.bit_length() + width - 1) // width * size, "little")
+    return LaurentPoly(
+        {low + at // size: int.from_bytes(data[at : at + size], "little") for at in range(0, len(data), size)}
+    )
 
 
 @lru_cache(maxsize=DEGREE_TABLE_CACHE)
@@ -252,9 +297,10 @@ def _degree_table(charges: tuple[int, ...], beta_coeffs: tuple[int, ...]) -> _Ta
     integer ids (the empty shape is 0).  moves[id] maps each residue res that
     has a move to the list of (grown id, step degree) for the addable nodes
     of residue res, bottom to top; full maps the id of each shape of content
-    beta to the sum of q^deg over its standard tableaux, as {deg: count}.  One
-    forward pass over shapes builds it, and one backward pass drops the moves
-    into shapes that cannot reach content beta.
+    beta to the sum of q^deg over its standard tableaux, packed as (packed,
+    low) with fields of _field_width(len(charges), |beta|) bits.  One forward
+    pass over shapes builds it, and one backward pass drops the moves into
+    shapes that cannot reach content beta.
     """
     e = len(beta_coeffs)
     if e < 2:
@@ -267,6 +313,7 @@ def _lattice(charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int) -> 
     """The content lattice on sections of height h, or None once a move
     outgrows them."""
     e = len(beta_coeffs)
+    width = _field_width(len(charges), sum(beta_coeffs))
     live = [r for r, c in enumerate(beta_coeffs) if c]
     empty, fixed, edge, res = _abacus(charges, {(r + i) % e for r in live for i in (0, 1)}, e, h)
     steps = [(x, r, res[r], res[(r + 1) % e]) for x, r in enumerate(live)]
@@ -274,13 +321,13 @@ def _lattice(charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int) -> 
     ids = {empty: 0}
     shapes = [empty]
     owed = [tuple(beta_coeffs[r] for r in live)]
-    gf: list[dict[int, int] | None] = [{0: 1}]
+    gf, lo = [1], [0]
     moves: _Moves = []
     # Ids follow discovery, so every move goes from a smaller id to a larger
     # one and a shape's function is complete by the time its id comes up;
     # once pushed along its moves it is dropped unless it has content beta.
     for i, shape in enumerate(shapes):
-        rem, own = owed[i], gf[i]
+        rem, own, own_lo = owed[i], gf[i], lo[i]
         add = shape & ~(shape >> 1)
         removable = shape & ~(shape << 1) & movable
         out: dict[int, list[tuple[int, int]]] = {}
@@ -304,14 +351,17 @@ def _lattice(charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int) -> 
                     shapes.append(grown)
                     _check_shapes(len(shapes), beta_coeffs)
                     owed.append(rem[:x] + (rem[x] - 1,) + rem[x + 1 :])
-                    gf.append({})
+                    gf.append(own)
+                    lo.append(own_lo + d)
+                elif (up := own_lo + d - lo[j]) >= 0:
+                    gf[j] += own << width * up
+                else:
+                    gf[j] = (gf[j] << -width * up) + own
+                    lo[j] += up
                 by_res.append((j, d))
-                target = gf[j]
-                for deg, count in own.items():
-                    target[deg + d] = target.get(deg + d, 0) + count
         moves.append(out)
         if any(rem):
-            gf[i] = None
+            gf[i] = 0
     alive = [not any(rem) for rem in owed]
     for i in range(len(shapes) - 1, -1, -1):
         kept = {}
@@ -320,20 +370,34 @@ def _lattice(charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int) -> 
                 kept[r] = live_moves
         moves[i] = kept
         alive[i] = alive[i] or bool(kept)
-    return moves, {i: gf[i] for i, rem in enumerate(owed) if not any(rem)}
+    return moves, {i: (gf[i], lo[i]) for i, rem in enumerate(owed) if not any(rem)}
 
 
-def _along(moves: _Moves, nu: tuple[int, ...]) -> dict[tuple[int, int], int]:
-    """(shape id, degree) -> number of standard fillings with residue sequence nu."""
-    states = {(0, 0): 1}
+def _along(moves: _Moves, nu: tuple[int, ...], width: int) -> dict[int, _Packed]:
+    """shape id -> the sum of q^deg over the standard fillings with residue
+    sequence nu, packed with fields of the given width."""
+    states = {0: (1, 0)}
     for res in nu:
-        nxt: dict[tuple[int, int], int] = {}
-        for (i, deg), count in states.items():
+        nxt: dict[int, _Packed] = {}
+        for i, (f, low) in states.items():
             for j, d in moves[i].get(res, ()):
-                key = (j, deg + d)
-                nxt[key] = nxt.get(key, 0) + count
+                if (old := nxt.get(j)) is None:
+                    nxt[j] = f, low + d
+                elif (up := low + d - old[1]) >= 0:
+                    nxt[j] = old[0] + (f << width * up), old[1]
+                else:
+                    nxt[j] = (old[0] << -width * up) + f, low + d
         states = nxt
     return states
+
+
+def _sum_of_products(pairs: list[tuple[_Packed, _Packed]], width: int) -> LaurentPoly:
+    """The sum of the products of the packed functions in each pair."""
+    if not pairs:
+        return LaurentPoly()
+    base = min(a + b for (_, a), (_, b) in pairs)
+    total = sum(f * g << width * (a + b - base) for (f, a), (g, b) in pairs)
+    return _poly(total, base, width)
 
 
 def graded_dim(
@@ -350,26 +414,16 @@ def graded_dim(
         if alpha_sum(e, *seq) != beta:
             raise ContentMismatchError(f"residue sequence {seq} has content != beta")
     moves, _ = _degree_table(charges, beta.coeffs)
-    left = _along(moves, nu)
-    right: dict[int, list[tuple[int, int]]] = {}
-    for (j, deg), count in _along(moves, nu_prime).items():
-        right.setdefault(j, []).append((deg, count))
-    terms: dict[int, int] = {}
-    for (j, deg), count in left.items():
-        for deg2, count2 in right.get(j, ()):
-            terms[deg + deg2] = terms.get(deg + deg2, 0) + count * count2
-    return LaurentPoly(terms)
+    width = _field_width(len(charges), sum(beta.coeffs))
+    left, right = _along(moves, nu, width), _along(moves, nu_prime, width)
+    return _sum_of_products([(f, right[j]) for j, f in left.items() if j in right], width)
 
 
 def graded_dim_total(charges: tuple[int, ...], beta: RootVector) -> LaurentPoly:
     """The full graded dimension: sum over shapes of (sum of q^deg)^2."""
-    terms: dict[int, int] = {}
     _, full = _degree_table(charges, beta.coeffs)
-    for by_deg in full.values():
-        for d1, c1 in by_deg.items():
-            for d2, c2 in by_deg.items():
-                terms[d1 + d2] = terms.get(d1 + d2, 0) + c1 * c2
-    return LaurentPoly(terms)
+    width = _field_width(len(charges), sum(beta.coeffs))
+    return _sum_of_products([(f, f) for f in full.values()], width)
 
 
 def charges_of(base_coeffs: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import resource
@@ -10,7 +11,7 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import klrblocks
@@ -498,6 +499,13 @@ def largest_first(shapes):
     return sorted(shapes, key=lambda comps: [(sum(p), p) for p in comps], reverse=True)
 
 
+def decoded(full: dict, charges: tuple[int, ...], beta: tuple[int, ...]) -> dict:
+    """The full shapes of a block's lattice, each with its packed function
+    read back as {degree: count}."""
+    width = tableaux._field_width(len(charges), sum(beta))
+    return {i: tableaux._poly(packed, low, width).terms for i, (packed, low) in full.items()}
+
+
 def degree_functions(full: dict) -> Counter:
     """The multiset of the {degree: count} functions of a lattice's full shapes."""
     return Counter(tuple(sorted(f.items())) for f in full.values())
@@ -545,7 +553,7 @@ def test_abacus_lattice_matches_tuple_lattice(case, data):
     moves, full = _degree_table(charges, beta)
     tuple_moves, tuple_full = tuple_degree_table(charges, beta)
     assert len(moves) == len(tuple_moves)
-    assert degree_functions(full) == degree_functions(tuple_full)
+    assert degree_functions(decoded(full, charges, beta)) == degree_functions(tuple_full)
     rv = RootVector(beta)
     shapes = tuple_shapes_of_content(charges, beta)
     assert [mp.components for mp in enumerate_with_content(charges, rv)] == largest_first(shapes)
@@ -595,7 +603,97 @@ def test_lattice_moves_example():
     # counts the lower one's addable node
     moves, full = _degree_table((0, 0), (1, 0, 0))
     assert moves == [{0: [(1, 0), (2, 1)]}, {}, {}]
-    assert full == {1: {0: 1}, 2: {1: 1}}
+    assert decoded(full, (0, 0), (1, 0, 0)) == {1: {0: 1}, 2: {1: 1}}
+
+
+# --- packed degree functions against the {degree: count} lattice -------------
+
+
+def oracle_table_total(charges: tuple[int, ...], beta: tuple[int, ...]) -> dict[int, int]:
+    """The total graded dimension from the dict functions of `tuple_degree_table`."""
+    total: dict[int, int] = {}
+    for f in tuple_degree_table(charges, beta)[1].values():
+        add_terms(total, f, f)
+    return total
+
+
+def extreme_fillings(moves, n: int) -> list[tuple[int, ...]]:
+    """The residue sequences of two standard fillings of a nonzero block:
+    from the empty shape, always follow a move of the smallest residue that
+    has one, or always of the largest (moves lead only to shapes that reach
+    content beta)."""
+    out = []
+    for pick in (min, max):
+        i, seq = 0, []
+        for _ in range(n):
+            res = pick(r for r, by_res in enumerate(moves[i]) if by_res)
+            seq.append(res)
+            i = moves[i][res][0][0]
+        out.append(tuple(seq))
+    return out
+
+
+def test_packed_functions_match_dict_lattice_on_every_small_block():
+    """Over the blocks of `test_defect_theorems_on_every_small_block` (e = 2..4,
+    level 1..3, beta entries <= 2, |beta| <= 5), the total equals the one the
+    dict lattice gives, and so does each pair answer on the first and last
+    fillings, both orders, and the sorted residues (often zero)."""
+    blocks = pairs = 0
+    for e in (2, 3, 4):
+        for k in (1, 2, 3):
+            for charges in itertools.combinations_with_replacement(range(e), k):
+                for beta in itertools.product(range(3), repeat=e):
+                    if sum(beta) > 5:
+                        continue
+                    rv = RootVector(beta)
+                    assert graded_dim_total(charges, rv).terms == oracle_table_total(charges, beta)
+                    tuple_moves, tuple_full = tuple_degree_table(charges, beta)
+                    if not tuple_full:
+                        continue
+                    blocks += 1
+                    first, last = extreme_fillings(tuple_moves, sum(beta))
+                    for nu, nup in ((first, first), (first, last), (last, first), (first, tuple(sorted(first)))):
+                        pairs += 1
+                        assert graded_dim(charges, rv, nu, nup).terms == tuple_graded_dim(charges, beta, nu, nup)
+    assert (blocks, pairs) == (1359, 5436)
+
+
+def wide_total(charges: tuple[int, ...], beta: tuple[int, ...]) -> dict[int, int]:
+    """graded_dim_total with 1,024-bit fields, far wider than any coefficient
+    of a block of level <= 5 and |beta| <= 10 needs."""
+    _degree_table.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tableaux, "_field_width", lambda level, size: 1024)
+            return graded_dim_total(charges, RootVector(beta)).terms
+    finally:
+        _degree_table.cache_clear()
+
+
+@settings(max_examples=100, deadline=None)
+@given(charged_shapes(max_n=10, max_e=6, max_level=5))
+def test_total_coefficients_fit_the_field_width(shape):
+    """Read with fields far wider than needed, the total sums to at most
+    level**|beta| * |beta|!, the dimension of the Ariki-Koike algebra, so each
+    coefficient is below 2**width: the packed total at the package's width
+    carries no field into the next and equals the wide one."""
+    charges, comps, e = shape
+    beta = residue_counts(comps, charges, e)
+    k, n = len(charges), sum(beta)
+    try:
+        total = wide_total(charges, beta)
+    except EnumerationLimitError:
+        assume(False)
+    assert sum(total.values()) <= k**n * math.factorial(n)
+    assert max(total.values()) < 2 ** tableaux._field_width(k, n)
+    assert graded_dim_total(charges, RootVector(beta)).terms == total
+
+
+def test_multipartition_constructor_still_validates():
+    # enumerate_with_content skips the check for the shapes it builds
+    for comps in (((1, 2),), ((0,),)):
+        with pytest.raises(ValueError, match="not a partition"):
+            Multipartition(comps)
 
 
 @pytest.mark.parametrize(
@@ -619,7 +717,7 @@ def test_large_shapes_widen_the_abacus(monkeypatch, charges, beta, count, height
     moves, full = _degree_table(charges, beta)
     tuple_moves, tuple_full = tuple_degree_table(charges, beta)
     assert (len(moves), len(full)) == (len(tuple_moves), count)
-    assert degree_functions(full) == degree_functions(tuple_full)
+    assert degree_functions(decoded(full, charges, beta)) == degree_functions(tuple_full)
     shapes = [mp.components for mp in enumerate_with_content(charges, RootVector(beta))]
     assert shapes == largest_first(tuple_shapes_of_content(charges, beta))
     assert block_is_nonzero(tuple(charges.count(i) for i in range(len(beta))), RootVector(beta))
