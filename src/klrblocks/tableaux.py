@@ -10,13 +10,14 @@ sequence of a tableau.
 These sums are read from a content lattice instead of a list of tableaux:
 one forward pass over the shapes of content <= beta records, for each shape
 and each addable node whose residue beta still owes, the grown shape and the
-degree of the step, together with the degree generating function of every
-shape.  The total dimension sums the squares of those functions over the
-shapes of content beta; a pair query runs a DP along nu and along nu' over
-the recorded moves and sums, over the shapes both reach, the product of the
-two functions, so no standard tableau is ever listed.  The shapes of
-content beta alone come from a depth-first search along the same moves,
-stopped at the first shape when only existence is asked.
+degree of the step; a second pass along the moves that reach content beta
+adds up the degree generating function of every shape.  The total dimension
+sums the squares of those functions over the shapes of content beta; a pair
+query runs a DP along nu and along nu' over the recorded moves and sums,
+over the shapes both reach, the product of the two functions, so no
+standard tableau is ever listed.  The shapes of content beta alone come
+from a depth-first search along the same moves, stopped at the first shape
+when only existence is asked.
 
 A degree generating function is a pair (packed, low): one int holding the
 coefficient of q^(low + i) in its i-th field of a fixed number of bits, wide
@@ -24,6 +25,8 @@ enough that no coefficient reaches the next field (_field_width).  Adding
 two functions is one int addition after a shift that lines up their lowest
 degrees, multiplying by q^d changes low only, and a product is one int
 product; a LaurentPoly is read off the result only at the end of a query.
+The width grows with the number of nodes, so it is worked out from the
+largest shape the walk built, not from |beta| as given.
 
 Each shape is one integer, a stacked abacus.  Component s owns a section of
 2h + 2 bits, component 0 the highest, and the bead of row a (for rows 0..h)
@@ -43,6 +46,7 @@ with larger index; "below" always refers to this stacked picture.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from math import factorial
 
@@ -260,12 +264,17 @@ _Moves = list[dict[int, list[tuple[int, int]]]]
 # a degree generating function: (packed, low) stands for the polynomial whose
 # coefficient of q^(low + i) is field i of packed (see _field_width)
 _Packed = tuple[int, int]
-_Table = tuple[_Moves, dict[int, _Packed]]
+# (moves, full, width): see _degree_table
+_Table = tuple[_Moves, dict[int, _Packed], int]
+# memoryview formats of the native unsigned ints, by size in bytes: they
+# read the fields of a little-endian to_bytes on little-endian machines
+_FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _field_width(level: int, size: int) -> int:
     """Bits per degree field of a packed function of a block of this level
-    and |beta| = size, a whole number of bytes.
+    and |beta| = size: 8, 16, 32 or 64, so that _poly reads the fields as
+    native unsigned ints, or past 64 a whole number of bytes.
 
     Every coefficient that a shape's function, a pair answer or the total
     holds, or passes through while it is summed, counts pairs of standard
@@ -277,30 +286,33 @@ def _field_width(level: int, size: int) -> int:
     them at once (Kronecker substitution).
     """
     bits = (level**size * factorial(size)).bit_length() + 1
-    return (bits + 7) // 8 * 8
+    return next((w for w in (8, 16, 32, 64) if bits <= w), (bits + 7) // 8 * 8)
 
 
 def _poly(packed: int, low: int, width: int) -> LaurentPoly:
     """The LaurentPoly of a packed function, read in one to_bytes call."""
     size = width // 8
     data = packed.to_bytes((packed.bit_length() + width - 1) // width * size, "little")
-    return LaurentPoly(
-        {low + at // size: int.from_bytes(data[at : at + size], "little") for at in range(0, len(data), size)}
-    )
+    if size in _FIELD_FORMATS and sys.byteorder == "little":
+        fields = memoryview(data).cast(_FIELD_FORMATS[size])
+    else:
+        fields = (int.from_bytes(data[at : at + size], "little") for at in range(0, len(data), size))
+    return LaurentPoly({low + i: c for i, c in enumerate(fields) if c})
 
 
 @lru_cache(maxsize=DEGREE_TABLE_CACHE)
 def _degree_table(charges: tuple[int, ...], beta_coeffs: tuple[int, ...]) -> _Table:
-    """The content lattice of the block: (moves, full).
+    """The content lattice of the block: (moves, full, width).
 
     Its shapes are those of content <= beta that grow to content beta, with
     integer ids (the empty shape is 0).  moves[id] maps each residue res that
     has a move to the list of (grown id, step degree) for the addable nodes
     of residue res, bottom to top; full maps the id of each shape of content
     beta to the sum of q^deg over its standard tableaux, packed as (packed,
-    low) with fields of _field_width(len(charges), |beta|) bits.  One forward
-    pass over shapes builds it, and one backward pass drops the moves into
-    shapes that cannot reach content beta.
+    low) with fields of width bits, _field_width(len(charges), |beta|) when
+    full is not empty.  One forward pass over shapes builds the moves, one
+    backward pass drops those into shapes that cannot reach content beta,
+    and one forward pass along the moves left adds up the functions.
     """
     e = len(beta_coeffs)
     if e < 2:
@@ -313,7 +325,6 @@ def _lattice(charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int) -> 
     """The content lattice on sections of height h, or None once a move
     outgrows them."""
     e = len(beta_coeffs)
-    width = _field_width(len(charges), sum(beta_coeffs))
     live = [r for r, c in enumerate(beta_coeffs) if c]
     empty, fixed, edge, res = _abacus(charges, {(r + i) % e for r in live for i in (0, 1)}, e, h)
     steps = [(x, r, res[r], res[(r + 1) % e]) for x, r in enumerate(live)]
@@ -321,13 +332,11 @@ def _lattice(charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int) -> 
     ids = {empty: 0}
     shapes = [empty]
     owed = [tuple(beta_coeffs[r] for r in live)]
-    gf, lo = [1], [0]
     moves: _Moves = []
     # Ids follow discovery, so every move goes from a smaller id to a larger
-    # one and a shape's function is complete by the time its id comes up;
-    # once pushed along its moves it is dropped unless it has content beta.
+    # one, and shapes come up in order of size.
     for i, shape in enumerate(shapes):
-        rem, own, own_lo = owed[i], gf[i], lo[i]
+        rem = owed[i]
         add = shape & ~(shape >> 1)
         removable = shape & ~(shape << 1) & movable
         out: dict[int, list[tuple[int, int]]] = {}
@@ -343,7 +352,6 @@ def _lattice(charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int) -> 
             for below in range(bits.bit_count()):
                 low = bits & -bits
                 bits ^= low
-                d = below - (removes & (low - 1)).bit_count()
                 grown = shape + low
                 j = ids.get(grown)
                 if j is None:
@@ -351,17 +359,8 @@ def _lattice(charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int) -> 
                     shapes.append(grown)
                     _check_shapes(len(shapes), beta_coeffs)
                     owed.append(rem[:x] + (rem[x] - 1,) + rem[x + 1 :])
-                    gf.append(own)
-                    lo.append(own_lo + d)
-                elif (up := own_lo + d - lo[j]) >= 0:
-                    gf[j] += own << width * up
-                else:
-                    gf[j] = (gf[j] << -width * up) + own
-                    lo[j] += up
-                by_res.append((j, d))
+                by_res.append((j, below - (removes & (low - 1)).bit_count()))
         moves.append(out)
-        if any(rem):
-            gf[i] = 0
     alive = [not any(rem) for rem in owed]
     for i in range(len(shapes) - 1, -1, -1):
         kept = {}
@@ -370,7 +369,28 @@ def _lattice(charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int) -> 
                 kept[r] = live_moves
         moves[i] = kept
         alive[i] = alive[i] or bool(kept)
-    return moves, {i: (gf[i], lo[i]) for i, rem in enumerate(owed) if not any(rem)}
+    # The last shape is the largest built: it has |beta| nodes whenever a
+    # shape has content beta, and fewer than MAX_LATTICE_SHAPES, since each
+    # shape's growth sequence is built before it.  So the width is only
+    # worked out for sizes the walk reached.
+    width = _field_width(len(charges), sum(beta_coeffs) - sum(owed[-1]))
+    gf, lo = [0] * len(shapes), [0] * len(shapes)
+    gf[0] = 1
+    # Only moves towards content beta are left, and a shape's function is
+    # complete by the time its id comes up.  A merge lines up the lowest
+    # degrees as in _along; the two loops change together.
+    for i, out in enumerate(moves):
+        own, own_lo = gf[i], lo[i]
+        for by_res in out.values():
+            for j, d in by_res:
+                if not gf[j]:
+                    gf[j], lo[j] = own, own_lo + d
+                elif (up := own_lo + d - lo[j]) >= 0:
+                    gf[j] += own << width * up
+                else:
+                    gf[j] = (gf[j] << -width * up) + own
+                    lo[j] += up
+    return moves, {i: (gf[i], lo[i]) for i, rem in enumerate(owed) if not any(rem)}, width
 
 
 def _along(moves: _Moves, nu: tuple[int, ...], width: int) -> dict[int, _Packed]:
@@ -381,6 +401,7 @@ def _along(moves: _Moves, nu: tuple[int, ...], width: int) -> dict[int, _Packed]
         nxt: dict[int, _Packed] = {}
         for i, (f, low) in states.items():
             for j, d in moves[i].get(res, ()):
+                # lines up the lowest degrees as the merge in _lattice does
                 if (old := nxt.get(j)) is None:
                     nxt[j] = f, low + d
                 elif (up := low + d - old[1]) >= 0:
@@ -392,12 +413,26 @@ def _along(moves: _Moves, nu: tuple[int, ...], width: int) -> dict[int, _Packed]
 
 
 def _sum_of_products(pairs: list[tuple[_Packed, _Packed]], width: int) -> LaurentPoly:
-    """The sum of the products of the packed functions in each pair."""
+    """The sum of the products of the packed functions in each pair.
+
+    Shifted to the lowest degree of all, each product is an int spanning
+    every degree below its own, so adding them up costs the number of pairs
+    times the spread of their degrees.  Where the spread is the larger, the
+    products are added two at a time in degree order, round by round, so an
+    int only spans the degrees of the products it holds.
+    """
     if not pairs:
         return LaurentPoly()
-    base = min(a + b for (_, a), (_, b) in pairs)
-    total = sum(f * g << width * (a + b - base) for (f, a), (g, b) in pairs)
-    return _poly(total, base, width)
+    lows = [a + b for (_, a), (_, b) in pairs]
+    base = min(lows)
+    if max(lows) - base <= len(pairs):
+        total = sum(f * g << width * (c - base) for ((f, _), (g, _)), c in zip(pairs, lows))
+        return _poly(total, base, width)
+    terms = sorted((a + b, f * g) for (f, a), (g, b) in pairs)
+    while len(terms) > 1:
+        merged = [(c, f + (g << width * (d - c))) for (c, f), (d, g) in zip(terms[::2], terms[1::2])]
+        terms = merged + terms[2 * len(merged) :]
+    return _poly(terms[0][1], base, width)
 
 
 def graded_dim(
@@ -413,16 +448,14 @@ def graded_dim(
     for seq in (nu, nu_prime):
         if alpha_sum(e, *seq) != beta:
             raise ContentMismatchError(f"residue sequence {seq} has content != beta")
-    moves, _ = _degree_table(charges, beta.coeffs)
-    width = _field_width(len(charges), sum(beta.coeffs))
+    moves, _, width = _degree_table(charges, beta.coeffs)
     left, right = _along(moves, nu, width), _along(moves, nu_prime, width)
     return _sum_of_products([(f, right[j]) for j, f in left.items() if j in right], width)
 
 
 def graded_dim_total(charges: tuple[int, ...], beta: RootVector) -> LaurentPoly:
     """The full graded dimension: sum over shapes of (sum of q^deg)^2."""
-    _, full = _degree_table(charges, beta.coeffs)
-    width = _field_width(len(charges), sum(beta.coeffs))
+    _, full, width = _degree_table(charges, beta.coeffs)
     return _sum_of_products([(f, f) for f in full.values()], width)
 
 

@@ -377,6 +377,24 @@ def test_level_limit_is_one_error_line():
         assert time.perf_counter() - started < 0.5
 
 
+def test_huge_beta_is_worked_out_from_the_shapes_built():
+    # The field width of the packed degree functions grows with |beta|
+    # (level**|beta| * |beta|! bits); it is worked out from the largest
+    # shape the walk built, here one node, so this zero block answers at
+    # once instead of computing (10^9)!.  In a child process, so that such a
+    # computation fails on the timeout instead of exhausting memory.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(klrblocks.__file__))}
+    argv = ["gdim", "--ell", "1", "--weight", "1,0", "--beta", "1000000000,0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "klrblocks.cli", *argv],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+    started = time.perf_counter()
+    assert capture(argv) == (0, "0\n", "")
+    assert time.perf_counter() - started < 0.5
+
+
 def test_tall_level_one_block_answers():
     # |beta| = 20, but its content lattice has only 1,036 shapes
     block = ["--ell", "9", "--weight", "1" + ",0" * 9, "--beta", ",".join(["2"] * 10)]
