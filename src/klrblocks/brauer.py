@@ -263,8 +263,11 @@ def quiver_presentation(g: BrauerGraph) -> QuiverPresentation:
 def graph_cartan_matrix(g: BrauerGraph) -> list[list[int]]:
     """Cartan matrix indexed by edges, for simple loopless graphs.
 
-    Diagonal: the sum of the two endpoint multiplicities; off-diagonal: the
-    multiplicity sum over shared endpoints.
+    c = sum over vertices v of m_v a_v a_v^T, a_v the incidence vector of v
+    (Schroll, Brauer graph algebras, 2018): each vertex adds its multiplicity
+    to c[i][j] for every ordered pair of edges i, j in its rotation.  So the
+    diagonal is the sum of the two endpoint multiplicities, an off-diagonal
+    entry the multiplicity sum over shared endpoints.
     """
     if len({frozenset(e) for e in g.edges if e[0] != e[1]}) != len(g.edges):
         raise UnsupportedGraphError(
@@ -272,12 +275,11 @@ def graph_cartan_matrix(g: BrauerGraph) -> list[list[int]]:
         )
     ne = len(g.edges)
     c = [[0] * ne for _ in range(ne)]
-    for i, (a, b) in enumerate(g.edges):
-        c[i][i] = g.multiplicities[a] + g.multiplicities[b]
-        for j in range(i + 1, ne):
-            shared = set(g.edges[i]) & set(g.edges[j])
-            val = sum(g.multiplicities[v] for v in shared)
-            c[i][j] = c[j][i] = val
+    for m, rot in zip(g.multiplicities, g.rotations):
+        for i, _ in rot:
+            row = c[i]
+            for j, _ in rot:
+                row[j] += m
     return c
 
 

@@ -45,6 +45,8 @@ def _write_json(obj, out) -> None:
 
 
 def _parse_int_vector(text: str, expected_len: int | None, what: str) -> tuple[int, ...]:
+    if not text and expected_len == 0:  # e.g. --nu= for beta = 0
+        return ()
     try:
         vals = tuple(int(p) for p in text.split(","))
     except ValueError as exc:

@@ -10,14 +10,14 @@ sequence of a tableau.
 These sums are read from a content lattice instead of a list of tableaux:
 one forward pass over the shapes of content <= beta records, for each shape
 and each addable node whose residue beta still owes, the grown shape and the
-degree of the step; a second pass along the moves that reach content beta
-adds up the degree generating function of every shape.  The total dimension
-sums the squares of those functions over the shapes of content beta; a pair
-query runs a DP along nu and along nu' over the recorded moves and sums,
-over the shapes both reach, the product of the two functions, so no
-standard tableau is ever listed.  The shapes of content beta alone come
-from a depth-first search along the same moves, stopped at the first shape
-when only existence is asked.
+degree of the step.  One DP along the moves (_along) adds up degree
+generating functions: offered every owed residue at each of the |beta|
+steps, it gives the function of every shape of content beta, whose squares
+sum to the total dimension; offered nu, then nu', it gives the two
+functions of a pair query, whose products are summed over the shapes both
+reach.  No standard tableau is ever listed, and the shapes of content beta
+are read off the same lattice.  Nonvanishing is a depth-first search along
+such moves that stops at the first shape of content beta.
 
 A degree generating function is a pair (packed, low): one int holding the
 coefficient of q^(low + i) in its i-th field of a fixed number of bits, wide
@@ -149,6 +149,11 @@ def _check_level(level: int) -> None:
         raise EnumerationLimitError(f"level {level} exceeds the limit MAX_LEVEL = {MAX_LEVEL}")
 
 
+def _check_e(e: int) -> None:
+    if e < 2:
+        raise ValueError(f"graded dimensions need e >= 2 (ell >= 1), got e = {e}")
+
+
 def _abacus(
     charges: tuple[int, ...], residues: set[int], e: int, h: int
 ) -> tuple[int, int, int, dict[int, int]]:
@@ -171,23 +176,25 @@ def _abacus(
     return ((1 << h + 1) - 1) * fixed, fixed, fixed << 2 * h, res
 
 
-def _widened(walk, charges: tuple[int, ...], beta_coeffs: tuple[int, ...], *args):
-    """walk(charges, beta_coeffs, h, *args) from h = min(|beta|, 31), again
-    at twice the height while it returns None (no shape of content <= beta
-    outgrows height |beta|)."""
+def _widened(walk, charges: tuple[int, ...], beta_coeffs: tuple[int, ...]):
+    """walk(charges, beta_coeffs, h) from h = min(|beta|, 31), again at twice
+    the height while it returns None (no shape of content <= beta outgrows
+    height |beta|)."""
     size = sum(beta_coeffs)
     h = min(size, 31)
-    while (out := walk(charges, beta_coeffs, h, *args)) is None:
+    while (out := walk(charges, beta_coeffs, h)) is None:
         h = min(2 * h, size)
     return out
 
 
-def _decode(shape: int, empty: int, k: int, h: int) -> tuple[Partition, ...]:
-    """The partitions of a shape, component 0 first; only the sections that
-    differ from the empty shape are read."""
+def _decode(shape: int, k: int) -> tuple[Partition, ...]:
+    """The partitions of a shape of k sections, component 0 first.  Every
+    section holds h + 1 beads, so the bead count gives the height h; only
+    the sections that differ from the empty shape are read."""
+    h = shape.bit_count() // k - 1 if k else 0
     width = 2 * h + 2
     comps: list[Partition] = [()] * k
-    differ = shape ^ empty
+    differ = shape ^ ((1 << h + 1) - 1) * (((1 << width * k) - 1) // ((1 << width) - 1))
     while differ:
         s = (differ.bit_length() - 1) // width
         section, rows = shape >> s * width, []
@@ -201,24 +208,19 @@ def _decode(shape: int, empty: int, k: int, h: int) -> tuple[Partition, ...]:
     return tuple(comps)
 
 
-def _search(
-    charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int, first: bool
-) -> list[tuple[Partition, ...]] | None:
-    """The shape search on sections of height h, or None once a move
-    outgrows them."""
+def _search(charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int) -> bool | None:
+    """Whether a shape of content beta exists, by a depth-first search on
+    sections of height h that adds only nodes whose residue beta still owes
+    and stops at the first such shape; None once a move outgrows them."""
     live = [r for r, c in enumerate(beta_coeffs) if c]
     empty, fixed, edge, res = _abacus(charges, set(live), len(beta_coeffs), h)
     outgrown = fixed | edge
     seen = {empty}
     stack = [(empty, tuple(beta_coeffs[r] for r in live))]
-    found = []
     while stack:
         shape, rem = stack.pop()
         if not any(rem):
-            found.append(shape)
-            if first:
-                break
-            continue
+            return True
         add = shape & ~(shape >> 1)
         steps = []
         for x, r in enumerate(live):
@@ -236,24 +238,15 @@ def _search(
                 seen.add(grown)
                 _check_shapes(len(seen), beta_coeffs)
                 stack.append((grown, rem[:x] + (rem[x] - 1,) + rem[x + 1 :]))
-    return [_decode(shape, empty, len(charges), h) for shape in found]
-
-
-def _shapes_of_content(
-    charges: tuple[int, ...], beta_coeffs: tuple[int, ...], first: bool = False
-) -> list[tuple[Partition, ...]]:
-    """Each shape of content beta once (only the first found when first is
-    set): a depth-first search from the empty shape that adds only addable
-    nodes whose residue beta still owes."""
-    _check_level(len(charges))
-    return _widened(_search, charges, beta_coeffs, first)
+    return False
 
 
 def enumerate_with_content(charges: tuple[int, ...], beta: RootVector) -> list[Multipartition]:
     """All multipartitions with one component per charge whose residue
-    multiset equals beta, largest first."""
+    multiset equals beta, largest first: the shapes of content beta of the
+    block's content lattice."""
     shapes = sorted(
-        _shapes_of_content(charges, beta.coeffs),
+        (_decode(shape, len(charges)) for shape in _degree_table(charges, beta.coeffs)[1]),
         key=lambda comps: [(sum(p), p) for p in comps],
         reverse=True,
     )
@@ -307,16 +300,13 @@ def _degree_table(charges: tuple[int, ...], beta_coeffs: tuple[int, ...]) -> _Ta
     Its shapes are those of content <= beta that grow to content beta, with
     integer ids (the empty shape is 0).  moves[id] maps each residue res that
     has a move to the list of (grown id, step degree) for the addable nodes
-    of residue res, bottom to top; full maps the id of each shape of content
-    beta to the sum of q^deg over its standard tableaux, packed as (packed,
-    low) with fields of width bits, _field_width(len(charges), |beta|) when
-    full is not empty.  One forward pass over shapes builds the moves, one
-    backward pass drops those into shapes that cannot reach content beta,
-    and one forward pass along the moves left adds up the functions.
+    of residue res, bottom to top; full maps each shape of content beta (its
+    abacus integer) to the sum of q^deg over its standard tableaux, packed
+    as (packed, low) with fields of width bits.  One forward pass over
+    shapes builds the moves, one backward pass drops those into shapes that
+    cannot reach content beta, and _along adds up the functions.  At e < 2
+    only the shapes of full mean anything.
     """
-    e = len(beta_coeffs)
-    if e < 2:
-        raise ValueError(f"graded dimensions need e >= 2 (ell >= 1), got e = {e}")
     _check_level(len(charges))
     return _widened(_lattice, charges, beta_coeffs)
 
@@ -370,44 +360,32 @@ def _lattice(charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int) -> 
         moves[i] = kept
         alive[i] = alive[i] or bool(kept)
     # The last shape is the largest built: it has |beta| nodes whenever a
-    # shape has content beta, and fewer than MAX_LATTICE_SHAPES, since each
-    # shape's growth sequence is built before it.  So the width is only
+    # shape has content beta (alive[0]), and fewer than MAX_LATTICE_SHAPES,
+    # since each shape's growth sequence is built before it.  So the width,
+    # and the |beta| steps along the moves left to content beta, are only
     # worked out for sizes the walk reached.
     width = _field_width(len(charges), sum(beta_coeffs) - sum(owed[-1]))
-    gf, lo = [0] * len(shapes), [0] * len(shapes)
-    gf[0] = 1
-    # Only moves towards content beta are left, and a shape's function is
-    # complete by the time its id comes up.  A merge lines up the lowest
-    # degrees as in _along; the two loops change together.
-    for i, out in enumerate(moves):
-        own, own_lo = gf[i], lo[i]
-        for by_res in out.values():
-            for j, d in by_res:
-                if not gf[j]:
-                    gf[j], lo[j] = own, own_lo + d
-                elif (up := own_lo + d - lo[j]) >= 0:
-                    gf[j] += own << width * up
-                else:
-                    gf[j] = (gf[j] << -width * up) + own
-                    lo[j] += up
-    return moves, {i: (gf[i], lo[i]) for i, rem in enumerate(owed) if not any(rem)}, width
+    full = _along(moves, [live] * sum(beta_coeffs), width) if alive[0] else {}
+    return moves, {shapes[i]: f for i, f in full.items()}, width
 
 
-def _along(moves: _Moves, nu: tuple[int, ...], width: int) -> dict[int, _Packed]:
-    """shape id -> the sum of q^deg over the standard fillings with residue
-    sequence nu, packed with fields of the given width."""
+def _along(moves: _Moves, steps, width: int) -> dict[int, _Packed]:
+    """shape id -> the sum of q^deg, packed at this width, over the standard
+    fillings whose i-th node has a residue in steps[i] (for a pair, zip(nu))."""
     states = {0: (1, 0)}
-    for res in nu:
+    for step in steps:
         nxt: dict[int, _Packed] = {}
         for i, (f, low) in states.items():
-            for j, d in moves[i].get(res, ()):
-                # lines up the lowest degrees as the merge in _lattice does
-                if (old := nxt.get(j)) is None:
-                    nxt[j] = f, low + d
-                elif (up := low + d - old[1]) >= 0:
-                    nxt[j] = old[0] + (f << width * up), old[1]
-                else:
-                    nxt[j] = (old[0] << -width * up) + f, low + d
+            out = moves[i]
+            for res in step:
+                for j, d in out.get(res, ()):
+                    # a merge shifts the function of higher lowest degree
+                    if (old := nxt.get(j)) is None:
+                        nxt[j] = f, low + d
+                    elif (up := low + d - old[1]) >= 0:
+                        nxt[j] = old[0] + (f << width * up), old[1]
+                    else:
+                        nxt[j] = (old[0] << -width * up) + f, low + d
         states = nxt
     return states
 
@@ -448,13 +426,15 @@ def graded_dim(
     for seq in (nu, nu_prime):
         if alpha_sum(e, *seq) != beta:
             raise ContentMismatchError(f"residue sequence {seq} has content != beta")
+    _check_e(e)
     moves, _, width = _degree_table(charges, beta.coeffs)
-    left, right = _along(moves, nu, width), _along(moves, nu_prime, width)
+    left, right = _along(moves, zip(nu), width), _along(moves, zip(nu_prime), width)
     return _sum_of_products([(f, right[j]) for j, f in left.items() if j in right], width)
 
 
 def graded_dim_total(charges: tuple[int, ...], beta: RootVector) -> LaurentPoly:
     """The full graded dimension: sum over shapes of (sum of q^deg)^2."""
+    _check_e(len(beta.coeffs))
     _, full, width = _degree_table(charges, beta.coeffs)
     return _sum_of_products([(f, f) for f in full.values()], width)
 
@@ -477,4 +457,4 @@ def block_is_nonzero(base_coeffs: tuple[int, ...], beta: RootVector) -> bool:
         raise ValueError(
             f"beta has length {len(beta.coeffs)}, the weight {len(base_coeffs)}"
         )
-    return bool(_shapes_of_content(charges_of(base_coeffs), beta.coeffs, first=True))
+    return _widened(_search, charges_of(base_coeffs), beta.coeffs)

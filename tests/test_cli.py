@@ -377,6 +377,17 @@ def test_level_limit_is_one_error_line():
         assert time.perf_counter() - started < 0.5
 
 
+def test_empty_residue_sequences():
+    # beta = 0 has one idempotent, e() of the empty sequence; empty text is
+    # read as no values only where none are expected
+    gdim = ["gdim", "--ell", "1", "--weight", "1,0"]
+    assert capture(gdim + ["--beta", "0,0", "--nu=", "--nup="]) == (0, "1\n", "")
+    code, out, err = capture(gdim + ["--beta", "1,0", "--nu=", "--nup="])
+    assert (code, out) == (2, "") and "--nu" in err
+    code, out, err = capture(["decomp", "--cartan", ""])
+    assert (code, out) == (2, "") and "--cartan" in err
+
+
 def test_huge_beta_is_worked_out_from_the_shapes_built():
     # The field width of the packed degree functions grows with |beta|
     # (level**|beta| * |beta|! bits); it is worked out from the largest

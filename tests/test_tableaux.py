@@ -263,6 +263,8 @@ def test_graded_dim_refuses_e_below_two():
             graded_dim_total((0,), RootVector(beta))
         with pytest.raises(ValueError, match="e >= 2"):
             graded_dim((0,), RootVector(beta), (0,) * sum(beta), (0,) * sum(beta))
+        # the shapes need no degrees: at e < 2 every partition of |beta| has content beta
+        assert len(enumerate_with_content((0,), RootVector(beta))) == len(partitions_of(sum(beta)))
 
 
 def test_laurent_poly_str():
@@ -428,6 +430,42 @@ def test_graded_dims_are_palindromes_about_the_defect(shape, data):
         assert enumerate_with_content(charges, rv) == [Multipartition(comps)]
 
 
+def test_totals_at_one_add_up_to_the_ariki_koike_dimension():
+    """At q = 1 the total of a block counts pairs of standard tableaux of its
+    shapes, so for each Lambda of level k the totals of the blocks with
+    |beta| = n add up to k**n * n!, the dimension of the Ariki-Koike algebra
+    (e = 2..4, k = 1..3, n <= 5)."""
+    for e in (2, 3, 4):
+        for k in (1, 2, 3):
+            for charges in itertools.combinations_with_replacement(range(e), k):
+                by_size = [0] * 6
+                for beta in itertools.product(range(6), repeat=e):
+                    if sum(beta) <= 5:
+                        by_size[sum(beta)] += graded_dim_total(charges, RootVector(beta)).at_one()
+                assert by_size == [k**n * math.factorial(n) for n in range(6)], charges
+
+
+def test_level_one_blocks_count_e_multipartitions_of_the_defect():
+    """At level 1 the partitions of content beta share one e-core and have
+    e-weight def(beta), so a nonzero block has as many shapes as there are
+    e-multipartitions of def(beta) (e = 2..5, beta entries <= 3, |beta| <=
+    10); the shape search finds a shape exactly when the lattice does."""
+    nonzero = 0
+    for e in (2, 3, 4, 5):
+        for i in range(e):
+            lam = tuple(int(j == i) for j in range(e))
+            for beta in itertools.product(range(4), repeat=e):
+                if sum(beta) > 10:
+                    continue
+                rv = RootVector(beta)
+                shapes = enumerate_with_content((i,), rv)
+                assert bool(shapes) == block_is_nonzero(lam, rv)
+                if shapes:
+                    nonzero += 1
+                    assert len(shapes) == len(multipartitions(e, defect(lam, beta))), (i, beta)
+    assert nonzero == 577
+
+
 def test_level_limit():
     k = tableaux.MAX_LEVEL + 1
     calls = [
@@ -569,7 +607,7 @@ def test_abacus_steps_match_d_statistic(case):
     `_d_statistic` recounts on the grown shape.  The shape of each id is
     recovered by following the moves from the empty shape: moves[id][res]
     lists the addable nodes of residue res that can still reach content
-    beta, bottom to top."""
+    beta, bottom to top.  full is keyed by the shapes of content beta."""
     charges, beta = case
     e, k = len(beta), len(charges)
     moves, full, _ = _degree_table(charges, beta)
@@ -593,7 +631,7 @@ def test_abacus_steps_match_d_statistic(case):
             for (j, d), (grown, node) in zip(steps, expected[res]):
                 assert shape_of.setdefault(j, grown) == grown
                 assert d == _d_statistic(grown, charges, e, node)
-    assert sorted(shape_of[i] for i in full) == sorted(targets)
+    assert sorted(tableaux._decode(shape, k) for shape in full) == sorted(targets)
 
 
 def test_lattice_moves_example():
@@ -602,7 +640,9 @@ def test_lattice_moves_example():
     # counts the lower one's addable node
     moves, full, width = _degree_table((0, 0), (1, 0, 0))
     assert moves == [{0: [(1, 0), (2, 1)]}, {}, {}]
-    assert decoded(full, width) == {1: {0: 1}, 2: {1: 1}}
+    # full is keyed by the abacus integers of the shapes of content beta
+    shapes = {tableaux._decode(shape, 2): f for shape, f in decoded(full, width).items()}
+    assert shapes == {((), (1,)): {0: 1}, ((1,), ()): {1: 1}}
 
 
 # --- packed degree functions against the {degree: count} lattice -------------
@@ -731,7 +771,9 @@ def test_large_shapes_widen_the_abacus(monkeypatch, charges, beta, count, height
     shapes = [mp.components for mp in enumerate_with_content(charges, RootVector(beta))]
     assert shapes == largest_first(tuple_shapes_of_content(charges, beta))
     assert block_is_nonzero(tuple(charges.count(i) for i in range(len(beta))), RootVector(beta))
-    assert walked == heights * 3
+    # the lattice is walked once and read again by the enumeration; the
+    # nonvanishing search walks its own
+    assert walked == heights * 2
     _degree_table.cache_clear()
 
 
