@@ -31,6 +31,15 @@ class SearchSpaceExceededError(RuntimeError):
 
 MAX_SEARCH_NODES = 1_000_000  # nodes one decomposition search may visit
 MAX_CANDIDATE_ROWS = 10_000  # rows it may build; a Brauer graph's matrix gives tens
+# edges of one graph: its Cartan matrix has MAX_EDGES^2 entries, and
+# `brauer --what all` on gamma(999, 1, 1) prints it in about 0.4 s (a CLI
+# process on a 2-vCPU VM)
+MAX_EDGES = 1_000
+
+
+def _check_edges(count: int) -> None:
+    if count > MAX_EDGES:
+        raise InvalidGraphError(f"{count} edges exceed the limit MAX_EDGES = {MAX_EDGES}")
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
@@ -75,6 +84,7 @@ class BrauerGraph(Record):
             raise InvalidGraphError("vertex multiplicities must be >= 1")
         nv = len(mult)
         edge_list = [_integers(edge, "edge ends") for edge in edges]
+        _check_edges(len(edge_list))
         for edge in edge_list:
             if len(edge) != 2:
                 raise InvalidGraphError(f"edge {edge} does not have exactly two ends")
@@ -323,6 +333,7 @@ def gamma_family(s: int, a: int, m: int) -> BrauerGraph:
     (1-based), which has multiplicity 1."""
     if s < 0 or not (1 <= a <= s + 2) or m < 1:
         raise ValueError(f"invalid gamma family parameters s={s}, a={a}, m={m}")
+    _check_edges(s + 1)
     mult = [m] * (s + 2)
     mult[a - 1] = 1
     edges = [(i, i + 1) for i in range(s + 1)]

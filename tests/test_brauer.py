@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from klrblocks import brauer
 from klrblocks.brauer import (
+    MAX_EDGES,
     BrauerGraph,
     InvalidGraphError,
     SearchSpaceExceededError,
@@ -170,6 +171,24 @@ def test_derived_equivalence_is_equivalence_on_corpus():
         classes.setdefault(derived_invariants(g), []).append(idx)
     # only the two lines on the multiplicities {1, 2, 2} share their invariants
     assert sorted(classes.values()) == [[0], [1, 2], [3], [4], [5]]
+
+
+def test_edges_are_bounded():
+    # gamma(s, a, m) has s + 1 edges; past MAX_EDGES it is refused before any
+    # list is built, so s = 10**9 answers at once
+    g = gamma_family(MAX_EDGES - 1, 1, 1)
+    assert (len(g.edges), derived_invariants(g).n_faces) == (MAX_EDGES, 1)
+    for s in (MAX_EDGES, 10**9):
+        with pytest.raises(InvalidGraphError, match=f"{s + 1} edges exceed the limit MAX_EDGES = {MAX_EDGES}"):
+            gamma_family(s, 1, 1)
+    for n in (MAX_EDGES, MAX_EDGES + 1):
+        edges = [(0, 1)] + [(0, v) for v in range(2, n + 1)]
+        rotations = {0: list(range(n))}
+        if n == MAX_EDGES:
+            assert len(BrauerGraph.build([1] * (n + 1), edges, rotations).edges) == n
+        else:
+            with pytest.raises(InvalidGraphError, match="exceed the limit MAX_EDGES"):
+                BrauerGraph.build([1] * (n + 1), edges, rotations)
 
 
 def test_gamma_family():

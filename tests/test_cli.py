@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import klrblocks
+from klrblocks.brauer import MAX_EDGES
 from klrblocks.cartan import RootVector
 from klrblocks.classify import FieldParams, TClass, TClassRankError, classify
 from klrblocks.cli import _REQUIRED, COMMANDS, UsageError, _parse, run
@@ -438,6 +439,19 @@ def test_e_is_bounded():
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"e = {MAX_E + 1} exceeds the limit" in err
+
+
+def test_graph_edges_are_bounded():
+    # decomp --gamma 100000,1,1 was killed while it allocated a 100,001 x
+    # 100,001 Cartan matrix; at the limit brauer --what all prints the whole
+    # 1,000 x 1,000 matrix
+    code, out, err = capture(["brauer", "--gamma", f"{MAX_EDGES - 1},1,1", "--what", "all"])
+    assert (code, err) == (0, "") and f"  edges: {MAX_EDGES}\n" in out
+    # a line of n edges: 8 invariant lines, n + 1 Cartan lines, 7n + 2 quiver lines
+    assert out.count("\n") == 11 + 8 * MAX_EDGES
+    for cmd, s in (("brauer", MAX_EDGES), ("decomp", 100_000)):
+        expected = f"error: {s + 1} edges exceed the limit MAX_EDGES = {MAX_EDGES}\n"
+        assert capture([cmd, "--gamma", f"{s},1,1"]) == (1, "", expected)
 
 
 def test_lattice_shapes_are_bounded():
