@@ -33,19 +33,11 @@ Each shape is one integer, a stacked abacus.  Component s owns a section of
 sits at bit h - a + lambda_a of its section, so a lower bit is always lower
 in the stacked picture.  Adding a node moves a bead up one bit.  The degree
 of the step counts the addable minus the removable nodes of its residue on
-lower bits, read with one mask of bits per residue.  No bead may reach a
-section's top bit and no row-h bead may move, so _height works out h from
-beta before a walk starts: the first row of a component of charge c has
-residues c, c + 1, ..., so its (beta_r + 1)-th node of residue r is its
-(e * beta_r + (r - c) % e + 1)-th node, and the first column likewise going
-down.  Every shape of content <= beta has at most h rows and h nodes in its
-first row, and every move a walk offers adds an owed node, so it stays
-inside.  As h follows beta and not the walk, a walk that
-would stop at the shape limit is refused before it starts, with the error it
-would end at, when the rows, columns or hooks of single components of
-content <= beta already pass the limit (for the search, only when no shape
-of content beta can be found under it).  The level is bounded by MAX_LEVEL
-before any shape is built.
+lower bits, read with one mask of bits per residue.  h starts at
+min(|beta|, 31).  A move that would outgrow it (a bead onto a section's top
+bit, or a row-h bead moving) starts the walk again at twice the height, at
+most |beta|; discovery order does not depend on h, so that changes no
+outcome.  The level is bounded by MAX_LEVEL before any shape is built.
 
 The residue of the node in row a, column b of the s-th component is
 charge_s + b - a mod e.  Components with smaller index sit above components
@@ -162,35 +154,15 @@ def _check_e(e: int) -> None:
         raise ValueError(f"graded dimensions need e >= 2 (ell >= 1), got e = {e}")
 
 
-def _height(charges: tuple[int, ...], beta_coeffs: tuple[int, ...]) -> tuple[int, int]:
-    """(h, fewest): h is the longest first row or first column that a
-    component can have at content <= beta, and at least fewest shapes have
-    content <= beta."""
-    e = len(beta_coeffs)
-    if not e:
-        return 0, 1
-    longest = {
-        c: (min(e * b + (r - c) % e for r, b in enumerate(beta_coeffs)),
-            min(e * b + (c - r) % e for r, b in enumerate(beta_coeffs)))
-        for c in set(charges)
-    }
-    # in one component: its rows and columns, or, when they span at most e
-    # residues, its hooks (a, 1^b) with a <= row, b < column (no residue twice)
-    fewest = 1 + sum(
-        row * column if row + column <= e else row + column - 1
-        for row, column in map(longest.get, charges)
-    )
-    return max(map(max, longest.values()), default=0), fewest
-
-
 def _abacus(
     charges: tuple[int, ...], residues: set[int], e: int, h: int
-) -> tuple[int, int, dict[int, int]]:
-    """(empty, fixed, res) on the stacked abacus of section height h.
+) -> tuple[int, int, int, dict[int, int]]:
+    """(empty, fixed, edge, res) on the stacked abacus of section height h.
 
-    empty is the empty shape and fixed holds the row-h beads.  res[r], for
-    each r in residues, holds the bits whose bead adds a node of residue r
-    when it moves up; a bead in res[r + 1] can remove one of residue r.
+    empty is the empty shape, fixed holds the row-h beads and edge the bit
+    below each section's top bit.  res[r], for each r in residues, holds the
+    bits whose bead adds a node of residue r when it moves up; a bead in
+    res[r + 1] can remove one of residue r.
     """
     width = 2 * h + 2
     fixed = ((1 << width * len(charges)) - 1) // ((1 << width) - 1)
@@ -201,7 +173,18 @@ def _abacus(
         for c in charges:
             mask = mask << width | section[c]
         res[r] = mask
-    return ((1 << h + 1) - 1) * fixed, fixed, res
+    return ((1 << h + 1) - 1) * fixed, fixed, fixed << 2 * h, res
+
+
+def _widened(walk, charges: tuple[int, ...], beta_coeffs: tuple[int, ...]):
+    """walk(charges, beta_coeffs, h) from h = min(|beta|, 31), again at twice
+    the height while it returns None (no shape of content <= beta outgrows
+    height |beta|)."""
+    size = sum(beta_coeffs)
+    h = min(size, 31)
+    while (out := walk(charges, beta_coeffs, h)) is None:
+        h = min(2 * h, size)
+    return out
 
 
 def _decode(shape: int, k: int) -> tuple[Partition, ...]:
@@ -223,6 +206,39 @@ def _decode(shape: int, k: int) -> tuple[Partition, ...]:
         comps[k - 1 - s] = tuple(rows)
         differ &= (1 << s * width) - 1
     return tuple(comps)
+
+
+def _search(charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int) -> bool | None:
+    """Whether a shape of content beta exists, by a depth-first search on
+    sections of height h that adds only nodes whose residue beta still owes
+    and stops at the first such shape; None once a move outgrows them."""
+    live = [r for r, c in enumerate(beta_coeffs) if c]
+    empty, fixed, edge, res = _abacus(charges, set(live), len(beta_coeffs), h)
+    outgrown = fixed | edge
+    seen = {empty}
+    stack = [(empty, tuple(beta_coeffs[r] for r in live))]
+    while stack:
+        shape, rem = stack.pop()
+        if not any(rem):
+            return True
+        add = shape & ~(shape >> 1)
+        steps = []
+        for x, r in enumerate(live):
+            bits = add & res[r] if rem[x] else 0
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                steps.append((low, x))
+        # pushed top to bottom, so the lowest node is grown first
+        for low, x in sorted(steps, reverse=True):
+            if low & outgrown:
+                return None
+            grown = shape + low
+            if grown not in seen:
+                seen.add(grown)
+                _check_shapes(len(seen), beta_coeffs)
+                stack.append((grown, rem[:x] + (rem[x] - 1,) + rem[x + 1 :]))
+    return False
 
 
 def enumerate_with_content(charges: tuple[int, ...], beta: RootVector) -> list[Multipartition]:
@@ -286,21 +302,23 @@ def _degree_table(charges: tuple[int, ...], beta_coeffs: tuple[int, ...]) -> _Ta
     has a move to the list of (grown id, step degree) for the addable nodes
     of residue res, bottom to top; full maps each shape of content beta (its
     abacus integer) to the sum of q^deg over its standard tableaux, packed
-    as (packed, low) with fields of width bits.  One forward pass over the
-    shapes of content <= beta builds the moves, on sections of the height
-    _height works out from beta, one backward pass drops those into shapes
-    that cannot reach content beta, and _along adds up the functions.  At
-    e < 2 only the shapes of full mean anything.
+    as (packed, low) with fields of width bits.  One forward pass over
+    shapes builds the moves, one backward pass drops those into shapes that
+    cannot reach content beta, and _along adds up the functions.  At e < 2
+    only the shapes of full mean anything.
     """
     _check_level(len(charges))
+    return _widened(_lattice, charges, beta_coeffs)
+
+
+def _lattice(charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int) -> _Table | None:
+    """The content lattice on sections of height h, or None once a move
+    outgrows them."""
     e = len(beta_coeffs)
     live = [r for r, c in enumerate(beta_coeffs) if c]
-    h, fewest = _height(charges, beta_coeffs)
-    # the walk builds every shape of content <= beta
-    _check_shapes(fewest, beta_coeffs)
-    empty, fixed, res = _abacus(charges, {(r + i) % e for r in live for i in (0, 1)}, e, h)
+    empty, fixed, edge, res = _abacus(charges, {(r + i) % e for r in live for i in (0, 1)}, e, h)
     steps = [(x, r, res[r], res[(r + 1) % e]) for x, r in enumerate(live)]
-    movable = ~fixed
+    movable, outgrown = ~fixed, fixed | edge
     ids = {empty: 0}
     shapes = [empty]
     owed = [tuple(beta_coeffs[r] for r in live)]
@@ -316,6 +334,8 @@ def _degree_table(charges: tuple[int, ...], beta_coeffs: tuple[int, ...]) -> _Ta
             bits = add & adds if rem[x] else 0
             if not bits:
                 continue
+            if bits & outgrown:
+                return None
             removes &= removable
             out[r] = by_res = []
             # the addable nodes of residue r below this one come first
@@ -429,9 +449,7 @@ def charges_of(base_coeffs: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def block_is_nonzero(base_coeffs: tuple[int, ...], beta: RootVector) -> bool:
-    """Whether some multipartition has residue content beta (block nonvanishing),
-    by a depth-first search that adds only nodes whose residue beta still owes
-    and stops at the first shape of content beta.
+    """Whether some multipartition has residue content beta (block nonvanishing).
 
     Raises ValueError when beta and the weight differ in length.
     """
@@ -439,33 +457,4 @@ def block_is_nonzero(base_coeffs: tuple[int, ...], beta: RootVector) -> bool:
         raise ValueError(
             f"beta has length {len(beta.coeffs)}, the weight {len(base_coeffs)}"
         )
-    charges, beta_coeffs = charges_of(base_coeffs), beta.coeffs
-    live, size = [r for r, c in enumerate(beta_coeffs) if c], sum(beta_coeffs)
-    h, fewest = _height(charges, beta_coeffs)
-    # a shape of content beta is found only after its growth sequence and all
-    # each member grows into: one in each component while all of beta is owed
-    if 1 + size + (len(charges) - 1) * min(beta_coeffs, default=0) > MAX_LATTICE_SHAPES:
-        _check_shapes(fewest, beta_coeffs)
-    empty, _, res = _abacus(charges, set(live), len(beta_coeffs), h)
-    seen = {empty}
-    stack = [(empty, tuple(beta_coeffs[r] for r in live))]
-    while stack:
-        shape, rem = stack.pop()
-        if not any(rem):
-            return True
-        add = shape & ~(shape >> 1)
-        steps = []
-        for x, r in enumerate(live):
-            bits = add & res[r] if rem[x] else 0
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                steps.append((low, x))
-        # pushed top to bottom, so the lowest node is grown first
-        for low, x in sorted(steps, reverse=True):
-            grown = shape + low
-            if grown not in seen:
-                seen.add(grown)
-                _check_shapes(len(seen), beta_coeffs)
-                stack.append((grown, rem[:x] + (rem[x] - 1,) + rem[x + 1 :]))
-    return False
+    return _widened(_search, charges_of(base_coeffs), beta.coeffs)

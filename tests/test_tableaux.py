@@ -686,79 +686,6 @@ def test_abacus_steps_match_d_statistic(case):
     assert sorted(tableaux._decode(shape, k) for shape in full) == sorted(targets)
 
 
-def shapes_below(charges: tuple[int, ...], beta: tuple[int, ...]) -> set:
-    """Every shape of content <= beta: the tuple oracle grows the empty shape
-    one owed node at a time."""
-    e = len(beta)
-    start = ((),) * len(charges)
-    owed, stack = {start: beta}, [start]
-    while stack:
-        comps = stack.pop()
-        for s, r, res, _ in _addable_nodes(comps, charges, e):
-            rem = owed[comps]
-            if rem[res] and (grown := _grow(comps, s, r)) not in owed:
-                owed[grown] = rem[:res] + (rem[res] - 1,) + rem[res + 1 :]
-                stack.append(grown)
-    return set(owed)
-
-
-@settings(max_examples=150, deadline=None)
-@given(shape_search_cases())
-def test_abacus_height_fits_every_shape_of_content_below_beta(case):
-    """No shape of content <= beta has more rows, or a longer first row, than
-    the section height the walks use, and the longest does reach it (a first
-    row or column alone is such a shape).  At least `fewest` shapes have
-    content <= beta, as the walks assume when they refuse a block before
-    starting."""
-    charges, beta = case
-    h, fewest = tableaux._height(charges, beta)
-    shapes = shapes_below(charges, beta)
-    assert max(max(len(p), p[0] if p else 0) for comps in shapes for p in comps) == h
-    assert fewest <= len(shapes)
-
-
-def limit_outcomes(charges: tuple[int, ...], beta: tuple[int, ...]) -> list:
-    """The total, the enumeration and nonvanishing of a block, or the error
-    each ends at."""
-    rv, base = RootVector(beta), tuple(charges.count(i) for i in range(len(beta)))
-    out = []
-    for query in (
-        lambda: graded_dim_total(charges, rv),
-        lambda: enumerate_with_content(charges, rv),
-        lambda: block_is_nonzero(base, rv),
-    ):
-        _degree_table.cache_clear()
-        try:
-            out.append(query())
-        except EnumerationLimitError as exc:
-            out.append(str(exc))
-    return out
-
-
-def test_refusing_a_block_before_the_walk_changes_no_outcome():
-    """With the shape limit at 12, a walk refused before it starts (the
-    one-row, one-column and hook shapes pass the limit) ends at the error it
-    would end at if it walked (e = 2..4, level 1..3, beta entries <= 2,
-    |beta| <= 5)."""
-    refused = 0
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tableaux, "MAX_LATTICE_SHAPES", 12)
-        height = tableaux._height
-        for e in (2, 3, 4):
-            for k in (1, 2, 3):
-                for charges in itertools.combinations_with_replacement(range(e), k):
-                    for beta in itertools.product(range(3), repeat=e):
-                        if sum(beta) > 5:
-                            continue
-                        outcomes = limit_outcomes(charges, beta)
-                        patch.setattr(tableaux, "_height", lambda *args: (height(*args)[0], 1))
-                        assert limit_outcomes(charges, beta) == outcomes, (charges, beta)
-                        patch.setattr(tableaux, "_height", height)
-                        refused += height(charges, beta)[1] > 12
-    _degree_table.cache_clear()
-    assert refused == 283
-
-
 def test_lattice_moves_example():
     # one node of residue 0 at charges (0, 0): the node of the lower component
     # first, whose degree counts nothing below it, then the upper one, which
@@ -874,18 +801,20 @@ def test_multipartition_constructor_still_validates():
 @pytest.mark.parametrize(
     "charges, beta, count, heights",
     [
-        # level 1, e = 64, one node of each residue: the 64 hooks of size 64,
-        # whose first row and first column reach 64 nodes
-        ((0,), (1,) * 64, 64, [64, 64]),
+        # level 1, e = 64, one node of each residue: the 64 hooks of size 64
+        # outgrow sections of height 31 and then 62 (a bead onto the top bit
+        # first, or the row-h bead moving first)
+        ((0,), (1,) * 64, 64, [31, 62, 64]),
         # one node of each residue 0..39 at e = 64: a row of 40 in either
-        # component, whose first column stops at one node
-        ((0, 0), (1,) * 40 + (0,) * 24, 2, [40, 40]),
+        # component, which outgrows the top bit only
+        ((0, 0), (1,) * 40 + (0,) * 24, 2, [31, 40]),
     ],
 )
 def test_large_shapes_widen_the_abacus(monkeypatch, charges, beta, count, heights):
     walked = []
-    abacus = tableaux._abacus
-    monkeypatch.setattr(tableaux, "_abacus", lambda *args: walked.append(args[3]) or abacus(*args))
+    for name in ("_lattice", "_search"):
+        walk = getattr(tableaux, name)
+        monkeypatch.setattr(tableaux, name, lambda *args, walk=walk: walked.append(args[2]) or walk(*args))
     _degree_table.cache_clear()
     moves, full, width = _degree_table(charges, beta)
     tuple_moves, tuple_full = tuple_degree_table(charges, beta)
@@ -894,9 +823,29 @@ def test_large_shapes_widen_the_abacus(monkeypatch, charges, beta, count, height
     shapes = [mp.components for mp in enumerate_with_content(charges, RootVector(beta))]
     assert shapes == largest_first(tuple_shapes_of_content(charges, beta))
     assert block_is_nonzero(tuple(charges.count(i) for i in range(len(beta))), RootVector(beta))
-    # the lattice is walked once, at the height its largest shape needs, and
-    # read again by the enumeration; the nonvanishing search walks its own
-    assert walked == heights
+    # the lattice is walked once and read again by the enumeration; the
+    # nonvanishing search walks its own
+    assert walked == heights * 2
+    _degree_table.cache_clear()
+
+
+def test_a_walk_refused_at_the_shape_limit_keeps_the_height_it_reached(monkeypatch):
+    """The section height follows the nodes a walk adds, not beta, so the
+    memory a refused walk holds is that of the small shapes it reached.  At
+    e = 64 with charges 1, 1, 63, 63 and beta one node of each residue
+    1..63, a row of 63 in a charge-1 component has content <= beta, yet the
+    breadth-first lattice passes 500 shapes at about 16 nodes and is refused
+    on sections of height 31, its first."""
+    monkeypatch.setattr(tableaux, "MAX_LATTICE_SHAPES", 500)
+    walked = []
+    lattice = tableaux._lattice
+    monkeypatch.setattr(tableaux, "_lattice", lambda *args: walked.append(args[2]) or lattice(*args))
+    charges, beta = (1, 1, 63, 63), RootVector((0,) + (1,) * 63)
+    _degree_table.cache_clear()
+    for query in (graded_dim_total, enumerate_with_content):
+        with pytest.raises(EnumerationLimitError, match="more than 500 shapes"):
+            query(charges, beta)
+    assert walked == [31, 31]
     _degree_table.cache_clear()
 
 
