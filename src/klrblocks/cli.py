@@ -77,17 +77,12 @@ def _beta_from_args(args) -> RootVector:
 
 def weight_name(coeffs: tuple[int, ...]) -> str:
     """Render a dominant weight the way the figures do, e.g. '2Λ0+Λ2'."""
-    parts = []
-    for i, c in enumerate(coeffs):
-        if c == 1:
-            parts.append(f"Λ{i}")
-        elif c >= 2:
-            parts.append(f"{c}Λ{i}")
-    return "+".join(parts) if parts else "0"
+    parts = [f"Λ{i}" if c == 1 else f"{c}Λ{i}" for i, c in enumerate(coeffs) if c > 0]
+    return "+".join(parts) or "0"
 
 
 def _vec(x) -> str:
-    return "(" + ",".join(str(v) for v in x) + ")"
+    return "(" + ",".join(map(str, x)) + ")"
 
 
 def _tag_suffix(q: WeightQuiver, vid: int) -> str:
@@ -109,10 +104,7 @@ def quiver_to_json_dict(q: WeightQuiver | TQuiver) -> dict:
             }
             for v in q.vertices
         ],
-        "arrows": [
-            {"src": a.src, "dst": a.dst, "label": [a.label[0], a.label[1]]}
-            for a in q.arrows
-        ],
+        "arrows": [{"src": s, "dst": d, "label": [i, j]} for s, d, (i, j) in q.arrows],
     }
     if isinstance(q, TQuiver):
         data["tags"] = {
@@ -126,8 +118,7 @@ def quiver_to_dot(q: WeightQuiver | TQuiver) -> str:
     for vid, v in enumerate(q.vertices):
         label = weight_name(v.weight.coeffs) + _tag_suffix(q, vid)
         lines.append(f'  v{vid} [label="{label}"];')
-    for a in q.arrows:
-        lines.append(f'  v{a.src} -> v{a.dst} [label="({a.label[0]},{a.label[1]})"];')
+    lines.extend([f'  v{s} -> v{d} [label="({i},{j})"];' for s, d, (i, j) in q.arrows])
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -148,13 +139,11 @@ def _cmd_maxweights(args, out) -> int:
         _write_json({"ell": args.ell, "base": list(base.coeffs), "entries": data}, out)
         return 0
     for e in entries:
-        mw = weight_name(e.max_weight.lam)
+        # max_weight.lam is weight.coeffs, so one name serves both columns
+        name = weight_name(e.weight.coeffs)
         d = e.max_weight.delta
-        mw_str = mw if d == 0 else f"{mw}{d:+d}δ"
-        out.write(
-            f"{weight_name(e.weight.coeffs):<24} X={_vec(e.x):<20} "
-            f"beta={_vec(e.beta.coeffs):<20} max={mw_str}\n"
-        )
+        mw = name if d == 0 else f"{name}{d:+d}δ"
+        out.write(f"{name:<24} X={_vec(e.x):<20} beta={_vec(e.beta.coeffs):<20} max={mw}\n")
     return 0
 
 
@@ -167,8 +156,7 @@ def _emit_quiver(q, args, out) -> int:
         for vid, v in enumerate(q.vertices):
             name = weight_name(v.weight.coeffs) + _tag_suffix(q, vid)
             out.write(f"{vid}: {name} X={_vec(v.x)}\n")
-        for a in q.arrows:
-            out.write(f"{a.src} -> {a.dst} ({a.label[0]},{a.label[1]})\n")
+        out.write("".join([f"{s} -> {d} ({i},{j})\n" for s, d, (i, j) in q.arrows]))
     return 0
 
 

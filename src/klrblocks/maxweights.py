@@ -213,19 +213,37 @@ def solve_x(base: LevelKDominant, target: LevelKDominant) -> tuple[int, ...]:
     return tuple(v - m for v in x)
 
 
-def max_weight_entry(member: LevelKDominant, x: tuple[int, ...]) -> MaxWeightEntry:
-    """The entry of `member`, whose solution vector against the base is `x`.
+def max_weight_entry(coeffs: tuple[int, ...], x: tuple[int, ...]) -> MaxWeightEntry:
+    """The entry of the class member `coeffs`, whose solution vector against
+    the base is `x`.
 
     A x = <h, base - member>, so base - sum_i x_i alpha_i has Lambda part
-    `member` and delta coefficient -x_0.
+    `coeffs` and delta coefficient -x_0.  The members and their X come from a
+    walk out of a checked base: each move keeps the length, the level and
+    nonnegativity, and X >= 0 by construction.  So the four records are built
+    without their constructors' checks (a copy or pickle rebuilds them through
+    the checks).
     """
-    return MaxWeightEntry(member, x, RootVector(x), WeightCoeffs(member.coeffs, -x[0]))
+    new, put = object.__new__, object.__setattr__
+    weight = new(LevelKDominant)
+    put(weight, "coeffs", coeffs)
+    beta = new(RootVector)
+    put(beta, "coeffs", x)
+    max_weight = new(WeightCoeffs)
+    put(max_weight, "lam", coeffs)
+    put(max_weight, "delta", -x[0])
+    entry = new(MaxWeightEntry)
+    put(entry, "weight", weight)
+    put(entry, "x", x)
+    put(entry, "beta", beta)
+    put(entry, "max_weight", max_weight)
+    return entry
 
 
 def max_plus(base: LevelKDominant) -> list[MaxWeightEntry]:
     """One entry per class member, in the class's lexicographic order."""
     xs = class_walk(base.coeffs)
-    return [max_weight_entry(LevelKDominant(c), xs[c]) for c in sorted(xs)]
+    return [max_weight_entry(c, xs[c]) for c in sorted(xs)]
 
 
 P_LAMBDA_CACHE = 256  # X-vector sets kept, one per base weight

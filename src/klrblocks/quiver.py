@@ -63,10 +63,9 @@ class TQuiver(WeightQuiver):
 def _canonical(xmap, raw_arrows) -> tuple[tuple, tuple]:
     ordering = sorted(xmap, key=lambda c: (sum(xmap[c]), c))
     ids = {c: i for i, c in enumerate(ordering)}
-    vertices = tuple(max_weight_entry(LevelKDominant(c), xmap[c]) for c in ordering)
-    arrows = tuple(
-        sorted(Arrow(ids[s], ids[d], lab) for (s, d, lab) in raw_arrows)
-    )
+    vertices = tuple(max_weight_entry(c, xmap[c]) for c in ordering)
+    # plain tuples sort faster than named ones; wrap them once sorted
+    arrows = tuple(map(Arrow._make, sorted([(ids[s], ids[d], lab) for s, d, lab in raw_arrows])))
     return vertices, arrows
 
 

@@ -24,7 +24,8 @@ adjacency lists for connectedness and bipartiteness, arrow cycles found by
 scanning, and a successor map for the faces; its decomposition search is the
 one with a row-count prune and separate all-zero and dead-end scans.  The
 command line is read by the argparse parser that the option table of `cli`
-replaced.
+replaced, and the output of `maxweights`, `quiver` and `tquiver` is written
+by the renderers that read every arrow and weight field by name.
 
 The rest are references the package no longer needs: the materialized Cartan
 matrix, the rotation of a coefficient tuple, one simple reflection, the ev
@@ -45,6 +46,7 @@ they replaced (`Frozen*`; `FrozenArrow` is the `typing.NamedTuple` that
 from __future__ import annotations
 
 import argparse
+import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
@@ -1052,6 +1054,97 @@ class FrozenDecompResult:
     solutions: tuple[tuple[tuple[int, ...], ...], ...]
     unique: bool
     searched_nodes: int = field(compare=False, default=0)
+
+
+# --- the class commands' output, written field by field ---
+#
+# The renderers of `cli` before they read the arrows as plain tuples and named
+# each entry of `maxweights` once: every arrow field is read by name and
+# every weight name is built part by part, the max weight's from
+# `max_weight.lam`.
+
+
+def weight_name(coeffs: tuple[int, ...]) -> str:
+    """A dominant weight the way the figures write it, e.g. '2Λ0+Λ2'."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 1:
+            parts.append(f"Λ{i}")
+        elif c >= 2:
+            parts.append(f"{c}Λ{i}")
+    return "+".join(parts) if parts else "0"
+
+
+def vec_text(x) -> str:
+    return "(" + ",".join(str(v) for v in x) + ")"
+
+
+def _tag_suffix(q: WeightQuiver, vid: int) -> str:
+    tags = q.tags.get(vid) if isinstance(q, TQuiver) else None
+    return " [" + ",".join(str(s) for s in sorted(tags)) + "]" if tags else ""
+
+
+def maxweights_output(base: LevelKDominant, entries: list[MaxWeightEntry], fmt: str) -> str:
+    """The stdout of `maxweights --format fmt` on `base` with these entries."""
+    if fmt == "json":
+        data = [
+            {
+                "weight": list(e.weight.coeffs),
+                "x": list(e.x),
+                "beta": list(e.beta.coeffs),
+                "max_weight": {"lam": list(e.max_weight.lam), "delta": e.max_weight.delta},
+            }
+            for e in entries
+        ]
+        ell = len(base.coeffs) - 1
+        return json.dumps({"ell": ell, "base": list(base.coeffs), "entries": data}) + "\n"
+    lines = []
+    for e in entries:
+        mw = weight_name(e.max_weight.lam)
+        d = e.max_weight.delta
+        mw_str = mw if d == 0 else f"{mw}{d:+d}δ"
+        lines.append(
+            f"{weight_name(e.weight.coeffs):<24} X={vec_text(e.x):<20} "
+            f"beta={vec_text(e.beta.coeffs):<20} max={mw_str}\n"
+        )
+    return "".join(lines)
+
+
+def quiver_output(q: WeightQuiver, fmt: str) -> str:
+    """The stdout of `quiver` or `tquiver --format fmt` on the quiver `q`."""
+    if fmt == "json":
+        data = {
+            "ell": len(q.base.coeffs) - 1,
+            "k": q.base.level,
+            "base": list(q.base.coeffs),
+            "vertices": [
+                {"coeffs": list(v.weight.coeffs), "x": list(v.x), "beta": list(v.beta.coeffs)}
+                for v in q.vertices
+            ],
+            "arrows": [
+                {"src": a.src, "dst": a.dst, "label": [a.label[0], a.label[1]]}
+                for a in q.arrows
+            ],
+        }
+        if isinstance(q, TQuiver):
+            data["tags"] = {str(vid): sorted(tags) for vid, tags in sorted(q.tags.items())}
+        return json.dumps(data) + "\n"
+    if fmt == "dot":
+        lines = ["digraph quiver {", "  rankdir=LR;"]
+        for vid, v in enumerate(q.vertices):
+            label = weight_name(v.weight.coeffs) + _tag_suffix(q, vid)
+            lines.append(f'  v{vid} [label="{label}"];')
+        for a in q.arrows:
+            lines.append(f'  v{a.src} -> v{a.dst} [label="({a.label[0]},{a.label[1]})"];')
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+    lines = []
+    for vid, v in enumerate(q.vertices):
+        name = weight_name(v.weight.coeffs) + _tag_suffix(q, vid)
+        lines.append(f"{vid}: {name} X={vec_text(v.x)}\n")
+    for a in q.arrows:
+        lines.append(f"{a.src} -> {a.dst} ({a.label[0]},{a.label[1]})\n")
+    return "".join(lines)
 
 
 # --- the command line, read by argparse ---

@@ -20,11 +20,14 @@ from klrblocks.brauer import MAX_EDGES
 from klrblocks.cartan import RootVector
 from klrblocks.classify import FieldParams, TClass, TClassRankError, classify
 from klrblocks.cli import _REQUIRED, COMMANDS, UsageError, _parse, run
-from klrblocks.maxweights import MAX_E, LevelKDominant
+from klrblocks import maxweights
+from klrblocks.maxweights import MAX_E, ClassTooLargeError, LevelKDominant, max_plus
 from klrblocks.quiver import WeightQuiver, build_quiver
 from klrblocks.tableaux import MAX_LEVEL
 
+import oracles
 from oracles import build_parser, partitions_of
+from test_maxweights import dominant_weights
 
 
 def quiver_from_json_dict(data: dict) -> WeightQuiver:
@@ -356,6 +359,43 @@ def test_class_walk_is_bounded():
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "more than 20000 members" in err
+
+
+def test_class_walk_answers_at_its_limit_and_refuses_one_past(monkeypatch):
+    # Λ0+Λ3+Λ6 at ell 6 has 12 members: with the limit at 12 both calls
+    # answer, at 11 both refuse, and so do the commands, in one line
+    base = LevelKDominant((1, 0, 0, 1, 0, 0, 1))
+    argv = ["--ell", "6", "--weight", "1,0,0,1,0,0,1"]
+    monkeypatch.setattr(maxweights, "MAX_CLASS_MEMBERS", 12)
+    assert len(max_plus(base)) == len(build_quiver(base).vertices) == 12
+    assert capture(["maxweights", *argv])[0] == capture(["quiver", *argv])[0] == 0
+    monkeypatch.setattr(maxweights, "MAX_CLASS_MEMBERS", 11)
+    for call in (max_plus, build_quiver):
+        with pytest.raises(ClassTooLargeError, match="more than 11 members"):
+            call(base)
+    for cmd in ("maxweights", "quiver"):
+        code, out, err = capture([cmd, *argv])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than 11 members" in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(dominant_weights(max_e=9, levels=(2, 5)))
+def test_class_commands_print_what_the_field_by_field_renderers_print(base):
+    # the records come from the oracles too: the composition class with the
+    # solver's X, and the quivers that test every label on its interval
+    weight = ",".join(map(str, base.coeffs))
+    expected = {
+        "maxweights": lambda fmt: oracles.maxweights_output(base, oracles.solver_max_plus(base), fmt),
+        "quiver": lambda fmt: oracles.quiver_output(oracles.label_bfs_quiver(base), fmt),
+        "tquiver": lambda fmt: oracles.quiver_output(oracles.label_t_subquiver(base), fmt),
+    }
+    for cmd, formats in (("maxweights", ("text", "json")), ("quiver", ("text", "json", "dot")),
+                         ("tquiver", ("text", "json", "dot"))):
+        for fmt in formats:
+            argv = [cmd, "--ell", str(len(base.coeffs) - 1), "--weight", weight, "--format", fmt]
+            assert capture(argv) == (0, expected[cmd](fmt), "")
 
 
 def test_level_limit_is_one_error_line():

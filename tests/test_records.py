@@ -3,13 +3,16 @@
 Each record is built from the same drawn field values as its oracle in
 `oracles` (`FrozenX` for record `X`): construction fails with the same error
 and message or succeeds in both, and then `==`, `!=`, `hash`, `repr`, the
-refusal of assignment and deletion, and `__match_args__` agree.
+refusal of assignment and deletion, and `__match_args__` agree.  The records
+that the class walk builds without their constructors' checks are compared
+with the records the checking constructors build.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import pickle
 
 import pytest
@@ -25,8 +28,8 @@ from klrblocks.brauer import (
 )
 from klrblocks.cartan import RootVector, WeightCoeffs
 from klrblocks.classify import MAX_CHAR, FieldParams, ScriptSets, TClass
-from klrblocks.maxweights import MAX_E, LevelKDominant, MaxWeightEntry
-from klrblocks.quiver import Arrow, TQuiver, WeightQuiver
+from klrblocks.maxweights import MAX_E, LevelKDominant, MaxWeightEntry, max_plus
+from klrblocks.quiver import Arrow, TQuiver, WeightQuiver, build_quiver, t_subquiver
 from klrblocks.tableaux import Multipartition
 from klrblocks.weyl import OrbitResult, OrbitStatus
 
@@ -168,3 +171,34 @@ def test_decomp_result_compares_without_searched_nodes():
     a, b = DecompResult(((),), True, 3), DecompResult(((),), True, 5)
     assert a == b and hash(a) == hash(b) == hash((((),), True))
     assert repr(a) == "DecompResult(solutions=((),), unique=True, searched_nodes=3)"
+
+
+def test_walk_records_are_the_checked_records():
+    # every base with e = 2..6 and level 2..4; a copy rebuilds each record
+    # through its checking __init__, so it also shows the invariants hold
+    for e, level in itertools.product(range(2, 7), range(2, 5)):
+        for cut in itertools.combinations(range(level + e - 1), e - 1):
+            # stars and bars: the gaps between the e - 1 bars sum to level
+            bounds = (-1, *cut, level + e - 1)
+            base = LevelKDominant(tuple(b - a - 1 for a, b in zip(bounds, bounds[1:])))
+            quivers = (build_quiver(base), t_subquiver(base))
+            for entry in [*max_plus(base), *quivers[0].vertices, *quivers[1].vertices]:
+                c, x = entry.weight.coeffs, entry.x
+                checked = MaxWeightEntry(
+                    LevelKDominant(c), x, RootVector(x), WeightCoeffs(c, -x[0])
+                )
+                assert type(x) is tuple
+                for got, want in (
+                    (entry, checked),
+                    (entry.weight, checked.weight),
+                    (entry.beta, checked.beta),
+                    (entry.max_weight, checked.max_weight),
+                ):
+                    assert type(got) is type(want)
+                    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+                    twin = copy.copy(got)
+                    assert type(twin) is type(want) and twin == want and repr(twin) == repr(want)
+            for q in quivers:
+                for a in q.arrows:
+                    assert type(a) is Arrow and type(a.label) is tuple
+                    assert all(type(v) is int for v in (a.src, a.dst, *a.label))
