@@ -64,9 +64,10 @@ def _canonical(xmap, raw_arrows) -> tuple[tuple, tuple]:
     ordering = sorted(xmap, key=lambda c: (sum(xmap[c]), c))
     ids = {c: i for i, c in enumerate(ordering)}
     vertices = tuple(max_weight_entry(c, xmap[c]) for c in ordering)
-    # plain tuples sort faster than named ones; wrap them once sorted
-    arrows = tuple(map(Arrow._make, sorted([(ids[s], ids[d], lab) for s, d, lab in raw_arrows])))
-    return vertices, arrows
+    # tuple.__new__ makes each Arrow from a plain tuple in C, without the
+    # namedtuple's Python-level __new__
+    arrows = sorted([tuple.__new__(Arrow, (ids[s], ids[d], lab)) for s, d, lab in raw_arrows])
+    return vertices, tuple(arrows)
 
 
 def build_quiver(base: LevelKDominant) -> WeightQuiver:
