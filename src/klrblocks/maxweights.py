@@ -221,8 +221,8 @@ def max_weight_entry(coeffs: tuple[int, ...], x: tuple[int, ...]) -> MaxWeightEn
     `coeffs` and delta coefficient -x_0.  The members and their X come from a
     walk out of a checked base: each move keeps the length, the level and
     nonnegativity, and X >= 0 by construction.  So the four records are built
-    without their constructors' checks (a copy or pickle rebuilds them through
-    the checks).
+    without their constructors' checks (a pickle or deep copy rebuilds them
+    through the checks).
     """
     new, put = object.__new__, object.__setattr__
     weight = new(LevelKDominant)
