@@ -29,7 +29,9 @@ class SearchSpaceExceededError(RuntimeError):
     pass
 
 
-MAX_SEARCH_NODES = 1_000_000  # nodes one decomposition search may visit
+# nodes one decomposition search may visit: `decomp --gamma 20,1,1` runs
+# into this limit in about 0.9 s (a CLI process on a 2-vCPU VM)
+MAX_SEARCH_NODES = 1_000_000
 MAX_CANDIDATE_ROWS = 10_000  # rows it may build; a Brauer graph's matrix gives tens
 # edges of one graph: its Cartan matrix has MAX_EDGES^2 entries, and
 # `brauer --what all` on gamma(999, 1, 1) prints it in about 0.4 s (a CLI
@@ -375,22 +377,27 @@ def decomp_search(c: list[list[int]]) -> DecompResult:
         raise ValueError("Cartan matrix entries must be nonnegative")
 
     bound = isqrt(min(c[i][i] for i in range(n))) if n else 0
-    candidates = _candidate_rows(c, n, bound)
+    # The remainder C - sum of r r^t over the rows taken is one copy of c,
+    # changed in place.  Each candidate r carries its cells on S x S, for S
+    # the support of r, as (remainder row i, j, r[i] r[j]); the cells with
+    # i <= j; the remainder rows of S with their diagonal index; and
+    # sum r[i]^2.  r r^t fits the remainder if it fits on the cells with
+    # i <= j: elsewhere it reads 0 <= an entry of a nonnegative symmetric
+    # matrix.
+    remaining = [list(row) for row in c]
+    candidates = []
+    for r in _candidate_rows(c, n, bound):
+        support = [i for i in range(n) if r[i]]
+        cells = [(remaining[i], j, r[i] * r[j]) for i in support for j in support]
+        upper = [(remaining[i], j, r[i] * r[j]) for i in support for j in support if i <= j]
+        diagonal = [(remaining[i], i) for i in support]
+        candidates.append((r, cells, upper, diagonal, sum(r[i] * r[i] for i in support)))
     solutions: set[tuple[tuple[int, ...], ...]] = set()
     nodes = 0
 
-    def fits(r: tuple[int, ...], remaining: list[list[int]]) -> bool:
-        """Whether r r^t is at most the remainder, entry by entry."""
-        for i in range(n):
-            if r[i]:
-                for j in range(i, n):
-                    if r[i] * r[j] > remaining[i][j]:
-                        return False
-        return True
-
     # Every row takes at least 1 from the trace, so no branch is deeper than
-    # trace(C) rows: there the diagonal is exhausted and the node returns.
-    def backtrack(remaining: list[list[int]], start: int, rows: list[tuple[int, ...]]):
+    # trace(C) rows: there the trace is 0 and the node returns.
+    def backtrack(start: int, changed: list, trace: int, rows: list[tuple[int, ...]]):
         nonlocal nodes
         nodes += 1
         if nodes > MAX_SEARCH_NODES:
@@ -398,23 +405,30 @@ def decomp_search(c: list[list[int]]) -> DecompResult:
                 f"decomposition search exceeded {MAX_SEARCH_NODES} nodes"
             )
         # A positive entry in a row whose diagonal is exhausted is a dead end.
-        if any(not remaining[i][i] and any(remaining[i]) for i in range(n)):
-            return
-        if not any(remaining[i][i] for i in range(n)):
+        # Only the rows the last candidate changed need the test: the others
+        # are as they were when the parent node passed it.
+        for row, i in changed:
+            if not row[i] and any(row):
+                return
+        if not trace:
             solutions.add(tuple(rows))
             return
         for idx in range(start, len(candidates)):
-            r = candidates[idx]
-            if not fits(r, remaining):
-                continue
-            nxt = [
-                [remaining[i][j] - r[i] * r[j] for j in range(n)] for i in range(n)
-            ]
-            rows.append(r)
-            backtrack(nxt, idx, rows)
-            rows.pop()
+            r, cells, upper, diagonal, square = candidates[idx]
+            for row, j, p in upper:
+                if p > row[j]:
+                    break
+            else:
+                for row, j, p in cells:
+                    row[j] -= p
+                rows.append(r)
+                backtrack(idx, diagonal, trace - square, rows)
+                rows.pop()
+                for row, j, p in cells:
+                    row[j] += p
 
-    backtrack([list(row) for row in c], 0, [])
+    every_row = [(row, i) for i, row in enumerate(remaining)]
+    backtrack(0, every_row, sum(c[i][i] for i in range(n)), [])
     sols = tuple(sorted(solutions))
     return DecompResult(sols, unique=len(sols) == 1, searched_nodes=nodes)
 
