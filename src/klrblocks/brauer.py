@@ -390,8 +390,8 @@ def decomp_search(c: list[list[int]]) -> DecompResult:
         support = [i for i in range(n) if r[i]]
         cells = [(remaining[i], j, r[i] * r[j]) for i in support for j in support]
         upper = [(remaining[i], j, r[i] * r[j]) for i in support for j in support if i <= j]
-        diagonal = [(remaining[i], i) for i in support]
-        candidates.append((r, cells, upper, diagonal, sum(r[i] * r[i] for i in support)))
+        support_rows = [(remaining[i], i) for i in support]
+        candidates.append((r, cells, upper, support_rows, sum(r[i] * r[i] for i in support)))
     solutions: set[tuple[tuple[int, ...], ...]] = set()
     nodes = 0
 
@@ -414,7 +414,7 @@ def decomp_search(c: list[list[int]]) -> DecompResult:
             solutions.add(tuple(rows))
             return
         for idx in range(start, len(candidates)):
-            r, cells, upper, diagonal, square = candidates[idx]
+            r, cells, upper, support_rows, square = candidates[idx]
             for row, j, p in upper:
                 if p > row[j]:
                     break
@@ -422,7 +422,7 @@ def decomp_search(c: list[list[int]]) -> DecompResult:
                 for row, j, p in cells:
                     row[j] -= p
                 rows.append(r)
-                backtrack(idx, diagonal, trace - square, rows)
+                backtrack(idx, support_rows, trace - square, rows)
                 rows.pop()
                 for row, j, p in cells:
                     row[j] += p

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations, product
 from math import isqrt
 from unittest import mock
 
@@ -276,6 +278,87 @@ def test_decomp_search_row_cap(monkeypatch):
         decomp_search(c)
 
 
+# The search tree on fixed members gamma(s, a, m) of the line family: the
+# nodes it visits and its solutions, each as a multiset of rows.  A pruned
+# live branch, or candidates taken in another order, change the node count.
+SEARCH_TREES = {
+    (1, 1, 3): (105, [
+        {(1, 1): 3, (1, 0): 1, (0, 1): 3},
+        {(1, 2): 1, (1, 1): 1, (1, 0): 2, (0, 1): 1},
+    ]),
+    (2, 1, 3): (1_860, [
+        {(1, 1, 0): 3, (1, 0, 0): 1, (0, 1, 1): 3, (0, 0, 1): 3},
+        {(1, 1, 0): 3, (1, 0, 0): 1, (0, 1, 2): 1, (0, 1, 1): 1, (0, 1, 0): 1, (0, 0, 1): 1},
+    ]),
+    (3, 2, 3): (12_150, [
+        {(1, 1, 0, 0): 1, (1, 0, 0, 0): 3, (0, 1, 1, 0): 3, (0, 0, 1, 1): 3, (0, 0, 0, 1): 3},
+        {(1, 1, 0, 0): 1, (1, 0, 0, 0): 3, (0, 1, 1, 0): 3, (0, 0, 1, 2): 1, (0, 0, 1, 1): 1,
+         (0, 0, 1, 0): 1, (0, 0, 0, 1): 1},
+    ]),
+    (3, 1, 3): (33_148, [
+        {(1, 1, 0, 0): 3, (1, 0, 0, 0): 1, (0, 1, 1, 0): 3, (0, 0, 1, 1): 3, (0, 0, 0, 1): 3},
+        {(1, 1, 0, 0): 3, (1, 0, 0, 0): 1, (0, 1, 1, 0): 3, (0, 0, 1, 2): 1, (0, 0, 1, 1): 1,
+         (0, 0, 1, 0): 1, (0, 0, 0, 1): 1},
+    ]),
+}
+
+
+@pytest.mark.parametrize("params", SEARCH_TREES, ids=lambda p: "gamma_%d_%d_%d" % p)
+def test_decomp_search_tree_is_pinned(params):
+    nodes, solutions = SEARCH_TREES[params]
+    res = decomp_search(graph_cartan_matrix(gamma_family(*params)))
+    assert res.searched_nodes == nodes
+    assert [Counter(sol) for sol in res.solutions] == solutions
+
+
+def test_decomp_search_leaves_its_matrix_alone(monkeypatch):
+    # the search changes a copy of c in place and restores each entry it
+    # changed; c stays as it was, also when the node limit stops a search
+    params = (1, 1, 3)
+    c = graph_cartan_matrix(gamma_family(*params))
+    before = [list(row) for row in c]
+    first = decomp_search(c)
+    assert c == before
+    assert (first.searched_nodes, [Counter(sol) for sol in first.solutions]) == SEARCH_TREES[params]
+    with monkeypatch.context() as patch:
+        patch.setattr(brauer, "MAX_SEARCH_NODES", 50)
+        with pytest.raises(SearchSpaceExceededError, match="50 nodes"):
+            decomp_search(c)
+    assert c == before
+    again = decomp_search(c)
+    assert again == first and again.searched_nodes == first.searched_nodes
+
+
+def simple_graphs():
+    """Every simple connected graph on the vertices 0..nv-1 for nv = 2..4
+    with 1 to 4 edges, each edge (a, b) with a < b, under every choice of
+    multiplicities 1 and 2; each rotation lists the incident edges in order."""
+    for nv in range(2, 5):
+        pairs = list(combinations(range(nv), 2))
+        for size in range(1, 5):
+            for edges in combinations(pairs, size):
+                if not is_connected(BrauerGraph((1,) * nv, edges, ())):
+                    continue
+                rotations = {v: [eid for eid, e in enumerate(edges) if v in e] for v in range(nv)}
+                for mult in product((1, 2), repeat=nv):
+                    yield BrauerGraph.build(mult, edges, rotations)
+
+
+def test_decomp_search_finds_the_incidence_decomposition():
+    # c_ij = sum over vertices v of m_v a_iv a_jv (Schroll, Brauer graph
+    # algebras, 2018), so D_g, with m_v copies of the incidence row a_v of
+    # each vertex v, has D_g^t D_g = C and is among the solutions
+    graphs = list(simple_graphs())
+    assert len(graphs) == 532
+    for g in graphs:
+        d_g = [
+            tuple(e.count(v) for e in g.edges)
+            for v, m in enumerate(g.multiplicities)
+            for _ in range(m)
+        ]
+        assert tuple(sorted(d_g, reverse=True)) in decomp_search(graph_cartan_matrix(g)).solutions
+
+
 @st.composite
 def symmetric_matrices(draw, max_n=4, max_entry=12):
     """Symmetric nonnegative integer matrices, n from 1 to max_n."""
@@ -376,7 +459,8 @@ def gram_matrices(draw):
 
 
 # A cap keeps each example short: some 4x4 D^t D run to MAX_SEARCH_NODES,
-# tens of seconds in either search.  Past the cap both must fail alike.
+# tens of seconds in the oracle (about a second in the package's search).
+# Past the cap both must fail alike.
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(gram_matrices(), symmetric_matrices(max_entry=4)), st.integers(1, 20_000))
 def test_decomp_search_matches_oracle(c, cap):
