@@ -2,7 +2,7 @@
 in affine type A: dominant maximal weights, weight quivers, representation
 type, graded dimensions and the Brauer graphs of the non-wild blocks."""
 
-from .cartan import RootVector, WeightCoeffs, delta_decompose, interval_delta
+from .cartan import RootVector, WeightCoeffs, interval_delta
 from .classify import FieldParams, RepType, ScriptSets, TClass, TClassRankError, classify, script_sets
 from .maxweights import (
     ClassTooLargeError,
@@ -21,7 +21,7 @@ from .tableaux import (
     graded_dim,
     graded_dim_total,
 )
-from .weyl import OrbitResult, OrbitStatus, dominate, orbit_representative
+from .weyl import OrbitResult, OrbitStatus, orbit_representative
 from .brauer import (
     BrauerGraph,
     DerivedInvariants,

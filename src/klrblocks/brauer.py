@@ -12,6 +12,7 @@ multiplicities and face perimeters, and bipartiteness.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import isqrt
 
 from .cartan import Record
@@ -33,6 +34,11 @@ class SearchSpaceExceededError(RuntimeError):
 # into this limit in about 0.9 s (a CLI process on a 2-vCPU VM)
 MAX_SEARCH_NODES = 1_000_000
 MAX_CANDIDATE_ROWS = 10_000  # rows it may build; a Brauer graph's matrix gives tens
+# rows one decomposition may have, checked on the trace before the search
+# starts: each row of a branch takes at least 1 from the trace and costs one
+# Python frame, so this keeps the search well inside Python's recursion
+# limit (1,000 frames by default)
+MAX_SEARCH_DEPTH = 500
 # edges of one graph: its Cartan matrix has MAX_EDGES^2 entries, and
 # `brauer --what all` on gamma(999, 1, 1) prints it in about 0.4 s (a CLI
 # process on a 2-vCPU VM)
@@ -364,7 +370,8 @@ def decomp_search(c: list[list[int]]) -> DecompResult:
     at most trace(C) rows are used.  Solutions are canonicalized with rows
     sorted lexicographically descending and deduplicated.  More than
     MAX_CANDIDATE_ROWS candidate rows, or MAX_SEARCH_NODES search nodes,
-    raise SearchSpaceExceededError.
+    raise SearchSpaceExceededError, and so does a trace above
+    MAX_SEARCH_DEPTH, before the search starts.
     """
     n = len(c)
     if any(len(row) != n for row in c):
@@ -377,6 +384,15 @@ def decomp_search(c: list[list[int]]) -> DecompResult:
         raise ValueError("Cartan matrix entries must be nonnegative")
 
     bound = isqrt(min(c[i][i] for i in range(n))) if n else 0
+    candidate_rows = _candidate_rows(c, n, bound)
+    # The row limit comes first, so a matrix with too many candidate rows
+    # keeps that error; the depth limit is checked once, before any node.
+    trace = sum(c[i][i] for i in range(n))
+    if trace > MAX_SEARCH_DEPTH:
+        raise SearchSpaceExceededError(
+            f"decomposition search of trace {trace} exceeds the limit "
+            f"MAX_SEARCH_DEPTH = {MAX_SEARCH_DEPTH}"
+        )
     # The remainder C - sum of r r^t over the rows taken is one copy of c,
     # changed in place.  Each candidate r carries its cells on S x S, for S
     # the support of r, as (remainder row i, j, r[i] r[j]); the cells with
@@ -386,7 +402,7 @@ def decomp_search(c: list[list[int]]) -> DecompResult:
     # matrix.
     remaining = [list(row) for row in c]
     candidates = []
-    for r in _candidate_rows(c, n, bound):
+    for r in candidate_rows:
         support = [i for i in range(n) if r[i]]
         cells = [(remaining[i], j, r[i] * r[j]) for i in support for j in support]
         upper = [(remaining[i], j, r[i] * r[j]) for i in support for j in support if i <= j]
@@ -428,30 +444,56 @@ def decomp_search(c: list[list[int]]) -> DecompResult:
                     row[j] += p
 
     every_row = [(row, i) for i, row in enumerate(remaining)]
-    backtrack(0, every_row, sum(c[i][i] for i in range(n)), [])
+    backtrack(0, every_row, trace, [])
     sols = tuple(sorted(solutions))
     return DecompResult(sols, unique=len(sols) == 1, searched_nodes=nodes)
 
 
 def _candidate_rows(c, n, bound) -> list[tuple[int, ...]]:
-    """Nonzero candidate rows in descending lex order, pruned entrywise."""
+    """Nonzero candidate rows in descending lex order, pruned entrywise.
+
+    A depth-first walk with an explicit stack, so n columns cost no Python
+    frames.  A frame is (support, column, values): the prefix's nonzero
+    (column, value) pairs, the column it fills next, and the positive values
+    still to try there, largest first.  The value 0 comes last, as a move to
+    the next column where a positive value fits, which is a positive column
+    of the support's first row; so a sparse C walks only the columns its rows
+    can use.
+    """
     rows: list[tuple[int, ...]] = []
+    positive = [[j for j, v in enumerate(row) if v] for row in c]
+    stack: list = []
 
-    def extend(prefix: tuple[int, ...]) -> None:
-        if len(prefix) == n:
-            if any(prefix):
-                if len(rows) == MAX_CANDIDATE_ROWS:
-                    raise SearchSpaceExceededError(
-                        f"decomposition search exceeded {MAX_CANDIDATE_ROWS} "
-                        "candidate rows"
-                    )
-                rows.append(prefix)
+    def open_frame(support: tuple[tuple[int, int], ...], j: int) -> None:
+        """Push the frame of the first column >= j that a positive value of
+        this support fits, or give the finished row when there is none."""
+        if not support:
+            if j < n:
+                stack.append((support, j, iter(range(bound, 0, -1))))
             return
-        j = len(prefix)
-        # v <= bound <= isqrt(c[j][j]), and prefix[i] * v <= c[i][j]
-        top = min([bound] + [c[i][j] // p for i, p in enumerate(prefix) if p])
-        for v in range(top, -1, -1):
-            extend(prefix + (v,))
+        first = positive[support[0][0]]
+        for col in first[bisect_left(first, j):]:
+            # v <= bound <= isqrt(c[j][j]), and prefix[i] * v <= c[i][j]
+            top = min([bound] + [c[i][col] // p for i, p in support])
+            if top:
+                stack.append((support, col, iter(range(top, 0, -1))))
+                return
+        if len(rows) == MAX_CANDIDATE_ROWS:
+            raise SearchSpaceExceededError(
+                f"decomposition search exceeded {MAX_CANDIDATE_ROWS} candidate rows"
+            )
+        row = [0] * n
+        for i, p in support:
+            row[i] = p
+        rows.append(tuple(row))
 
-    extend(())
+    open_frame((), 0)
+    while stack:
+        support, col, values = stack[-1]
+        v = next(values, 0)
+        if v:
+            open_frame(support + ((col, v),), col + 1)
+        else:
+            stack.pop()
+            open_frame(support, col + 1)
     return rows

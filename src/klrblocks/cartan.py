@@ -1,4 +1,4 @@
-"""Affine type A Cartan datum: closed-form solve, root/weight conversions.
+"""Affine type A Cartan datum: weight and root records, closed-form solve, intervals.
 
 All index arithmetic is cyclic modulo the quantum characteristic e = ell + 1,
 and e is the length of every coefficient tuple: a function that gets a weight,
@@ -147,20 +147,6 @@ def solve_pinned(rhs: tuple[int, ...], x0: int) -> tuple[int, ...]:
     if apply_cartan(x) != tuple(rhs):
         raise NoSolutionError(f"inconsistent system for rhs {rhs}")
     return x
-
-
-def root_to_weight(beta: tuple[int, ...]) -> WeightCoeffs:
-    """Expand sum_i beta_i alpha_i on the Lambda/delta basis.
-
-    The Lambda part is A @ beta and the delta coefficient is beta_0.
-    """
-    return WeightCoeffs(apply_cartan(beta), beta[0])
-
-
-def delta_decompose(beta: RootVector) -> tuple[RootVector, int]:
-    """Split beta = beta0 + m * delta with min(beta0) = 0 and m = min(beta)."""
-    m = min(beta.coeffs)
-    return RootVector(tuple(c - m for c in beta.coeffs)), m
 
 
 def cyclic_interval(i: int, j: int, e: int) -> list[int]:

@@ -48,7 +48,7 @@ def _parse_int_vector(text: str, expected_len: int | None, what: str) -> tuple[i
     if not text and expected_len == 0:  # e.g. --nu= for beta = 0
         return ()
     try:
-        vals = tuple(int(p) for p in text.split(","))
+        vals = tuple(map(int, text.split(",")))
     except ValueError as exc:
         raise UsageError(f"--{what}: expected comma-separated integers") from exc
     if expected_len is not None and len(vals) != expected_len:
@@ -374,6 +374,16 @@ COMMANDS = {
     "decomp": (_cmd_decomp, "decomposition matrices with D^t D = C",
                (("cartan", str, None, None, "matrix rows 'a,b;c,d'"),) + _GRAPH + _JSON),
 }
+# subcommand -> ({"--name": option tuple}, the flags that end a value, defaults),
+# built once; _parse copies the defaults into each namespace it makes
+_TABLES = {
+    command: (
+        {f"--{opt[0]}": opt for opt in opts},
+        frozenset([f"--{opt[0]}" for opt in opts] + ["-h", "--help"]),
+        {opt[0]: opt[2] for opt in opts},
+    )
+    for command, (_, _, opts) in COMMANDS.items()
+}
 # what argparse reads as the value of an option: empty text, text that does not
 # start with "-", a lone "-", a negative number, or text holding a space, unless
 # the text before its first "=" names an option ("--gamma= " is an option)
@@ -411,10 +421,8 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
     if argv[0] not in COMMANDS:
         raise UsageError(f"argument command: invalid choice: {argv[0]!r} "
                          f"(choose from {', '.join(map(repr, COMMANDS))})")
-    func, _, opts = COMMANDS[argv[0]]
-    table = {f"--{opt[0]}": opt for opt in opts}
-    flags = table.keys() | {"-h", "--help"}
-    args = SimpleNamespace(func=func, **{opt[0]: opt[2] for opt in opts})
+    table, flags, defaults = _TABLES[argv[0]]
+    args = SimpleNamespace(func=COMMANDS[argv[0]][0], **defaults)
     tokens, extras = argv[:0:-1], []  # reversed, so that pop() reads left to right
     while tokens:
         token = tokens.pop()

@@ -51,9 +51,6 @@ class LevelKDominant(Record):
     def level(self) -> int:
         return sum(self.coeffs)
 
-    def to_weight(self) -> WeightCoeffs:
-        return WeightCoeffs(self.coeffs, 0)
-
     def support(self) -> list[int]:
         return [i for i, c in enumerate(self.coeffs) if c > 0]
 

@@ -15,20 +15,20 @@ X, and the block is nonvanishing iff X >= 0: the weights of V(Lambda) are
 W . {mu in P+ : mu <= Lambda} (Kac, Prop. 12.5).  X - min(X) is then the
 solution vector of the class member on mu+'s Lambda part, so no sieving
 class is built.
+
+All of this is one pass over the integers of Lambda and beta.  The A beta
+part of the partial sums telescopes,
+
+    p_a = sum_{i>a} Lambda_i - (beta_{e-1} - beta_0) + beta_a - beta_{a+1},
+
+so no weight or root record is built on the way: only beta0 at the end.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .cartan import (
-    Record,
-    RootVector,
-    WeightCoeffs,
-    delta_decompose,
-    root_to_weight,
-    solve_pinned,
-)
+from .cartan import Record, RootVector, solve_pinned
 from .maxweights import LevelKDominant
 
 
@@ -49,45 +49,40 @@ class OrbitResult(Record):
         object.__setattr__(self, "reflection_count", reflection_count)
 
 
-def dominate(mu: WeightCoeffs) -> tuple[WeightCoeffs, int]:
-    """The dominant weight in the orbit of mu and the length of the shortest
-    w with w(mu) dominant, which is the count of any loop that reflects at a
-    negative pairing until none is left.  Raises ValueError below level 1.
-    """
-    k = mu.level
-    if k < 1:
-        raise ValueError(f"dominance needs level >= 1, got {k}")
-    e = len(mu.lam)
-    p = [0] * e
-    for a in range(e - 2, -1, -1):
-        p[a] = p[a + 1] + mu.lam[a + 1]
-    quotients, residues = zip(*(divmod(v, k) for v in p))
-    share, extra = divmod(sum(quotients), e)
-    spread = [r + k * (share + (n < extra)) for n, r in enumerate(sorted(residues))]
-    u = sorted(spread, reverse=True)
-    lam = (k - u[0] + u[-1],) + tuple(u[a] - u[a + 1] for a in range(e - 1))
-    delta = mu.delta + (sum(v * v for v in p) - sum(v * v for v in u)) // (2 * k)
-    diffs = [pa - pb for a, pa in enumerate(p) for pb in p[a + 1:]]
-    length = sum([(x - 1) // k if x > 0 else -(x // k) for x in diffs])
-    return WeightCoeffs(lam, delta), length
-
-
 def orbit_representative(base: LevelKDominant, beta: RootVector) -> OrbitResult:
     """Reduce beta to (beta0, m) with beta0 in the class's beta set, or Zero.
 
     Zero means Lambda - beta is not a weight of the module, i.e. the block
-    vanishes.  Raises ValueError when beta and base differ in length.
+    vanishes.  `reflection_count` is the length of the shortest w with
+    w(Lambda - beta) dominant.  Raises ValueError when beta and base differ
+    in length.
     """
-    if len(beta.coeffs) != len(base.coeffs):
-        raise ValueError(
-            f"beta has length {len(beta.coeffs)}, the weight {len(base.coeffs)}"
-        )
-    mu = base.to_weight() - root_to_weight(beta.coeffs)
-    mu_plus, count = dominate(mu)
-    diff = base.to_weight() - mu_plus
-    # Expand diff on the alpha basis: the delta coefficient pins x_0.
-    x = solve_pinned(diff.lam, diff.delta)
-    if any(v < 0 for v in x):
+    lam, b = base.coeffs, beta.coeffs
+    e = len(lam)
+    if len(b) != e:
+        raise ValueError(f"beta has length {len(b)}, the weight {e}")
+    k = sum(lam)  # >= 1: LevelKDominant checks it
+    p = [0] * e
+    tail, shift = 0, b[0] - b[-1]
+    for a in range(e - 2, -1, -1):
+        tail += lam[a + 1]
+        p[a] = tail + shift + b[a] - b[a + 1]
+    quotients, residues = zip(*[divmod(v, k) for v in p])
+    share, extra = divmod(sum(quotients), e)
+    spread = [r + k * (share + (n < extra)) for n, r in enumerate(sorted(residues))]
+    u = sorted(spread, reverse=True)
+    diffs = [pa - pb for a, pa in enumerate(p) for pb in p[a + 1:]]
+    count = sum([(x - 1) // k if x > 0 else -(x // k) for x in diffs])
+    # mu+ has Lambda part (k - u_0 + u_{e-1}, u_0 - u_1, ..., u_{e-2} - u_{e-1})
+    # and delta part -beta_0 + (sum p^2 - sum u^2) / 2k.  X expands Lambda - mu+
+    # on the alpha basis, and the delta part pins x_0.
+    rhs = [lam[0] - k + u[0] - u[-1]] + [lam[a + 1] - u[a] + u[a + 1] for a in range(e - 1)]
+    x0 = b[0] - (sum([v * v for v in p]) - sum([v * v for v in u])) // (2 * k)
+    x = solve_pinned(rhs, x0)
+    m = min(x)
+    if m < 0:
         return OrbitResult(OrbitStatus.ZERO, None, 0, count)
-    beta0, m = delta_decompose(RootVector(x))
+    # min(X) = m, so X - m is nonnegative and needs no check
+    beta0 = object.__new__(RootVector)
+    object.__setattr__(beta0, "coeffs", tuple(v - m for v in x))
     return OrbitResult(OrbitStatus.NONZERO, beta0, m, count)

@@ -69,17 +69,36 @@ from klrblocks.cartan import (
     apply_cartan,
     cyclic_interval,
     interval_delta,
-    root_to_weight,
+    solve_pinned,
 )
 from klrblocks.classify import MAX_CHAR, ScriptSets, TClass, _require_level_3
 from klrblocks.cli import UsageError
 from klrblocks.maxweights import MAX_E, LevelKDominant, MaxWeightEntry, solve_x
 from klrblocks.quiver import Arrow, LevelTooSmallError, TQuiver, WeightQuiver
 from klrblocks.tableaux import Multipartition, Partition, charges_of
-from klrblocks.weyl import OrbitStatus
+from klrblocks.weyl import OrbitResult, OrbitStatus
 
 
 # --- weight arithmetic ---
+
+
+def to_weight(base: LevelKDominant) -> WeightCoeffs:
+    """A dominant weight on the Lambda/delta basis (delta coefficient 0)."""
+    return WeightCoeffs(base.coeffs, 0)
+
+
+def root_to_weight(beta: tuple[int, ...]) -> WeightCoeffs:
+    """Expand sum_i beta_i alpha_i on the Lambda/delta basis.
+
+    The Lambda part is A @ beta and the delta coefficient is beta_0.
+    """
+    return WeightCoeffs(apply_cartan(beta), beta[0])
+
+
+def delta_decompose(beta: RootVector) -> tuple[RootVector, int]:
+    """Split beta = beta0 + m * delta with min(beta0) = 0 and m = min(beta)."""
+    m = min(beta.coeffs)
+    return RootVector(tuple(c - m for c in beta.coeffs)), m
 
 
 def pairing(i: int, mu: WeightCoeffs) -> int:
@@ -126,6 +145,51 @@ def rotate_tuple(x: tuple[int, ...], shift: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# --- Weyl dominance on weight records ---
+
+
+def dominate(mu: WeightCoeffs) -> tuple[WeightCoeffs, int]:
+    """The dominant weight in the orbit of mu and the length of the shortest
+    w with w(mu) dominant, which is the count of any loop that reflects at a
+    negative pairing until none is left.  Raises ValueError below level 1.
+    """
+    k = mu.level
+    if k < 1:
+        raise ValueError(f"dominance needs level >= 1, got {k}")
+    e = len(mu.lam)
+    p = [0] * e
+    for a in range(e - 2, -1, -1):
+        p[a] = p[a + 1] + mu.lam[a + 1]
+    quotients, residues = zip(*(divmod(v, k) for v in p))
+    share, extra = divmod(sum(quotients), e)
+    spread = [r + k * (share + (n < extra)) for n, r in enumerate(sorted(residues))]
+    u = sorted(spread, reverse=True)
+    lam = (k - u[0] + u[-1],) + tuple(u[a] - u[a + 1] for a in range(e - 1))
+    delta = mu.delta + (sum(v * v for v in p) - sum(v * v for v in u)) // (2 * k)
+    diffs = [pa - pb for a, pa in enumerate(p) for pb in p[a + 1:]]
+    length = sum([(x - 1) // k if x > 0 else -(x // k) for x in diffs])
+    return WeightCoeffs(lam, delta), length
+
+
+def record_orbit_representative(base: LevelKDominant, beta: RootVector) -> OrbitResult:
+    """`weyl.orbit_representative` through weight records: mu = Lambda - beta
+    as a `WeightCoeffs`, made dominant by `dominate`, and X expanded from
+    Lambda - mu+ and split by `delta_decompose`."""
+    if len(beta.coeffs) != len(base.coeffs):
+        raise ValueError(
+            f"beta has length {len(beta.coeffs)}, the weight {len(base.coeffs)}"
+        )
+    mu = to_weight(base) - root_to_weight(beta.coeffs)
+    mu_plus, count = dominate(mu)
+    diff = to_weight(base) - mu_plus
+    # Expand diff on the alpha basis: the delta coefficient pins x_0.
+    x = solve_pinned(diff.lam, diff.delta)
+    if any(v < 0 for v in x):
+        return OrbitResult(OrbitStatus.ZERO, None, 0, count)
+    beta0, m = delta_decompose(RootVector(x))
+    return OrbitResult(OrbitStatus.NONZERO, beta0, m, count)
+
+
 # --- the sieving class and its dominant maximal weights ---
 
 
@@ -157,7 +221,7 @@ def composition_equiv_class(w: LevelKDominant) -> list[LevelKDominant]:
 
 def entry(base: LevelKDominant, member: LevelKDominant, x: tuple[int, ...]) -> MaxWeightEntry:
     """The entry of `member`, its max weight computed as base - sum_i x_i alpha_i."""
-    max_weight = base.to_weight() - root_to_weight(x)
+    max_weight = to_weight(base) - root_to_weight(x)
     return MaxWeightEntry(member, x, RootVector(x), max_weight)
 
 

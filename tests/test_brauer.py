@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from klrblocks import brauer
 from klrblocks.brauer import (
     MAX_EDGES,
+    MAX_SEARCH_DEPTH,
     BrauerGraph,
     InvalidGraphError,
     SearchSpaceExceededError,
@@ -271,6 +272,37 @@ def test_decomp_search_node_cap(monkeypatch):
         decomp_search(c)
 
 
+def test_decomp_search_depth_limit(monkeypatch):
+    # (1,0) and (0,1) are the only candidate rows of diag(1, t - 1), and its
+    # one decomposition takes t rows, as deep as a search of trace t goes
+    monkeypatch.setattr(brauer, "MAX_SEARCH_DEPTH", 6)
+    res = decomp_search([[1, 0], [0, 5]])
+    assert res.solutions == (((1, 0),) + ((0, 1),) * 5,)
+    # checked before the first node: with no node allowed, the depth error
+    # still comes first
+    monkeypatch.setattr(brauer, "MAX_SEARCH_NODES", 0)
+    with pytest.raises(SearchSpaceExceededError, match=r"trace 7 exceeds .* MAX_SEARCH_DEPTH = 6$"):
+        decomp_search([[1, 0], [0, 6]])
+
+
+def test_decomp_search_answers_at_the_depth_limit():
+    # one Python frame per row: MAX_SEARCH_DEPTH rows stay clear of the
+    # recursion limit, even under the test runner's own frames
+    res = decomp_search([[1, 0], [0, MAX_SEARCH_DEPTH - 1]])
+    assert res.solutions == (((1, 0),) + ((0, 1),) * (MAX_SEARCH_DEPTH - 1),)
+    with pytest.raises(SearchSpaceExceededError, match="MAX_SEARCH_DEPTH"):
+        decomp_search([[1, 0], [0, MAX_SEARCH_DEPTH]])
+
+
+def test_candidate_rows_take_no_frame_per_column():
+    # the row walk once recursed once per column, so 1,200 columns of a zero
+    # matrix ran into Python's recursion limit of 1,000 frames; no row is
+    # nonzero, so no row is a candidate
+    n = 1_200
+    res = decomp_search([[0] * n for _ in range(n)])
+    assert res.solutions == ((),) and res.unique
+
+
 def test_decomp_search_row_cap(monkeypatch):
     c = [[4, 2], [2, 4]]  # 7 nonzero candidate rows
     monkeypatch.setattr(brauer, "MAX_CANDIDATE_ROWS", 3)
@@ -385,6 +417,28 @@ def test_candidate_rows_match_value_scan(c, cap):
             assert str(got.value) == str(exc)
         else:
             assert brauer._candidate_rows(c, n, bound) == expected
+
+
+@st.composite
+def sparse_symmetric_matrices(draw):
+    """Symmetric nonnegative matrices with n up to 8 and mostly zero off the
+    diagonal, as the Cartan matrices of Brauer graphs are."""
+    n = draw(st.integers(1, 8))
+    c = [[0] * n for _ in range(n)]
+    for i in range(n):
+        c[i][i] = draw(st.integers(0, 10))
+        for j in range(i + 1, n):
+            c[i][j] = c[j][i] = draw(st.sampled_from([0, 0, 0, 1, 2, 4]))
+    return c
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_symmetric_matrices())
+def test_sparse_candidate_rows_match_value_scan(c):
+    # the walk jumps over the columns where no positive value fits
+    n = len(c)
+    bound = isqrt(min(c[i][i] for i in range(n)))
+    assert brauer._candidate_rows(c, n, bound) == scan_candidate_rows(c, n, bound)
 
 
 def test_decomp_search_input_validation():

@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import klrblocks
-from klrblocks.brauer import MAX_EDGES
+from klrblocks.brauer import MAX_EDGES, MAX_SEARCH_DEPTH
 from klrblocks.cartan import RootVector
 from klrblocks.classify import FieldParams, TClass, TClassRankError, classify
-from klrblocks.cli import _REQUIRED, COMMANDS, UsageError, _parse, run
+from klrblocks.cli import _REQUIRED, _TABLES, COMMANDS, UsageError, _parse, run
 from klrblocks import maxweights
 from klrblocks.maxweights import MAX_E, ClassTooLargeError, LevelKDominant, max_plus
 from klrblocks.quiver import WeightQuiver, build_quiver
@@ -288,6 +288,20 @@ def test_repeated_runs_share_no_parser_state():
     assert [code for code, _ in first] == [0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0]
 
 
+def test_shared_option_tables_do_not_leak_between_parses():
+    # the tables are built once at import; a parse that sets options must
+    # leave the next parse of the same command its defaults.  The option
+    # tuples and flag sets are immutable, so copying each dict is a snapshot
+    before = {cmd: (dict(table), flags, dict(defaults))
+              for cmd, (table, flags, defaults) in _TABLES.items()}
+    block = ["classify", "--ell", "2", "--weight", "3,0,0", "--beta", "1,1,1"]
+    first = _parse([*block, "--char", "3", "--format", "json"])
+    assert (first.char, first.format) == (3, "json")
+    second = _parse(block)
+    assert (second.char, second.format, second.t, second.mdelta) == (0, "text", "other", 0)
+    assert _TABLES == before
+
+
 PAIR = [{"id": 0, "mult": 2}, {"id": 1, "mult": 2}]
 
 
@@ -492,6 +506,14 @@ def test_graph_edges_are_bounded():
     for cmd, s in (("brauer", MAX_EDGES), ("decomp", 100_000)):
         expected = f"error: {s + 1} edges exceed the limit MAX_EDGES = {MAX_EDGES}\n"
         assert capture([cmd, "--gamma", f"{s},1,1"]) == (1, "", expected)
+
+
+def test_decomp_depth_is_bounded():
+    # gamma(999, 1, 1) has trace 2,000; its search once ended at Python's
+    # recursion limit ("maximum recursion depth exceeded")
+    expected = (f"error: decomposition search of trace {2 * MAX_EDGES} exceeds the limit "
+                f"MAX_SEARCH_DEPTH = {MAX_SEARCH_DEPTH}\n")
+    assert capture(["decomp", "--gamma", f"{MAX_EDGES - 1},1,1"]) == (1, "", expected)
 
 
 def test_lattice_shapes_are_bounded():

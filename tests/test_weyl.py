@@ -7,18 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klrblocks.cartan import (
-    RootVector,
-    WeightCoeffs,
-    delta_decompose,
-    root_to_weight,
-    solve_pinned,
-)
+from klrblocks.cartan import RootVector, WeightCoeffs, solve_pinned
 from klrblocks.maxweights import LevelKDominant, max_plus, p_lambda_set
 from klrblocks.tableaux import block_is_nonzero
-from klrblocks.weyl import OrbitResult, OrbitStatus, dominate, orbit_representative
+from klrblocks.weyl import OrbitResult, OrbitStatus, orbit_representative
 
-from oracles import defect, rotate_tuple, simple_reflect
+from oracles import (
+    defect,
+    delta_decompose,
+    dominate,
+    record_orbit_representative,
+    root_to_weight,
+    rotate_tuple,
+    simple_reflect,
+    to_weight,
+)
 
 
 # --- reference oracle: WeightCoeffs arithmetic and the sieving-class lookup ---
@@ -50,9 +53,9 @@ def sieving_orbit_representative(base: LevelKDominant, beta: RootVector) -> Orbi
     """
     if base.level < 1:
         raise ValueError("base must have level >= 1")
-    mu = base.to_weight() - root_to_weight(beta.coeffs)
+    mu = to_weight(base) - root_to_weight(beta.coeffs)
     mu_plus, count = weight_coeffs_dominate(mu)
-    diff = base.to_weight() - mu_plus
+    diff = to_weight(base) - mu_plus
     # Expand diff on the alpha basis: the delta coefficient pins x_0.
     x = solve_pinned(diff.lam, diff.delta)
     if any(v < 0 for v in x):
@@ -85,15 +88,25 @@ def test_simple_reflect_involution():
 
 
 def test_dominate_trivial_and_small_orbit():
-    mu = WeightCoeffs((2, 0), 0)
-    out, n = dominate(mu)
-    assert out == mu and n == 0
-    refl = simple_reflect(mu, 0)
-    back, n = dominate(refl)
-    assert back == mu and n == 1
+    # beta = 0 leaves Lambda = 2 Lambda_0 as it is; beta = 2 alpha_0 is
+    # r_0(Lambda), one reflection away
+    base = LevelKDominant((2, 0))
+    zero = RootVector((0, 0))
+    assert orbit_representative(base, zero) == OrbitResult(OrbitStatus.NONZERO, zero, 0, 0)
+    res = orbit_representative(base, RootVector((2, 0)))
+    assert res == OrbitResult(OrbitStatus.NONZERO, zero, 0, 1)
+
+
+def beta_of(base: LevelKDominant, mu: WeightCoeffs) -> tuple[int, ...]:
+    """X with Lambda - mu = sum_i x_i alpha_i, the delta part pinning x_0."""
+    diff = to_weight(base) - mu
+    return solve_pinned(diff.lam, diff.delta)
 
 
 def test_dominate_recovers_after_random_words():
+    # a word in the simple reflections moves a dominant maximal weight mu to
+    # another weight of V(Lambda), so Lambda - w(mu) is a positive root; its
+    # orbit representative is mu's own beta
     rng = random.Random(17)
     for _ in range(120):
         e = rng.randrange(1, 6) + 1
@@ -103,16 +116,21 @@ def test_dominate_recovers_after_random_words():
             coeffs[rng.randrange(e)] += 1
         base = LevelKDominant(tuple(coeffs))
         entries = max_plus(base)
-        mu = entries[rng.randrange(len(entries))].max_weight
-        moved = mu
+        entry = entries[rng.randrange(len(entries))]
+        moved = entry.max_weight
         for _ in range(rng.randrange(31)):
             moved = simple_reflect(moved, rng.randrange(e))
-        back, _ = dominate(moved)
-        assert back == mu
+        res = orbit_representative(base, RootVector(beta_of(base, moved)))
+        assert (res.status, res.beta0, res.m) == (OrbitStatus.NONZERO, entry.beta, 0)
 
 
 def test_dominate_refuses_level_below_one():
-    # no orbit point of a level-zero weight off every weight system is dominant
+    # the closed form reduces mod the level k, so k = 0 has no answer: the
+    # base's constructor refuses it, so orbit_representative never sees it,
+    # and the record oracle refuses every weight of level below 1
+    for lam in ((0, 0), (0, 0, 0)):
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            LevelKDominant(lam)
     for lam in ((1, -1, 0), (0, 0, 0), (2, -3, 0)):
         with pytest.raises(ValueError, match="level >= 1"):
             dominate(WeightCoeffs(lam, 0))
@@ -165,14 +183,11 @@ def test_orbit_invariance_under_reflections():
         base = LevelKDominant(tuple(coeffs))
         beta = RootVector(tuple(rng.randrange(0, 3) for _ in range(e)))
         ref = orbit_representative(base, beta)
-        mu = base.to_weight() - root_to_weight(beta.coeffs)
+        mu = to_weight(base) - root_to_weight(beta.coeffs)
         for _ in range(rng.randrange(1, 12)):
             mu = simple_reflect(mu, rng.randrange(e))
-        diff = base.to_weight() - mu
         # rebuild the moved beta when it stays in the positive cone
-        from klrblocks.cartan import solve_pinned as _solve_pinned
-
-        x = _solve_pinned(diff.lam, diff.delta)
+        x = beta_of(base, mu)
         if any(v < 0 for v in x):
             continue
         moved = orbit_representative(base, RootVector(x))
@@ -257,24 +272,59 @@ def test_defect_is_constant_on_the_orbit(case):
 
 
 @st.composite
-def weights(draw):
-    """Any integer weight at e <= 8, with an index that may need reducing."""
-    e = draw(st.integers(2, 8))
-    lam = draw(st.lists(st.integers(-20, 20), min_size=e, max_size=e))
-    i = draw(st.integers(-e, 2 * e - 1))
-    return WeightCoeffs(tuple(lam), draw(st.integers(-4, 4))), i
+def orbit_cases_with_an_index(draw):
+    """An orbit case with beta entries <= 20 and an index that may need reducing."""
+    base, beta = draw(orbit_cases())
+    beta = RootVector(tuple(draw(st.integers(0, 5)) + c for c in beta.coeffs))
+    return base, beta, draw(st.integers(-len(beta.coeffs), 2 * len(beta.coeffs) - 1))
 
 
 @settings(max_examples=400, deadline=None)
-@given(weights())
+@given(orbit_cases_with_an_index())
 def test_integer_reflections_match_weight_coeffs_arithmetic(case):
-    """The closed form against the reflection loop: the same dominant weight
-    and a length equal to the loop's reflection count; a reflection of mu,
-    at an index that may need reducing, has the same dominant weight."""
-    mu, i = case
-    if mu.level < 1:
-        with pytest.raises(ValueError):
-            dominate(mu)
-    else:
-        assert dominate(mu) == weight_coeffs_dominate(mu)
-        assert dominate(simple_reflect(mu, i))[0] == dominate(mu)[0]
+    """The closed form against the reflection loop: the loop's reflection
+    count, and on a nonzero block the loop's dominant weight is
+    Lambda - beta0 - m delta; a reflection of mu, at an index that may need
+    reducing, has the same representative when it stays in the cone."""
+    base, beta, i = case
+    mu = to_weight(base) - root_to_weight(beta.coeffs)
+    mu_plus, count = weight_coeffs_dominate(mu)
+    res = orbit_representative(base, beta)
+    assert res.reflection_count == count
+    if res.status is OrbitStatus.NONZERO:
+        rep = tuple(c + res.m for c in res.beta0.coeffs)
+        assert to_weight(base) - root_to_weight(rep) == mu_plus
+    moved = beta_of(base, simple_reflect(mu, i))
+    if min(moved) >= 0:
+        other = orbit_representative(base, RootVector(moved))
+        assert (other.status, other.beta0, other.m) == (res.status, res.beta0, res.m)
+
+
+@st.composite
+def wide_orbit_cases(draw):
+    """A base of level 1..8 at e 2..16, and beta = 0 or entries up to 10^9."""
+    e = draw(st.integers(2, 16))
+    coeffs = [0] * e
+    for _ in range(draw(st.integers(1, 8))):
+        coeffs[draw(st.integers(0, e - 1))] += 1
+    top = draw(st.sampled_from([0, 3, 100, 10**9]))
+    beta = draw(st.lists(st.integers(0, top), min_size=e, max_size=e))
+    return LevelKDominant(tuple(coeffs)), RootVector(tuple(beta))
+
+
+@settings(max_examples=500, deadline=None)
+@given(wide_orbit_cases())
+def test_one_pass_matches_the_record_pipeline(case):
+    """Status, beta0, m and reflection_count against the weight-record form
+    (`to_weight`, `root_to_weight`, `dominate`, `delta_decompose`)."""
+    assert orbit_representative(*case) == record_orbit_representative(*case)
+
+
+def test_record_dominance_matches_the_reflection_loop():
+    # the record oracle itself, on weights that need not be Lambda - beta
+    rng = random.Random(41)
+    for _ in range(300):
+        e = rng.randrange(2, 9)
+        mu = WeightCoeffs(tuple(rng.randrange(-20, 21) for _ in range(e)), rng.randrange(-4, 5))
+        if mu.level >= 1:
+            assert dominate(mu) == weight_coeffs_dominate(mu)
