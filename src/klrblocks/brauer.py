@@ -64,17 +64,8 @@ Dart = tuple[int, int]
 
 
 class BrauerGraph(Record):
+    # rotations: per vertex, the cyclic order of the darts around it
     __slots__ = ("multiplicities", "edges", "rotations")
-
-    def __init__(
-        self,
-        multiplicities: tuple[int, ...],
-        edges: tuple[tuple[int, int], ...],
-        rotations: tuple[tuple[Dart, ...], ...],  # cyclic dart order around each vertex
-    ) -> None:
-        object.__setattr__(self, "multiplicities", multiplicities)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "rotations", rotations)
 
     @staticmethod
     def build(
@@ -167,35 +158,15 @@ def _places(g: BrauerGraph) -> dict[Dart, tuple[int, int]]:
 class PresArrow(Record):
     __slots__ = ("name", "vertex", "src_edge", "dst_edge")
 
-    def __init__(self, name: str, vertex: int, src_edge: int, dst_edge: int) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "src_edge", src_edge)
-        object.__setattr__(self, "dst_edge", dst_edge)
-
 
 class QuiverPresentation(Record):
     __slots__ = (
-        "q_vertices",
+        "q_vertices",  # edge ids
         "q_arrows",
-        "rel_cycle_overshoot",
-        "rel_cycle_equality",
-        "rel_mixed_products",
+        "rel_cycle_overshoot",  # (cycle at v)^m(v) followed by one more step
+        "rel_cycle_equality",  # the two special cycles through an edge agree
+        "rel_mixed_products",  # consecutive arrows around different vertices
     )
-
-    def __init__(
-        self,
-        q_vertices: tuple[int, ...],  # edge ids
-        q_arrows: tuple[PresArrow, ...],
-        rel_cycle_overshoot: tuple[str, ...],  # (cycle at v)^m(v) followed by one more step
-        rel_cycle_equality: tuple[str, ...],  # the two special cycles through an edge agree
-        rel_mixed_products: tuple[str, ...],  # consecutive arrows around different vertices
-    ) -> None:
-        object.__setattr__(self, "q_vertices", q_vertices)
-        object.__setattr__(self, "q_arrows", q_arrows)
-        object.__setattr__(self, "rel_cycle_overshoot", rel_cycle_overshoot)
-        object.__setattr__(self, "rel_cycle_equality", rel_cycle_equality)
-        object.__setattr__(self, "rel_mixed_products", rel_mixed_products)
 
 
 class DerivedInvariants(Record):
@@ -207,22 +178,6 @@ class DerivedInvariants(Record):
         "perimeter_multiset",
         "bipartite",
     )
-
-    def __init__(
-        self,
-        n_vertices: int,
-        n_edges: int,
-        n_faces: int,
-        mult_multiset: tuple[int, ...],
-        perimeter_multiset: tuple[int, ...],
-        bipartite: bool,
-    ) -> None:
-        object.__setattr__(self, "n_vertices", n_vertices)
-        object.__setattr__(self, "n_edges", n_edges)
-        object.__setattr__(self, "n_faces", n_faces)
-        object.__setattr__(self, "mult_multiset", mult_multiset)
-        object.__setattr__(self, "perimeter_multiset", perimeter_multiset)
-        object.__setattr__(self, "bipartite", bipartite)
 
     @property
     def genus(self) -> int:
@@ -357,9 +312,7 @@ class DecompResult(Record, uncompared=("searched_nodes",)):
         unique: bool,
         searched_nodes: int = 0,
     ) -> None:
-        object.__setattr__(self, "solutions", solutions)
-        object.__setattr__(self, "unique", unique)
-        object.__setattr__(self, "searched_nodes", searched_nodes)
+        super().__init__(solutions, unique, searched_nodes)
 
 
 def decomp_search(c: list[list[int]]) -> DecompResult:

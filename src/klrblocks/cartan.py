@@ -17,11 +17,14 @@ class Record:
     """Base of the package's immutable records.
 
     A subclass names its fields in `__slots__` (after those of the record it
-    extends) and sets each once in `__init__` with `object.__setattr__`.  A
-    record equals another of exactly its class with equal compared fields,
-    hashes like the tuple of those fields, and refuses assignment and
-    deletion.  The class keyword `uncompared` leaves fields out of `==` and
-    `hash`; the repr still shows them.
+    extends).  `Record.__init__` binds the values given by position, then by
+    keyword, to those fields; a subclass with defaults or checks defines its
+    own `__init__`, which calls it first.  `_trusted` builds a record from
+    values already known to pass its checks, skipping the subclass
+    `__init__`.  A record equals another of exactly its class with equal
+    compared fields, hashes like the tuple of those fields, and refuses
+    assignment and deletion.  The class keyword `uncompared` leaves fields
+    out of `==` and `hash`; the repr still shows them.
     """
 
     __slots__ = ()
@@ -29,6 +32,9 @@ class Record:
 
     def __init_subclass__(cls, uncompared: tuple[str, ...] = ()) -> None:
         cls._fields = cls.__match_args__ = cls._fields + cls.__dict__.get("__slots__", ())
+        # the __set__ of each field's slot stores it past the refusing
+        # __setattr__, and costs less than object.__setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
         compared = [name for name in cls._fields if name not in uncompared]
         key = attrgetter(*compared)
         # attrgetter of one name gives the bare value, so wrap it to hash
@@ -46,6 +52,34 @@ class Record:
             return NotImplemented
 
         cls.__hash__, cls.__eq__ = __hash__, __eq__
+
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self._fields
+        if named or len(values) != len(fields):
+            if len(values) > len(fields):
+                raise TypeError(
+                    f"{type(self).__qualname__} takes {len(fields)} fields, got {len(values)}"
+                )
+            rest = fields[len(values):]
+            for name in named:
+                if name not in rest:
+                    problem = "a repeated" if name in fields else "no"
+                    raise TypeError(f"{type(self).__qualname__} has {problem} field {name!r}")
+            for name in rest:
+                if name not in named:
+                    raise TypeError(f"{type(self).__qualname__} is missing field {name!r}")
+            values += tuple(named[name] for name in rest)
+        for put, value in zip(self._setters, values):
+            put(self, value)
+
+    @classmethod
+    def _trusted(cls, *values: object) -> Record:
+        """A record of `values`, one per field, that are known to pass the
+        checks of its class's `__init__`, which is not run."""
+        record = object.__new__(cls)
+        for put, value in zip(cls._setters, values):
+            put(record, value)
+        return record
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -72,24 +106,7 @@ class WeightCoeffs(Record):
     __slots__ = ("lam", "delta")
 
     def __init__(self, lam: tuple[int, ...], delta: int = 0) -> None:
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "delta", delta)
-
-    @property
-    def level(self) -> int:
-        return sum(self.lam)
-
-    def __add__(self, other: "WeightCoeffs") -> "WeightCoeffs":
-        return WeightCoeffs(
-            tuple(a + b for a, b in zip(self.lam, other.lam, strict=True)),
-            self.delta + other.delta,
-        )
-
-    def __sub__(self, other: "WeightCoeffs") -> "WeightCoeffs":
-        return WeightCoeffs(
-            tuple(a - b for a, b in zip(self.lam, other.lam, strict=True)),
-            self.delta - other.delta,
-        )
+        super().__init__(lam, delta)
 
 
 class RootVector(Record):
@@ -98,7 +115,7 @@ class RootVector(Record):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...]) -> None:
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(coeffs)
         if min(coeffs, default=0) < 0:
             raise ValueError(f"root vector must be nonnegative, got {coeffs}")
 

@@ -53,8 +53,7 @@ class FieldParams(Record):
     __slots__ = ("char_p", "t_class")
 
     def __init__(self, char_p: int = 0, t_class: TClass = TClass.OTHER) -> None:
-        object.__setattr__(self, "char_p", char_p)
-        object.__setattr__(self, "t_class", t_class)
+        super().__init__(char_p, t_class)
         if char_p < 0 or char_p == 1:
             raise ValueError("char_p must be 0 or a prime")
         if char_p > MAX_CHAR:
@@ -75,15 +74,8 @@ class FieldParams(Record):
 class ScriptSets(Record):
     """The finite set and the five tame sets of the classification."""
 
+    # tame: the sets indexed 1..5, at positions 0..4
     __slots__ = ("finite", "tame")
-
-    def __init__(
-        self,
-        finite: frozenset[RootVector],
-        tame: tuple[frozenset[RootVector], ...],  # indexed 1..5 at positions 0..4
-    ) -> None:
-        object.__setattr__(self, "finite", finite)
-        object.__setattr__(self, "tame", tame)
 
     def tame_union(self) -> frozenset[RootVector]:
         out: set[RootVector] = set()

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .cartan import Record
-from .maxweights import LevelKDominant, MaxWeightEntry, class_walk, follow, max_weight_entry
+from .maxweights import LevelKDominant, class_walk, follow, max_weight_entry
 
 
 class LevelTooSmallError(ValueError):
@@ -27,37 +27,16 @@ Arrow = namedtuple("Arrow", ["src", "dst", "label"])
 
 
 class WeightQuiver(Record):
-    """Quiver on a sieving class; vertices ordered by (height of beta, coeffs)."""
+    """Quiver on a sieving class: its vertices are the class's max-weight
+    entries, ordered by (height of beta, coeffs)."""
 
     __slots__ = ("base", "vertices", "arrows")
-
-    def __init__(
-        self,
-        base: LevelKDominant,
-        vertices: tuple[MaxWeightEntry, ...],
-        arrows: tuple[Arrow, ...],
-    ) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "arrows", arrows)
 
 
 class TQuiver(WeightQuiver):
     """The depth at most 2 subquiver, with per-vertex tag sets in {0,...,5}."""
 
     __slots__ = ("tags",)
-
-    def __init__(
-        self,
-        base: LevelKDominant,
-        vertices: tuple[MaxWeightEntry, ...],
-        arrows: tuple[Arrow, ...],
-        tags: dict[int, frozenset[int]],
-    ) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "arrows", arrows)
-        object.__setattr__(self, "tags", tags)
 
 
 def _canonical(xmap, raw_arrows) -> tuple[tuple, tuple]:

@@ -78,19 +78,12 @@ class Multipartition(Record):
     __slots__ = ("components",)
 
     def __init__(self, components: tuple[Partition, ...]) -> None:
-        object.__setattr__(self, "components", components)
+        super().__init__(components)
         for comp in components:
             if any(a < b for a, b in zip(comp, comp[1:])) or any(
                 r <= 0 for r in comp
             ):
                 raise ValueError(f"not a partition: {comp}")
-
-    @classmethod
-    def _unchecked(cls, components: tuple[Partition, ...]) -> Multipartition:
-        """A multipartition from components already known to be partitions."""
-        mp = object.__new__(cls)
-        object.__setattr__(mp, "components", components)
-        return mp
 
 
 class LaurentPoly:
@@ -250,7 +243,7 @@ def enumerate_with_content(charges: tuple[int, ...], beta: RootVector) -> list[M
         key=lambda comps: [(sum(p), p) for p in comps],
         reverse=True,
     )
-    return [Multipartition._unchecked(comps) for comps in shapes]
+    return [Multipartition._trusted(comps) for comps in shapes]
 
 
 _Moves = list[dict[int, list[tuple[int, int]]]]

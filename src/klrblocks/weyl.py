@@ -40,14 +40,6 @@ class OrbitStatus(enum.Enum):
 class OrbitResult(Record):
     __slots__ = ("status", "beta0", "m", "reflection_count")
 
-    def __init__(
-        self, status: OrbitStatus, beta0: RootVector | None, m: int, reflection_count: int
-    ) -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "beta0", beta0)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "reflection_count", reflection_count)
-
 
 def orbit_representative(base: LevelKDominant, beta: RootVector) -> OrbitResult:
     """Reduce beta to (beta0, m) with beta0 in the class's beta set, or Zero.
@@ -83,6 +75,5 @@ def orbit_representative(base: LevelKDominant, beta: RootVector) -> OrbitResult:
     if m < 0:
         return OrbitResult(OrbitStatus.ZERO, None, 0, count)
     # min(X) = m, so X - m is nonnegative and needs no check
-    beta0 = object.__new__(RootVector)
-    object.__setattr__(beta0, "coeffs", tuple(v - m for v in x))
+    beta0 = RootVector._trusted(tuple(v - m for v in x))
     return OrbitResult(OrbitStatus.NONZERO, beta0, m, count)

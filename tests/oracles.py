@@ -82,6 +82,18 @@ from klrblocks.weyl import OrbitResult, OrbitStatus
 # --- weight arithmetic ---
 
 
+def weight_add(mu: WeightCoeffs, nu: WeightCoeffs) -> WeightCoeffs:
+    """mu + nu; the two must have the same length."""
+    lam = tuple(a + b for a, b in zip(mu.lam, nu.lam, strict=True))
+    return WeightCoeffs(lam, mu.delta + nu.delta)
+
+
+def weight_sub(mu: WeightCoeffs, nu: WeightCoeffs) -> WeightCoeffs:
+    """mu - nu; the two must have the same length."""
+    lam = tuple(a - b for a, b in zip(mu.lam, nu.lam, strict=True))
+    return WeightCoeffs(lam, mu.delta - nu.delta)
+
+
 def to_weight(base: LevelKDominant) -> WeightCoeffs:
     """A dominant weight on the Lambda/delta basis (delta coefficient 0)."""
     return WeightCoeffs(base.coeffs, 0)
@@ -122,7 +134,7 @@ def scale(mu: WeightCoeffs, c: int) -> WeightCoeffs:
 
 def simple_reflect(mu: WeightCoeffs, i: int) -> WeightCoeffs:
     """r_i(mu) = mu - <h_i, mu> alpha_i."""
-    return mu - scale(alpha_to_weight(i, len(mu.lam)), pairing(i, mu))
+    return weight_sub(mu, scale(alpha_to_weight(i, len(mu.lam)), pairing(i, mu)))
 
 
 def cartan_matrix(e: int) -> list[list[int]]:
@@ -153,7 +165,7 @@ def dominate(mu: WeightCoeffs) -> tuple[WeightCoeffs, int]:
     w with w(mu) dominant, which is the count of any loop that reflects at a
     negative pairing until none is left.  Raises ValueError below level 1.
     """
-    k = mu.level
+    k = sum(mu.lam)
     if k < 1:
         raise ValueError(f"dominance needs level >= 1, got {k}")
     e = len(mu.lam)
@@ -179,9 +191,9 @@ def record_orbit_representative(base: LevelKDominant, beta: RootVector) -> Orbit
         raise ValueError(
             f"beta has length {len(beta.coeffs)}, the weight {len(base.coeffs)}"
         )
-    mu = to_weight(base) - root_to_weight(beta.coeffs)
+    mu = weight_sub(to_weight(base), root_to_weight(beta.coeffs))
     mu_plus, count = dominate(mu)
-    diff = to_weight(base) - mu_plus
+    diff = weight_sub(to_weight(base), mu_plus)
     # Expand diff on the alpha basis: the delta coefficient pins x_0.
     x = solve_pinned(diff.lam, diff.delta)
     if any(v < 0 for v in x):
@@ -221,7 +233,7 @@ def composition_equiv_class(w: LevelKDominant) -> list[LevelKDominant]:
 
 def entry(base: LevelKDominant, member: LevelKDominant, x: tuple[int, ...]) -> MaxWeightEntry:
     """The entry of `member`, its max weight computed as base - sum_i x_i alpha_i."""
-    max_weight = to_weight(base) - root_to_weight(x)
+    max_weight = weight_sub(to_weight(base), root_to_weight(x))
     return MaxWeightEntry(member, x, RootVector(x), max_weight)
 
 

@@ -21,7 +21,14 @@ from klrblocks.cartan import (
     solve_pinned,
 )
 
-from oracles import alpha_to_weight, cartan_matrix, delta_decompose, pairing, rotate_tuple
+from oracles import (
+    alpha_to_weight,
+    cartan_matrix,
+    delta_decompose,
+    pairing,
+    rotate_tuple,
+    weight_add,
+)
 
 
 def test_cartan_matrix_small_ranks():
@@ -74,7 +81,7 @@ def test_alpha_sum_is_delta():
     for e in (2, 3, 6):
         total = WeightCoeffs((0,) * e, 0)
         for i in range(e):
-            total = total + alpha_to_weight(i, e)
+            total = weight_add(total, alpha_to_weight(i, e))
         assert total.lam == (0,) * e
         assert total.delta == 1
 

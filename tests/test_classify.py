@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from klrblocks.cartan import RootVector, WeightCoeffs
+from klrblocks.cartan import RootVector
 from klrblocks.classify import FieldParams, RepType, TClass, classify, script_sets
 from klrblocks.maxweights import LevelKDominant, max_plus
 from klrblocks.quiver import LevelTooSmallError, build_quiver, t_subquiver
@@ -284,5 +284,3 @@ def test_unequal_lengths_raise():
         ):
             with pytest.raises(ValueError, match="beta has length"):
                 call()
-    with pytest.raises(ValueError):
-        WeightCoeffs((1, 0, 0)) - WeightCoeffs((1, 1))

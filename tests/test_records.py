@@ -4,8 +4,9 @@ Each record is built from the same drawn field values as its oracle in
 `oracles` (`FrozenX` for record `X`): construction fails with the same error
 and message or succeeds in both, and then `==`, `!=`, `hash`, `repr`, the
 refusal of assignment and deletion, and `__match_args__` agree.  The records
-that the class walk builds without their constructors' checks are compared
-with the records the checking constructors build.
+built without their constructors' checks (by the class walk, by
+`orbit_representative` and by `enumerate_with_content`) are compared with the
+records the checking constructors build.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from klrblocks.cartan import RootVector, WeightCoeffs
 from klrblocks.classify import MAX_CHAR, FieldParams, ScriptSets, TClass
 from klrblocks.maxweights import MAX_E, LevelKDominant, MaxWeightEntry, max_plus
 from klrblocks.quiver import Arrow, TQuiver, WeightQuiver, build_quiver, t_subquiver
-from klrblocks.tableaux import Multipartition
-from klrblocks.weyl import OrbitResult, OrbitStatus
+from klrblocks.tableaux import Multipartition, charges_of, enumerate_with_content
+from klrblocks.weyl import OrbitResult, OrbitStatus, orbit_representative
 
 import oracles
 
@@ -173,32 +174,67 @@ def test_decomp_result_compares_without_searched_nodes():
     assert repr(a) == "DecompResult(solutions=((),), unique=True, searched_nodes=3)"
 
 
-def test_walk_records_are_the_checked_records():
-    # every base with e = 2..6 and level 2..4; a copy rebuilds each record
-    # through its checking __init__, so it also shows the invariants hold
-    for e, level in itertools.product(range(2, 7), range(2, 5)):
+def test_record_init_refuses_a_missing_extra_or_repeated_field():
+    assert PresArrow("a", 0, src_edge=1, dst_edge=2) == PresArrow("a", 0, 1, 2)
+    for args, named, message in (
+        (("a", 0, 1), {}, "PresArrow is missing field 'dst_edge'"),
+        (("a", 0, 1, 2, 3), {}, "PresArrow takes 4 fields, got 5"),
+        (("a", 0, 1, 2), {"vertex": 0}, "PresArrow has a repeated field 'vertex'"),
+        (("a", 0, 1, 2), {"colour": 0}, "PresArrow has no field 'colour'"),
+    ):
+        with pytest.raises(TypeError) as info:
+            PresArrow(*args, **named)
+        assert str(info.value) == message
+
+
+def bases(es, levels):
+    """Every dominant weight with e in `es` and level in `levels`."""
+    for e, level in itertools.product(es, levels):
         for cut in itertools.combinations(range(level + e - 1), e - 1):
             # stars and bars: the gaps between the e - 1 bars sum to level
             bounds = (-1, *cut, level + e - 1)
-            base = LevelKDominant(tuple(b - a - 1 for a, b in zip(bounds, bounds[1:])))
-            quivers = (build_quiver(base), t_subquiver(base))
-            for entry in [*max_plus(base), *quivers[0].vertices, *quivers[1].vertices]:
-                c, x = entry.weight.coeffs, entry.x
-                checked = MaxWeightEntry(
-                    LevelKDominant(c), x, RootVector(x), WeightCoeffs(c, -x[0])
-                )
-                assert type(x) is tuple
-                for got, want in (
-                    (entry, checked),
-                    (entry.weight, checked.weight),
-                    (entry.beta, checked.beta),
-                    (entry.max_weight, checked.max_weight),
-                ):
-                    assert type(got) is type(want)
-                    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
-                    twin = copy.copy(got)
-                    assert type(twin) is type(want) and twin == want and repr(twin) == repr(want)
-            for q in quivers:
-                for a in q.arrows:
-                    assert type(a) is Arrow and type(a.label) is tuple
-                    assert all(type(v) is int for v in (a.src, a.dst, *a.label))
+            yield LevelKDominant(tuple(b - a - 1 for a, b in zip(bounds, bounds[1:])))
+
+
+def assert_checked(got, want):
+    """`got`, built without its checks, is the record `want` that its
+    checking constructor built, and a copy (which rebuilds it through the
+    checks) is too."""
+    assert type(got) is type(want)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    twin = copy.copy(got)
+    assert type(twin) is type(want) and twin == want and repr(twin) == repr(want)
+
+
+def test_walk_records_are_the_checked_records():
+    # every base with e = 2..6 and level 2..4
+    for base in bases(range(2, 7), range(2, 5)):
+        quivers = (build_quiver(base), t_subquiver(base))
+        for entry in [*max_plus(base), *quivers[0].vertices, *quivers[1].vertices]:
+            c, x = entry.weight.coeffs, entry.x
+            checked = MaxWeightEntry(
+                LevelKDominant(c), x, RootVector(x), WeightCoeffs(c, -x[0])
+            )
+            assert type(x) is tuple
+            assert_checked(entry, checked)
+            assert_checked(entry.weight, checked.weight)
+            assert_checked(entry.beta, checked.beta)
+            assert_checked(entry.max_weight, checked.max_weight)
+        for q in quivers:
+            for a in q.arrows:
+                assert type(a) is Arrow and type(a.label) is tuple
+                assert all(type(v) is int for v in (a.src, a.dst, *a.label))
+
+
+def test_trusted_records_are_the_checked_records():
+    # every base with e = 2..4 and level 1..2, against every beta with
+    # entries 0..2: the orbit representatives and the shapes of each content
+    for base in bases(range(2, 5), range(1, 3)):
+        charges = charges_of(base.coeffs)
+        for coeffs in itertools.product(range(3), repeat=len(base.coeffs)):
+            beta = RootVector(coeffs)
+            beta0 = orbit_representative(base, beta).beta0
+            if beta0 is not None:
+                assert_checked(beta0, RootVector(beta0.coeffs))
+            for shape in enumerate_with_content(charges, beta):
+                assert_checked(shape, Multipartition(shape.components))
