@@ -312,7 +312,7 @@ class DecompResult(Record, uncompared=("searched_nodes",)):
         unique: bool,
         searched_nodes: int = 0,
     ) -> None:
-        super().__init__(solutions, unique, searched_nodes)
+        Record.__init__(self, solutions, unique, searched_nodes)
 
 
 def decomp_search(c: list[list[int]]) -> DecompResult:

@@ -53,7 +53,7 @@ class FieldParams(Record):
     __slots__ = ("char_p", "t_class")
 
     def __init__(self, char_p: int = 0, t_class: TClass = TClass.OTHER) -> None:
-        super().__init__(char_p, t_class)
+        Record.__init__(self, char_p, t_class)
         if char_p < 0 or char_p == 1:
             raise ValueError("char_p must be 0 or a prime")
         if char_p > MAX_CHAR:

@@ -60,18 +60,20 @@ def _parse_int_vector(text: str, expected_len: int | None, what: str) -> tuple[i
 
 def _weight_from_args(args) -> LevelKDominant:
     coeffs = _parse_int_vector(args.weight, args.ell + 1, "weight")
-    if any(c < 0 for c in coeffs):
+    if min(coeffs, default=0) < 0:
         raise UsageError("--weight: coefficients must be nonnegative")
     return LevelKDominant(coeffs)
 
 
 def _beta_from_args(args) -> RootVector:
     coeffs = _parse_int_vector(args.beta, args.ell + 1, "beta")
-    if any(c < 0 for c in coeffs):
+    if min(coeffs, default=0) < 0:
         raise UsageError("--beta: coefficients must be nonnegative")
-    coeffs = tuple(c + args.mdelta for c in coeffs)
-    if any(c < 0 for c in coeffs):
-        raise UsageError("--mdelta: beta + mdelta*delta has a negative coefficient")
+    m = args.mdelta
+    if m:
+        coeffs = tuple([c + m for c in coeffs])
+        if min(coeffs, default=0) < 0:
+            raise UsageError("--mdelta: beta + mdelta*delta has a negative coefficient")
     return RootVector(coeffs)
 
 
@@ -95,16 +97,11 @@ def quiver_to_json_dict(q: WeightQuiver | TQuiver) -> dict:
     data = {
         "ell": len(q.base.coeffs) - 1,
         "k": q.base.level,
-        "base": list(q.base.coeffs),
+        "base": q.base.coeffs,
         "vertices": [
-            {
-                "coeffs": list(v.weight.coeffs),
-                "x": list(v.x),
-                "beta": list(v.beta.coeffs),
-            }
-            for v in q.vertices
+            {"coeffs": v.weight.coeffs, "x": v.x, "beta": v.beta.coeffs} for v in q.vertices
         ],
-        "arrows": [{"src": s, "dst": d, "label": [i, j]} for s, d, (i, j) in q.arrows],
+        "arrows": [{"src": s, "dst": d, "label": label} for s, d, label in q.arrows],
     }
     if isinstance(q, TQuiver):
         data["tags"] = {
@@ -129,14 +126,14 @@ def _cmd_maxweights(args, out) -> int:
     if args.format == "json":
         data = [
             {
-                "weight": list(e.weight.coeffs),
-                "x": list(e.x),
-                "beta": list(e.beta.coeffs),
-                "max_weight": {"lam": list(e.max_weight.lam), "delta": e.max_weight.delta},
+                "weight": e.weight.coeffs,
+                "x": e.x,
+                "beta": e.beta.coeffs,
+                "max_weight": {"lam": e.max_weight.lam, "delta": e.max_weight.delta},
             }
             for e in entries
         ]
-        _write_json({"ell": args.ell, "base": list(base.coeffs), "entries": data}, out)
+        _write_json({"ell": args.ell, "base": base.coeffs, "entries": data}, out)
         return 0
     for e in entries:
         # max_weight.lam is weight.coeffs, so one name serves both columns
@@ -169,14 +166,15 @@ def _cmd_tquiver(args, out) -> int:
 
 
 _T_ALIASES = {"2": "two", "-2": "minustwo", "sign": "signell"}
+# the lower-cased --t text of each class: its value or an alias of it
+_T_CLASSES = {t.value: t for t in TClass} | {a: TClass(v) for a, v in _T_ALIASES.items()}
 
 
 def _t_class_from_args(args) -> TClass:
-    key = args.t.lower()
-    try:
-        return TClass(_T_ALIASES.get(key, key))
-    except ValueError:
-        raise UsageError(f"--t: unknown class {args.t!r}") from None
+    t_class = _T_CLASSES.get(args.t.lower())
+    if t_class is None:
+        raise UsageError(f"--t: unknown class {args.t!r}")
+    return t_class
 
 
 def _cmd_classify(args, out) -> int:
@@ -188,7 +186,7 @@ def _cmd_classify(args, out) -> int:
     except TClassRankError as exc:
         raise UsageError(str(exc)) from exc
     if args.format == "json":
-        _write_json({"ell": args.ell, "base": list(base.coeffs), "beta": list(beta.coeffs),
+        _write_json({"ell": args.ell, "base": base.coeffs, "beta": beta.coeffs,
                      "char": args.char, "t": args.t, "type": str(result)}, out)
     else:
         out.write(f"{result}\n")
@@ -211,7 +209,7 @@ def _cmd_gdim(args, out) -> int:
         label = f"e{_vec(nu)} .. e{_vec(nup)}"
     if args.format == "json":
         terms = {str(k): v for k, v in sorted(poly.terms.items())}
-        _write_json({"ell": args.ell, "base": list(base.coeffs), "beta": list(beta.coeffs),
+        _write_json({"ell": args.ell, "base": base.coeffs, "beta": beta.coeffs,
                      "which": label, "terms": terms, "at_one": poly.at_one()}, out)
     else:
         out.write(f"{poly}\n")
@@ -384,9 +382,15 @@ _TABLES = {
     )
     for command, (_, _, opts) in COMMANDS.items()
 }
+# subcommand -> the (flag, name) of each option it requires, in table order
+_REQUIRED_FLAGS = {
+    command: tuple([(f"--{opt[0]}", opt[0]) for opt in opts if opt[2] is _REQUIRED])
+    for command, (_, _, opts) in COMMANDS.items()
+}
 # what argparse reads as the value of an option: empty text, text that does not
 # start with "-", a lone "-", a negative number, or text holding a space, unless
-# the text before its first "=" names an option ("--gamma= " is an option)
+# the text before its first "=" names an option ("--gamma= " is an option).
+# Every flag starts with "-", so _parse takes other text as a value unread
 _VALUE = re.compile(r"\Z|[^-]|-\Z|-\d+$|-\d*\.\d+$|.* ", re.DOTALL)
 
 
@@ -433,19 +437,22 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
             extras.append(token)
             continue
         if not eq:
-            if not tokens or tokens[-1].partition("=")[0] in flags or not _VALUE.match(tokens[-1]):
+            if not tokens or tokens[-1][:1] == "-" and (
+                tokens[-1].partition("=")[0] in flags or not _VALUE.match(tokens[-1])
+            ):
                 raise UsageError(f"argument {flag}: expected one argument")
             value = tokens.pop()
         name, typ, _, choices, _ = table[flag]
-        try:
-            value = typ(value)
-        except ValueError:
-            raise UsageError(f"argument {flag}: invalid int value: {value!r}") from None
+        if typ is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"argument {flag}: invalid int value: {value!r}") from None
         if choices and value not in choices:
             raise UsageError(f"argument {flag}: invalid choice: {value!r} "
                              f"(choose from {', '.join(map(repr, choices))})")
         setattr(args, name, value)
-    missing = [flag for flag, opt in table.items() if getattr(args, opt[0]) is _REQUIRED]
+    missing = [flag for flag, name in _REQUIRED_FLAGS[argv[0]] if getattr(args, name) is _REQUIRED]
     if missing:
         raise UsageError("the following arguments are required: " + ", ".join(missing))
     if extras:

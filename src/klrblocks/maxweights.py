@@ -20,6 +20,7 @@ integer arithmetic.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb, gcd
 from operator import add
 
 from .cartan import NoSolutionError, Record, RootVector, WeightCoeffs, solve_pinned
@@ -37,7 +38,7 @@ class LevelKDominant(Record):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...]) -> None:
-        super().__init__(coeffs)
+        Record.__init__(self, coeffs)
         if len(coeffs) < 2:
             raise ValueError("need at least 2 coefficients (ell >= 1)")
         if len(coeffs) > MAX_E:
@@ -72,6 +73,44 @@ MAX_CLASS_MEMBERS = 20_000  # members one class walk may reach
 
 class ClassTooLargeError(ValueError):
     """The sieving class has more than MAX_CLASS_MEMBERS members."""
+
+
+def _mobius(n: int) -> int:
+    """The Moebius function of n >= 1, by trial division."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def class_size(coeffs: tuple[int, ...]) -> int:
+    """The number of members of the sieving class of `coeffs`, in closed form.
+
+    The class of a level-k weight Lambda is the level-k dominant weights mu
+    with Lambda - mu in the root lattice (Kac, Infinite-Dimensional Lie
+    Algebras, Prop. 12.6): the compositions of k into e parts with
+    sum_i i mu_i = s = sum_i i Lambda_i mod e.  A roots-of-unity filter
+    counts them,
+
+        N = (1/e) sum_{d | gcd(e, k)} C(e/d + k/d - 1, e/d - 1) c_d(s),
+
+    where c_d(s) = sum_{m | gcd(d, s)} mobius(d/m) m is Ramanujan's sum.
+    """
+    e, k = len(coeffs), sum(coeffs)
+    s = sum([i * c for i, c in enumerate(coeffs)]) % e
+    g = gcd(e, k)
+    total = 0
+    for d in range(1, g + 1):
+        if g % d == 0:
+            h = gcd(d, s)
+            c_d = sum([_mobius(d // m) * m for m in range(1, h + 1) if h % m == 0])
+            total += comb(e // d + k // d - 1, e // d - 1) * c_d
+    return total // e
 
 
 @lru_cache(maxsize=LABEL_TABLE_CACHE)
@@ -110,10 +149,16 @@ def class_walk(
     walk reaches them, and each X is the unique solution of
     A X = <h, base - member> with min X = 0.  When `arrows` is a list, every
     arrow (source coeffs, target coeffs, (i, j)) is appended to it once.
-    Raises ClassTooLargeError once the walk reaches more than
-    MAX_CLASS_MEMBERS members.
+    Raises ClassTooLargeError when the class has more than MAX_CLASS_MEMBERS
+    members: before the walk when `class_size` says so, which it is asked
+    only when C(e + k - 1, k), the count of all level-k weights, is over the
+    limit; and in the walk once it reaches member MAX_CLASS_MEMBERS + 1.
     """
-    e = len(coeffs)
+    e, k = len(coeffs), sum(coeffs)
+    if comb(e + k - 1, k) > MAX_CLASS_MEMBERS and class_size(coeffs) > MAX_CLASS_MEMBERS:
+        raise ClassTooLargeError(
+            f"the class of {coeffs} has more than {MAX_CLASS_MEMBERS} members"
+        )
     table = _label_table(e)
     zero = (0,) * e
     xs = {coeffs: zero}

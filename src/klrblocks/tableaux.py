@@ -78,7 +78,7 @@ class Multipartition(Record):
     __slots__ = ("components",)
 
     def __init__(self, components: tuple[Partition, ...]) -> None:
-        super().__init__(components)
+        Record.__init__(self, components)
         for comp in components:
             if any(a < b for a, b in zip(comp, comp[1:])) or any(
                 r <= 0 for r in comp

@@ -63,8 +63,8 @@ def orbit_representative(base: LevelKDominant, beta: RootVector) -> OrbitResult:
     share, extra = divmod(sum(quotients), e)
     spread = [r + k * (share + (n < extra)) for n, r in enumerate(sorted(residues))]
     u = sorted(spread, reverse=True)
-    diffs = [pa - pb for a, pa in enumerate(p) for pb in p[a + 1:]]
-    count = sum([(x - 1) // k if x > 0 else -(x // k) for x in diffs])
+    count = sum([(d - 1) // k if d > 0 else -(d // k)
+                 for a, pa in enumerate(p) for pb in p[a + 1:] for d in [pa - pb]])
     # mu+ has Lambda part (k - u_0 + u_{e-1}, u_0 - u_1, ..., u_{e-2} - u_{e-1})
     # and delta part -beta_0 + (sum p^2 - sum u^2) / 2k.  X expands Lambda - mu+
     # on the alpha basis, and the delta part pins x_0.

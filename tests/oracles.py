@@ -25,7 +25,10 @@ scanning, and a successor map for the faces; its decomposition search is the
 one with a row-count prune and separate all-zero and dead-end scans.  The
 command line is read by the argparse parser that the option table of `cli`
 replaced, and the output of `maxweights`, `quiver` and `tquiver` is written
-by the renderers that read every arrow and weight field by name.
+by the renderers that read every arrow and weight field by name.  The
+`classify` command checks each sign with a generator, adds `--mdelta` even
+when it is 0, reads `--t` through `TClass(...)` and writes its JSON from
+lists (`classify_output`).
 
 The rest are references the package no longer needs: the materialized Cartan
 matrix, the rotation of a coefficient tuple, one simple reflection, the ev
@@ -71,8 +74,16 @@ from klrblocks.cartan import (
     interval_delta,
     solve_pinned,
 )
-from klrblocks.classify import MAX_CHAR, ScriptSets, TClass, _require_level_3
-from klrblocks.cli import UsageError
+from klrblocks.classify import (
+    MAX_CHAR,
+    FieldParams,
+    ScriptSets,
+    TClass,
+    TClassRankError,
+    _require_level_3,
+    classify,
+)
+from klrblocks.cli import _LINE_BREAKS, UsageError, _parse_int_vector
 from klrblocks.maxweights import MAX_E, LevelKDominant, MaxWeightEntry, solve_x
 from klrblocks.quiver import Arrow, LevelTooSmallError, TQuiver, WeightQuiver
 from klrblocks.tableaux import Multipartition, Partition, charges_of
@@ -1297,3 +1308,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     return parser
+
+
+# --- the classify command, with generator sign checks and a TClass lookup ---
+
+PARSER = build_parser()
+
+T_ALIASES = {"2": "two", "-2": "minustwo", "sign": "signell"}
+
+
+def weight_from_args(args) -> LevelKDominant:
+    coeffs = _parse_int_vector(args.weight, args.ell + 1, "weight")
+    if any(c < 0 for c in coeffs):
+        raise UsageError("--weight: coefficients must be nonnegative")
+    return LevelKDominant(coeffs)
+
+
+def beta_from_args(args) -> RootVector:
+    coeffs = _parse_int_vector(args.beta, args.ell + 1, "beta")
+    if any(c < 0 for c in coeffs):
+        raise UsageError("--beta: coefficients must be nonnegative")
+    coeffs = tuple(c + args.mdelta for c in coeffs)
+    if any(c < 0 for c in coeffs):
+        raise UsageError("--mdelta: beta + mdelta*delta has a negative coefficient")
+    return RootVector(coeffs)
+
+
+def t_class_from_args(args) -> TClass:
+    key = args.t.lower()
+    try:
+        return TClass(T_ALIASES.get(key, key))
+    except ValueError:
+        raise UsageError(f"--t: unknown class {args.t!r}") from None
+
+
+def classify_output(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of `klrblocks classify` with the
+    options `argv`, read by the argparse parser; JSON is written from lists."""
+    try:
+        args = PARSER.parse_args(["classify", *argv])
+        base = weight_from_args(args)
+        beta = beta_from_args(args)
+        params = FieldParams(char_p=args.char, t_class=t_class_from_args(args))
+        try:
+            result = classify(base, beta, params)
+        except TClassRankError as exc:
+            raise UsageError(str(exc)) from exc
+    except UsageError as exc:
+        return 2, "", f"usage error: {str(exc).translate(_LINE_BREAKS)}\n"
+    except (ValueError, RuntimeError) as exc:
+        return 1, "", f"error: {str(exc).translate(_LINE_BREAKS)}\n"
+    if args.format == "json":
+        data = {"ell": args.ell, "base": list(base.coeffs), "beta": list(beta.coeffs),
+                "char": args.char, "t": args.t, "type": str(result)}
+        return 0, json.dumps(data) + "\n", ""
+    return 0, f"{result}\n", ""

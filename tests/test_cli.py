@@ -723,6 +723,40 @@ def test_cli_fuzz_exits_cleanly(case):
         assert err == ""
 
 
+# every spelling --t takes: the values of TClass and their aliases
+T_SPELLINGS = ("other", "signell", "sign", "two", "minustwo", "2", "-2")
+
+
+@st.composite
+def t_spellings(draw):
+    """A spelling of a t class, or a bogus one, each letter in either case."""
+    word = draw(st.sampled_from((*T_SPELLINGS, None)))
+    if word is None:
+        word = draw(st.text("twoinusgelr2- İΣ", max_size=9))
+    return "".join([c.upper() if draw(st.booleans()) else c for c in word])
+
+
+@settings(max_examples=300, deadline=None)
+@given(dominant_weights(max_e=9, levels=(3, 5)), st.data())
+def test_classify_prints_what_the_oracle_prints(base, data):
+    # the oracle reads argv with argparse, checks signs with generators,
+    # always adds --mdelta, reads --t through TClass(...) and writes lists
+    e = len(base.coeffs)
+    entries = st.integers(0, 3) | st.sampled_from([100, 10**9])
+    beta = data.draw(st.lists(entries, min_size=e, max_size=e))
+    t = data.draw(t_spellings())
+    argv = [
+        "--ell", str(e - 1),
+        "--weight", ",".join(map(str, base.coeffs)),
+        "--beta", ",".join(map(str, beta)),
+        "--mdelta", str(data.draw(st.integers(-3, 3))),
+        "--char", str(data.draw(st.sampled_from([0, 2, 3, 4, 5, 7]))),
+        *(["--t", t] if data.draw(st.booleans()) else [f"--t={t}"]),
+        "--format", data.draw(st.sampled_from(["text", "json"])),
+    ]
+    assert capture(["classify", *argv]) == oracles.classify_output(argv)
+
+
 def test_t_class_is_checked_once_per_query(monkeypatch):
     calls = []
     check_rank = FieldParams.check_rank

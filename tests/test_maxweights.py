@@ -2,17 +2,21 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import comb, gcd
+import time
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klrblocks import maxweights
 from klrblocks.cartan import apply_cartan, interval_delta
 from klrblocks.maxweights import (
+    ClassTooLargeError,
     LevelKDominant,
     NoSolutionError,
     _label_table,
+    class_size,
     class_walk,
     equiv_class,
     max_plus,
@@ -256,48 +260,30 @@ def test_max_plus_matches_composition_class_and_solver(base):
         assert tuple(b - a for b, a in zip(base.coeffs, ax)) == en.weight.coeffs
 
 
-def mobius(n: int) -> int:
-    """The Moebius function of n >= 1, by trial division."""
-    sign, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            sign = -sign
-        p += 1
-    return -sign if n > 1 else sign
-
-
-def ramanujan_sum(d: int, s: int) -> int:
-    """c_d(s), the sum of the s-th powers of the primitive d-th roots of
-    unity: the sum of mobius(d/m) m over the common divisors m of d and s."""
-    g = gcd(d, s)
-    return sum(mobius(d // m) * m for m in range(1, g + 1) if g % m == 0)
-
-
-def closed_form_class_size(coeffs: tuple[int, ...]) -> int:
-    """The level-k dominant weights mu with sum_i i mu_i = s mod e, counted by
-    a roots-of-unity filter over the compositions of k into e parts:
-    (1/e) sum over d | gcd(e, k) of C(e/d + k/d - 1, e/d - 1) c_d(s)."""
-    e, k = len(coeffs), sum(coeffs)
-    s = sum(i * c for i, c in enumerate(coeffs)) % e
-    g = gcd(e, k)
-    total = sum(
-        comb(e // d + k // d - 1, e // d - 1) * ramanujan_sum(d, s)
-        for d in range(1, g + 1)
-        if g % d == 0
-    )
-    size, rest = divmod(total, e)
-    assert rest == 0
-    return size
-
-
 def test_class_size_has_a_closed_form():
     # Kac, Infinite-Dimensional Lie Algebras, Prop. 12.6: the class is the
     # level-k dominant weights whose difference from Lambda is in the root
-    # lattice; a walk that misses a member or adds one fails here
-    assert closed_form_class_size((10,) + (0,) * 10) == comb(20, 10) // 11  # Catalan C_10
+    # lattice; a walk that misses a member or adds one, or a count that
+    # differs from the walk's, fails here
+    assert class_size((10,) + (0,) * 10) == comb(20, 10) // 11  # Catalan C_10
     for e, level in itertools.product(range(2, 7), range(1, 7)):
         for coeffs in weak_compositions(level, e):
-            assert len(class_walk(coeffs)) == closed_form_class_size(coeffs), coeffs
+            assert len(class_walk(coeffs)) == class_size(coeffs), coeffs
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (12,) + (0,) * 11,  # 112,720 members
+        (11,) + (0,) * 10,  # 32,066 members
+        tuple(1 if i % 2 == 0 and i < 16 else 0 for i in range(17)),  # 43,263 members
+    ],
+)
+def test_an_oversize_class_is_refused_before_the_walk(coeffs, monkeypatch):
+    # the walk took 0.27-0.29 s to reach member 20,001 of each of these; the
+    # closed form refuses them without reading a label table
+    monkeypatch.setattr(maxweights, "_label_table", lambda e: pytest.fail("the walk started"))
+    start = time.perf_counter()
+    with pytest.raises(ClassTooLargeError, match=r"^the class of .* has more than 20000 members$"):
+        class_walk(coeffs)
+    assert time.perf_counter() - start < 0.05
