@@ -170,14 +170,17 @@ class QuiverPresentation(Record):
 
 
 class DerivedInvariants(Record):
-    __slots__ = (
-        "n_vertices",
-        "n_edges",
-        "n_faces",
-        "mult_multiset",
-        "perimeter_multiset",
-        "bipartite",
-    )
+    # one multiplicity per vertex and one perimeter per face; n_edges comes
+    # from the edge list, not from the face walk
+    __slots__ = ("n_edges", "mult_multiset", "perimeter_multiset", "bipartite")
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.mult_multiset)
+
+    @property
+    def n_faces(self) -> int:
+        return len(self.perimeter_multiset)
 
     @property
     def genus(self) -> int:
@@ -279,14 +282,11 @@ def _faces(g: BrauerGraph) -> list[int]:
 
 
 def derived_invariants(g: BrauerGraph) -> DerivedInvariants:
-    perims = _faces(g)
     colour = _colours(g)
     return DerivedInvariants(
-        n_vertices=len(g.multiplicities),
         n_edges=len(g.edges),
-        n_faces=len(perims),
         mult_multiset=tuple(sorted(g.multiplicities)),
-        perimeter_multiset=tuple(perims),
+        perimeter_multiset=tuple(_faces(g)),
         bipartite=all(colour[a] != colour[b] for a, b in g.edges),
     )
 
@@ -304,15 +304,18 @@ def gamma_family(s: int, a: int, m: int) -> BrauerGraph:
 
 
 class DecompResult(Record, uncompared=("searched_nodes",)):
-    __slots__ = ("solutions", "unique", "searched_nodes")
+    __slots__ = ("solutions", "searched_nodes")
 
     def __init__(
         self,
         solutions: tuple[tuple[tuple[int, ...], ...], ...],  # each: rows, lex-descending
-        unique: bool,
         searched_nodes: int = 0,
     ) -> None:
-        Record.__init__(self, solutions, unique, searched_nodes)
+        Record.__init__(self, solutions, searched_nodes)
+
+    @property
+    def unique(self) -> bool:
+        return len(self.solutions) == 1
 
 
 def decomp_search(c: list[list[int]]) -> DecompResult:
@@ -398,8 +401,7 @@ def decomp_search(c: list[list[int]]) -> DecompResult:
 
     every_row = [(row, i) for i, row in enumerate(remaining)]
     backtrack(0, every_row, trace, [])
-    sols = tuple(sorted(solutions))
-    return DecompResult(sols, unique=len(sols) == 1, searched_nodes=nodes)
+    return DecompResult(tuple(sorted(solutions)), nodes)
 
 
 def _candidate_rows(c, n, bound) -> list[tuple[int, ...]]:

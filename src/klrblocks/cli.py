@@ -99,7 +99,7 @@ def quiver_to_json_dict(q: WeightQuiver | TQuiver) -> dict:
         "k": q.base.level,
         "base": q.base.coeffs,
         "vertices": [
-            {"coeffs": v.weight.coeffs, "x": v.x, "beta": v.beta.coeffs} for v in q.vertices
+            {"coeffs": v.weight.coeffs, "x": v.x, "beta": v.x} for v in q.vertices
         ],
         "arrows": [{"src": s, "dst": d, "label": label} for s, d, label in q.arrows],
     }
@@ -128,19 +128,19 @@ def _cmd_maxweights(args, out) -> int:
             {
                 "weight": e.weight.coeffs,
                 "x": e.x,
-                "beta": e.beta.coeffs,
-                "max_weight": {"lam": e.max_weight.lam, "delta": e.max_weight.delta},
+                "beta": e.x,
+                "max_weight": {"lam": e.weight.coeffs, "delta": -e.x[0]},
             }
             for e in entries
         ]
         _write_json({"ell": args.ell, "base": base.coeffs, "entries": data}, out)
         return 0
     for e in entries:
-        # max_weight.lam is weight.coeffs, so one name serves both columns
         name = weight_name(e.weight.coeffs)
-        d = e.max_weight.delta
+        x = _vec(e.x)
+        d = -e.x[0]
         mw = name if d == 0 else f"{name}{d:+d}δ"
-        out.write(f"{name:<24} X={_vec(e.x):<20} beta={_vec(e.beta.coeffs):<20} max={mw}\n")
+        out.write(f"{name:<24} X={x:<20} beta={x:<20} max={mw}\n")
     return 0
 
 

@@ -59,12 +59,21 @@ class LevelKDominant(Record):
 class MaxWeightEntry(Record):
     """One dominant maximal weight, indexed by its class member.
 
-    `x` solves A x = <h, Lambda - weight> with min x = 0, `beta` is the
-    corresponding root vector, and `max_weight` = Lambda - beta on the
-    Lambda/delta basis (its delta coefficient is -x_0).
+    `x` solves A x = <h, Lambda - weight> with min x = 0.  The member and x
+    fix the rest, which is read off them: `beta` is x as a root vector, and
+    `max_weight` = Lambda - beta on the Lambda/delta basis has Lambda part
+    `weight.coeffs` and delta coefficient -x_0.
     """
 
-    __slots__ = ("weight", "x", "beta", "max_weight")
+    __slots__ = ("weight", "x")
+
+    @property
+    def beta(self) -> RootVector:
+        return RootVector._trusted(self.x)  # x >= 0
+
+    @property
+    def max_weight(self) -> WeightCoeffs:
+        return WeightCoeffs._trusted(self.weight.coeffs, -self.x[0])
 
 
 LABEL_TABLE_CACHE = 32  # label tables kept, one per e
@@ -73,6 +82,11 @@ MAX_CLASS_MEMBERS = 20_000  # members one class walk may reach
 
 class ClassTooLargeError(ValueError):
     """The sieving class has more than MAX_CLASS_MEMBERS members."""
+
+    @classmethod
+    def of(cls, coeffs: tuple[int, ...]) -> ClassTooLargeError:
+        """The error for the class of `coeffs`, naming the limit."""
+        return cls(f"the class of {coeffs} has more than {MAX_CLASS_MEMBERS} members")
 
 
 def _mobius(n: int) -> int:
@@ -156,9 +170,7 @@ def class_walk(
     """
     e, k = len(coeffs), sum(coeffs)
     if comb(e + k - 1, k) > MAX_CLASS_MEMBERS and class_size(coeffs) > MAX_CLASS_MEMBERS:
-        raise ClassTooLargeError(
-            f"the class of {coeffs} has more than {MAX_CLASS_MEMBERS} members"
-        )
+        raise ClassTooLargeError.of(coeffs)
     table = _label_table(e)
     zero = (0,) * e
     xs = {coeffs: zero}
@@ -184,10 +196,7 @@ def class_walk(
                         x_dst = tuple(map(add, x, window[start : start + e]))
                         xs[dst] = x_dst
                         if len(xs) > MAX_CLASS_MEMBERS:
-                            raise ClassTooLargeError(
-                                f"the class of {coeffs} has more than "
-                                f"{MAX_CLASS_MEMBERS} members"
-                            )
+                            raise ClassTooLargeError.of(coeffs)
                         nxt.append((dst, x_dst, zeros & label[0]))
                     if arrows is not None:
                         arrows.append((src, dst, (i, j)))
@@ -243,41 +252,14 @@ def solve_x(base: LevelKDominant, target: LevelKDominant) -> tuple[int, ...]:
     return tuple(v - m for v in x)
 
 
-def max_weight_entry(coeffs: tuple[int, ...], x: tuple[int, ...]) -> MaxWeightEntry:
-    """The entry of the class member `coeffs`, whose solution vector against
-    the base is `x`.
-
-    A x = <h, base - member>, so base - sum_i x_i alpha_i has Lambda part
-    `coeffs` and delta coefficient -x_0.  The members and their X come from a
-    walk out of a checked base: each move keeps the length, the level and
-    nonnegativity, and X >= 0 by construction.  So the four records are built
-    without their constructors' checks (a pickle or deep copy rebuilds them
-    through the checks).
-    """
-    # inline rather than through Record._trusted, whose call and field loop
-    # took the entries of a 285-member class (ell 16, level 4) from 0.43 to
-    # 0.81 ms (median, Python 3.11, 2-vCPU VM); every maxweights, quiver and
-    # tquiver query builds its entries here
-    new, put = object.__new__, object.__setattr__
-    weight = new(LevelKDominant)
-    put(weight, "coeffs", coeffs)
-    beta = new(RootVector)
-    put(beta, "coeffs", x)
-    max_weight = new(WeightCoeffs)
-    put(max_weight, "lam", coeffs)
-    put(max_weight, "delta", -x[0])
-    entry = new(MaxWeightEntry)
-    put(entry, "weight", weight)
-    put(entry, "x", x)
-    put(entry, "beta", beta)
-    put(entry, "max_weight", max_weight)
-    return entry
-
-
 def max_plus(base: LevelKDominant) -> list[MaxWeightEntry]:
-    """One entry per class member, in the class's lexicographic order."""
+    """One entry per class member, in the class's lexicographic order.
+
+    The walk out of a checked base keeps each member's length, level and
+    nonnegativity, and X >= 0, so the records skip their checks.
+    """
     xs = class_walk(base.coeffs)
-    return [max_weight_entry(c, xs[c]) for c in sorted(xs)]
+    return [MaxWeightEntry._trusted(LevelKDominant._trusted(c), xs[c]) for c in sorted(xs)]
 
 
 P_LAMBDA_CACHE = 256  # X-vector sets kept, one per base weight

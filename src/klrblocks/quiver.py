@@ -13,9 +13,11 @@ tagged subquiver follows its label paths one checked arrow at a time
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 
+from . import maxweights
 from .cartan import Record
-from .maxweights import LevelKDominant, class_walk, follow, max_weight_entry
+from .maxweights import ClassTooLargeError, LevelKDominant, MaxWeightEntry, class_walk, follow
 
 
 class LevelTooSmallError(ValueError):
@@ -42,7 +44,10 @@ class TQuiver(WeightQuiver):
 def _canonical(xmap, raw_arrows) -> tuple[tuple, tuple]:
     ordering = sorted(xmap, key=lambda c: (sum(xmap[c]), c))
     ids = {c: i for i, c in enumerate(ordering)}
-    vertices = tuple(max_weight_entry(c, xmap[c]) for c in ordering)
+    # the walks keep every record invariant, as in maxweights.max_plus
+    vertices = tuple(
+        [MaxWeightEntry._trusted(LevelKDominant._trusted(c), xmap[c]) for c in ordering]
+    )
     # tuple.__new__ makes each Arrow from a plain tuple in C, without the
     # namedtuple's Python-level __new__
     arrows = sorted([tuple.__new__(Arrow, (ids[s], ids[d], lab)) for s, d, lab in raw_arrows])
@@ -68,27 +73,29 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
 
     Each construction is a set of label paths from the base; tag s marks the
     last vertex of each path of the s-th construction, and a vertex can carry
-    several tags.  Arrows are exactly those the paths traverse.
+    several tags.  Arrows are exactly those the paths traverse.  The vertices
+    are class members, so, as in the class walk, vertex MAX_CLASS_MEMBERS + 1
+    raises ClassTooLargeError; the paths are made lazily, one at a time.
     """
     if base.level < 2:
         raise LevelTooSmallError(f"need level >= 2, got {base.level}")
     e = len(base.coeffs)
     # the indices with multiplicity at least 1, 2, 3, 4
     i0, i1, i2, i3 = ([i for i, c in enumerate(base.coeffs) if c >= k] for k in (1, 2, 3, 4))
-    paths = [
+    paths = chain(
         # (1) pairs of distinct summands, skipping the wrap-around interval
-        *((0, [(i, j)]) for i in i0 for j in i0 if i != j and (j - (i - 1)) % e != 0),
+        ((0, [(i, j)]) for i in i0 for j in i0 if i != j and (j - (i - 1)) % e != 0),
         # (2) doubled summands, one step
-        *((1, [(i, i)]) for i in i1),
+        ((1, [(i, i)]) for i in i1),
         # (2-1) then spread to both neighbours
-        *((2, [(i, i), (i - 1, i + 1)]) for i in i1 if e >= 4),
+        ((2, [(i, i), (i - 1, i + 1)]) for i in i1 if e >= 4),
         # (2-2) tripled summands, one-sided spreads
-        *((3, [(i, i), step]) for i in i2 if e >= 3 for step in ((i, i + 1), (i - 1, i))),
+        ((3, [(i, i), step]) for i in i2 if e >= 3 for step in ((i, i + 1), (i - 1, i))),
         # (2-3) quadrupled summands, the same move twice
-        *((4, [(i, i), (i, i)]) for i in i3),
+        ((4, [(i, i), (i, i)]) for i in i3),
         # (2-4) two distinct doubled summands
-        *((5, [(i, i), (j, j)]) for i in i1 for j in i1 if i != j and e >= 3),
-    ]
+        ((5, [(i, i), (j, j)]) for i in i1 for j in i1 if i != j and e >= 3),
+    )
     xmap: dict[tuple[int, ...], tuple[int, ...]] = {base.coeffs: (0,) * e}
     tags: dict[tuple[int, ...], set[int]] = {}
     raw_arrows = set()
@@ -98,6 +105,8 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
             dst, x_dst = follow(src, xmap[src], i, j)
             if xmap.setdefault(dst, x_dst) != x_dst:
                 raise RuntimeError(f"vertex {dst} reached with two solution vectors")
+            if len(xmap) > maxweights.MAX_CLASS_MEMBERS:
+                raise ClassTooLargeError.of(base.coeffs)
             raw_arrows.add((src, dst, (i % e, j % e)))
             src = dst
         tags.setdefault(src, set()).add(tag)

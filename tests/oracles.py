@@ -242,13 +242,37 @@ def composition_equiv_class(w: LevelKDominant) -> list[LevelKDominant]:
     return members
 
 
-def entry(base: LevelKDominant, member: LevelKDominant, x: tuple[int, ...]) -> MaxWeightEntry:
+class Entry(NamedTuple):
+    """A max-weight entry with each of its four facts stored; a
+    `MaxWeightEntry` stores the member and x and reads beta and the max
+    weight off them."""
+
+    weight: LevelKDominant
+    x: tuple[int, ...]
+    beta: RootVector
+    max_weight: WeightCoeffs
+
+
+def facts(e) -> Entry:
+    """The four facts that the entry `e` reads, stored."""
+    return Entry(e.weight, e.x, e.beta, e.max_weight)
+
+
+def with_facts(q: WeightQuiver) -> WeightQuiver:
+    """`q` with each vertex replaced by the `Entry` of its facts."""
+    return type(q)(*[
+        tuple(map(facts, q.vertices)) if name == "vertices" else getattr(q, name)
+        for name in q._fields
+    ])
+
+
+def entry(base: LevelKDominant, member: LevelKDominant, x: tuple[int, ...]) -> Entry:
     """The entry of `member`, its max weight computed as base - sum_i x_i alpha_i."""
     max_weight = weight_sub(to_weight(base), root_to_weight(x))
-    return MaxWeightEntry(member, x, RootVector(x), max_weight)
+    return Entry(member, x, RootVector(x), max_weight)
 
 
-def solver_max_plus(base: LevelKDominant) -> list[MaxWeightEntry]:
+def solver_max_plus(base: LevelKDominant) -> list[Entry]:
     """One entry per member of the composition class, X from `solve_x`."""
     return [entry(base, m, solve_x(base, m)) for m in composition_equiv_class(base)]
 
@@ -921,13 +945,10 @@ def _is_bipartite(g: BrauerGraph) -> bool:
 
 def walk_derived_invariants(g: BrauerGraph) -> DerivedInvariants:
     """`derived_invariants` from a successor map and a depth-first colouring."""
-    perims = _faces(g)
     return DerivedInvariants(
-        n_vertices=len(g.multiplicities),
         n_edges=len(g.edges),
-        n_faces=len(perims),
         mult_multiset=tuple(sorted(g.multiplicities)),
-        perimeter_multiset=tuple(perims),
+        perimeter_multiset=tuple(_faces(g)),
         bipartite=_is_bipartite(g),
     )
 
@@ -991,7 +1012,7 @@ def pruned_decomp_search(c: list[list[int]]) -> DecompResult:
 
     backtrack([list(row) for row in c], 0, [])
     sols = tuple(sorted(solutions))
-    return DecompResult(sols, unique=len(sols) == 1, searched_nodes=nodes)
+    return DecompResult(sols, searched_nodes=nodes)
 
 
 # --- the records as frozen dataclasses ---
@@ -1035,8 +1056,6 @@ class FrozenLevelKDominant:
 class FrozenMaxWeightEntry:
     weight: LevelKDominant
     x: tuple[int, ...]
-    beta: RootVector
-    max_weight: WeightCoeffs
 
 
 class FrozenArrow(NamedTuple):
@@ -1128,9 +1147,7 @@ class FrozenQuiverPresentation:
 
 @dataclass(frozen=True)
 class FrozenDerivedInvariants:
-    n_vertices: int
     n_edges: int
-    n_faces: int
     mult_multiset: tuple[int, ...]
     perimeter_multiset: tuple[int, ...]
     bipartite: bool
@@ -1139,7 +1156,6 @@ class FrozenDerivedInvariants:
 @dataclass(frozen=True)
 class FrozenDecompResult:
     solutions: tuple[tuple[tuple[int, ...], ...], ...]
-    unique: bool
     searched_nodes: int = field(compare=False, default=0)
 
 
@@ -1171,7 +1187,7 @@ def _tag_suffix(q: WeightQuiver, vid: int) -> str:
     return " [" + ",".join(str(s) for s in sorted(tags)) + "]" if tags else ""
 
 
-def maxweights_output(base: LevelKDominant, entries: list[MaxWeightEntry], fmt: str) -> str:
+def maxweights_output(base: LevelKDominant, entries: list[Entry], fmt: str) -> str:
     """The stdout of `maxweights --format fmt` on `base` with these entries."""
     if fmt == "json":
         data = [

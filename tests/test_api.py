@@ -42,23 +42,59 @@ def units(module: str, tree: ast.Module):
             yield f"{module}.<module>", stmt
 
 
-def test_every_public_name_has_a_caller():
-    """Each public top-level function and class of the package, and each
-    public method of those classes, is read somewhere in the package other
-    than its own definition and __init__.py (its own module counts), or is
-    named by the benchmark harness or the README."""
-    defined: dict[str, tuple[str, bool]] = {}  # qualified name -> (name, is a method)
+# the operator of each dunder arithmetic method, by the name between the
+# underscores; a binary operator also calls the reflected and in-place forms
+BINARY = {
+    ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.MatMult: "matmul",
+    ast.Div: "truediv", ast.FloorDiv: "floordiv", ast.Mod: "mod", ast.Pow: "pow",
+    ast.LShift: "lshift", ast.RShift: "rshift", ast.BitAnd: "and", ast.BitOr: "or",
+    ast.BitXor: "xor",
+}
+UNARY = {ast.USub: "neg", ast.UAdd: "pos", ast.Invert: "invert"}
+ARITHMETIC = {
+    *(f"__{p}{op}__" for op in BINARY.values() for p in ("", "r", "i")),
+    *(f"__{op}__" for op in UNARY.values()),
+}
+
+
+def operator_names(node: ast.AST) -> list[str]:
+    """The dunder methods an operator node calls, or []."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        op = BINARY[type(node.op)]
+        return [f"__{op}__", f"__r{op}__", f"__i{op}__"]
+    if isinstance(node, ast.UnaryOp) and type(node.op) in UNARY:
+        return [f"__{UNARY[type(node.op)]}__"]
+    return []
+
+
+def public_names(trees) -> dict[str, str]:
+    """Qualified name -> name, for each public top-level function and class
+    of `trees` other than __init__.py, each public method of those classes
+    and each of their dunder arithmetic methods."""
+    names = {}
+    for module, tree in trees:
+        for stmt in tree.body if module != "__init__" else ():
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                names[f"{module}.{stmt.name}"] = stmt.name
+                for sub in stmt.body if isinstance(stmt, ast.ClassDef) else ():
+                    if isinstance(sub, ast.FunctionDef) and (
+                        not sub.name.startswith("_") or sub.name in ARITHMETIC
+                    ):
+                        names[f"{module}.{stmt.name}.{sub.name}"] = sub.name
+    return names
+
+
+def dead_public_names(trees, outside: str) -> list[str]:
+    """Each of the `public_names` that nothing in `trees` reads other than
+    its own definition and __init__.py (its own module counts), and that
+    `outside` does not name.  A method is read as an attribute; a dunder
+    arithmetic method also by its operator, in code that names its class or
+    belongs to it."""
     readers: dict[str, set[str]] = {}  # name -> owners reading it as a name or attribute
     attr_readers: dict[str, set[str]] = {}  # name -> owners reading it as an attribute
-    for module, tree in package_trees():
+    for module, tree in trees:
         if module == "__init__":
             continue
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
-                defined[f"{module}.{stmt.name}"] = (stmt.name, False)
-                for sub in stmt.body if isinstance(stmt, ast.ClassDef) else ():
-                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                        defined[f"{module}.{stmt.name}.{sub.name}"] = (sub.name, True)
         for owner, node in units(module, tree):
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):
@@ -66,18 +102,67 @@ def test_every_public_name_has_a_caller():
                 elif isinstance(sub, ast.Attribute):
                     readers.setdefault(sub.attr, set()).add(owner)
                     attr_readers.setdefault(sub.attr, set()).add(owner)
-    assert {"tableaux.graded_dim", "brauer.BrauerGraph.build", "cartan.RootVector.height"} <= set(defined)
-    outside = "\n".join(
-        read(path) for path in [*sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py"))), README]
-    )
+                for name in operator_names(sub):
+                    readers.setdefault(name, set()).add(owner)
     dead = []
-    for qualified, (name, is_method) in defined.items():
+    for qualified, name in public_names(trees).items():
+        is_method = qualified.count(".") == 2
         users = (attr_readers if is_method else readers).get(name, set())
+        if name in ARITHMETIC:
+            cls = qualified.rsplit(".", 1)[0]
+            users = users | {
+                u for u in readers.get(name, set())
+                if u in readers.get(cls.split(".")[1], ()) or u.startswith(cls + ".")
+            }
         users = {u for u in users if u != qualified and not u.startswith(qualified + ".")}
         pattern = rf"\.{name}\b" if is_method else rf"\b{name}\b"
         if not users and not re.search(pattern, outside):
             dead.append(qualified)
-    assert dead == []
+    return dead
+
+
+def test_every_public_name_has_a_caller():
+    """Each public name of the package, and each dunder arithmetic method of
+    its classes, is read somewhere in the package, or is named by the
+    benchmark harness or the README."""
+    sample = ast.parse(
+        "class W:\n"
+        "    def __add__(self, o): return W()\n"
+        "    def __sub__(self, o): return self + (-o)\n"
+        "    def __neg__(self): return W()\n"
+        "    def __mul__(self, o): return W()\n"
+        "def total(n): return n + 1 - n * 2\n"
+        "def public(): return W() - W()\n"
+    )
+    # + and unary - read __add__ and __neg__ inside W, binary - reads
+    # __sub__ in code that names W; the * in total does not read __mul__,
+    # since total never names W
+    assert dead_public_names([("m", sample)], "") == ["m.W.__mul__", "m.total", "m.public"]
+    assert dead_public_names([("m", sample)], "w.__mul__(v) total() public()") == []
+    trees = list(package_trees())
+    assert {"tableaux.graded_dim", "brauer.BrauerGraph.build", "cartan.RootVector.height"} <= set(
+        public_names(trees)
+    )
+    outside = "\n".join(
+        read(path) for path in [*sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py"))), README]
+    )
+    assert dead_public_names(trees, outside) == []
+
+
+def test_records_are_built_unchecked_only_by_record_trusted():
+    """object.__new__ and object.__setattr__ skip a record's __init__ and its
+    refusing __setattr__; only Record._trusted may use them."""
+    users = sorted(
+        f"{owner} reads object.{sub.attr}"
+        for module, tree in package_trees()
+        for owner, node in units(module, tree)
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute)
+        and sub.attr in ("__new__", "__setattr__")
+        and isinstance(sub.value, ast.Name)
+        and sub.value.id == "object"
+    )
+    assert users == ["cartan.Record._trusted reads object.__new__"]
 
 
 

@@ -500,6 +500,8 @@ def test_graph_layer_matches_oracle(graph):
     assert quiver_presentation(g) == scan_quiver_presentation(g)
     inv, oracle = derived_invariants(g), walk_derived_invariants(g)
     assert inv == oracle
+    # the counts read off the multisets
+    assert (inv.n_vertices, inv.n_faces) == (len(mult), len(oracle.perimeter_multiset))
     assert outcome(lambda: inv.genus) == outcome(lambda: oracle.genus)
     assert outcome(graph_cartan_matrix, g) == outcome(pairwise_cartan_matrix, g)
 

@@ -14,6 +14,7 @@ from klrblocks.cartan import apply_cartan, interval_delta
 from klrblocks.maxweights import (
     ClassTooLargeError,
     LevelKDominant,
+    MaxWeightEntry,
     NoSolutionError,
     _label_table,
     class_size,
@@ -23,7 +24,7 @@ from klrblocks.maxweights import (
     solve_x,
 )
 
-from oracles import composition_equiv_class, ev, pairing, rotate_tuple, solver_max_plus
+from oracles import composition_equiv_class, ev, facts, pairing, rotate_tuple, solver_max_plus
 
 
 def brute_force_x(base: LevelKDominant, target: LevelKDominant, bound: int):
@@ -251,8 +252,11 @@ def test_equiv_class_matches_filtered_enumeration(w):
 @settings(max_examples=150, deadline=None)
 @given(dominant_weights(max_e=13, levels=(1, 5)))
 def test_max_plus_matches_composition_class_and_solver(base):
-    entries = max_plus(base)
-    assert entries == solver_max_plus(base)
+    entries, oracle = max_plus(base), solver_max_plus(base)
+    # an entry's == compares its member and x; its beta and max weight are
+    # read off them, so they are compared on their own
+    assert entries == [MaxWeightEntry(o.weight, o.x) for o in oracle]
+    assert list(map(facts, entries)) == oracle
     assert equiv_class(base) == composition_equiv_class(base)
     for en in entries:
         assert min(en.x) == 0

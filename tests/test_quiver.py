@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klrblocks.cartan import RootVector, interval_delta
-from klrblocks.maxweights import LevelKDominant, follow, solve_x
+from klrblocks import maxweights
+from klrblocks.maxweights import ClassTooLargeError, LevelKDominant, follow, solve_x
 from klrblocks.quiver import LevelTooSmallError, build_quiver, t_subquiver
 
 from oracles import (
@@ -18,6 +19,7 @@ from oracles import (
     move,
     rotate_tuple,
     t_beta_sets,
+    with_facts,
 )
 from test_maxweights import dominant_weights
 
@@ -145,9 +147,11 @@ def test_quivers_match_label_by_label_oracles(base):
             with pytest.raises(LevelTooSmallError):
                 build(base)
         return
-    # record equality: base, every vertex field, every arrow, every tag
-    assert build_quiver(base) == label_bfs_quiver(base)
-    assert t_subquiver(base) == label_t_subquiver(base)
+    # record equality: base, every vertex's four facts, every arrow, every
+    # tag; a vertex's == compares only its member and x, so its beta and max
+    # weight are compared through `with_facts`
+    assert with_facts(build_quiver(base)) == label_bfs_quiver(base)
+    assert with_facts(t_subquiver(base)) == label_t_subquiver(base)
 
 
 @settings(max_examples=100, deadline=None)
@@ -338,6 +342,24 @@ def test_t_subquiver_level_two():
         assert tagged(t, s) == set()
     # ell >= 3 keeps construction (2-1): spread both neighbours into 2L2
     assert tagged(t, 2) == {(0, 0, 2, 0)}
+
+
+def test_t_subquiver_is_bounded_by_the_member_limit(monkeypatch):
+    # on the all-ones weight the pairs of distinct summands reach (e - 1)^2
+    # vertices, all members of the class; e = 512 once took 76 s and 2.5 GB
+    def answers(e: int) -> bool:
+        try:
+            t = t_subquiver(LevelKDominant((1,) * e))
+        except ClassTooLargeError as exc:
+            assert str(exc).endswith(f" has more than {maxweights.MAX_CLASS_MEMBERS} members")
+            return False
+        assert len(t.vertices) == (e - 1) ** 2
+        return True
+
+    assert maxweights.MAX_CLASS_MEMBERS == 20_000
+    assert answers(142) and not answers(143)  # 19,881 and 20,164 vertices
+    monkeypatch.setattr(maxweights, "MAX_CLASS_MEMBERS", 100)
+    assert answers(11) and not answers(12)  # 100 and 121 vertices
 
 
 def test_t_beta_sets_match_subquiver():
