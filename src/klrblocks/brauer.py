@@ -284,10 +284,10 @@ def _faces(g: BrauerGraph) -> list[int]:
 def derived_invariants(g: BrauerGraph) -> DerivedInvariants:
     colour = _colours(g)
     return DerivedInvariants(
-        n_edges=len(g.edges),
-        mult_multiset=tuple(sorted(g.multiplicities)),
-        perimeter_multiset=tuple(_faces(g)),
-        bipartite=all(colour[a] != colour[b] for a, b in g.edges),
+        len(g.edges),
+        tuple(sorted(g.multiplicities)),
+        tuple(_faces(g)),
+        all(colour[a] != colour[b] for a, b in g.edges),
     )
 
 
@@ -304,14 +304,7 @@ def gamma_family(s: int, a: int, m: int) -> BrauerGraph:
 
 
 class DecompResult(Record, uncompared=("searched_nodes",)):
-    __slots__ = ("solutions", "searched_nodes")
-
-    def __init__(
-        self,
-        solutions: tuple[tuple[tuple[int, ...], ...], ...],  # each: rows, lex-descending
-        searched_nodes: int = 0,
-    ) -> None:
-        Record.__init__(self, solutions, searched_nodes)
+    __slots__ = ("solutions", "searched_nodes")  # each solution: rows, lex-descending
 
     @property
     def unique(self) -> bool:

@@ -17,12 +17,12 @@ class Record:
     """Base of the package's immutable records.
 
     A subclass names its fields in `__slots__` (after those of the record it
-    extends).  `Record.__init__` binds the values given by position, then by
-    keyword, to those fields; a subclass with defaults or checks defines its
-    own `__init__`, which calls it first as `Record.__init__(self, ...)`.  No
-    record extends another with an `__init__`, so naming the class finds what
-    `super()` would, without the lookup: 0.2-0.4 us less per record, and a
-    `classify` query builds three from its arguments.  `_trusted` builds a
+    extends).  `Record.__init__` binds the values, given by position, to
+    those fields; a subclass with checks defines its own `__init__`, which
+    calls it first as `Record.__init__(self, ...)`.  No record extends
+    another with an `__init__`, so naming the class finds what `super()`
+    would, without the lookup: 0.2-0.4 us less per record, and a `classify`
+    query builds three from its arguments.  `_trusted` builds a
     record from values already known to pass its checks, skipping the
     subclass `__init__`.  A record equals another of exactly its class with
     equal compared fields, hashes like the tuple of those fields, and refuses
@@ -56,22 +56,11 @@ class Record:
 
         cls.__hash__, cls.__eq__ = __hash__, __eq__
 
-    def __init__(self, *values: object, **named: object) -> None:
-        fields = self._fields
-        if named or len(values) != len(fields):
-            if len(values) > len(fields):
-                raise TypeError(
-                    f"{type(self).__qualname__} takes {len(fields)} fields, got {len(values)}"
-                )
-            rest = fields[len(values):]
-            for name in named:
-                if name not in rest:
-                    problem = "a repeated" if name in fields else "no"
-                    raise TypeError(f"{type(self).__qualname__} has {problem} field {name!r}")
-            for name in rest:
-                if name not in named:
-                    raise TypeError(f"{type(self).__qualname__} is missing field {name!r}")
-            values += tuple(named[name] for name in rest)
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__qualname__} takes {len(self._fields)} fields, got {len(values)}"
+            )
         for put, value in zip(self._setters, values):
             put(self, value)
 
@@ -107,9 +96,6 @@ class WeightCoeffs(Record):
     """
 
     __slots__ = ("lam", "delta")
-
-    def __init__(self, lam: tuple[int, ...], delta: int = 0) -> None:
-        Record.__init__(self, lam, delta)
 
 
 class RootVector(Record):

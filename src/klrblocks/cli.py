@@ -59,6 +59,8 @@ def _parse_int_vector(text: str, expected_len: int | None, what: str) -> tuple[i
 
 
 def _weight_from_args(args) -> LevelKDominant:
+    if args.ell < 1:
+        raise UsageError(f"--ell: must be at least 1, got {args.ell}")
     coeffs = _parse_int_vector(args.weight, args.ell + 1, "weight")
     if min(coeffs, default=0) < 0:
         raise UsageError("--weight: coefficients must be nonnegative")

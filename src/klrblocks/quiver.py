@@ -32,7 +32,12 @@ class WeightQuiver(Record):
     """Quiver on a sieving class: its vertices are the class's max-weight
     entries, ordered by (height of beta, coeffs)."""
 
-    __slots__ = ("base", "vertices", "arrows")
+    __slots__ = ("vertices", "arrows")
+
+    @property
+    def base(self) -> LevelKDominant:
+        # the base is the one vertex with X = 0, so the order puts it first
+        return self.vertices[0].weight
 
 
 class TQuiver(WeightQuiver):
@@ -64,8 +69,7 @@ def build_quiver(base: LevelKDominant) -> WeightQuiver:
         raise LevelTooSmallError(f"need level >= 2, got {base.level}")
     raw_arrows: list = []
     xmap = class_walk(base.coeffs, raw_arrows)
-    vertices, arrows = _canonical(xmap, raw_arrows)
-    return WeightQuiver(base, vertices, arrows)
+    return WeightQuiver(*_canonical(xmap, raw_arrows))
 
 
 def t_subquiver(base: LevelKDominant) -> TQuiver:
@@ -114,4 +118,4 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
     vertices, arrows = _canonical(xmap, raw_arrows)
     ordering = {entry.weight.coeffs: vid for vid, entry in enumerate(vertices)}
     tagmap = {ordering[c]: frozenset(ts) for c, ts in tags.items()}
-    return TQuiver(base, vertices, arrows, tagmap)
+    return TQuiver(vertices, arrows, tagmap)

@@ -38,7 +38,12 @@ class OrbitStatus(enum.Enum):
 
 
 class OrbitResult(Record):
-    __slots__ = ("status", "beta0", "m", "reflection_count")
+    # beta0 is None exactly when the block vanishes
+    __slots__ = ("beta0", "m", "reflection_count")
+
+    @property
+    def status(self) -> OrbitStatus:
+        return OrbitStatus.ZERO if self.beta0 is None else OrbitStatus.NONZERO
 
 
 def orbit_representative(base: LevelKDominant, beta: RootVector) -> OrbitResult:
@@ -73,7 +78,7 @@ def orbit_representative(base: LevelKDominant, beta: RootVector) -> OrbitResult:
     x = solve_pinned(rhs, x0)
     m = min(x)
     if m < 0:
-        return OrbitResult(OrbitStatus.ZERO, None, 0, count)
+        return OrbitResult(None, 0, count)
     # min(X) = m, so X - m is nonnegative and needs no check
     beta0 = RootVector._trusted(tuple(v - m for v in x))
-    return OrbitResult(OrbitStatus.NONZERO, beta0, m, count)
+    return OrbitResult(beta0, m, count)

@@ -87,7 +87,7 @@ from klrblocks.cli import _LINE_BREAKS, UsageError, _parse_int_vector
 from klrblocks.maxweights import MAX_E, LevelKDominant, MaxWeightEntry, solve_x
 from klrblocks.quiver import Arrow, LevelTooSmallError, TQuiver, WeightQuiver
 from klrblocks.tableaux import Multipartition, Partition, charges_of
-from klrblocks.weyl import OrbitResult, OrbitStatus
+from klrblocks.weyl import OrbitResult
 
 
 # --- weight arithmetic ---
@@ -208,9 +208,9 @@ def record_orbit_representative(base: LevelKDominant, beta: RootVector) -> Orbit
     # Expand diff on the alpha basis: the delta coefficient pins x_0.
     x = solve_pinned(diff.lam, diff.delta)
     if any(v < 0 for v in x):
-        return OrbitResult(OrbitStatus.ZERO, None, 0, count)
+        return OrbitResult(None, 0, count)
     beta0, m = delta_decompose(RootVector(x))
-    return OrbitResult(OrbitStatus.NONZERO, beta0, m, count)
+    return OrbitResult(beta0, m, count)
 
 
 # --- the sieving class and its dominant maximal weights ---
@@ -354,7 +354,7 @@ def label_bfs_quiver(base: LevelKDominant) -> WeightQuiver:
                 raw_arrows.add((src.coeffs, dst.coeffs, (i, j)))
         frontier = nxt
     vertices, arrows = _canonical(base, xmap, raw_arrows)
-    return WeightQuiver(base, vertices, arrows)
+    return WeightQuiver(vertices, arrows)
 
 
 def label_t_subquiver(base: LevelKDominant) -> TQuiver:
@@ -400,7 +400,7 @@ def label_t_subquiver(base: LevelKDominant) -> TQuiver:
     vertices, arrows = _canonical(base, xmap, raw_arrows)
     ordering = {v.weight.coeffs: vid for vid, v in enumerate(vertices)}
     tagmap = {ordering[c]: frozenset(ts) for c, ts in tags.items()}
-    return TQuiver(base, vertices, arrows, tagmap)
+    return TQuiver(vertices, arrows, tagmap)
 
 
 def t_beta_sets(base: LevelKDominant) -> dict[int, set[RootVector]]:
@@ -946,10 +946,7 @@ def _is_bipartite(g: BrauerGraph) -> bool:
 def walk_derived_invariants(g: BrauerGraph) -> DerivedInvariants:
     """`derived_invariants` from a successor map and a depth-first colouring."""
     return DerivedInvariants(
-        n_edges=len(g.edges),
-        mult_multiset=tuple(sorted(g.multiplicities)),
-        perimeter_multiset=tuple(_faces(g)),
-        bipartite=_is_bipartite(g),
+        len(g.edges), tuple(sorted(g.multiplicities)), tuple(_faces(g)), _is_bipartite(g)
     )
 
 
@@ -1012,7 +1009,7 @@ def pruned_decomp_search(c: list[list[int]]) -> DecompResult:
 
     backtrack([list(row) for row in c], 0, [])
     sols = tuple(sorted(solutions))
-    return DecompResult(sols, searched_nodes=nodes)
+    return DecompResult(sols, nodes)
 
 
 # --- the records as frozen dataclasses ---
@@ -1025,7 +1022,7 @@ def pruned_decomp_search(c: list[list[int]]) -> DecompResult:
 @dataclass(frozen=True)
 class FrozenWeightCoeffs:
     lam: tuple[int, ...]
-    delta: int = 0
+    delta: int
 
 
 @dataclass(frozen=True)
@@ -1066,7 +1063,6 @@ class FrozenArrow(NamedTuple):
 
 @dataclass(frozen=True)
 class FrozenWeightQuiver:
-    base: LevelKDominant
     vertices: tuple[MaxWeightEntry, ...]
     arrows: tuple[Arrow, ...]
 
@@ -1103,7 +1099,6 @@ class FrozenScriptSets:
 
 @dataclass(frozen=True)
 class FrozenOrbitResult:
-    status: OrbitStatus
     beta0: RootVector | None
     m: int
     reflection_count: int
@@ -1156,7 +1151,7 @@ class FrozenDerivedInvariants:
 @dataclass(frozen=True)
 class FrozenDecompResult:
     solutions: tuple[tuple[tuple[int, ...], ...], ...]
-    searched_nodes: int = field(compare=False, default=0)
+    searched_nodes: int = field(compare=False)
 
 
 # --- the class commands' output, written field by field ---

@@ -339,6 +339,21 @@ def test_negative_beta_is_usage_error_in_classify_and_gdim():
             assert err.startswith("usage error: --") and err.count("\n") == 1
 
 
+def test_ell_below_one_is_one_usage_error():
+    # whatever the weight, so that a weight of any length, or an empty one,
+    # does not give a length or level error first
+    for ell in (0, -1, -3):
+        for weight in ("3", "3,0", "", "-1"):
+            for cmd, rest in (
+                ("maxweights", []),
+                ("classify", ["--beta", "1"]),
+                ("gdim", ["--beta", "1"]),
+            ):
+                code, out, err = capture([cmd, f"--ell={ell}", f"--weight={weight}", *rest])
+                assert (code, out) == (2, "")
+                assert err == f"usage error: --ell: must be at least 1, got {ell}\n"
+
+
 def test_huge_characteristic_is_one_error_line():
     # in a child process, so that a primality test that never ends fails on
     # the timeout instead of hanging the suite

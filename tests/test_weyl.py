@@ -60,11 +60,11 @@ def sieving_orbit_representative(base: LevelKDominant, beta: RootVector) -> Orbi
     # Expand diff on the alpha basis: the delta coefficient pins x_0.
     x = solve_pinned(diff.lam, diff.delta)
     if any(v < 0 for v in x):
-        return OrbitResult(OrbitStatus.ZERO, None, 0, count)
+        return OrbitResult(None, 0, count)
     beta0, m = delta_decompose(RootVector(x))
     if beta0.coeffs in p_lambda_set(base):
-        return OrbitResult(OrbitStatus.NONZERO, beta0, m, count)
-    return OrbitResult(OrbitStatus.ZERO, None, 0, count)
+        return OrbitResult(beta0, m, count)
+    return OrbitResult(None, 0, count)
 
 
 def test_simple_reflect_fixed_point():
@@ -93,9 +93,9 @@ def test_dominate_trivial_and_small_orbit():
     # r_0(Lambda), one reflection away
     base = LevelKDominant((2, 0))
     zero = RootVector((0, 0))
-    assert orbit_representative(base, zero) == OrbitResult(OrbitStatus.NONZERO, zero, 0, 0)
+    assert orbit_representative(base, zero) == OrbitResult(zero, 0, 0)
     res = orbit_representative(base, RootVector((2, 0)))
-    assert res == OrbitResult(OrbitStatus.NONZERO, zero, 0, 1)
+    assert res == OrbitResult(zero, 0, 1)
 
 
 def beta_of(base: LevelKDominant, mu: WeightCoeffs) -> tuple[int, ...]:
@@ -248,7 +248,9 @@ def orbit_cases(draw):
 @settings(max_examples=400, deadline=None)
 @given(orbit_cases())
 def test_orbit_representative_matches_sieving_oracle(case):
-    assert orbit_representative(*case) == sieving_orbit_representative(*case)
+    res = orbit_representative(*case)
+    assert res == sieving_orbit_representative(*case)
+    assert (res.status is OrbitStatus.ZERO) == (res.beta0 is None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -318,7 +320,9 @@ def wide_orbit_cases(draw):
 def test_one_pass_matches_the_record_pipeline(case):
     """Status, beta0, m and reflection_count against the weight-record form
     (`to_weight`, `root_to_weight`, `dominate`, `delta_decompose`)."""
-    assert orbit_representative(*case) == record_orbit_representative(*case)
+    res = orbit_representative(*case)
+    assert res == record_orbit_representative(*case)
+    assert (res.status is OrbitStatus.ZERO) == (res.beta0 is None)
 
 
 def test_record_dominance_matches_the_reflection_loop():
