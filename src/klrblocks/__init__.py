@@ -2,10 +2,9 @@
 in affine type A: dominant maximal weights, weight quivers, representation
 type, graded dimensions and the Brauer graphs of the non-wild blocks."""
 
-from .cartan import RootVector, WeightCoeffs, interval_delta
+from .cartan import LimitError, RootVector, WeightCoeffs, interval_delta
 from .classify import FieldParams, RepType, ScriptSets, TClass, TClassRankError, classify, script_sets
 from .maxweights import (
-    ClassTooLargeError,
     LevelKDominant,
     MaxWeightEntry,
     NoSolutionError,

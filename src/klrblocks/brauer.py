@@ -15,19 +15,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from math import isqrt
 
-from .cartan import Record
+from .cartan import LimitError, Record
 
 
 class InvalidGraphError(ValueError):
-    pass
+    """A malformed graph: bad ids, ends, rotations or multiplicities."""
 
 
 class UnsupportedGraphError(ValueError):
     """Cartan matrices for graphs with loops or multiple edges are out of scope."""
-
-
-class SearchSpaceExceededError(RuntimeError):
-    pass
 
 
 # nodes one decomposition search may visit: `decomp --gamma 20,1,1` runs
@@ -47,7 +43,7 @@ MAX_EDGES = 1_000
 
 def _check_edges(count: int) -> None:
     if count > MAX_EDGES:
-        raise InvalidGraphError(f"{count} edges exceed the limit MAX_EDGES = {MAX_EDGES}")
+        raise LimitError(f"the edge count {count}", "MAX_EDGES", MAX_EDGES)
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
@@ -319,7 +315,7 @@ def decomp_search(c: list[list[int]]) -> DecompResult:
     at most trace(C) rows are used.  Solutions are canonicalized with rows
     sorted lexicographically descending and deduplicated.  More than
     MAX_CANDIDATE_ROWS candidate rows, or MAX_SEARCH_NODES search nodes,
-    raise SearchSpaceExceededError, and so does a trace above
+    raise LimitError, and so does a trace above
     MAX_SEARCH_DEPTH, before the search starts.
     """
     n = len(c)
@@ -338,9 +334,8 @@ def decomp_search(c: list[list[int]]) -> DecompResult:
     # keeps that error; the depth limit is checked once, before any node.
     trace = sum(c[i][i] for i in range(n))
     if trace > MAX_SEARCH_DEPTH:
-        raise SearchSpaceExceededError(
-            f"decomposition search of trace {trace} exceeds the limit "
-            f"MAX_SEARCH_DEPTH = {MAX_SEARCH_DEPTH}"
+        raise LimitError(
+            f"decomposition search of trace {trace}", "MAX_SEARCH_DEPTH", MAX_SEARCH_DEPTH
         )
     # The remainder C - sum of r r^t over the rows taken is one copy of c,
     # changed in place.  Each candidate r carries its cells on S x S, for S
@@ -366,9 +361,7 @@ def decomp_search(c: list[list[int]]) -> DecompResult:
         nonlocal nodes
         nodes += 1
         if nodes > MAX_SEARCH_NODES:
-            raise SearchSpaceExceededError(
-                f"decomposition search exceeded {MAX_SEARCH_NODES} nodes"
-            )
+            raise LimitError("decomposition search", "MAX_SEARCH_NODES", MAX_SEARCH_NODES)
         # A positive entry in a row whose diagonal is exhausted is a dead end.
         # Only the rows the last candidate changed need the test: the others
         # are as they were when the parent node passed it.
@@ -427,9 +420,7 @@ def _candidate_rows(c, n, bound) -> list[tuple[int, ...]]:
                 stack.append((support, col, iter(range(top, 0, -1))))
                 return
         if len(rows) == MAX_CANDIDATE_ROWS:
-            raise SearchSpaceExceededError(
-                f"decomposition search exceeded {MAX_CANDIDATE_ROWS} candidate rows"
-            )
+            raise LimitError("decomposition search", "MAX_CANDIDATE_ROWS", MAX_CANDIDATE_ROWS)
         row = [0] * n
         for i, p in support:
             row[i] = p

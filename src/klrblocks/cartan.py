@@ -122,6 +122,17 @@ def apply_cartan(x: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([2 * x[i] - x[i - 1] - x[(i + 1) % e] for i in range(e)])
 
 
+class LimitError(ValueError):
+    """An input past one of the package's MAX_* limits.  `args` is (what,
+    name, limit), the limit as read at the raise, so a patched one shows."""
+
+    def __init__(self, what: str, name: str, limit: int) -> None:
+        ValueError.__init__(self, what, name, limit)
+
+    def __str__(self) -> str:
+        return "{} exceeds the limit {} = {}".format(*self.args)
+
+
 class NoSolutionError(ValueError):
     """Raised when the linear system has no nonnegative integer solution."""
 

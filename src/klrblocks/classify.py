@@ -16,12 +16,15 @@ from __future__ import annotations
 import enum
 from math import isqrt
 
-from .cartan import Record, RootVector, alpha_sum, interval_delta
+from .cartan import LimitError, Record, RootVector, alpha_sum, interval_delta
 from .maxweights import LevelKDominant
 from .quiver import LevelTooSmallError
 from .weyl import OrbitStatus, orbit_representative
 
-MAX_CHAR = 10**12  # primality is checked by trial division up to 10**6
+# only 2 and 3 enter the script sets, so every prime >= 5 classifies like 0
+# and a larger char_p is refused; below it, primality is checked by trial
+# division up to 10**6
+MAX_CHAR = 10**12
 
 
 class TClass(enum.Enum):
@@ -57,10 +60,7 @@ class FieldParams(Record):
         if char_p < 0 or char_p == 1:
             raise ValueError("char_p must be 0 or a prime")
         if char_p > MAX_CHAR:
-            raise ValueError(
-                f"char_p above {MAX_CHAR} is refused: every prime >= 5 classifies "
-                "like 0, since only 2 and 3 enter the script sets"
-            )
+            raise LimitError(f"char_p = {char_p}", "MAX_CHAR", MAX_CHAR)
         if char_p > 1 and any(char_p % d == 0 for d in range(2, isqrt(char_p) + 1)):
             raise ValueError(f"char_p = {char_p} is not prime")
 

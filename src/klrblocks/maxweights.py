@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import comb, gcd
 from operator import add
 
-from .cartan import NoSolutionError, Record, RootVector, WeightCoeffs, solve_pinned
+from .cartan import LimitError, NoSolutionError, Record, RootVector, WeightCoeffs, solve_pinned
 
 
 # e one weight may have.  The class walk's label table holds e^2 labels of e
@@ -42,7 +42,7 @@ class LevelKDominant(Record):
         if len(coeffs) < 2:
             raise ValueError("need at least 2 coefficients (ell >= 1)")
         if len(coeffs) > MAX_E:
-            raise ValueError(f"e = {len(coeffs)} exceeds the limit MAX_E = {MAX_E}")
+            raise LimitError(f"e = {len(coeffs)}", "MAX_E", MAX_E)
         if min(coeffs) < 0:
             raise ValueError(f"coefficients must be nonnegative, got {coeffs}")
         if sum(coeffs) < 1:
@@ -78,15 +78,6 @@ class MaxWeightEntry(Record):
 
 LABEL_TABLE_CACHE = 32  # label tables kept, one per e
 MAX_CLASS_MEMBERS = 20_000  # members one class walk may reach
-
-
-class ClassTooLargeError(ValueError):
-    """The sieving class has more than MAX_CLASS_MEMBERS members."""
-
-    @classmethod
-    def of(cls, coeffs: tuple[int, ...]) -> ClassTooLargeError:
-        """The error for the class of `coeffs`, naming the limit."""
-        return cls(f"the class of {coeffs} has more than {MAX_CLASS_MEMBERS} members")
 
 
 def _mobius(n: int) -> int:
@@ -163,14 +154,14 @@ def class_walk(
     walk reaches them, and each X is the unique solution of
     A X = <h, base - member> with min X = 0.  When `arrows` is a list, every
     arrow (source coeffs, target coeffs, (i, j)) is appended to it once.
-    Raises ClassTooLargeError when the class has more than MAX_CLASS_MEMBERS
+    Raises LimitError when the class has more than MAX_CLASS_MEMBERS
     members: before the walk when `class_size` says so, which it is asked
     only when C(e + k - 1, k), the count of all level-k weights, is over the
     limit; and in the walk once it reaches member MAX_CLASS_MEMBERS + 1.
     """
     e, k = len(coeffs), sum(coeffs)
     if comb(e + k - 1, k) > MAX_CLASS_MEMBERS and class_size(coeffs) > MAX_CLASS_MEMBERS:
-        raise ClassTooLargeError.of(coeffs)
+        raise LimitError(f"the class of {coeffs}", "MAX_CLASS_MEMBERS", MAX_CLASS_MEMBERS)
     table = _label_table(e)
     zero = (0,) * e
     xs = {coeffs: zero}
@@ -196,7 +187,9 @@ def class_walk(
                         x_dst = tuple(map(add, x, window[start : start + e]))
                         xs[dst] = x_dst
                         if len(xs) > MAX_CLASS_MEMBERS:
-                            raise ClassTooLargeError.of(coeffs)
+                            raise LimitError(
+                                f"the class of {coeffs}", "MAX_CLASS_MEMBERS", MAX_CLASS_MEMBERS
+                            )
                         nxt.append((dst, x_dst, zeros & label[0]))
                     if arrows is not None:
                         arrows.append((src, dst, (i, j)))

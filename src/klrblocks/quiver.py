@@ -16,8 +16,8 @@ from collections import namedtuple
 from itertools import chain
 
 from . import maxweights
-from .cartan import Record
-from .maxweights import ClassTooLargeError, LevelKDominant, MaxWeightEntry, class_walk, follow
+from .cartan import LimitError, Record
+from .maxweights import LevelKDominant, MaxWeightEntry, class_walk, follow
 
 
 class LevelTooSmallError(ValueError):
@@ -78,14 +78,22 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
     Each construction is a set of label paths from the base; tag s marks the
     last vertex of each path of the s-th construction, and a vertex can carry
     several tags.  Arrows are exactly those the paths traverse.  The vertices
-    are class members, so, as in the class walk, vertex MAX_CLASS_MEMBERS + 1
-    raises ClassTooLargeError; the paths are made lazily, one at a time.
+    are class members, so, as in the class walk, more than MAX_CLASS_MEMBERS
+    of them raise LimitError: before the walk when construction (1) alone
+    reaches that many, and otherwise at vertex MAX_CLASS_MEMBERS + 1.  The
+    paths are made lazily, one at a time.
     """
     if base.level < 2:
         raise LevelTooSmallError(f"need level >= 2, got {base.level}")
-    e = len(base.coeffs)
+    coeffs, e, limit = base.coeffs, len(base.coeffs), maxweights.MAX_CLASS_MEMBERS
     # the indices with multiplicity at least 1, 2, 3, 4
-    i0, i1, i2, i3 = ([i for i, c in enumerate(base.coeffs) if c >= k] for k in (1, 2, 3, 4))
+    i0, i1, i2, i3 = ([i for i, c in enumerate(coeffs) if c >= k] for k in (1, 2, 3, 4))
+    # Construction (1) has one label per ordered pair of distinct i, j in i0
+    # but j = i - 1; for e >= 3 each reaches its own vertex other than the
+    # base (the moves -e_i + e_{i-1} - e_j + e_{j+1} differ), and for e = 2
+    # there is no such label.  So with the base this many are too many.
+    if len(i0) * (len(i0) - 1) - sum([1 for i in i0 if coeffs[i - 1]]) >= limit:
+        raise LimitError(f"the class of {coeffs}", "MAX_CLASS_MEMBERS", limit)
     paths = chain(
         # (1) pairs of distinct summands, skipping the wrap-around interval
         ((0, [(i, j)]) for i in i0 for j in i0 if i != j and (j - (i - 1)) % e != 0),
@@ -100,17 +108,17 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
         # (2-4) two distinct doubled summands
         ((5, [(i, i), (j, j)]) for i in i1 for j in i1 if i != j and e >= 3),
     )
-    xmap: dict[tuple[int, ...], tuple[int, ...]] = {base.coeffs: (0,) * e}
+    xmap: dict[tuple[int, ...], tuple[int, ...]] = {coeffs: (0,) * e}
     tags: dict[tuple[int, ...], set[int]] = {}
     raw_arrows = set()
     for tag, path in paths:
-        src = base.coeffs
+        src = coeffs
         for i, j in path:
             dst, x_dst = follow(src, xmap[src], i, j)
             if xmap.setdefault(dst, x_dst) != x_dst:
                 raise RuntimeError(f"vertex {dst} reached with two solution vectors")
-            if len(xmap) > maxweights.MAX_CLASS_MEMBERS:
-                raise ClassTooLargeError.of(base.coeffs)
+            if len(xmap) > limit:
+                raise LimitError(f"the class of {coeffs}", "MAX_CLASS_MEMBERS", limit)
             raw_arrows.add((src, dst, (i % e, j % e)))
             src = dst
         tags.setdefault(src, set()).add(tag)

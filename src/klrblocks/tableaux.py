@@ -50,7 +50,7 @@ import sys
 from functools import lru_cache
 from math import factorial
 
-from .cartan import Record, RootVector, alpha_sum
+from .cartan import LimitError, Record, RootVector, alpha_sum
 
 # shapes of content <= beta one lattice or search may reach (gdim on
 # 4 Lambda_0 with beta = (3, 3, 3, 3), 16,113 shapes at e = 4: ~0.2 s, 32 MB)
@@ -65,10 +65,6 @@ Partition = tuple[int, ...]
 
 
 class ContentMismatchError(ValueError):
-    pass
-
-
-class EnumerationLimitError(ValueError):
     pass
 
 
@@ -131,15 +127,13 @@ class LaurentPoly:
 
 def _check_shapes(count: int, beta_coeffs: tuple[int, ...]) -> None:
     if count > MAX_LATTICE_SHAPES:
-        raise EnumerationLimitError(
-            f"beta = {beta_coeffs} has more than {MAX_LATTICE_SHAPES} shapes "
-            "of content <= beta"
-        )
+        what = f"the count of shapes of content <= beta = {beta_coeffs}"
+        raise LimitError(what, "MAX_LATTICE_SHAPES", MAX_LATTICE_SHAPES)
 
 
 def _check_level(level: int) -> None:
     if level > MAX_LEVEL:
-        raise EnumerationLimitError(f"level {level} exceeds the limit MAX_LEVEL = {MAX_LEVEL}")
+        raise LimitError(f"level {level}", "MAX_LEVEL", MAX_LEVEL)
 
 
 def _check_e(e: int) -> None:

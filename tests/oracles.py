@@ -62,10 +62,10 @@ from klrblocks.brauer import (
     DerivedInvariants,
     PresArrow,
     QuiverPresentation,
-    SearchSpaceExceededError,
     UnsupportedGraphError,
 )
 from klrblocks.cartan import (
+    LimitError,
     RootVector,
     WeightCoeffs,
     alpha_sum,
@@ -766,9 +766,8 @@ def scan_candidate_rows(c, n: int, bound: int) -> list[tuple[int, ...]]:
         if len(prefix) == n:
             if any(prefix):
                 if len(rows) == brauer.MAX_CANDIDATE_ROWS:
-                    raise SearchSpaceExceededError(
-                        f"decomposition search exceeded {brauer.MAX_CANDIDATE_ROWS} "
-                        "candidate rows"
+                    raise LimitError(
+                        "decomposition search", "MAX_CANDIDATE_ROWS", brauer.MAX_CANDIDATE_ROWS
                     )
                 rows.append(prefix)
             return
@@ -973,9 +972,7 @@ def pruned_decomp_search(c: list[list[int]]) -> DecompResult:
         nonlocal nodes
         nodes += 1
         if nodes > brauer.MAX_SEARCH_NODES:
-            raise SearchSpaceExceededError(
-                f"decomposition search exceeded {brauer.MAX_SEARCH_NODES} nodes"
-            )
+            raise LimitError("decomposition search", "MAX_SEARCH_NODES", brauer.MAX_SEARCH_NODES)
         if all(remaining[i][j] == 0 for i in range(n) for j in range(n)):
             solutions.add(tuple(rows))
             return
@@ -1042,7 +1039,7 @@ class FrozenLevelKDominant:
         if len(self.coeffs) < 2:
             raise ValueError("need at least 2 coefficients (ell >= 1)")
         if len(self.coeffs) > MAX_E:
-            raise ValueError(f"e = {len(self.coeffs)} exceeds the limit MAX_E = {MAX_E}")
+            raise LimitError(f"e = {len(self.coeffs)}", "MAX_E", MAX_E)
         if min(self.coeffs) < 0:
             raise ValueError(f"coefficients must be nonnegative, got {self.coeffs}")
         if sum(self.coeffs) < 1:
@@ -1081,10 +1078,7 @@ class FrozenFieldParams:
         if self.char_p < 0 or self.char_p == 1:
             raise ValueError("char_p must be 0 or a prime")
         if self.char_p > MAX_CHAR:
-            raise ValueError(
-                f"char_p above {MAX_CHAR} is refused: every prime >= 5 classifies "
-                "like 0, since only 2 and 3 enter the script sets"
-            )
+            raise LimitError(f"char_p = {self.char_p}", "MAX_CHAR", MAX_CHAR)
         if self.char_p > 1 and any(
             self.char_p % d == 0 for d in range(2, isqrt(self.char_p) + 1)
         ):

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klrblocks import brauer
+from klrblocks.cartan import LimitError
 from klrblocks.brauer import (
     MAX_EDGES,
     MAX_SEARCH_DEPTH,
     BrauerGraph,
     InvalidGraphError,
-    SearchSpaceExceededError,
     UnsupportedGraphError,
     decomp_search,
     derived_invariants,
@@ -182,7 +182,7 @@ def test_edges_are_bounded():
     g = gamma_family(MAX_EDGES - 1, 1, 1)
     assert (len(g.edges), derived_invariants(g).n_faces) == (MAX_EDGES, 1)
     for s in (MAX_EDGES, 10**9):
-        with pytest.raises(InvalidGraphError, match=f"{s + 1} edges exceed the limit MAX_EDGES = {MAX_EDGES}"):
+        with pytest.raises(LimitError, match=f"^the edge count {s + 1} exceeds the limit MAX_EDGES = {MAX_EDGES}$"):
             gamma_family(s, 1, 1)
     for n in (MAX_EDGES, MAX_EDGES + 1):
         edges = [(0, 1)] + [(0, v) for v in range(2, n + 1)]
@@ -190,7 +190,7 @@ def test_edges_are_bounded():
         if n == MAX_EDGES:
             assert len(BrauerGraph.build([1] * (n + 1), edges, rotations).edges) == n
         else:
-            with pytest.raises(InvalidGraphError, match="exceed the limit MAX_EDGES"):
+            with pytest.raises(LimitError, match=f"^the edge count {n} exceeds the limit MAX_EDGES = {MAX_EDGES}$"):
                 BrauerGraph.build([1] * (n + 1), edges, rotations)
 
 
@@ -268,7 +268,7 @@ def test_decomp_search_one_exceptional_line():
 def test_decomp_search_node_cap(monkeypatch):
     c = graph_cartan_matrix(gamma_family(1, 1, 3))  # a full search takes 105 nodes
     monkeypatch.setattr(brauer, "MAX_SEARCH_NODES", 5)
-    with pytest.raises(SearchSpaceExceededError, match="5 nodes"):
+    with pytest.raises(LimitError, match="^decomposition search exceeds the limit MAX_SEARCH_NODES = 5$"):
         decomp_search(c)
 
 
@@ -281,7 +281,7 @@ def test_decomp_search_depth_limit(monkeypatch):
     # checked before the first node: with no node allowed, the depth error
     # still comes first
     monkeypatch.setattr(brauer, "MAX_SEARCH_NODES", 0)
-    with pytest.raises(SearchSpaceExceededError, match=r"trace 7 exceeds .* MAX_SEARCH_DEPTH = 6$"):
+    with pytest.raises(LimitError, match=r"trace 7 exceeds .* MAX_SEARCH_DEPTH = 6$"):
         decomp_search([[1, 0], [0, 6]])
 
 
@@ -290,7 +290,7 @@ def test_decomp_search_answers_at_the_depth_limit():
     # recursion limit, even under the test runner's own frames
     res = decomp_search([[1, 0], [0, MAX_SEARCH_DEPTH - 1]])
     assert res.solutions == (((1, 0),) + ((0, 1),) * (MAX_SEARCH_DEPTH - 1),)
-    with pytest.raises(SearchSpaceExceededError, match="MAX_SEARCH_DEPTH"):
+    with pytest.raises(LimitError, match="MAX_SEARCH_DEPTH"):
         decomp_search([[1, 0], [0, MAX_SEARCH_DEPTH]])
 
 
@@ -306,7 +306,7 @@ def test_candidate_rows_take_no_frame_per_column():
 def test_decomp_search_row_cap(monkeypatch):
     c = [[4, 2], [2, 4]]  # 7 nonzero candidate rows
     monkeypatch.setattr(brauer, "MAX_CANDIDATE_ROWS", 3)
-    with pytest.raises(SearchSpaceExceededError, match="3 candidate rows"):
+    with pytest.raises(LimitError, match="^decomposition search exceeds the limit MAX_CANDIDATE_ROWS = 3$"):
         decomp_search(c)
 
 
@@ -354,7 +354,7 @@ def test_decomp_search_leaves_its_matrix_alone(monkeypatch):
     assert (first.searched_nodes, [Counter(sol) for sol in first.solutions]) == SEARCH_TREES[params]
     with monkeypatch.context() as patch:
         patch.setattr(brauer, "MAX_SEARCH_NODES", 50)
-        with pytest.raises(SearchSpaceExceededError, match="50 nodes"):
+        with pytest.raises(LimitError, match="the limit MAX_SEARCH_NODES = 50$"):
             decomp_search(c)
     assert c == before
     again = decomp_search(c)
@@ -411,8 +411,8 @@ def test_candidate_rows_match_value_scan(c, cap):
     with mock.patch.object(brauer, "MAX_CANDIDATE_ROWS", cap):
         try:
             expected = scan_candidate_rows(c, n, bound)
-        except SearchSpaceExceededError as exc:
-            with pytest.raises(SearchSpaceExceededError) as got:
+        except LimitError as exc:
+            with pytest.raises(LimitError) as got:
                 brauer._candidate_rows(c, n, bound)
             assert str(got.value) == str(exc)
         else:

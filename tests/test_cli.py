@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import pickle
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -17,11 +20,11 @@ from hypothesis import strategies as st
 
 import klrblocks
 from klrblocks.brauer import MAX_EDGES, MAX_SEARCH_DEPTH
-from klrblocks.cartan import RootVector
-from klrblocks.classify import FieldParams, TClass, TClassRankError, classify
+from klrblocks.cartan import LimitError, RootVector
+from klrblocks.classify import MAX_CHAR, FieldParams, TClass, TClassRankError, classify
 from klrblocks.cli import _REQUIRED, _TABLES, COMMANDS, UsageError, _parse, run
-from klrblocks import maxweights
-from klrblocks.maxweights import MAX_E, ClassTooLargeError, LevelKDominant, max_plus
+from klrblocks import maxweights, tableaux
+from klrblocks.maxweights import MAX_E, LevelKDominant, max_plus
 from klrblocks.quiver import WeightQuiver, build_quiver
 from klrblocks.tableaux import MAX_LEVEL
 
@@ -366,7 +369,7 @@ def test_huge_characteristic_is_one_error_line():
         )
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert "like 0" in proc.stderr
+        assert proc.stderr.endswith(f"exceeds the limit MAX_CHAR = {MAX_CHAR}\n")
 
 
 def test_tall_block_classifies_in_closed_form():
@@ -387,7 +390,7 @@ def test_class_walk_is_bounded():
     code, out, err = capture(["quiver", "--ell", "16", "--weight", weight])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "more than 20000 members" in err
+    assert err.endswith(" exceeds the limit MAX_CLASS_MEMBERS = 20000\n")
 
 
 def test_class_walk_answers_at_its_limit_and_refuses_one_past(monkeypatch):
@@ -400,13 +403,13 @@ def test_class_walk_answers_at_its_limit_and_refuses_one_past(monkeypatch):
     assert capture(["maxweights", *argv])[0] == capture(["quiver", *argv])[0] == 0
     monkeypatch.setattr(maxweights, "MAX_CLASS_MEMBERS", 11)
     for call in (max_plus, build_quiver):
-        with pytest.raises(ClassTooLargeError, match="more than 11 members"):
+        with pytest.raises(LimitError, match="exceeds the limit MAX_CLASS_MEMBERS = 11$"):
             call(base)
     for cmd in ("maxweights", "quiver"):
         code, out, err = capture([cmd, *argv])
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "more than 11 members" in err
+        assert err.endswith(" exceeds the limit MAX_CLASS_MEMBERS = 11\n")
 
 
 @settings(max_examples=100, deadline=None)
@@ -498,8 +501,10 @@ def test_tall_level_one_block_answers():
 def test_e_is_bounded():
     # a weight of MAX_E coefficients is accepted, one more is refused
     LevelKDominant((3,) + (0,) * (MAX_E - 1))
-    with pytest.raises(ValueError, match="exceeds the limit"):
+    with pytest.raises(LimitError, match=f"^e = {MAX_E + 1} exceeds the limit MAX_E = {MAX_E}$") as got:
         LevelKDominant((3,) + (0,) * MAX_E)
+    assert got.value.args == (f"e = {MAX_E + 1}", "MAX_E", MAX_E)
+    assert str(pickle.loads(pickle.dumps(got.value))) == str(got.value)
     zeros = ",0" * (MAX_E - 1)
     block = ["--ell", str(MAX_E - 1), "--weight", "3" + zeros, "--beta", "0" + zeros]
     assert capture(["classify", *block]) == (0, "Finite\n", "")
@@ -519,7 +524,7 @@ def test_graph_edges_are_bounded():
     # a line of n edges: 8 invariant lines, n + 1 Cartan lines, 7n + 2 quiver lines
     assert out.count("\n") == 11 + 8 * MAX_EDGES
     for cmd, s in (("brauer", MAX_EDGES), ("decomp", 100_000)):
-        expected = f"error: {s + 1} edges exceed the limit MAX_EDGES = {MAX_EDGES}\n"
+        expected = f"error: the edge count {s + 1} exceeds the limit MAX_EDGES = {MAX_EDGES}\n"
         assert capture([cmd, "--gamma", f"{s},1,1"]) == (1, "", expected)
 
 
@@ -536,7 +541,7 @@ def test_lattice_shapes_are_bounded():
     code, out, err = capture(["gdim", "--ell", "1", "--weight", "6,0", "--beta", "6,6"])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "more than 20000 shapes" in err
+    assert err.endswith(" exceeds the limit MAX_LATTICE_SHAPES = 20000\n")
 
 
 def test_candidate_rows_are_bounded():
@@ -544,7 +549,7 @@ def test_candidate_rows_are_bounded():
     cartan = ";".join([",".join(["100"] * 7)] * 7)
     code, out, err = capture(["decomp", "--cartan", cartan])
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and "candidate rows" in err and err.count("\n") == 1
+    assert err == "error: decomposition search exceeds the limit MAX_CANDIDATE_ROWS = 10000\n"
 
 
 
@@ -560,7 +565,70 @@ def test_large_diagonals_are_refused_at_once():
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert "candidate rows" in proc.stderr
+    assert proc.stderr.endswith(" exceeds the limit MAX_CANDIDATE_ROWS = 10000\n")
+
+
+# Every module-level MAX_* limit of the package: the value the test sets,
+# an argv that needs exactly that much of it and one that needs more.  A limit whose real value costs a second or megabytes to reach is
+# set low here, so no test runs an input at the real limit.
+LIMITS = {
+    "MAX_E": (MAX_E,
+              ["classify", "--ell", "511", "--weight", "3" + ",0" * 511, "--beta", "0" + ",0" * 511],
+              ["classify", "--ell", "512", "--weight", "3" + ",0" * 512, "--beta", "0" + ",0" * 512]),
+    # 3-weights at e = 7 have classes of C(9, 3)/7 = 12 members, 4-weights 30
+    "MAX_CLASS_MEMBERS": (12,
+                          ["quiver", "--ell", "6", "--weight", "1,0,0,1,0,0,1"],
+                          ["quiver", "--ell", "6", "--weight", "2,0,0,1,0,0,1"]),
+    "MAX_LATTICE_SHAPES": (34,
+                           ["gdim", "--ell", "1", "--weight", "2,0", "--beta", "2,2"],
+                           ["gdim", "--ell", "1", "--weight", "2,0", "--beta", "3,3"]),
+    "MAX_LEVEL": (MAX_LEVEL,
+                  ["gdim", "--ell", "1", "--weight", f"{MAX_LEVEL},0", "--beta", "1,0"],
+                  ["gdim", "--ell", "1", "--weight", f"{MAX_LEVEL + 1},0", "--beta", "1,0"]),
+    "MAX_EDGES": (MAX_EDGES,
+                  ["brauer", "--gamma", f"{MAX_EDGES - 1},1,1", "--what", "invariants"],
+                  ["brauer", "--gamma", f"{MAX_EDGES},1,1", "--what", "invariants"]),
+    # gamma(1, 1, 3) is searched in 105 nodes, gamma(2, 1, 3) in 1,860
+    "MAX_SEARCH_NODES": (105,
+                         ["decomp", "--gamma", "1,1,3"], ["decomp", "--gamma", "2,1,3"]),
+    # C = [[4, 2], [2, 4]] has 7 candidate rows, [[9, 3], [3, 9]] has 11
+    "MAX_CANDIDATE_ROWS": (7,
+                           ["decomp", "--cartan", "4,2;2,4"], ["decomp", "--cartan", "9,3;3,9"]),
+    "MAX_SEARCH_DEPTH": (MAX_SEARCH_DEPTH,
+                         ["decomp", "--cartan", f"1,0;0,{MAX_SEARCH_DEPTH - 1}"],
+                         ["decomp", "--cartan", f"1,0;0,{MAX_SEARCH_DEPTH}"]),
+    # the limit is set to a prime, so that the input at it is a valid char
+    "MAX_CHAR": (7,
+                 ["classify", "--ell", "2", "--weight", "3,0,0", "--beta", "1,1,1", "--char", "7"],
+                 ["classify", "--ell", "2", "--weight", "3,0,0", "--beta", "1,1,1", "--char", "11"]),
+}
+
+
+def test_every_limit_answers_at_its_value_and_refuses_past_it(monkeypatch):
+    modules = {}  # each limit's module
+    for info in pkgutil.iter_modules(klrblocks.__path__):
+        module = importlib.import_module(f"klrblocks.{info.name}")
+        modules.update({name: module for name in vars(module) if name.startswith("MAX_")})
+    assert sorted(modules) == sorted(LIMITS)
+
+    def refusal(name, value):
+        return f" exceeds the limit {name} = {value}\n"
+
+    for name, (value, at, past) in LIMITS.items():
+        assert isinstance(getattr(modules[name], name), int)
+        for limit, argv, refused in ((value, at, False), (value, past, True), (value - 1, at, True)):
+            monkeypatch.setattr(modules[name], name, limit)
+            # a lattice cached under a higher limit would answer again
+            tableaux._degree_table.cache_clear()
+            code, out, err = capture(argv)
+            if refused:
+                assert (code, out) == (1, ""), (name, argv)
+                assert err.startswith("error: ") and err.endswith(refusal(name, limit))
+                assert err.count("\n") == 1
+            else:
+                assert (code, err) == (0, ""), (name, argv)
+        monkeypatch.undo()
+    tableaux._degree_table.cache_clear()
 
 
 def test_negative_cartan_entries_are_refused():

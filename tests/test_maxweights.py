@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klrblocks import maxweights
-from klrblocks.cartan import apply_cartan, interval_delta
+from klrblocks.cartan import LimitError, apply_cartan, interval_delta
 from klrblocks.maxweights import (
-    ClassTooLargeError,
     LevelKDominant,
     MaxWeightEntry,
     NoSolutionError,
@@ -288,6 +287,6 @@ def test_an_oversize_class_is_refused_before_the_walk(coeffs, monkeypatch):
     # closed form refuses them without reading a label table
     monkeypatch.setattr(maxweights, "_label_table", lambda e: pytest.fail("the walk started"))
     start = time.perf_counter()
-    with pytest.raises(ClassTooLargeError, match=r"^the class of .* has more than 20000 members$"):
+    with pytest.raises(LimitError, match=r"^the class of .* exceeds the limit MAX_CLASS_MEMBERS = 20000$"):
         class_walk(coeffs)
     assert time.perf_counter() - start < 0.05

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klrblocks.cartan import RootVector, interval_delta
-from klrblocks import maxweights
-from klrblocks.maxweights import ClassTooLargeError, LevelKDominant, follow, solve_x
+from unittest import mock
+
+from klrblocks.cartan import LimitError, RootVector, interval_delta
+from klrblocks import maxweights, quiver
+from klrblocks.maxweights import LevelKDominant, follow, solve_x
 from klrblocks.quiver import LevelTooSmallError, build_quiver, t_subquiver
 
 from oracles import (
@@ -350,8 +352,9 @@ def test_t_subquiver_is_bounded_by_the_member_limit(monkeypatch):
     def answers(e: int) -> bool:
         try:
             t = t_subquiver(LevelKDominant((1,) * e))
-        except ClassTooLargeError as exc:
-            assert str(exc).endswith(f" has more than {maxweights.MAX_CLASS_MEMBERS} members")
+        except LimitError as exc:
+            limit = maxweights.MAX_CLASS_MEMBERS
+            assert str(exc).endswith(f" exceeds the limit MAX_CLASS_MEMBERS = {limit}")
             return False
         assert len(t.vertices) == (e - 1) ** 2
         return True
@@ -360,6 +363,26 @@ def test_t_subquiver_is_bounded_by_the_member_limit(monkeypatch):
     assert answers(142) and not answers(143)  # 19,881 and 20,164 vertices
     monkeypatch.setattr(maxweights, "MAX_CLASS_MEMBERS", 100)
     assert answers(11) and not answers(12)  # 100 and 121 vertices
+    # the pairs alone are too many at e = 512, so no arrow is followed; the
+    # walk to vertex 20,001 took 1.6 s and a 232 MB peak
+    monkeypatch.setattr(maxweights, "MAX_CLASS_MEMBERS", 20_000)
+    monkeypatch.setattr(quiver, "follow", lambda *args: pytest.fail("the walk started"))
+    assert not answers(143) and not answers(512)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dominant_weights(max_e=16, levels=(2, 12)), st.data())
+def test_t_subquiver_is_refused_exactly_past_the_member_limit(base, data):
+    # the count before the walk refuses only what the walk would refuse
+    vertices = len(t_subquiver(base).vertices)
+    limit = data.draw(st.integers(1, vertices + 1))
+    with mock.patch.object(maxweights, "MAX_CLASS_MEMBERS", limit):
+        try:
+            t_subquiver(base)
+        except LimitError:
+            assert vertices > limit
+        else:
+            assert vertices <= limit
 
 
 def test_t_beta_sets_match_subquiver():

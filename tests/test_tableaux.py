@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 
 import klrblocks
 from klrblocks import tableaux
-from klrblocks.cartan import RootVector
+from klrblocks.cartan import LimitError, RootVector
 from klrblocks.tableaux import (
     DEGREE_TABLE_CACHE,
     ContentMismatchError,
-    EnumerationLimitError,
     LaurentPoly,
     Multipartition,
     Partition,
@@ -144,7 +143,7 @@ def test_shape_limit_bounds_every_public_function(monkeypatch):
     _degree_table.cache_clear()
     monkeypatch.setattr(tableaux, "MAX_LATTICE_SHAPES", 150)
     for call in calls:
-        with pytest.raises(EnumerationLimitError, match="more than 150 shapes"):
+        with pytest.raises(LimitError, match="exceeds the limit MAX_LATTICE_SHAPES = 150$"):
             call()
     monkeypatch.undo()
     assert [call() for call in calls] == [LaurentPoly(), LaurentPoly(), [], False]
@@ -527,7 +526,7 @@ def test_level_limit():
         lambda: graded_dim_total((0,) * k, RootVector((1, 0))),
     ]
     for call in calls:
-        with pytest.raises(EnumerationLimitError, match=f"level {k} exceeds"):
+        with pytest.raises(LimitError, match=f"^level {k} exceeds the limit MAX_LEVEL = {k - 1}$"):
             call()
     assert len(charges_of((tableaux.MAX_LEVEL - 1, 1))) == tableaux.MAX_LEVEL
 
@@ -773,7 +772,7 @@ def test_total_coefficients_fit_the_field_width(shape):
     k, n = len(charges), sum(beta)
     try:
         total = wide_total(charges, beta)
-    except EnumerationLimitError:
+    except LimitError:
         assume(False)
     assert sum(total.values()) <= k**n * math.factorial(n)
     assert max(total.values()) < 2 ** tableaux._field_width(k, n)
@@ -843,7 +842,7 @@ def test_a_walk_refused_at_the_shape_limit_keeps_the_height_it_reached(monkeypat
     charges, beta = (1, 1, 63, 63), RootVector((0,) + (1,) * 63)
     _degree_table.cache_clear()
     for query in (graded_dim_total, enumerate_with_content):
-        with pytest.raises(EnumerationLimitError, match="more than 500 shapes"):
+        with pytest.raises(LimitError, match="exceeds the limit MAX_LATTICE_SHAPES = 500$"):
             query(charges, beta)
     assert walked == [31, 31]
     _degree_table.cache_clear()
