@@ -569,8 +569,9 @@ def test_large_diagonals_are_refused_at_once():
 
 
 # Every module-level MAX_* limit of the package: the value the test sets,
-# an argv that needs exactly that much of it and one that needs more.  A limit whose real value costs a second or megabytes to reach is
-# set low here, so no test runs an input at the real limit.
+# an argv that needs exactly that much of it and one that needs more.  A
+# limit whose real value costs a second or megabytes to reach is set low
+# here, so no test runs an input at the real limit.
 LIMITS = {
     "MAX_E": (MAX_E,
               ["classify", "--ell", "511", "--weight", "3" + ",0" * 511, "--beta", "0" + ",0" * 511],
@@ -611,9 +612,6 @@ def test_every_limit_answers_at_its_value_and_refuses_past_it(monkeypatch):
         modules.update({name: module for name in vars(module) if name.startswith("MAX_")})
     assert sorted(modules) == sorted(LIMITS)
 
-    def refusal(name, value):
-        return f" exceeds the limit {name} = {value}\n"
-
     for name, (value, at, past) in LIMITS.items():
         assert isinstance(getattr(modules[name], name), int)
         for limit, argv, refused in ((value, at, False), (value, past, True), (value - 1, at, True)):
@@ -623,7 +621,8 @@ def test_every_limit_answers_at_its_value_and_refuses_past_it(monkeypatch):
             code, out, err = capture(argv)
             if refused:
                 assert (code, out) == (1, ""), (name, argv)
-                assert err.startswith("error: ") and err.endswith(refusal(name, limit))
+                assert err.startswith("error: ")
+                assert err.endswith(f" exceeds the limit {name} = {limit}\n")
                 assert err.count("\n") == 1
             else:
                 assert (code, err) == (0, ""), (name, argv)
