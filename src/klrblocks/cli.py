@@ -89,73 +89,117 @@ def _vec(x) -> str:
     return "(" + ",".join(map(str, x)) + ")"
 
 
-def _tag_suffix(q: WeightQuiver, vid: int) -> str:
-    """' [s,...]' for a vertex carrying tags, '' otherwise."""
-    tags = q.tags.get(vid) if isinstance(q, TQuiver) else None
-    return " [" + ",".join(str(s) for s in sorted(tags)) + "]" if tags else ""
+def _xvec(x) -> str:
+    """_vec of a vector of e >= 2 entries, which prints with no trailing comma."""
+    return str(x).replace(" ", "")
 
 
-def quiver_to_json_dict(q: WeightQuiver | TQuiver) -> dict:
-    data = {
-        "ell": len(q.base.coeffs) - 1,
-        "k": q.base.level,
-        "base": q.base.coeffs,
-        "vertices": [
-            {"coeffs": v.weight.coeffs, "x": v.x, "beta": v.x} for v in q.vertices
-        ],
-        "arrows": [{"src": s, "dst": d, "label": label} for s, d, label in q.arrows],
-    }
+# The class commands frame their JSON and text by hand from the records'
+# int tuples, where str(list(t)) is the JSON of t, and write it _CHUNK
+# vertices, entries or arrows at a time, so no whole answer is held in memory.
+_CHUNK = 256
+
+
+def _chunks(items: tuple | list) -> range:
+    """The start of each chunk of `items`."""
+    return range(0, len(items), _CHUNK)
+
+
+def _tag_suffixes(q: WeightQuiver) -> dict[int, str]:
+    """' [s,...]' for each vertex carrying tags; no entry for the others."""
+    tags = q.tags if isinstance(q, TQuiver) else {}
+    return {vid: " [" + ",".join(map(str, sorted(ts))) + "]" for vid, ts in tags.items() if ts}
+
+
+def _write_quiver_json(q: WeightQuiver, out) -> None:
+    """The JSON document of a quiver, its arrows by vertex index, in chunks."""
+    base = q.base.coeffs
+    out.write(f'{{"ell": {len(base) - 1}, "k": {sum(base)}, "base": {list(base)}, "vertices": [')
+    vertices = q.vertices
+    for n in _chunks(vertices):
+        rows = []
+        for v in vertices[n : n + _CHUNK]:
+            x = str(list(v.x))
+            rows.append(f'{{"coeffs": {list(v.weight.coeffs)}, "x": {x}, "beta": {x}}}')
+        out.write((", " if n else "") + ", ".join(rows))
+    out.write('], "arrows": [')
+    arrows = q.arrows
+    for n in _chunks(arrows):
+        out.write((", " if n else "") + ", ".join([
+            f'{{"src": {s}, "dst": {d}, "label": [{i}, {j}]}}'
+            for s, d, (i, j) in arrows[n : n + _CHUNK]
+        ]))
     if isinstance(q, TQuiver):
-        data["tags"] = {
-            str(vid): sorted(tags) for vid, tags in sorted(q.tags.items())
-        }
-    return data
+        import json  # only the tags are not framed by hand
+
+        tags = {str(vid): sorted(ts) for vid, ts in sorted(q.tags.items())}
+        out.write(f"], \"tags\": {json.dumps(tags)}}}\n")
+    else:
+        out.write("]}\n")
 
 
-def quiver_to_dot(q: WeightQuiver | TQuiver) -> str:
-    lines = ["digraph quiver {", "  rankdir=LR;"]
-    for vid, v in enumerate(q.vertices):
-        label = weight_name(v.weight.coeffs) + _tag_suffix(q, vid)
-        lines.append(f'  v{vid} [label="{label}"];')
-    lines.extend([f'  v{s} -> v{d} [label="({i},{j})"];' for s, d, (i, j) in q.arrows])
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _write_quiver_lines(q: WeightQuiver, out, dot: bool) -> None:
+    """The text or the dot lines of a quiver, in chunks: its vertices, then
+    its arrows by vertex index."""
+    suffix = _tag_suffixes(q)
+    vertices, arrows = q.vertices, q.arrows
+    if dot:
+        out.write("digraph quiver {\n  rankdir=LR;\n")
+    for n in _chunks(vertices):
+        if dot:
+            lines = [
+                f'  v{vid} [label="{weight_name(v.weight.coeffs)}{suffix.get(vid, "")}"];\n'
+                for vid, v in enumerate(vertices[n : n + _CHUNK], n)
+            ]
+        else:
+            lines = [
+                f"{vid}: {weight_name(v.weight.coeffs)}{suffix.get(vid, '')} X={_xvec(v.x)}\n"
+                for vid, v in enumerate(vertices[n : n + _CHUNK], n)
+            ]
+        out.write("".join(lines))
+    for n in _chunks(arrows):
+        chunk = arrows[n : n + _CHUNK]
+        if dot:
+            lines = [f'  v{s} -> v{d} [label="({i},{j})"];\n' for s, d, (i, j) in chunk]
+        else:
+            lines = [f"{s} -> {d} ({i},{j})\n" for s, d, (i, j) in chunk]
+        out.write("".join(lines))
+    if dot:
+        out.write("}\n")
 
 
 def _cmd_maxweights(args, out) -> int:
+    """One entry per class member, as JSON or as text lines, in chunks."""
     base = _weight_from_args(args)
     entries = max_plus(base)
     if args.format == "json":
-        data = [
-            {
-                "weight": e.weight.coeffs,
-                "x": e.x,
-                "beta": e.x,
-                "max_weight": {"lam": e.weight.coeffs, "delta": -e.x[0]},
-            }
-            for e in entries
-        ]
-        _write_json({"ell": args.ell, "base": base.coeffs, "entries": data}, out)
+        out.write(f'{{"ell": {args.ell}, "base": {list(base.coeffs)}, "entries": [')
+        for n in _chunks(entries):
+            rows = []
+            for e in entries[n : n + _CHUNK]:
+                w, x = str(list(e.weight.coeffs)), str(list(e.x))
+                rows.append(f'{{"weight": {w}, "x": {x}, "beta": {x}, '
+                            f'"max_weight": {{"lam": {w}, "delta": {-e.x[0]}}}}}')
+            out.write((", " if n else "") + ", ".join(rows))
+        out.write("]}\n")
         return 0
-    for e in entries:
-        name = weight_name(e.weight.coeffs)
-        x = _vec(e.x)
-        d = -e.x[0]
-        mw = name if d == 0 else f"{name}{d:+d}δ"
-        out.write(f"{name:<24} X={x:<20} beta={x:<20} max={mw}\n")
+    for n in _chunks(entries):
+        lines = []
+        for e in entries[n : n + _CHUNK]:
+            name = weight_name(e.weight.coeffs)
+            x = _xvec(e.x)
+            d = -e.x[0]
+            mw = name if d == 0 else f"{name}{d:+d}δ"
+            lines.append(f"{name:<24} X={x:<20} beta={x:<20} max={mw}\n")
+        out.write("".join(lines))
     return 0
 
 
 def _emit_quiver(q, args, out) -> int:
     if args.format == "json":
-        _write_json(quiver_to_json_dict(q), out)
-    elif args.format == "dot":
-        out.write(quiver_to_dot(q))
+        _write_quiver_json(q, out)
     else:
-        for vid, v in enumerate(q.vertices):
-            name = weight_name(v.weight.coeffs) + _tag_suffix(q, vid)
-            out.write(f"{vid}: {name} X={_vec(v.x)}\n")
-        out.write("".join([f"{s} -> {d} ({i},{j})\n" for s, d, (i, j) in q.arrows]))
+        _write_quiver_lines(q, out, args.format == "dot")
     return 0
 
 

@@ -12,23 +12,27 @@ exactly when X vanishes somewhere on the cyclic interval [j+1, i-1]; it adds
 the indicator of [i, j] to X.  Every arrow keeps a zero of X in its gap, so
 min X = 0 all along, and A X = Lambda - Lambda' holds arrow by arrow.  With
 bitmasks of the intervals (one table per e), an arrow test is one AND on the
-bitmask of X's zeros.  `follow` takes one checked step along a chosen label,
-for the walks that pick their arrows (the tagged subquiver).  Everything is
-integer arithmetic.
+bitmask of X's zeros.  The walk gives each arrow by the positions of its ends
+in the class it returns.  `follow` takes one checked step along a chosen
+label, for the walks that pick their arrows (the tagged subquiver), and works
+out only that label.  Everything is integer arithmetic.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import comb, gcd
 from operator import add
 
-from .cartan import LimitError, NoSolutionError, Record, RootVector, WeightCoeffs, solve_pinned
+from .cartan import (
+    LimitError, NoSolutionError, Record, RootVector, WeightCoeffs, elide, solve_pinned,
+)
 
 
-# e one weight may have.  The class walk's label table holds e^2 labels of e
-# bits each: `maxweights` of Lambda_0 took 0.44 s and 65 MB at e = 512, and
-# 1.6 s and 276 MB at e = 1000 (CLI process, 2-vCPU VM, Python 3.11).
+# e one weight may have.  A class walk may read all e^2 labels of e bits each
+# of its label table: `maxweights` of 2 Lambda_0 took 0.30 s and 66 MB at
+# e = 512 (CLI process, 2-vCPU VM, Python 3.11).
 MAX_E = 512
 
 
@@ -76,7 +80,10 @@ class MaxWeightEntry(Record):
         return WeightCoeffs._trusted(self.weight.coeffs, -self.x[0])
 
 
-LABEL_TABLE_CACHE = 32  # label tables kept, one per e
+LABEL_TABLE_CACHE = 32  # label tables kept, one per e up to LABEL_TABLE_MAX_E
+# a whole table holds about 0.5 MB at e = 64 and 51 MB at e = 512, so only
+# tables up to this e are kept; a walk at a larger e builds the rows it reads
+LABEL_TABLE_MAX_E = 64
 MAX_CLASS_MEMBERS = 20_000  # members one class walk may reach
 
 
@@ -118,6 +125,31 @@ def class_size(coeffs: tuple[int, ...]) -> int:
     return total // e
 
 
+class _LabelRows(dict):
+    """The label table at e as a dict from i to row i, each row built when
+    it is first read, so that a walk at a large e builds only the rows of
+    its members' supports."""
+
+    def __init__(self, e: int) -> None:
+        self.e = e
+        # windows[n] is the doubled indicator of [0, n - 1]
+        self.windows = [((1,) * n + (0,) * (e - n)) * 2 for n in range(e)]
+
+    def __missing__(self, i: int) -> tuple[tuple | None, ...]:
+        e, windows = self.e, self.windows
+        full = (1 << e) - 1
+        row = []
+        for j in range(e):
+            n = (j - i) % e + 1  # the length of [i, j]
+            if n == e:
+                row.append(None)
+                continue
+            inside = ((1 << n) - 1) << i
+            row.append((full & ~(inside | inside >> e), windows[n], -i % e))
+        row = self[i] = tuple(row)
+        return row
+
+
 @lru_cache(maxsize=LABEL_TABLE_CACHE)
 def _label_table(e: int) -> tuple[tuple[tuple | None, ...], ...]:
     """Per label (i, j) at e = ell + 1: (gap, window, start), where gap is the
@@ -127,22 +159,11 @@ def _label_table(e: int) -> tuple[tuple[tuple | None, ...], ...]:
     The window is a doubled 0/1 pattern shared by every label whose interval
     has the same length, so a table holds O(e^2) integers.  The gap is the
     complement of [i, j], so it is also the bitmask of the zeros of X that
-    survive the arrow.
+    survive the arrow.  Only tables up to LABEL_TABLE_MAX_E are asked for;
+    a walk at a larger e reads its own `_LabelRows`.
     """
-    full = (1 << e) - 1
-    windows = [((1,) * n + (0,) * (e - n)) * 2 for n in range(e)]
-    table = []
-    for i in range(e):
-        row = []
-        for j in range(e):
-            n = (j - i) % e + 1  # the length of [i, j]
-            if n == e:
-                row.append(None)
-                continue
-            inside = ((1 << n) - 1) << i
-            row.append((full & ~(inside | inside >> e), windows[n], -i % e))
-        table.append(tuple(row))
-    return tuple(table)
+    rows = _LabelRows(e)
+    return tuple([rows[i] for i in range(e)])
 
 
 def class_walk(
@@ -153,7 +174,8 @@ def class_walk(
     The members are exactly the sieving class of `coeffs`, in the order the
     walk reaches them, and each X is the unique solution of
     A X = <h, base - member> with min X = 0.  When `arrows` is a list, every
-    arrow (source coeffs, target coeffs, (i, j)) is appended to it once.
+    arrow (source index, target index, (i, j)) is appended to it once, where
+    a member's index is its position in the returned dict (the base is 0).
     Raises LimitError when the class has more than MAX_CLASS_MEMBERS
     members: before the walk when `class_size` says so, which it is asked
     only when C(e + k - 1, k), the count of all level-k weights, is over the
@@ -161,15 +183,16 @@ def class_walk(
     """
     e, k = len(coeffs), sum(coeffs)
     if comb(e + k - 1, k) > MAX_CLASS_MEMBERS and class_size(coeffs) > MAX_CLASS_MEMBERS:
-        raise LimitError(f"the class of {coeffs}", "MAX_CLASS_MEMBERS", MAX_CLASS_MEMBERS)
-    table = _label_table(e)
-    zero = (0,) * e
-    xs = {coeffs: zero}
-    frontier = [(coeffs, zero, (1 << e) - 1)]
+        raise LimitError(f"the class of {elide(coeffs)}", "MAX_CLASS_MEMBERS", MAX_CLASS_MEMBERS)
+    table = _label_table(e) if e <= LABEL_TABLE_MAX_E else _LabelRows(e)
+    zero, indices = (0,) * e, range(e)
+    ids = {coeffs: 0}  # member -> index, in the order reached
+    xs = [zero]  # X by index
+    frontier = [(coeffs, 0, zero, (1 << e) - 1)]
     while frontier:
         nxt = []
-        for src, x, zeros in frontier:
-            support = [i for i in range(e) if src[i]]
+        for src, s, x, zeros in frontier:
+            support = list(compress(indices, src))
             for i in support:
                 row = table[i]
                 for j in support:
@@ -182,19 +205,22 @@ def class_walk(
                     dst[i - 1] += 1
                     dst[(j + 1) % e] += 1
                     dst = tuple(dst)
-                    if dst not in xs:
+                    d = ids.get(dst)
+                    if d is None:
+                        d = ids[dst] = len(xs)
+                        if d >= MAX_CLASS_MEMBERS:
+                            raise LimitError(
+                                f"the class of {elide(coeffs)}", "MAX_CLASS_MEMBERS",
+                                MAX_CLASS_MEMBERS,
+                            )
                         _, window, start = label
                         x_dst = tuple(map(add, x, window[start : start + e]))
-                        xs[dst] = x_dst
-                        if len(xs) > MAX_CLASS_MEMBERS:
-                            raise LimitError(
-                                f"the class of {coeffs}", "MAX_CLASS_MEMBERS", MAX_CLASS_MEMBERS
-                            )
-                        nxt.append((dst, x_dst, zeros & label[0]))
+                        xs.append(x_dst)
+                        nxt.append((dst, d, x_dst, zeros & label[0]))
                     if arrows is not None:
-                        arrows.append((src, dst, (i, j)))
+                        arrows.append((s, d, (i, j)))
         frontier = nxt
-    return xs
+    return dict(zip(ids, xs))
 
 
 def follow(
@@ -209,19 +235,21 @@ def follow(
     """
     e = len(src)
     i, j = i % e, j % e
-    label = _label_table(e)[i][j]
-    if label is None:
+    n = (j - i) % e + 1  # the length of [i, j]
+    if n == e:
         raise ValueError(f"({i},{j}) is a loop label (j = i - 1 mod e)")
-    gap, window, start = label
-    if not any(v == 0 and gap >> h & 1 for h, v in enumerate(x)):
-        raise ValueError(f"X = {x} has no zero on [{(j + 1) % e},{(i - 1) % e}]")
+    gap = (j + 1) % e  # the gap [j+1, i-1] is the e - n entries from here on
+    if 0 not in (x[gap:] + x[:gap])[: e - n]:
+        raise ValueError(f"X = {x} has no zero on [{gap},{(i - 1) % e}]")
     if src[i] < 1 + (i == j) or src[j] < 1:
         raise ValueError(f"weight {src} has no move ({i},{j})")
     dst = list(src)
     dst[i] -= 1
     dst[j] -= 1
     dst[i - 1] += 1
-    dst[(j + 1) % e] += 1
+    dst[gap] += 1
+    window = ((1,) * n + (0,) * (e - n)) * 2  # as in the label table
+    start = -i % e
     return tuple(dst), tuple(map(add, x, window[start : start + e]))
 
 

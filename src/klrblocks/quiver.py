@@ -7,7 +7,9 @@ the cyclic interval [j+1, i-1] of X is zero, and then the target's solution
 vector is X plus the indicator of [i, j].  The full quiver is the walk that
 also yields the class and its solution vectors (`maxweights.class_walk`); the
 tagged subquiver follows its label paths one checked arrow at a time
-(`maxweights.follow`).
+(`maxweights.follow`).  Both walks give each arrow by the positions of its
+ends in the order they reach the members, and the quiver renumbers them by
+a rank list once the vertices are ordered.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections import namedtuple
 from itertools import chain
 
 from . import maxweights
-from .cartan import LimitError, Record
+from .cartan import LimitError, Record, elide
 from .maxweights import LevelKDominant, MaxWeightEntry, class_walk, follow
 
 
@@ -46,17 +48,22 @@ class TQuiver(WeightQuiver):
     __slots__ = ("tags",)
 
 
-def _canonical(xmap, raw_arrows) -> tuple[tuple, tuple]:
-    ordering = sorted(xmap, key=lambda c: (sum(xmap[c]), c))
-    ids = {c: i for i, c in enumerate(ordering)}
+def _canonical(members: list, xs: list, raw_arrows) -> tuple[tuple, tuple, list]:
+    """The vertices in the order (height of X, coeffs), the sorted arrows,
+    and the rank list: member p (with solution vector xs[p]) is vertex
+    rank[p].  `raw_arrows` gives each arrow by member positions."""
+    # members are distinct, so the sort never compares the positions
+    order = [p for _, _, p in sorted(zip(map(sum, xs), members, range(len(xs))))]
+    rank = [0] * len(order)
+    for vid, p in enumerate(order):
+        rank[p] = vid
     # the walks keep every record invariant, as in maxweights.max_plus
-    vertices = tuple(
-        [MaxWeightEntry._trusted(LevelKDominant._trusted(c), xmap[c]) for c in ordering]
-    )
+    entry, weight = MaxWeightEntry._trusted, LevelKDominant._trusted
+    vertices = tuple([entry(weight(members[p]), xs[p]) for p in order])
     # tuple.__new__ makes each Arrow from a plain tuple in C, without the
     # namedtuple's Python-level __new__
-    arrows = sorted([tuple.__new__(Arrow, (ids[s], ids[d], lab)) for s, d, lab in raw_arrows])
-    return vertices, tuple(arrows)
+    arrows = sorted([tuple.__new__(Arrow, (rank[s], rank[d], lab)) for s, d, lab in raw_arrows])
+    return vertices, tuple(arrows), rank
 
 
 def build_quiver(base: LevelKDominant) -> WeightQuiver:
@@ -69,7 +76,8 @@ def build_quiver(base: LevelKDominant) -> WeightQuiver:
         raise LevelTooSmallError(f"need level >= 2, got {base.level}")
     raw_arrows: list = []
     xmap = class_walk(base.coeffs, raw_arrows)
-    return WeightQuiver(*_canonical(xmap, raw_arrows))
+    vertices, arrows, _ = _canonical(list(xmap), list(xmap.values()), raw_arrows)
+    return WeightQuiver(vertices, arrows)
 
 
 def t_subquiver(base: LevelKDominant) -> TQuiver:
@@ -93,7 +101,7 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
     # base (the moves -e_i + e_{i-1} - e_j + e_{j+1} differ), and for e = 2
     # there is no such label.  So with the base this many are too many.
     if len(i0) * (len(i0) - 1) - sum([1 for i in i0 if coeffs[i - 1]]) >= limit:
-        raise LimitError(f"the class of {coeffs}", "MAX_CLASS_MEMBERS", limit)
+        raise LimitError(f"the class of {elide(coeffs)}", "MAX_CLASS_MEMBERS", limit)
     paths = chain(
         # (1) pairs of distinct summands, skipping the wrap-around interval
         ((0, [(i, j)]) for i in i0 for j in i0 if i != j and (j - (i - 1)) % e != 0),
@@ -108,22 +116,23 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
         # (2-4) two distinct doubled summands
         ((5, [(i, i), (j, j)]) for i in i1 for j in i1 if i != j and e >= 3),
     )
-    xmap: dict[tuple[int, ...], tuple[int, ...]] = {coeffs: (0,) * e}
-    tags: dict[tuple[int, ...], set[int]] = {}
-    raw_arrows = set()
+    zero = (0,) * e
+    reached = {coeffs: (0, zero)}  # member -> (position, X), in the order reached
+    tags: dict[int, set[int]] = {}  # position -> tags
+    raw_arrows = set()  # (source position, target position, label)
     for tag, path in paths:
-        src = coeffs
+        src, s, x = coeffs, 0, zero
         for i, j in path:
-            dst, x_dst = follow(src, xmap[src], i, j)
-            if xmap.setdefault(dst, x_dst) != x_dst:
+            dst, x_dst = follow(src, x, i, j)
+            d, x = reached.setdefault(dst, (len(reached), x_dst))
+            if x != x_dst:
                 raise RuntimeError(f"vertex {dst} reached with two solution vectors")
-            if len(xmap) > limit:
-                raise LimitError(f"the class of {coeffs}", "MAX_CLASS_MEMBERS", limit)
-            raw_arrows.add((src, dst, (i % e, j % e)))
-            src = dst
-        tags.setdefault(src, set()).add(tag)
+            if d >= limit:
+                raise LimitError(f"the class of {elide(coeffs)}", "MAX_CLASS_MEMBERS", limit)
+            raw_arrows.add((s, d, (i % e, j % e)))
+            src, s = dst, d
+        tags.setdefault(s, set()).add(tag)
 
-    vertices, arrows = _canonical(xmap, raw_arrows)
-    ordering = {entry.weight.coeffs: vid for vid, entry in enumerate(vertices)}
-    tagmap = {ordering[c]: frozenset(ts) for c, ts in tags.items()}
-    return TQuiver(vertices, arrows, tagmap)
+    xs = [x for _, x in reached.values()]
+    vertices, arrows, rank = _canonical(list(reached), xs, raw_arrows)
+    return TQuiver(vertices, arrows, {rank[p]: frozenset(ts) for p, ts in tags.items()})

@@ -50,7 +50,7 @@ import sys
 from functools import lru_cache
 from math import factorial
 
-from .cartan import LimitError, Record, RootVector, alpha_sum
+from .cartan import LimitError, Record, RootVector, alpha_sum, elide
 
 # shapes of content <= beta one lattice or search may reach (gdim on
 # 4 Lambda_0 with beta = (3, 3, 3, 3), 16,113 shapes at e = 4: ~0.2 s, 32 MB)
@@ -127,7 +127,7 @@ class LaurentPoly:
 
 def _check_shapes(count: int, beta_coeffs: tuple[int, ...]) -> None:
     if count > MAX_LATTICE_SHAPES:
-        what = f"the count of shapes of content <= beta = {beta_coeffs}"
+        what = f"the count of shapes of content <= beta = {elide(beta_coeffs)}"
         raise LimitError(what, "MAX_LATTICE_SHAPES", MAX_LATTICE_SHAPES)
 
 

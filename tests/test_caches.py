@@ -3,8 +3,10 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import tracemalloc
 
 import klrblocks
+from klrblocks import maxweights
 
 
 def test_every_package_cache_is_bounded():
@@ -24,3 +26,21 @@ def test_every_package_cache_is_bounded():
         if fn.cache_info().maxsize is None and inspect.signature(fn).parameters
     ]
     assert unbounded == []
+
+
+def test_label_tables_past_the_cached_e_are_not_kept():
+    # a whole label table holds about 51 MB at e = 512, and the cache kept one
+    # per e in 32 slots; a walk past LABEL_TABLE_MAX_E builds only the rows
+    # it reads, and keeps none of them
+    assert maxweights.LABEL_TABLE_MAX_E < 481
+    maxweights._label_table.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for e in (481, 497, 509):
+            assert len(maxweights.class_walk((1,) + (0,) * (e - 1))) == 1
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2 << 20
+    assert maxweights._label_table.cache_info().currsize == 0

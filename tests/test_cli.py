@@ -568,6 +568,30 @@ def test_large_diagonals_are_refused_at_once():
     assert proc.stderr.endswith(" exceeds the limit MAX_CANDIDATE_ROWS = 10000\n")
 
 
+# the most characters a refusal line may take, its newline included
+MAX_REFUSAL_LINE = 160
+
+
+def test_a_long_vector_is_elided_in_a_refusal(monkeypatch):
+    # at e = 512 the whole weight or beta took 1,601 bytes of the line; its
+    # first entries, an ellipsis and its length keep the limit in view
+    ones = "1" + ",1" * 511
+    code, out, err = capture(["tquiver", "--ell", "511", "--weight", ones])
+    assert (code, out) == (1, "") and len(err) <= MAX_REFUSAL_LINE
+    assert err == ("error: the class of (1, 1, 1, 1, 1, 1, 1, 1, … 512 entries) "
+                   "exceeds the limit MAX_CLASS_MEMBERS = 20000\n")
+    monkeypatch.setattr(tableaux, "MAX_LATTICE_SHAPES", 10)
+    code, out, err = capture(["gdim", "--ell", "511", "--weight", "1" + ",0" * 511, "--beta", ones])
+    assert (code, out) == (1, "") and len(err) <= MAX_REFUSAL_LINE
+    assert err == ("error: the count of shapes of content <= beta = (1, 1, 1, 1, 1, 1, 1, 1, "
+                   "… 512 entries) exceeds the limit MAX_LATTICE_SHAPES = 10\n")
+    # a vector of at most 16 entries is quoted whole
+    code, out, err = capture(["gdim", "--ell", "1", "--weight", "2,0", "--beta", "3,3"])
+    assert err == ("error: the count of shapes of content <= beta = (3, 3) "
+                   "exceeds the limit MAX_LATTICE_SHAPES = 10\n")
+    tableaux._degree_table.cache_clear()
+
+
 # Every module-level MAX_* limit of the package: the value the test sets,
 # an argv that needs exactly that much of it and one that needs more.  A
 # limit whose real value costs a second or megabytes to reach is set low
@@ -623,7 +647,7 @@ def test_every_limit_answers_at_its_value_and_refuses_past_it(monkeypatch):
                 assert (code, out) == (1, ""), (name, argv)
                 assert err.startswith("error: ")
                 assert err.endswith(f" exceeds the limit {name} = {limit}\n")
-                assert err.count("\n") == 1
+                assert err.count("\n") == 1 and len(err) <= MAX_REFUSAL_LINE
             else:
                 assert (code, err) == (0, ""), (name, argv)
         monkeypatch.undo()
