@@ -85,13 +85,10 @@ def weight_name(coeffs: tuple[int, ...]) -> str:
     return "+".join(parts) or "0"
 
 
-def _vec(x) -> str:
-    return "(" + ",".join(map(str, x)) + ")"
-
-
-def _xvec(x) -> str:
-    """_vec of a vector of e >= 2 entries, which prints with no trailing comma."""
-    return str(x).replace(" ", "")
+def _vec(x: tuple[int, ...]) -> str:
+    """`x` as "(a,b,c)": Python's print of it without the spaces and the
+    trailing comma of a 1-tuple."""
+    return str(x).replace(" ", "").replace(",)", ")")
 
 
 # The class commands frame their JSON and text by hand from the records'
@@ -153,7 +150,7 @@ def _write_quiver_lines(q: WeightQuiver, out, dot: bool) -> None:
             ]
         else:
             lines = [
-                f"{vid}: {weight_name(v.weight.coeffs)}{suffix.get(vid, '')} X={_xvec(v.x)}\n"
+                f"{vid}: {weight_name(v.weight.coeffs)}{suffix.get(vid, '')} X={_vec(v.x)}\n"
                 for vid, v in enumerate(vertices[n : n + _CHUNK], n)
             ]
         out.write("".join(lines))
@@ -187,7 +184,7 @@ def _cmd_maxweights(args, out) -> int:
         lines = []
         for e in entries[n : n + _CHUNK]:
             name = weight_name(e.weight.coeffs)
-            x = _xvec(e.x)
+            x = _vec(e.x)
             d = -e.x[0]
             mw = name if d == 0 else f"{name}{d:+d}δ"
             lines.append(f"{name:<24} X={x:<20} beta={x:<20} max={mw}\n")

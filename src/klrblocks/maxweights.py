@@ -126,9 +126,17 @@ def class_size(coeffs: tuple[int, ...]) -> int:
 
 
 class _LabelRows(dict):
-    """The label table at e as a dict from i to row i, each row built when
-    it is first read, so that a walk at a large e builds only the rows of
-    its members' supports."""
+    """The label table at e = ell + 1, as a dict from i to row i, each row
+    built when it is first read, so that a walk builds only the rows of its
+    members' supports.  Row i holds, per label (i, j), (gap, window, start),
+    where gap is the bitmask of [j+1, i-1] and window[start:start + e] is the
+    indicator of [i, j]; None for the loop label j = i - 1 mod e.
+
+    The window is a doubled 0/1 pattern shared by every label whose interval
+    has the same length, so a table holds O(e^2) integers.  The gap is the
+    complement of [i, j], so it is also the bitmask of the zeros of X that
+    survive the arrow.
+    """
 
     def __init__(self, e: int) -> None:
         self.e = e
@@ -151,19 +159,10 @@ class _LabelRows(dict):
 
 
 @lru_cache(maxsize=LABEL_TABLE_CACHE)
-def _label_table(e: int) -> tuple[tuple[tuple | None, ...], ...]:
-    """Per label (i, j) at e = ell + 1: (gap, window, start), where gap is the
-    bitmask of [j+1, i-1] and window[start:start + e] is the indicator of
-    [i, j]; None for the loop labels j = i - 1 mod e.
-
-    The window is a doubled 0/1 pattern shared by every label whose interval
-    has the same length, so a table holds O(e^2) integers.  The gap is the
-    complement of [i, j], so it is also the bitmask of the zeros of X that
-    survive the arrow.  Only tables up to LABEL_TABLE_MAX_E are asked for;
-    a walk at a larger e reads its own `_LabelRows`.
-    """
-    rows = _LabelRows(e)
-    return tuple([rows[i] for i in range(e)])
+def _label_table(e: int) -> _LabelRows:
+    """The kept label table at e <= LABEL_TABLE_MAX_E, which holds the rows
+    read so far; a walk at a larger e reads its own `_LabelRows`."""
+    return _LabelRows(e)
 
 
 def class_walk(

@@ -585,10 +585,19 @@ def test_a_long_vector_is_elided_in_a_refusal(monkeypatch):
     assert (code, out) == (1, "") and len(err) <= MAX_REFUSAL_LINE
     assert err == ("error: the count of shapes of content <= beta = (1, 1, 1, 1, 1, 1, 1, 1, "
                    "… 512 entries) exceeds the limit MAX_LATTICE_SHAPES = 10\n")
-    # a vector of at most 16 entries is quoted whole
+    # a vector that prints in at most 48 characters is quoted whole
     code, out, err = capture(["gdim", "--ell", "1", "--weight", "2,0", "--beta", "3,3"])
     assert err == ("error: the count of shapes of content <= beta = (3, 3) "
                    "exceeds the limit MAX_LATTICE_SHAPES = 10\n")
+    # few but large entries are elided too: whole, this beta took 187 bytes
+    large = ",".join(["1000000000"] * 8)
+    code, out, err = capture(["gdim", "--ell", "7", "--weight", "1" + ",0" * 7, "--beta", large])
+    assert (code, out) == (1, "") and len(err) <= MAX_REFUSAL_LINE
+    assert err == ("error: the count of shapes of content <= beta = (1000000000, 1000000000, "
+                   "… 8 entries) exceeds the limit MAX_LATTICE_SHAPES = 10\n")
+    code, out, err = capture(["maxweights", "--ell", "7", "--weight", ",".join(["9" * 200] * 8)])
+    assert (code, out) == (1, "") and len(err) <= MAX_REFUSAL_LINE
+    assert err == f"error: the class of ({'9' * 23}… 8 entries) exceeds the limit MAX_CLASS_MEMBERS = 20000\n"
     tableaux._degree_table.cache_clear()
 
 

@@ -39,7 +39,10 @@ def brute_force_x(base: LevelKDominant, target: LevelKDominant, bound: int):
 
 def test_label_table_slices_are_interval_indicators():
     for e in range(2, 13):
-        for i, row in enumerate(_label_table(e)):
+        table = _label_table(e)
+        for i in range(e):
+            row = table[i]
+            assert len(row) == e
             for j, label in enumerate(row):
                 if (j - (i - 1)) % e == 0:
                     assert label is None
