@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 import sys
+from itertools import islice
 from types import SimpleNamespace
 
 from .brauer import (
@@ -22,7 +23,7 @@ from .brauer import (
 from .cartan import RootVector
 from .classify import FieldParams, TClass, TClassRankError, classify
 from .maxweights import LevelKDominant, max_plus
-from .quiver import TQuiver, WeightQuiver, build_quiver, t_subquiver
+from .quiver import TQuiver, build_quiver, t_subquiver
 from .tableaux import charges_of, graded_dim, graded_dim_total
 
 
@@ -92,120 +93,79 @@ def _vec(x: tuple[int, ...]) -> str:
 
 
 # The class commands frame their JSON and text by hand from the records'
-# int tuples, where str(list(t)) is the JSON of t, and write it _CHUNK
-# vertices, entries or arrows at a time, so no whole answer is held in memory.
+# int tuples, where str(list(t)) is the JSON of t and str(sorted(ts)) that of
+# a tag set, so no class answer imports json; _write_joined writes them _CHUNK
+# items at a time, so no whole answer is held in memory.
 _CHUNK = 256
 
 
-def _chunks(items: tuple | list) -> range:
-    """The start of each chunk of `items`."""
-    return range(0, len(items), _CHUNK)
-
-
-def _tag_suffixes(q: WeightQuiver) -> dict[int, str]:
-    """' [s,...]' for each vertex carrying tags; no entry for the others."""
-    tags = q.tags if isinstance(q, TQuiver) else {}
-    return {vid: " [" + ",".join(map(str, sorted(ts))) + "]" for vid, ts in tags.items() if ts}
-
-
-def _write_quiver_json(q: WeightQuiver, out) -> None:
-    """The JSON document of a quiver, its arrows by vertex index, in chunks."""
-    base = q.base.coeffs
-    out.write(f'{{"ell": {len(base) - 1}, "k": {sum(base)}, "base": {list(base)}, "vertices": [')
-    vertices = q.vertices
-    for n in _chunks(vertices):
-        rows = []
-        for v in vertices[n : n + _CHUNK]:
-            x = str(list(v.x))
-            rows.append(f'{{"coeffs": {list(v.weight.coeffs)}, "x": {x}, "beta": {x}}}')
-        out.write((", " if n else "") + ", ".join(rows))
-    out.write('], "arrows": [')
-    arrows = q.arrows
-    for n in _chunks(arrows):
-        out.write((", " if n else "") + ", ".join([
-            f'{{"src": {s}, "dst": {d}, "label": [{i}, {j}]}}'
-            for s, d, (i, j) in arrows[n : n + _CHUNK]
-        ]))
-    if isinstance(q, TQuiver):
-        import json  # only the tags are not framed by hand
-
-        tags = {str(vid): sorted(ts) for vid, ts in sorted(q.tags.items())}
-        out.write(f"], \"tags\": {json.dumps(tags)}}}\n")
-    else:
-        out.write("]}\n")
-
-
-def _write_quiver_lines(q: WeightQuiver, out, dot: bool) -> None:
-    """The text or the dot lines of a quiver, in chunks: its vertices, then
-    its arrows by vertex index."""
-    suffix = _tag_suffixes(q)
-    vertices, arrows = q.vertices, q.arrows
-    if dot:
-        out.write("digraph quiver {\n  rankdir=LR;\n")
-    for n in _chunks(vertices):
-        if dot:
-            lines = [
-                f'  v{vid} [label="{weight_name(v.weight.coeffs)}{suffix.get(vid, "")}"];\n'
-                for vid, v in enumerate(vertices[n : n + _CHUNK], n)
-            ]
-        else:
-            lines = [
-                f"{vid}: {weight_name(v.weight.coeffs)}{suffix.get(vid, '')} X={_vec(v.x)}\n"
-                for vid, v in enumerate(vertices[n : n + _CHUNK], n)
-            ]
-        out.write("".join(lines))
-    for n in _chunks(arrows):
-        chunk = arrows[n : n + _CHUNK]
-        if dot:
-            lines = [f'  v{s} -> v{d} [label="({i},{j})"];\n' for s, d, (i, j) in chunk]
-        else:
-            lines = [f"{s} -> {d} ({i},{j})\n" for s, d, (i, j) in chunk]
-        out.write("".join(lines))
-    if dot:
-        out.write("}\n")
+def _write_joined(out, texts, sep: str = "") -> None:
+    """Write the strings of the iterator `texts` joined by `sep`, _CHUNK at a time."""
+    lead = ""
+    while chunk := list(islice(texts, _CHUNK)):
+        out.write(lead + sep.join(chunk))
+        lead = sep
 
 
 def _cmd_maxweights(args, out) -> int:
-    """One entry per class member, as JSON or as text lines, in chunks."""
+    """One entry per class member, as JSON or as text lines."""
     base = _weight_from_args(args)
     entries = max_plus(base)
     if args.format == "json":
         out.write(f'{{"ell": {args.ell}, "base": {list(base.coeffs)}, "entries": [')
-        for n in _chunks(entries):
-            rows = []
-            for e in entries[n : n + _CHUNK]:
-                w, x = str(list(e.weight.coeffs)), str(list(e.x))
-                rows.append(f'{{"weight": {w}, "x": {x}, "beta": {x}, '
-                            f'"max_weight": {{"lam": {w}, "delta": {-e.x[0]}}}}}')
-            out.write((", " if n else "") + ", ".join(rows))
+        _write_joined(out, (f'{{"weight": {w}, "x": {x}, "beta": {x}, '
+                            f'"max_weight": {{"lam": {w}, "delta": {-e.x[0]}}}}}'
+                            for e in entries
+                            for w, x in [(str(list(e.weight.coeffs)), str(list(e.x)))]), ", ")
         out.write("]}\n")
-        return 0
-    for n in _chunks(entries):
-        lines = []
-        for e in entries[n : n + _CHUNK]:
-            name = weight_name(e.weight.coeffs)
-            x = _vec(e.x)
-            d = -e.x[0]
-            mw = name if d == 0 else f"{name}{d:+d}δ"
-            lines.append(f"{name:<24} X={x:<20} beta={x:<20} max={mw}\n")
-        out.write("".join(lines))
-    return 0
-
-
-def _emit_quiver(q, args, out) -> int:
-    if args.format == "json":
-        _write_quiver_json(q, out)
     else:
-        _write_quiver_lines(q, out, args.format == "dot")
+        # max= is the weight, then -X[0] as a multiple of delta unless it is 0
+        _write_joined(out, (f"{name:<24} X={x:<20} beta={x:<20} max={name}"
+                            f"{f'{-e.x[0]:+d}δ' if e.x[0] else ''}\n"
+                            for e in entries
+                            for name, x in [(weight_name(e.weight.coeffs), _vec(e.x))]))
     return 0
 
 
-def _cmd_quiver(args, out) -> int:
-    return _emit_quiver(build_quiver(_weight_from_args(args)), args, out)
+def _cmd_quiver(args, out, walk=build_quiver) -> int:
+    """The quiver that `walk` builds on the weight: its vertices, its arrows
+    by vertex index and, for the tagged subquiver, its tags."""
+    q = walk(_weight_from_args(args))
+    vertices, arrows = q.vertices, q.arrows
+    tags = q.tags if isinstance(q, TQuiver) else None
+    if args.format == "json":
+        base = q.base.coeffs
+        out.write(f'{{"ell": {len(base) - 1}, "k": {sum(base)}, "base": {list(base)}, '
+                  '"vertices": [')
+        _write_joined(out, (f'{{"coeffs": {list(v.weight.coeffs)}, "x": {x}, "beta": {x}}}'
+                            for v in vertices for x in [str(list(v.x))]), ", ")
+        out.write('], "arrows": [')
+        _write_joined(out, (f'{{"src": {s}, "dst": {d}, "label": [{i}, {j}]}}'
+                            for s, d, (i, j) in arrows), ", ")
+        if tags is None:
+            out.write("]}\n")
+            return 0
+        out.write('], "tags": {')
+        _write_joined(out, (f'"{vid}": {sorted(ts)}' for vid, ts in sorted(tags.items())), ", ")
+        out.write("}}\n")
+        return 0
+    # each vertex's weight, then ' [s,...]' if it carries tags
+    suffix = {vid: f" [{','.join(map(str, sorted(ts)))}]" for vid, ts in (tags or {}).items()}
+    names = (weight_name(v.weight.coeffs) + suffix.get(vid, "") for vid, v in enumerate(vertices))
+    if args.format == "dot":
+        out.write("digraph quiver {\n  rankdir=LR;\n")
+        _write_joined(out, (f'  v{vid} [label="{name}"];\n' for vid, name in enumerate(names)))
+        _write_joined(out, (f'  v{s} -> v{d} [label="({i},{j})"];\n' for s, d, (i, j) in arrows))
+        out.write("}\n")
+    else:
+        _write_joined(out, (f"{vid}: {name} X={_vec(v.x)}\n"
+                            for vid, (name, v) in enumerate(zip(names, vertices))))
+        _write_joined(out, (f"{s} -> {d} ({i},{j})\n" for s, d, (i, j) in arrows))
+    return 0
 
 
 def _cmd_tquiver(args, out) -> int:
-    return _emit_quiver(t_subquiver(_weight_from_args(args)), args, out)
+    return _cmd_quiver(args, out, t_subquiver)
 
 
 _T_ALIASES = {"2": "two", "-2": "minustwo", "sign": "signell"}

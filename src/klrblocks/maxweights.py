@@ -165,6 +165,12 @@ def _label_table(e: int) -> _LabelRows:
     return _LabelRows(e)
 
 
+def class_limit_error(coeffs: tuple[int, ...]) -> LimitError:
+    """The refusal of the class of `coeffs` past MAX_CLASS_MEMBERS, which it
+    reads when called, so that a patched limit shows in the message."""
+    return LimitError(f"the class of {elide(coeffs)}", "MAX_CLASS_MEMBERS", MAX_CLASS_MEMBERS)
+
+
 def class_walk(
     coeffs: tuple[int, ...], arrows: list | None = None
 ) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -182,7 +188,7 @@ def class_walk(
     """
     e, k = len(coeffs), sum(coeffs)
     if comb(e + k - 1, k) > MAX_CLASS_MEMBERS and class_size(coeffs) > MAX_CLASS_MEMBERS:
-        raise LimitError(f"the class of {elide(coeffs)}", "MAX_CLASS_MEMBERS", MAX_CLASS_MEMBERS)
+        raise class_limit_error(coeffs)
     table = _label_table(e) if e <= LABEL_TABLE_MAX_E else _LabelRows(e)
     zero, indices = (0,) * e, range(e)
     ids = {coeffs: 0}  # member -> index, in the order reached
@@ -208,10 +214,7 @@ def class_walk(
                     if d is None:
                         d = ids[dst] = len(xs)
                         if d >= MAX_CLASS_MEMBERS:
-                            raise LimitError(
-                                f"the class of {elide(coeffs)}", "MAX_CLASS_MEMBERS",
-                                MAX_CLASS_MEMBERS,
-                            )
+                            raise class_limit_error(coeffs)
                         _, window, start = label
                         x_dst = tuple(map(add, x, window[start : start + e]))
                         xs.append(x_dst)

@@ -18,8 +18,8 @@ from collections import namedtuple
 from itertools import chain
 
 from . import maxweights
-from .cartan import LimitError, Record, elide
-from .maxweights import LevelKDominant, MaxWeightEntry, class_walk, follow
+from .cartan import Record
+from .maxweights import LevelKDominant, MaxWeightEntry, class_limit_error, class_walk, follow
 
 
 class LevelTooSmallError(ValueError):
@@ -101,7 +101,7 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
     # base (the moves -e_i + e_{i-1} - e_j + e_{j+1} differ), and for e = 2
     # there is no such label.  So with the base this many are too many.
     if len(i0) * (len(i0) - 1) - sum([1 for i in i0 if coeffs[i - 1]]) >= limit:
-        raise LimitError(f"the class of {elide(coeffs)}", "MAX_CLASS_MEMBERS", limit)
+        raise class_limit_error(coeffs)
     paths = chain(
         # (1) pairs of distinct summands, skipping the wrap-around interval
         ((0, [(i, j)]) for i in i0 for j in i0 if i != j and (j - (i - 1)) % e != 0),
@@ -128,7 +128,7 @@ def t_subquiver(base: LevelKDominant) -> TQuiver:
             if x != x_dst:
                 raise RuntimeError(f"vertex {dst} reached with two solution vectors")
             if d >= limit:
-                raise LimitError(f"the class of {elide(coeffs)}", "MAX_CLASS_MEMBERS", limit)
+                raise class_limit_error(coeffs)
             raw_arrows.add((s, d, (i % e, j % e)))
             src, s = dst, d
         tags.setdefault(s, set()).add(tag)

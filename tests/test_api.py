@@ -262,6 +262,25 @@ def test_cli_import_loads_no_heavy_module():
     assert proc.stdout.split() == []
 
 
+def test_class_answers_import_no_json():
+    """The class commands frame their JSON by hand: in a fresh isolated
+    interpreter, their JSON answers load no json."""
+    code = (
+        "import io, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from klrblocks.cli import run\n"
+        "for cmd in ('maxweights', 'quiver', 'tquiver'):\n"
+        "    argv = [cmd, '--ell', '6', '--weight', '4,0,0,2,0,0,1', '--format', 'json']\n"
+        "    assert run(argv, io.StringIO(), sys.stderr) == 0\n"
+        "    print(cmd, 'json' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, os.path.join(ROOT, "src")],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.split("\n") == ["maxweights False", "quiver False", "tquiver False", ""]
+
+
 def test_readme_library_block_runs():
     text = read(README)
     section = text[text.index("## Library use"):]

@@ -412,22 +412,46 @@ def test_class_walk_answers_at_its_limit_and_refuses_one_past(monkeypatch):
         assert err.endswith(" exceeds the limit MAX_CLASS_MEMBERS = 11\n")
 
 
+# the stdout of each class command in each format, from the oracles: the
+# composition class with the solver's X, and the quivers that test every
+# label on its interval
+ORACLE_OUTPUT = {
+    "maxweights": lambda base, fmt: oracles.maxweights_output(
+        base, oracles.solver_max_plus(base), fmt
+    ),
+    "quiver": lambda base, fmt: oracles.quiver_output(oracles.label_bfs_quiver(base), fmt),
+    "tquiver": lambda base, fmt: oracles.quiver_output(oracles.label_t_subquiver(base), fmt),
+}
+CLASS_FORMATS = {"maxweights": ("text", "json"), "quiver": ("text", "json", "dot"),
+                 "tquiver": ("text", "json", "dot")}
+
+
+def assert_class_command_matches_oracle(cmd: str, base: LevelKDominant) -> None:
+    weight = ",".join(map(str, base.coeffs))
+    for fmt in CLASS_FORMATS[cmd]:
+        argv = [cmd, "--ell", str(len(base.coeffs) - 1), "--weight", weight, "--format", fmt]
+        assert capture(argv) == (0, ORACLE_OUTPUT[cmd](base, fmt), "")
+
+
 @settings(max_examples=100, deadline=None)
 @given(dominant_weights(max_e=9, levels=(2, 5)))
 def test_class_commands_print_what_the_field_by_field_renderers_print(base):
-    # the records come from the oracles too: the composition class with the
-    # solver's X, and the quivers that test every label on its interval
-    weight = ",".join(map(str, base.coeffs))
-    expected = {
-        "maxweights": lambda fmt: oracles.maxweights_output(base, oracles.solver_max_plus(base), fmt),
-        "quiver": lambda fmt: oracles.quiver_output(oracles.label_bfs_quiver(base), fmt),
-        "tquiver": lambda fmt: oracles.quiver_output(oracles.label_t_subquiver(base), fmt),
-    }
-    for cmd, formats in (("maxweights", ("text", "json")), ("quiver", ("text", "json", "dot")),
-                         ("tquiver", ("text", "json", "dot"))):
-        for fmt in formats:
-            argv = [cmd, "--ell", str(len(base.coeffs) - 1), "--weight", weight, "--format", fmt]
-            assert capture(argv) == (0, expected[cmd](fmt), "")
+    for cmd in CLASS_FORMATS:
+        assert_class_command_matches_oracle(cmd, base)
+
+
+@pytest.mark.parametrize(("cmd", "coeffs"), [
+    # 273 members and 1,430 arrows, so each crosses a 256-item chunk boundary
+    ("maxweights", (5,) + (0,) * 10),
+    ("quiver", (5,) + (0,) * 10),
+    # 289 vertices, 288 arrows and 288 tagged vertices; the whole class of
+    # this weight is far too large for the oracles, so only tquiver runs here
+    ("tquiver", (1,) * 18),
+    # one vertex and no tags, so its JSON ends with "tags": {}
+    ("tquiver", (1, 1)),
+])
+def test_class_commands_print_what_the_renderers_print_across_chunks(cmd, coeffs):
+    assert_class_command_matches_oracle(cmd, LevelKDominant(coeffs))
 
 
 def test_level_limit_is_one_error_line():

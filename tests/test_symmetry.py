@@ -1,4 +1,5 @@
-"""The class walk and the quivers under the flip of the Dynkin diagram.
+"""The class walk, the quivers and the classifier under the flip of the
+Dynkin diagram.
 
 The diagram of type A_ell^(1) is a cycle of e = ell + 1 nodes, so the flip
 sigma: i -> -i mod e is one of its automorphisms.  It maps Lambda_i to
@@ -13,6 +14,13 @@ of a few thousand members, which the oracles cannot.
 Swapping the two entries of every label commutes with the flip (and with
 every rotation), so the flip alone cannot see a label recorded as (j, i).
 So each arrow is also checked to move its source to its target.
+
+The flip also maps beta to sigma beta, so it maps the orbit representative
+beta0 of (Lambda, beta) to that of (sigma Lambda, sigma beta) with the same
+m, and it keeps the type of every block.  The finite and tame lists are
+each closed under the flip, so a one-sided slip in one of them shows as a
+block whose flip has another type; the betas near those lists are drawn on
+purpose, since uniform ones seldom land on them.
 """
 
 from __future__ import annotations
@@ -23,8 +31,12 @@ from math import comb
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from klrblocks import maxweights
+from klrblocks.cartan import RootVector
+from klrblocks.classify import FieldParams, TClass, classify
 from klrblocks.maxweights import LevelKDominant, class_walk
 from klrblocks.quiver import TQuiver, build_quiver, t_subquiver
+from klrblocks.weyl import orbit_representative
 
 MAX_E = 17
 MAX_MEMBERS = 2000  # about the largest class a drawn base may have
@@ -123,3 +135,79 @@ def test_the_quivers_commute_with_the_flip(coeffs):
     for build in (build_quiver, t_subquiver):
         q, fq = build(base), build(flipped)
         assert drawing(fq) == drawing(q, sigma=True)
+
+
+@st.composite
+def blocks(draw, max_e: int) -> tuple[tuple[int, ...], tuple[int, ...], FieldParams]:
+    """A weight of level 3-6 at e = 2..max_e, its level spread over at most
+    four indices so that doubled to quadrupled summands are common; a beta
+    with entries up to 10^9; and any --char up to 5 with any t class that
+    exists at ell = e - 1."""
+    e = draw(st.integers(2, max_e))
+    pool = draw(st.lists(st.integers(0, e - 1), min_size=1, max_size=4, unique=True))
+    coeffs = [0] * e
+    for i in draw(st.lists(st.sampled_from(pool), min_size=3, max_size=6)):
+        coeffs[i] += 1
+    beta = draw(st.lists(st.integers(0, 10**9), min_size=e, max_size=e))
+    ts = (TClass.TWO, TClass.MINUS_TWO, TClass.OTHER) if e == 2 else (TClass.SIGN_ELL, TClass.OTHER)
+    params = FieldParams(draw(st.sampled_from((0, 2, 3, 5))), draw(st.sampled_from(ts)))
+    return tuple(coeffs), tuple(beta), params
+
+
+def alphas(e: int, *indices: int) -> tuple[int, ...]:
+    """sum_h alpha_{i_h} over the indices, taken mod e."""
+    return tuple(Counter(i % e for i in indices)[h] for h in range(e))
+
+
+def near_the_lists(coeffs: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The shapes the finite and tame lists are made of, at every summand:
+    the cyclic interval [i, j] between two summands, alpha_i, 2 alpha_i and
+    2 alpha_i beside alpha_{i-1}, alpha_{i+1} or both, and alpha_i + alpha_k
+    for two summands."""
+    e = len(coeffs)
+    support = [i for i, c in enumerate(coeffs) if c]
+    near = []
+    for i in support:
+        near += [alphas(e, i), alphas(e, i, i), alphas(e, i, i, i - 1), alphas(e, i, i, i + 1),
+                 alphas(e, i, i, i - 1, i + 1)]
+        near += [alphas(e, i, j) for j in support if j != i]
+        near += [alphas(e, *range(i, i + (j - i) % e + 1)) for j in support if j != i]
+    return near
+
+
+def assert_flip_keeps(coeffs: tuple[int, ...], beta: tuple[int, ...], params: FieldParams) -> None:
+    """sigma moves the orbit representative, keeps m and keeps the type."""
+    base, b = LevelKDominant(coeffs), RootVector(beta)
+    flipped, fb = LevelKDominant(flip(coeffs)), RootVector(flip(beta))
+    orbit, flipped_orbit = orbit_representative(base, b), orbit_representative(flipped, fb)
+    assert flipped_orbit.m == orbit.m
+    beta0 = None if orbit.beta0 is None else RootVector(flip(orbit.beta0.coeffs))
+    assert flipped_orbit.beta0 == beta0
+    assert classify(flipped, fb, params) == classify(base, b, params)
+
+
+LARGEST_E = maxweights.MAX_E
+
+
+# each example runs four O(e^2) orbit reductions, about 12 ms each at e = 512
+@settings(max_examples=20, deadline=None)
+@given(blocks(LARGEST_E))
+@example(((3,) + (0,) * (LARGEST_E - 1), (10**9,) + (7,) * (LARGEST_E - 1), FieldParams()))
+def test_blocks_up_to_the_largest_e_keep_their_type_under_the_flip(block):
+    assert_flip_keeps(*block)
+
+
+@settings(max_examples=50, deadline=None)
+@given(blocks(24), st.integers(-1, 1), st.booleans())
+def test_blocks_near_the_finite_and_tame_lists_keep_their_type_under_the_flip(
+    block, offset, delta
+):
+    # every shape of the lists at this weight, and each of them plus delta
+    # or plus one alpha at or beside the largest summand; e stays small,
+    # since each example classifies every shape
+    coeffs, _, params = block
+    e = len(coeffs)
+    extra = (1,) * e if delta else alphas(e, coeffs.index(max(coeffs)) + offset)
+    near = near_the_lists(coeffs)
+    for beta in near + [tuple(map(sum, zip(b, extra))) for b in near]:
+        assert_flip_keeps(coeffs, beta, params)
