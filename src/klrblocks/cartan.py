@@ -3,9 +3,9 @@
 All index arithmetic is cyclic modulo the quantum characteristic e = ell + 1,
 and e is the length of every coefficient tuple: a function that gets a weight,
 a root or a solution vector reads e off it.  Only the functions that get no
-vector (`cyclic_interval`, `interval_delta`, `alpha_sum`) take e as a plain
-integer.  Every coefficient is an exact integer; there is no floating point
-anywhere in this package.
+vector (`interval_delta`, the one cyclic interval, and `alpha_sum`) take e
+as a plain integer.  Every coefficient is an exact integer; there is no
+floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -189,20 +189,13 @@ def solve_pinned(rhs: tuple[int, ...], x0: int) -> tuple[int, ...]:
     return x
 
 
-def cyclic_interval(i: int, j: int, e: int) -> list[int]:
-    """The cyclic interval [i, j] = {i, i+1, ..., j} of indices mod e."""
-    i, j = i % e, j % e
-    if i <= j:
-        return list(range(i, j + 1))
-    return list(range(0, j + 1)) + list(range(i, e))
-
-
 def interval_delta(i: int, j: int, e: int) -> tuple[int, ...]:
-    """Indicator vector of the cyclic interval [i, j]; all-ones iff j = i - 1 mod e."""
-    bits = [0] * e
-    for h in cyclic_interval(i, j, e):
-        bits[h] = 1
-    return tuple(bits)
+    """Indicator vector of the cyclic interval [i, j] = {i, ..., j} mod e,
+    all-ones iff j = i - 1 mod e: the doubled indicator of [0, n - 1], for
+    n = (j - i) mod e + 1 entries, read from -i mod e on."""
+    n = (j - i) % e + 1
+    start = -i % e
+    return (((1,) * n + (0,) * (e - n)) * 2)[start : start + e]
 
 
 def alpha_sum(e: int, *indices: int) -> RootVector:

@@ -61,7 +61,8 @@ class FieldParams(Record):
             raise ValueError("char_p must be 0 or a prime")
         if char_p > MAX_CHAR:
             raise LimitError(f"char_p = {char_p}", "MAX_CHAR", MAX_CHAR)
-        if char_p > 1 and any(char_p % d == 0 for d in range(2, isqrt(char_p) + 1)):
+        # 2 and 3 have no divisor to try, so they skip the generator
+        if char_p > 3 and any(char_p % d == 0 for d in range(2, isqrt(char_p) + 1)):
             raise ValueError(f"char_p = {char_p} is not prime")
 
     def check_rank(self, ell: int) -> None:

@@ -26,7 +26,8 @@ from math import comb, gcd
 from operator import add
 
 from .cartan import (
-    LimitError, NoSolutionError, Record, RootVector, WeightCoeffs, elide, solve_pinned,
+    LimitError, NoSolutionError, Record, RootVector, WeightCoeffs, elide, interval_delta,
+    solve_pinned,
 )
 
 
@@ -80,9 +81,9 @@ class MaxWeightEntry(Record):
         return WeightCoeffs._trusted(self.weight.coeffs, -self.x[0])
 
 
-LABEL_TABLE_CACHE = 32  # label tables kept, one per e up to LABEL_TABLE_MAX_E
-# a whole table holds about 0.5 MB at e = 64 and 51 MB at e = 512, so only
-# tables up to this e are kept; a walk at a larger e builds the rows it reads
+# a whole label table holds about 0.4 MB at e = 64 and 51 MB at e = 512, so
+# only the tables up to this e are kept, one per e (11 MB for all 63 built
+# whole); a walk at a larger e builds the rows it reads
 LABEL_TABLE_MAX_E = 64
 MAX_CLASS_MEMBERS = 20_000  # members one class walk may reach
 
@@ -130,35 +131,33 @@ class _LabelRows(dict):
     built when it is first read, so that a walk builds only the rows of its
     members' supports.  Row i holds, per label (i, j), (gap, window, start),
     where gap is the bitmask of [j+1, i-1] and window[start:start + e] is the
-    indicator of [i, j]; None for the loop label j = i - 1 mod e.
+    indicator of [i, j], as `interval_delta` slices it.
 
-    The window is a doubled 0/1 pattern shared by every label whose interval
-    has the same length, so a table holds O(e^2) integers.  The gap is the
-    complement of [i, j], so it is also the bitmask of the zeros of X that
-    survive the arrow.
+    The window is the doubled indicator of [0, n - 1], shared by every label
+    whose interval has the same length n, so a table holds O(e^2) integers.
+    The gap is the complement of [i, j], so it is also the bitmask of the
+    zeros of X that survive the arrow.  The loop label j = i - 1 mod e has
+    [i, j] = I and so the gap 0, which no X passes.
     """
 
     def __init__(self, e: int) -> None:
         self.e = e
-        # windows[n] is the doubled indicator of [0, n - 1]
-        self.windows = [((1,) * n + (0,) * (e - n)) * 2 for n in range(e)]
+        # windows[d] is the doubled indicator of [0, d]
+        self.windows = [interval_delta(0, d, e) * 2 for d in range(e)]
 
-    def __missing__(self, i: int) -> tuple[tuple | None, ...]:
+    def __missing__(self, i: int) -> tuple[tuple, ...]:
         e, windows = self.e, self.windows
-        full = (1 << e) - 1
+        full, start = (1 << e) - 1, -i % e
         row = []
         for j in range(e):
-            n = (j - i) % e + 1  # the length of [i, j]
-            if n == e:
-                row.append(None)
-                continue
-            inside = ((1 << n) - 1) << i
-            row.append((full & ~(inside | inside >> e), windows[n], -i % e))
+            d = (j - i) % e  # [i, j] has d + 1 entries
+            inside = ((2 << d) - 1) << i
+            row.append((full & ~(inside | inside >> e), windows[d], start))
         row = self[i] = tuple(row)
         return row
 
 
-@lru_cache(maxsize=LABEL_TABLE_CACHE)
+@lru_cache(maxsize=LABEL_TABLE_MAX_E)
 def _label_table(e: int) -> _LabelRows:
     """The kept label table at e <= LABEL_TABLE_MAX_E, which holds the rows
     read so far; a walk at a larger e reads its own `_LabelRows`."""
@@ -202,7 +201,7 @@ def class_walk(
                 row = table[i]
                 for j in support:
                     label = row[j]
-                    if label is None or not zeros & label[0] or (i == j and src[i] < 2):
+                    if not zeros & label[0] or (i == j and src[i] < 2):
                         continue
                     dst = list(src)
                     dst[i] -= 1
@@ -231,28 +230,27 @@ def follow(
     """The arrow (i, j) out of the member `src` with solution vector `x`:
     its target and the target's X.  Indices are read mod e.
 
-    Raises ValueError when no such arrow leaves `src`: (i, j) is a loop label
-    (j = i - 1 mod e), `x` has no zero on [j+1, i-1], or `src` lacks the
-    summands Lambda_i + Lambda_j.
+    The target's X is x plus the indicator of [i, j], and for x >= 0 it has a
+    zero exactly when x vanishes somewhere on the gap [j+1, i-1], which the
+    loop label (j = i - 1 mod e, [i, j] = I) leaves empty.  Raises
+    ValueError when no such arrow leaves `src`: the target's X has no zero,
+    or `src` lacks the summands Lambda_i + Lambda_j.
     """
     e = len(src)
     i, j = i % e, j % e
-    n = (j - i) % e + 1  # the length of [i, j]
-    if n == e:
-        raise ValueError(f"({i},{j}) is a loop label (j = i - 1 mod e)")
-    gap = (j + 1) % e  # the gap [j+1, i-1] is the e - n entries from here on
-    if 0 not in (x[gap:] + x[:gap])[: e - n]:
-        raise ValueError(f"X = {x} has no zero on [{gap},{(i - 1) % e}]")
+    x_dst = tuple(map(add, x, interval_delta(i, j, e)))
+    if 0 not in x_dst:
+        if (i - j) % e == 1:
+            raise ValueError(f"({i},{j}) is a loop label (j = i - 1 mod e)")
+        raise ValueError(f"X = {x} has no zero on [{(j + 1) % e},{(i - 1) % e}]")
     if src[i] < 1 + (i == j) or src[j] < 1:
         raise ValueError(f"weight {src} has no move ({i},{j})")
     dst = list(src)
     dst[i] -= 1
     dst[j] -= 1
     dst[i - 1] += 1
-    dst[gap] += 1
-    window = ((1,) * n + (0,) * (e - n)) * 2  # as in the label table
-    start = -i % e
-    return tuple(dst), tuple(map(add, x, window[start : start + e]))
+    dst[(j + 1) % e] += 1
+    return tuple(dst), x_dst
 
 
 def equiv_class(w: LevelKDominant) -> list[LevelKDominant]:

@@ -233,7 +233,7 @@ def enumerate_with_content(charges: tuple[int, ...], beta: RootVector) -> list[M
     multiset equals beta, largest first: the shapes of content beta of the
     block's content lattice."""
     shapes = sorted(
-        (_decode(shape, len(charges)) for shape in _degree_table(charges, beta.coeffs)[1]),
+        (_decode(shape, len(charges)) for shape, _ in _degree_table(charges, beta.coeffs)[1]),
         key=lambda comps: [(sum(p), p) for p in comps],
         reverse=True,
     )
@@ -245,7 +245,7 @@ _Moves = list[dict[int, list[tuple[int, int]]]]
 # coefficient of q^(low + i) is field i of packed (see _field_width)
 _Packed = tuple[int, int]
 # (moves, full, width): see _degree_table
-_Table = tuple[_Moves, dict[int, _Packed], int]
+_Table = tuple[_Moves, list[tuple[int, _Packed]], int]
 # memoryview formats of the native unsigned ints, by size in bytes: they
 # read the fields of a little-endian to_bytes on little-endian machines
 _FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -287,8 +287,8 @@ def _degree_table(charges: tuple[int, ...], beta_coeffs: tuple[int, ...]) -> _Ta
     Its shapes are those of content <= beta that grow to content beta, with
     integer ids (the empty shape is 0).  moves[id] maps each residue res that
     has a move to the list of (grown id, step degree) for the addable nodes
-    of residue res, bottom to top; full maps each shape of content beta (its
-    abacus integer) to the sum of q^deg over its standard tableaux, packed
+    of residue res, bottom to top; full pairs each shape of content beta (its
+    abacus integer) with the sum of q^deg over its standard tableaux, packed
     as (packed, low) with fields of width bits.  One forward pass over
     shapes builds the moves, one backward pass drops those into shapes that
     cannot reach content beta, and _along adds up the functions.  At e < 2
@@ -353,7 +353,7 @@ def _lattice(charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int) -> 
     # worked out for sizes the walk reached.
     width = _field_width(len(charges), sum(beta_coeffs) - sum(owed[-1]))
     full = _along(moves, [live] * sum(beta_coeffs), width) if alive[0] else {}
-    return moves, {shapes[i]: f for i, f in full.items()}, width
+    return moves, [(shapes[i], f) for i, f in full.items()], width
 
 
 def _along(moves: _Moves, steps, width: int) -> dict[int, _Packed]:
@@ -423,7 +423,7 @@ def graded_dim_total(charges: tuple[int, ...], beta: RootVector) -> LaurentPoly:
     """The full graded dimension: sum over shapes of (sum of q^deg)^2."""
     _check_e(len(beta.coeffs))
     _, full, width = _degree_table(charges, beta.coeffs)
-    return _sum_of_products([(f, f) for f in full.values()], width)
+    return _sum_of_products([(f, f) for _, f in full], width)
 
 
 def charges_of(base_coeffs: tuple[int, ...]) -> tuple[int, ...]:

@@ -4,11 +4,14 @@ Each one is the slower construction the package used before its integer
 replacement: weight arithmetic on `WeightCoeffs` (pairing, simple roots,
 scaling), the sieving class by composition recursion with X from the
 closed-form solve, and the weight quiver by testing every label at every
-vertex on the cyclic interval and moving the summands by hand (`move`).  They
-share no code with `class_walk` or `follow`.  The script sets of the
-classification come from the walk that finds each summand's neighbours by
-stepping along the occupied list (`nxt`, `prv`) and testing them mod e, not
-from the one pass of `classify.script_sets`.  The
+vertex on the cyclic interval and moving the summands by hand (`move`),
+each interval's indicator set index by index from its list of indices
+(`cyclic_interval`, `interval_delta`), not sliced from a doubled 0/1
+pattern as the package's `interval_delta` is.  They share no code with
+`class_walk` or `follow`.  The script sets of the classification come
+from the walk that finds each summand's neighbours by stepping along the
+occupied list (`nxt`, `prv`) and testing them mod e, not from the one pass
+of `classify.script_sets`.  The
 shapes of a given residue content come from every k-multipartition of |beta|
 filtered by content, not from the shape search of `tableaux`, and the degree
 of a tableau step is recounted from every addable and removable node of
@@ -70,8 +73,6 @@ from klrblocks.cartan import (
     WeightCoeffs,
     alpha_sum,
     apply_cartan,
-    cyclic_interval,
-    interval_delta,
     solve_pinned,
 )
 from klrblocks.classify import (
@@ -296,6 +297,22 @@ def move(w: LevelKDominant, i: int, j: int) -> LevelKDominant:
     c[(i - 1) % e] += 1
     c[(j + 1) % e] += 1
     return LevelKDominant(tuple(c))
+
+
+def cyclic_interval(i: int, j: int, e: int) -> list[int]:
+    """The cyclic interval [i, j] = {i, i+1, ..., j} of indices mod e."""
+    i, j = i % e, j % e
+    if i <= j:
+        return list(range(i, j + 1))
+    return list(range(0, j + 1)) + list(range(i, e))
+
+
+def interval_delta(i: int, j: int, e: int) -> tuple[int, ...]:
+    """Indicator vector of the cyclic interval [i, j], set index by index."""
+    bits = [0] * e
+    for h in cyclic_interval(i, j, e):
+        bits[h] = 1
+    return tuple(bits)
 
 
 def interval_has_arrow(x, i: int, j: int) -> bool:

@@ -29,8 +29,8 @@ def test_every_package_cache_is_bounded():
 
 
 def test_label_tables_past_the_cached_e_are_not_kept():
-    # a whole label table holds about 51 MB at e = 512, and the cache kept one
-    # per e in 32 slots; a walk past LABEL_TABLE_MAX_E builds only the rows
+    # a whole label table holds about 51 MB at e = 512, and the cache keeps
+    # one per e up to LABEL_TABLE_MAX_E; a walk past it builds only the rows
     # it reads, and keeps none of them
     assert maxweights.LABEL_TABLE_MAX_E < 481
     maxweights._label_table.cache_clear()

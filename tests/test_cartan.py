@@ -16,14 +16,15 @@ from klrblocks.cartan import (
     RootVector,
     WeightCoeffs,
     apply_cartan,
-    cyclic_interval,
     interval_delta,
     solve_pinned,
 )
 
+import oracles
 from oracles import (
     alpha_to_weight,
     cartan_matrix,
+    cyclic_interval,
     delta_decompose,
     pairing,
     rotate_tuple,
@@ -125,6 +126,14 @@ def test_interval_delta_examples():
     assert interval_delta(0, 3, 7) == (1, 1, 1, 1, 0, 0, 0)
     for i in range(7):
         assert interval_delta(i, i - 1, 7) == (1,) * 7
+
+
+def test_interval_delta_matches_the_indicator_set_index_by_index():
+    # every label, every index out of range on either side, every e up to 16
+    for e in range(2, 17):
+        for i in range(-e, 2 * e):
+            for j in range(-e, 2 * e):
+                assert interval_delta(i, j, e) == oracles.interval_delta(i, j, e)
 
 
 def test_interval_complement_identity():

@@ -357,6 +357,15 @@ def test_ell_below_one_is_one_usage_error():
                 assert err == f"usage error: --ell: must be at least 1, got {ell}\n"
 
 
+def test_small_characteristics_are_accepted_only_when_prime():
+    block = ["classify", "--ell", "2", "--weight", "3,0,0", "--beta", "1,1,1"]
+    for char in (0, 2, 3, 5, 7):
+        assert capture([*block, "--char", str(char)]) == (0, "Tame\n", "")
+    for char in (4, 6, 9):
+        assert capture([*block, "--char", str(char)]) == (1, "", f"error: char_p = {char} is not prime\n")
+    assert capture([*block, "--char", "1"]) == (1, "", "error: char_p must be 0 or a prime\n")
+
+
 def test_huge_characteristic_is_one_error_line():
     # in a child process, so that a primality test that never ends fails on
     # the timeout instead of hanging the suite

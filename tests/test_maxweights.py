@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klrblocks import maxweights
-from klrblocks.cartan import LimitError, apply_cartan, interval_delta
+from klrblocks.cartan import LimitError, apply_cartan
 from klrblocks.maxweights import (
     LevelKDominant,
     MaxWeightEntry,
     NoSolutionError,
     _label_table,
+    _LabelRows,
     class_size,
     class_walk,
     equiv_class,
@@ -23,7 +24,9 @@ from klrblocks.maxweights import (
     solve_x,
 )
 
-from oracles import composition_equiv_class, ev, facts, pairing, rotate_tuple, solver_max_plus
+from oracles import (
+    composition_equiv_class, ev, facts, interval_delta, pairing, rotate_tuple, solver_max_plus,
+)
 
 
 def brute_force_x(base: LevelKDominant, target: LevelKDominant, bound: int):
@@ -38,19 +41,19 @@ def brute_force_x(base: LevelKDominant, target: LevelKDominant, bound: int):
 
 
 def test_label_table_slices_are_interval_indicators():
-    for e in range(2, 13):
-        table = _label_table(e)
-        for i in range(e):
-            row = table[i]
-            assert len(row) == e
-            for j, label in enumerate(row):
-                if (j - (i - 1)) % e == 0:
-                    assert label is None
-                    continue
-                gap, window, start = label
-                inside = interval_delta(i, j, e)
-                assert window[start : start + e] == inside
-                assert gap == sum(1 << h for h, bit in enumerate(inside) if not bit)
+    # a kept table where there is one, and a fresh one at every e
+    cached = maxweights.LABEL_TABLE_MAX_E
+    for e in [*range(2, 13), cached, cached + 1]:
+        for table in [_LabelRows(e)] + [_label_table(e)] * (e <= cached):
+            for i in range(e):
+                row = table[i]
+                assert len(row) == e
+                for j, (gap, window, start) in enumerate(row):
+                    inside = interval_delta(i, j, e)
+                    assert window[start : start + e] == inside
+                    assert gap == sum(1 << h for h, bit in enumerate(inside) if not bit)
+                    if (j - (i - 1)) % e == 0:  # the loop label: [i, j] = I
+                        assert (gap, inside) == (0, (1,) * e)
 
 
 def test_ev_examples():

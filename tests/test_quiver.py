@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from unittest import mock
 
-from klrblocks.cartan import LimitError, RootVector, interval_delta
+from klrblocks.cartan import LimitError, RootVector
 from klrblocks import maxweights, quiver
 from klrblocks.maxweights import LevelKDominant, follow, solve_x
 from klrblocks.quiver import LevelTooSmallError, build_quiver, t_subquiver
 
 from oracles import (
     composition_equiv_class,
+    interval_delta,
     interval_has_arrow,
     label_bfs_quiver,
     label_t_subquiver,

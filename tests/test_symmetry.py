@@ -21,6 +21,19 @@ m, and it keeps the type of every block.  The finite and tame lists are
 each closed under the flip, so a one-sided slip in one of them shows as a
 block whose flip has another type; the betas near those lists are drawn on
 purpose, since uniform ones seldom land on them.
+
+The flip is an automorphism of the quiver Hecke algebras as well: it maps the
+cyclotomic algebra of (Lambda, beta) onto that of (sigma Lambda, sigma beta)
+and the idempotent e(nu) onto e(-nu), keeping the grading.  So the graded
+dimension of a block, and that of e(nu) R e(nu'), are the same at the flipped
+data.  Each block is drawn by growing a shape node by node, so it is
+nonzero, and nu and nu' are the residues of two orders of growth of that
+shape, so e(nu) R e(nu') is nonzero too.
+
+A Brauer graph with every rotation reversed is its mirror image: the same
+ribbon surface with the other orientation.  It has the same multiplicities,
+edges and face perimeters, so the same derived invariants, and its Cartan
+matrix, which reads each rotation as a set, is the same too.
 """
 
 from __future__ import annotations
@@ -32,10 +45,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from klrblocks import maxweights
+from klrblocks.brauer import (
+    BrauerGraph, UnsupportedGraphError, derived_invariants, graph_cartan_matrix,
+)
 from klrblocks.cartan import RootVector
 from klrblocks.classify import FieldParams, TClass, classify
 from klrblocks.maxweights import LevelKDominant, class_walk
 from klrblocks.quiver import TQuiver, build_quiver, t_subquiver
+from klrblocks.tableaux import charges_of, graded_dim, graded_dim_total
 from klrblocks.weyl import orbit_representative
 
 MAX_E = 17
@@ -211,3 +228,96 @@ def test_blocks_near_the_finite_and_tame_lists_keep_their_type_under_the_flip(
     near = near_the_lists(coeffs)
     for beta in near + [tuple(map(sum, zip(b, extra))) for b in near]:
         assert_flip_keeps(coeffs, beta, params)
+
+
+@st.composite
+def grown_blocks(draw) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(Lambda, beta, nu, nu'): a weight of level 1-3 at e = 2..6, a shape of
+    it of up to 7 nodes grown node by node, beta its content, and nu and nu'
+    the residues of the nodes in the order of two growths of that shape."""
+    e = draw(st.integers(2, 6))
+    charges = sorted(draw(st.lists(st.integers(0, e - 1), min_size=1, max_size=3)))
+
+    def grow(within: list[list[int]] | None, size: int) -> tuple[list[list[int]], tuple[int, ...]]:
+        """Rows per component and the residues of the nodes in the order
+        added; each node is drawn among the addable ones (inside `within`)."""
+        rows: list[list[int]] = [[] for _ in charges]
+        nu = []
+        for _ in range(size):
+            addable = [
+                (s, r)
+                for s, comp in enumerate(rows)
+                for r, length in enumerate(comp + [0])
+                if (r == 0 or length < comp[r - 1])
+                and (within is None or length < (within[s] + [0])[r])
+            ]
+            s, r = draw(st.sampled_from(addable))
+            if r == len(rows[s]):
+                rows[s].append(0)
+            nu.append((charges[s] + rows[s][r] - r) % e)
+            rows[s][r] += 1
+        return rows, tuple(nu)
+
+    shape, nu = grow(None, draw(st.integers(1, 7)))
+    _, nu_prime = grow(shape, len(nu))
+    coeffs = tuple(charges.count(i) for i in range(e))
+    return coeffs, tuple(nu.count(r) for r in range(e)), nu, nu_prime
+
+
+def negated(nu: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-r for r in nu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grown_blocks())
+def test_graded_dim_totals_commute_with_the_flip(block):
+    coeffs, beta, _, _ = block
+    total = graded_dim_total(charges_of(coeffs), RootVector(beta))
+    assert total
+    assert graded_dim_total(charges_of(flip(coeffs)), RootVector(flip(beta))) == total
+
+
+@settings(max_examples=60, deadline=None)
+@given(grown_blocks())
+def test_pair_graded_dims_commute_with_the_flip(block):
+    coeffs, beta, nu, nu_prime = block
+    pair = graded_dim(charges_of(coeffs), RootVector(beta), nu, nu_prime)
+    assert pair
+    flipped = graded_dim(charges_of(flip(coeffs)), RootVector(flip(beta)), negated(nu), negated(nu_prime))
+    assert flipped == pair
+
+
+@st.composite
+def rotated_graphs(draw) -> tuple[list[int], list[tuple[int, int]], dict[int, list[int]]]:
+    """(multiplicities, edges, rotations) of a connected graph on 2 to 6
+    vertices: a tree plus up to three more edges, loops and multi-edges
+    among them; every vertex gets a drawn rotation."""
+    nv = draw(st.integers(2, 6))
+    mult = draw(st.lists(st.integers(1, 3), min_size=nv, max_size=nv))
+    vertex = st.integers(0, nv - 1)
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=3))
+    edges = draw(st.permutations(edges))
+    rotations = {
+        v: draw(st.permutations([eid for eid, e in enumerate(edges) for end in e if end == v]))
+        for v in range(nv)
+    }
+    return mult, edges, rotations
+
+
+def cartan_or_none(g: BrauerGraph) -> list[list[int]] | None:
+    """The Cartan matrix of g, or None where it is not defined."""
+    try:
+        return graph_cartan_matrix(g)
+    except UnsupportedGraphError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(rotated_graphs())
+def test_brauer_graphs_keep_their_invariants_under_reversed_rotations(graph):
+    mult, edges, rotations = graph
+    g = BrauerGraph.build(mult, edges, rotations)
+    mirror = BrauerGraph.build(mult, edges, {v: rot[::-1] for v, rot in rotations.items()})
+    assert derived_invariants(mirror) == derived_invariants(g)
+    assert cartan_or_none(mirror) == cartan_or_none(g)

@@ -588,10 +588,10 @@ def largest_first(shapes):
     return sorted(shapes, key=lambda comps: [(sum(p), p) for p in comps], reverse=True)
 
 
-def decoded(full: dict, width: int) -> dict:
+def decoded(full: list, width: int) -> dict:
     """The full shapes of a block's lattice, each with its packed function
     read back as {degree: count}."""
-    return {i: tableaux._poly(packed, low, width).terms for i, (packed, low) in full.items()}
+    return {i: tableaux._poly(packed, low, width).terms for i, (packed, low) in full}
 
 
 def degree_functions(full: dict) -> Counter:
@@ -658,7 +658,8 @@ def test_abacus_steps_match_d_statistic(case):
     `_d_statistic` recounts on the grown shape.  The shape of each id is
     recovered by following the moves from the empty shape: moves[id][res]
     lists the addable nodes of residue res that can still reach content
-    beta, bottom to top.  full is keyed by the shapes of content beta."""
+    beta, bottom to top.  full pairs the shapes of content beta with their
+    functions."""
     charges, beta = case
     e, k = len(beta), len(charges)
     moves, full, _ = _degree_table(charges, beta)
@@ -682,7 +683,7 @@ def test_abacus_steps_match_d_statistic(case):
             for (j, d), (grown, node) in zip(steps, expected[res]):
                 assert shape_of.setdefault(j, grown) == grown
                 assert d == _d_statistic(grown, charges, e, node)
-    assert sorted(tableaux._decode(shape, k) for shape in full) == sorted(targets)
+    assert sorted(tableaux._decode(shape, k) for shape, _ in full) == sorted(targets)
 
 
 def test_lattice_moves_example():
@@ -691,7 +692,8 @@ def test_lattice_moves_example():
     # counts the lower one's addable node
     moves, full, width = _degree_table((0, 0), (1, 0, 0))
     assert moves == [{0: [(1, 0), (2, 1)]}, {}, {}]
-    # full is keyed by the abacus integers of the shapes of content beta
+    # full pairs the abacus integers of the shapes of content beta with their
+    # functions
     shapes = {tableaux._decode(shape, 2): f for shape, f in decoded(full, width).items()}
     assert shapes == {((), (1,)): {0: 1}, ((1,), ()): {1: 1}}
 
