@@ -10,12 +10,14 @@ The class and every X come from one walk of the weight quiver
 (`class_walk`): the base has X = 0, and the arrow (i, j) leaves a member
 exactly when X vanishes somewhere on the cyclic interval [j+1, i-1]; it adds
 the indicator of [i, j] to X.  Every arrow keeps a zero of X in its gap, so
-min X = 0 all along, and A X = Lambda - Lambda' holds arrow by arrow.  With
-bitmasks of the intervals (one table per e), an arrow test is one AND on the
-bitmask of X's zeros.  The walk gives each arrow by the positions of its ends
-in the class it returns.  `follow` takes one checked step along a chosen
-label, for the walks that pick their arrows (the tagged subquiver), and works
-out only that label.  Everything is integer arithmetic.
+min X = 0 all along, and A X = Lambda - Lambda' holds arrow by arrow.  The
+gap holds a zero exactly when it holds the first zero of X going down
+cyclically from i - 1, which the bitmask of X's zeros gives once per member
+and i, so each arrow test is one comparison.  The walk gives each arrow by
+the positions of its ends in the class it returns.  `follow` takes one
+checked step along a chosen label, for the walks that pick their arrows (the
+tagged subquiver), and works out only that label.  Everything is integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from .cartan import (
 )
 
 
-# e one weight may have.  A class walk may read all e^2 labels of e bits each
-# of its label table: `maxweights` of 2 Lambda_0 took 0.30 s and 66 MB at
+# e one weight may have: `maxweights` of 2 Lambda_0 took 0.07 s and 21 MB at
 # e = 512 (CLI process, 2-vCPU VM, Python 3.11).
 MAX_E = 512
 
@@ -81,10 +82,6 @@ class MaxWeightEntry(Record):
         return WeightCoeffs._trusted(self.weight.coeffs, -self.x[0])
 
 
-# a whole label table holds about 0.4 MB at e = 64 and 51 MB at e = 512, so
-# only the tables up to this e are kept, one per e (11 MB for all 63 built
-# whole); a walk at a larger e builds the rows it reads
-LABEL_TABLE_MAX_E = 64
 MAX_CLASS_MEMBERS = 20_000  # members one class walk may reach
 
 
@@ -126,44 +123,6 @@ def class_size(coeffs: tuple[int, ...]) -> int:
     return total // e
 
 
-class _LabelRows(dict):
-    """The label table at e = ell + 1, as a dict from i to row i, each row
-    built when it is first read, so that a walk builds only the rows of its
-    members' supports.  Row i holds, per label (i, j), (gap, window, start),
-    where gap is the bitmask of [j+1, i-1] and window[start:start + e] is the
-    indicator of [i, j], as `interval_delta` slices it.
-
-    The window is the doubled indicator of [0, n - 1], shared by every label
-    whose interval has the same length n, so a table holds O(e^2) integers.
-    The gap is the complement of [i, j], so it is also the bitmask of the
-    zeros of X that survive the arrow.  The loop label j = i - 1 mod e has
-    [i, j] = I and so the gap 0, which no X passes.
-    """
-
-    def __init__(self, e: int) -> None:
-        self.e = e
-        # windows[d] is the doubled indicator of [0, d]
-        self.windows = [interval_delta(0, d, e) * 2 for d in range(e)]
-
-    def __missing__(self, i: int) -> tuple[tuple, ...]:
-        e, windows = self.e, self.windows
-        full, start = (1 << e) - 1, -i % e
-        row = []
-        for j in range(e):
-            d = (j - i) % e  # [i, j] has d + 1 entries
-            inside = ((2 << d) - 1) << i
-            row.append((full & ~(inside | inside >> e), windows[d], start))
-        row = self[i] = tuple(row)
-        return row
-
-
-@lru_cache(maxsize=LABEL_TABLE_MAX_E)
-def _label_table(e: int) -> _LabelRows:
-    """The kept label table at e <= LABEL_TABLE_MAX_E, which holds the rows
-    read so far; a walk at a larger e reads its own `_LabelRows`."""
-    return _LabelRows(e)
-
-
 def class_limit_error(coeffs: tuple[int, ...]) -> LimitError:
     """The refusal of the class of `coeffs` past MAX_CLASS_MEMBERS, which it
     reads when called, so that a patched limit shows in the message."""
@@ -188,20 +147,24 @@ def class_walk(
     e, k = len(coeffs), sum(coeffs)
     if comb(e + k - 1, k) > MAX_CLASS_MEMBERS and class_size(coeffs) > MAX_CLASS_MEMBERS:
         raise class_limit_error(coeffs)
-    table = _label_table(e) if e <= LABEL_TABLE_MAX_E else _LabelRows(e)
-    zero, indices = (0,) * e, range(e)
+    full, zero, indices = (1 << e) - 1, (0,) * e, range(e)
+    windows = {}  # n -> the doubled indicator of [0, n]
     ids = {coeffs: 0}  # member -> index, in the order reached
     xs = [zero]  # X by index
-    frontier = [(coeffs, 0, zero, (1 << e) - 1)]
+    frontier = [(coeffs, 0, zero, full)]
     while frontier:
         nxt = []
         for src, s, x, zeros in frontier:
             support = list(compress(indices, src))
             for i in support:
-                row = table[i]
+                # z is the first zero of X going down cyclically from i - 1;
+                # the gap [j+1, i-1] holds a zero iff it holds z, that is iff
+                # n = (j - i) mod e is less than (z - i) mod e (never if z = i)
+                z = ((zeros & ((1 << i) - 1)) or zeros).bit_length() - 1
+                reach = (z - i) % e
                 for j in support:
-                    label = row[j]
-                    if not zeros & label[0] or (i == j and src[i] < 2):
+                    n = (j - i) % e
+                    if n >= reach or (i == j and src[i] < 2):
                         continue
                     dst = list(src)
                     dst[i] -= 1
@@ -214,10 +177,15 @@ def class_walk(
                         d = ids[dst] = len(xs)
                         if d >= MAX_CLASS_MEMBERS:
                             raise class_limit_error(coeffs)
-                        _, window, start = label
+                        window = windows.get(n)
+                        if window is None:
+                            window = windows[n] = interval_delta(0, n, e) * 2
+                        start = -i % e
                         x_dst = tuple(map(add, x, window[start : start + e]))
                         xs.append(x_dst)
-                        nxt.append((dst, d, x_dst, zeros & label[0]))
+                        # the zeros that survive lie on the gap [j+1, i-1]
+                        gap = (1 << i) - (2 << j) + (full if i <= j else 0)
+                        nxt.append((dst, d, x_dst, zeros & gap))
                     if arrows is not None:
                         arrows.append((s, d, (i, j)))
         frontier = nxt

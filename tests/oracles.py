@@ -227,18 +227,34 @@ def composition_equiv_class(w: LevelKDominant) -> list[LevelKDominant]:
     c_2..c_{e-1} free, c_1 in the residue class that restores ev(w) mod e,
     and c_0 the rest of the level."""
     e = len(w.coeffs)
-    members = []
+    members, c = [], [0] * e
 
-    def fill(i: int, tail: tuple[int, ...], left: int, need: int) -> None:
-        # tail = (c_{i+1}, ..., c_{e-1}); need = ev(w) - sum_{j>i} j c_j mod e
+    def fill(i: int, left: int, need: int) -> None:
+        # c holds c_{i+1}, ..., c_{e-1} and zeros below; need is
+        # ev(w) - sum_{j>i} j c_j mod e
+        if left == 0:  # c_0, ..., c_i are all 0
+            if need % e == 0:
+                members.append(LevelKDominant(tuple(c)))
+            return
+        if left == 1:  # the one unit left sits at p = need mod e, if p <= i
+            p = need % e
+            if p <= i:
+                c[p] = 1
+                members.append(LevelKDominant(tuple(c)))
+                c[p] = 0
+            return
         if i == 1:
             for c1 in range(need % e, left + 1, e):
-                members.append(LevelKDominant((left - c1, c1) + tail))
+                c[0], c[1] = left - c1, c1
+                members.append(LevelKDominant(tuple(c)))
+            c[0] = c[1] = 0
             return
-        for c in range(left + 1):
-            fill(i - 1, (c,) + tail, left - c, need - i * c)
+        for v in range(left + 1):
+            c[i] = v
+            fill(i - 1, left - v, need - i * v)
+        c[i] = 0
 
-    fill(e - 1, (), w.level, ev(w))
+    fill(e - 1, w.level, ev(w))
     members.sort(key=lambda m: m.coeffs)
     return members
 

@@ -15,8 +15,6 @@ from klrblocks.maxweights import (
     LevelKDominant,
     MaxWeightEntry,
     NoSolutionError,
-    _label_table,
-    _LabelRows,
     class_size,
     class_walk,
     equiv_class,
@@ -25,7 +23,7 @@ from klrblocks.maxweights import (
 )
 
 from oracles import (
-    composition_equiv_class, ev, facts, interval_delta, pairing, rotate_tuple, solver_max_plus,
+    composition_equiv_class, ev, facts, pairing, rotate_tuple, solver_max_plus,
 )
 
 
@@ -38,22 +36,6 @@ def brute_force_x(base: LevelKDominant, target: LevelKDominant, bound: int):
         if min(x) == 0 and apply_cartan(x) == y:
             found.append(x)
     return found
-
-
-def test_label_table_slices_are_interval_indicators():
-    # a kept table where there is one, and a fresh one at every e
-    cached = maxweights.LABEL_TABLE_MAX_E
-    for e in [*range(2, 13), cached, cached + 1]:
-        for table in [_LabelRows(e)] + [_label_table(e)] * (e <= cached):
-            for i in range(e):
-                row = table[i]
-                assert len(row) == e
-                for j, (gap, window, start) in enumerate(row):
-                    inside = interval_delta(i, j, e)
-                    assert window[start : start + e] == inside
-                    assert gap == sum(1 << h for h, bit in enumerate(inside) if not bit)
-                    if (j - (i - 1)) % e == 0:  # the loop label: [i, j] = I
-                        assert (gap, inside) == (0, (1,) * e)
 
 
 def test_ev_examples():
@@ -239,9 +221,11 @@ def filtered_equiv_class(w: LevelKDominant) -> list[LevelKDominant]:
 
 
 @st.composite
-def dominant_weights(draw, max_e: int = 9, levels: tuple[int, int] = (1, 6)):
-    """Dominant weights with e = 2..max_e and level in the given range."""
-    e = draw(st.integers(2, max_e))
+def dominant_weights(
+    draw, max_e: int = 9, levels: tuple[int, int] = (1, 6), min_e: int = 2
+):
+    """Dominant weights with e = min_e..max_e and level in the given range."""
+    e = draw(st.integers(min_e, max_e))
     coeffs = [0] * e
     for i in draw(st.lists(st.integers(0, e - 1), min_size=levels[0], max_size=levels[1])):
         coeffs[i] += 1
@@ -290,8 +274,8 @@ def test_class_size_has_a_closed_form():
 )
 def test_an_oversize_class_is_refused_before_the_walk(coeffs, monkeypatch):
     # the walk took 0.27-0.29 s to reach member 20,001 of each of these; the
-    # closed form refuses them without reading a label table
-    monkeypatch.setattr(maxweights, "_label_table", lambda e: pytest.fail("the walk started"))
+    # closed form refuses them before the walk reads a support
+    monkeypatch.setattr(maxweights, "compress", lambda *a: pytest.fail("the walk started"))
     start = time.perf_counter()
     with pytest.raises(LimitError, match=r"^the class of .* exceeds the limit MAX_CLASS_MEMBERS = 20000$"):
         class_walk(coeffs)

@@ -10,17 +10,19 @@ from unittest import mock
 
 from klrblocks.cartan import LimitError, RootVector
 from klrblocks import maxweights, quiver
-from klrblocks.maxweights import LevelKDominant, follow, solve_x
+from klrblocks.maxweights import LevelKDominant, follow, max_plus, solve_x
 from klrblocks.quiver import LevelTooSmallError, build_quiver, t_subquiver
 
 from oracles import (
     composition_equiv_class,
+    facts,
     interval_delta,
     interval_has_arrow,
     label_bfs_quiver,
     label_t_subquiver,
     move,
     rotate_tuple,
+    solver_max_plus,
     t_beta_sets,
     with_facts,
 )
@@ -155,6 +157,18 @@ def test_quivers_match_label_by_label_oracles(base):
     # weight are compared through `with_facts`
     assert with_facts(build_quiver(base)) == label_bfs_quiver(base)
     assert with_facts(t_subquiver(base)) == label_t_subquiver(base)
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    dominant_weights(min_e=65, max_e=512, levels=(2, 2))
+    | dominant_weights(min_e=14, max_e=100, levels=(3, 3))
+)
+def test_large_e_walks_match_the_oracles(base):
+    # the walk at e past the oracle tests above: level 2 up to MAX_E, and
+    # level 3 up to e = 100, where a class has up to 1,717 members
+    assert with_facts(build_quiver(base)) == label_bfs_quiver(base)
+    assert list(map(facts, max_plus(base))) == solver_max_plus(base)
 
 
 @settings(max_examples=100, deadline=None)
