@@ -211,9 +211,11 @@ def _cmd_gdim(args, out) -> int:
         poly = graded_dim(charges, beta, nu, nup)
         label = f"e{_vec(nu)} .. e{_vec(nup)}"
     if args.format == "json":
-        terms = {str(k): v for k, v in sorted(poly.terms.items())}
-        _write_json({"ell": args.ell, "base": base.coeffs, "beta": beta.coeffs,
-                     "which": label, "terms": terms, "at_one": poly.at_one()}, out)
+        # framed by hand like the class answers: the label is plain ASCII
+        # and the terms map degree strings to ints
+        terms = ", ".join(f'"{k}": {v}' for k, v in sorted(poly.terms.items()))
+        out.write(f'{{"ell": {args.ell}, "base": {list(base.coeffs)}, "beta": {list(beta.coeffs)}, '
+                  f'"which": "{label}", "terms": {{{terms}}}, "at_one": {poly.at_one()}}}\n')
     else:
         out.write(f"{poly}\n")
     return 0

@@ -10,14 +10,14 @@ sequence of a tableau.
 These sums are read from a content lattice instead of a list of tableaux:
 one forward pass over the shapes of content <= beta records, for each shape
 and each addable node whose residue beta still owes, the grown shape and the
-degree of the step.  One DP along the moves (_along) adds up degree
-generating functions: offered every owed residue at each of the |beta|
-steps, it gives the function of every shape of content beta, whose squares
-sum to the total dimension; offered nu, then nu', it gives the two
-functions of a pair query, whose products are summed over the shapes both
-reach.  No standard tableau is ever listed, and the shapes of content beta
-are read off the same lattice.  Nonvanishing is a depth-first search along
-such moves that stops at the first shape of content beta.
+degree of the step.  Ids follow size, so every move goes from a smaller id
+to a larger one, and one pass in id order adds up the degree generating
+function of every shape of content beta, whose squares sum to the total
+dimension.  A DP along the moves (_along), offered nu, then nu', gives the
+two functions of a pair query, whose products are summed over the shapes
+both reach.  No standard tableau is ever listed, and the shapes of content
+beta are read off the same lattice.  Nonvanishing is a depth-first search
+along such moves that stops at the first shape of content beta.
 
 A degree generating function is a pair (packed, low): one int holding the
 coefficient of q^(low + i) in its i-th field of a fixed number of bits, wide
@@ -53,12 +53,14 @@ from math import factorial
 from .cartan import LimitError, Record, RootVector, alpha_sum, elide
 
 # shapes of content <= beta one lattice or search may reach (gdim on
-# 4 Lambda_0 with beta = (3, 3, 3, 3), 16,113 shapes at e = 4: ~0.2 s, 32 MB)
+# 4 Lambda_0 with beta = (3, 3, 3, 3), 16,113 shapes at e = 4: 0.16-0.25 s
+# and 27 MB peak RSS as a CLI process on a 2-vCPU VM)
 MAX_LATTICE_SHAPES = 20_000
-# lattices kept; that one holds about 10 MB, at any e, since a shape keeps
-# moves only for the residues it can add
+# lattices kept; that one holds about 10 MB (tracemalloc), at any e, since a
+# shape keeps moves only for the residues it can add
 DEGREE_TABLE_CACHE = 4
-# charges, so sections per shape (level 1,000 with |beta| = 1: ~0.1 s, 15 MB)
+# charges, so sections per shape (level 1,000 with |beta| = 1: 0.06 s and
+# 18 MB peak RSS as a CLI process)
 MAX_LEVEL = 1_000
 
 Partition = tuple[int, ...]
@@ -290,9 +292,11 @@ def _degree_table(charges: tuple[int, ...], beta_coeffs: tuple[int, ...]) -> _Ta
     of residue res, bottom to top; full pairs each shape of content beta (its
     abacus integer) with the sum of q^deg over its standard tableaux, packed
     as (packed, low) with fields of width bits.  One forward pass over
-    shapes builds the moves, one backward pass drops those into shapes that
-    cannot reach content beta, and _along adds up the functions.  At e < 2
-    only the shapes of full mean anything.
+    shapes builds the moves; only where it meets a dead end (a shape with no
+    move that still owes a node) does a backward pass drop the moves into
+    shapes that cannot reach content beta.  One pass in id order then adds
+    up the functions (_full_functions).  At e < 2 only the shapes of full
+    mean anything.
     """
     _check_level(len(charges))
     return _widened(_lattice, charges, beta_coeffs)
@@ -304,12 +308,19 @@ def _lattice(charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int) -> 
     e = len(beta_coeffs)
     live = [r for r, c in enumerate(beta_coeffs) if c]
     empty, fixed, edge, res = _abacus(charges, {(r + i) % e for r in live for i in (0, 1)}, e, h)
-    steps = [(x, r, res[r], res[(r + 1) % e]) for x, r in enumerate(live)]
+    # What a shape still owes of beta is one int, field x of `bits` bits
+    # holding the count of residue live[x]: a step subtracts `one`, and the
+    # shape owes r while its field is not 0.
+    bits = max(beta_coeffs, default=0).bit_length()
+    mask = (1 << bits) - 1
+    steps = [(r, 1 << bits * x, mask << bits * x, res[r], res[(r + 1) % e]) for x, r in enumerate(live)]
     movable, outgrown = ~fixed, fixed | edge
+    limit = MAX_LATTICE_SHAPES
     ids = {empty: 0}
     shapes = [empty]
-    owed = [tuple(beta_coeffs[r] for r in live)]
+    owed = [sum(beta_coeffs[r] << bits * x for x, r in enumerate(live))]
     moves: _Moves = []
+    dead_end = False
     # Ids follow discovery, so every move goes from a smaller id to a larger
     # one, and shapes come up in order of size.
     for i, shape in enumerate(shapes):
@@ -317,48 +328,87 @@ def _lattice(charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int) -> 
         add = shape & ~(shape >> 1)
         removable = shape & ~(shape << 1) & movable
         out: dict[int, list[tuple[int, int]]] = {}
-        for x, r, adds, removes in steps:
-            bits = add & adds if rem[x] else 0
-            if not bits:
+        for r, one, field, adds, removes in steps:
+            if not rem & field:
                 continue
-            if bits & outgrown:
+            nodes = add & adds
+            if not nodes:
+                continue
+            if nodes & outgrown:
                 return None
             removes &= removable
             out[r] = by_res = []
             # the addable nodes of residue r below this one come first
-            for below in range(bits.bit_count()):
-                low = bits & -bits
-                bits ^= low
+            for below in range(nodes.bit_count()):
+                low = nodes & -nodes
+                nodes ^= low
                 grown = shape + low
                 j = ids.get(grown)
                 if j is None:
                     j = ids[grown] = len(shapes)
                     shapes.append(grown)
-                    _check_shapes(len(shapes), beta_coeffs)
-                    owed.append(rem[:x] + (rem[x] - 1,) + rem[x + 1 :])
+                    if j >= limit:
+                        _check_shapes(j + 1, beta_coeffs)
+                    owed.append(rem - one)
                 by_res.append((j, below - (removes & (low - 1)).bit_count()))
         moves.append(out)
-    alive = [not any(rem) for rem in owed]
-    for i in range(len(shapes) - 1, -1, -1):
-        kept = {}
-        for r, by_res in moves[i].items():
-            if live_moves := [(j, d) for j, d in by_res if alive[j]]:
-                kept[r] = live_moves
-        moves[i] = kept
-        alive[i] = alive[i] or bool(kept)
+        if not out and rem:
+            dead_end = True
+    if dead_end:
+        # drop the moves into shapes that cannot grow to content beta
+        alive = [not rem for rem in owed]
+        for i in range(len(shapes) - 1, -1, -1):
+            kept = {}
+            for r, by_res in moves[i].items():
+                if live_moves := [(j, d) for j, d in by_res if alive[j]]:
+                    kept[r] = live_moves
+            moves[i] = kept
+            alive[i] = alive[i] or bool(kept)
     # The last shape is the largest built: it has |beta| nodes whenever a
-    # shape has content beta (alive[0]), and fewer than MAX_LATTICE_SHAPES,
-    # since each shape's growth sequence is built before it.  So the width,
-    # and the |beta| steps along the moves left to content beta, are only
+    # shape has content beta, and fewer than MAX_LATTICE_SHAPES, since each
+    # shape's growth sequence is built before it.  So the width is only
     # worked out for sizes the walk reached.
-    width = _field_width(len(charges), sum(beta_coeffs) - sum(owed[-1]))
-    full = _along(moves, [live] * sum(beta_coeffs), width) if alive[0] else {}
-    return moves, [(shapes[i], f) for i, f in full.items()], width
+    left = sum(owed[-1] >> bits * x & mask for x in range(len(live)))
+    width = _field_width(len(charges), sum(beta_coeffs) - left)
+    return moves, _full_functions(moves, shapes, owed, width), width
+
+
+def _full_functions(
+    moves: _Moves, shapes: list[int], owed: list[int], width: int
+) -> list[tuple[int, _Packed]]:
+    """Each shape of content beta (owing nothing) with the sum of q^deg over
+    its standard tableaux, packed at this width.
+
+    Every move goes from a smaller id to a larger one, so one pass in id
+    order has added every move into a shape before it leaves that shape.  A
+    shape's function is dropped once passed on, so besides the shapes of
+    content beta only those of two sizes hold one at a time.  Shapes left
+    with no move are skipped: those of content beta, and those the prune cut
+    off, which received none.
+    """
+    funcs: list[_Packed | None] = [None] * len(shapes)
+    funcs[0] = (1, 0)
+    for i, out in enumerate(moves):
+        if not out:
+            continue
+        f, low = funcs[i]
+        funcs[i] = None
+        for by_res in out.values():
+            for j, d in by_res:
+                # a merge shifts the function of higher lowest degree
+                if (old := funcs[j]) is None:
+                    funcs[j] = f, low + d
+                elif (up := low + d - old[1]) >= 0:
+                    funcs[j] = old[0] + (f << width * up), old[1]
+                else:
+                    funcs[j] = (old[0] << -width * up) + f, low + d
+    return [(shape, f) for shape, rem, f in zip(shapes, owed, funcs) if not rem]
 
 
 def _along(moves: _Moves, steps, width: int) -> dict[int, _Packed]:
     """shape id -> the sum of q^deg, packed at this width, over the standard
-    fillings whose i-th node has a residue in steps[i] (for a pair, zip(nu))."""
+    fillings whose i-th node has a residue in steps[i]: for a pair query,
+    zip(nu), which reaches only the shapes of one size at each step."""
     states = {0: (1, 0)}
     for step in steps:
         nxt: dict[int, _Packed] = {}

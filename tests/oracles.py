@@ -19,7 +19,10 @@ every later component (`_d_statistic`).  The content lattice and the shape
 search themselves have a reference that keeps each shape as a tuple of
 partitions and reads its addable nodes from one bottom-up sweep
 (`tuple_degree_table`, `tuple_shapes_of_content`, `_addable_nodes`), not from
-the stacked abacus of `tableaux`.  The candidate
+the stacked abacus of `tableaux`; on that abacus, the lattice built with a
+tuple of owed counts per shape, a backward prune on every lattice and the
+total summed step by step (`owed_tuple_lattice`) is the reference for the
+one-pass `_lattice`.  The candidate
 rows of the decomposition search come from a scan of every value at every
 prefix, not from the bound the entries of C set.  The Brauer graph layer is
 the one that read the graph once per question: two depth-first walks over
@@ -87,7 +90,15 @@ from klrblocks.classify import (
 from klrblocks.cli import _LINE_BREAKS, UsageError, _parse_int_vector
 from klrblocks.maxweights import MAX_E, LevelKDominant, MaxWeightEntry, solve_x
 from klrblocks.quiver import Arrow, LevelTooSmallError, TQuiver, WeightQuiver
-from klrblocks.tableaux import Multipartition, Partition, charges_of
+from klrblocks.tableaux import (
+    Multipartition,
+    Partition,
+    _abacus,
+    _along,
+    _check_shapes,
+    _field_width,
+    charges_of,
+)
 from klrblocks.weyl import OrbitResult
 
 
@@ -778,6 +789,61 @@ def tuple_graded_dim(
             if j2 == j:
                 terms[deg + deg2] = terms.get(deg + deg2, 0) + count * count2
     return {d: c for d, c in terms.items() if c}
+
+
+def owed_tuple_lattice(
+    charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int
+) -> tuple[list[dict[int, list[tuple[int, int]]]], list[tuple[int, tuple[int, int]]], int] | None:
+    """`tableaux._lattice` as it was before its one-pass form: what a shape
+    still owes is a tuple rebuilt for every new shape, the backward prune
+    runs on every lattice, and the total is `_along` offered every owed
+    residue at each of the |beta| steps.  The same (moves, full, width) on
+    the stacked abacus of section height h, or None once a move outgrows it."""
+    e = len(beta_coeffs)
+    live = [r for r, c in enumerate(beta_coeffs) if c]
+    empty, fixed, edge, res = _abacus(charges, {(r + i) % e for r in live for i in (0, 1)}, e, h)
+    steps = [(x, r, res[r], res[(r + 1) % e]) for x, r in enumerate(live)]
+    movable, outgrown = ~fixed, fixed | edge
+    ids = {empty: 0}
+    shapes = [empty]
+    owed = [tuple(beta_coeffs[r] for r in live)]
+    moves: list[dict[int, list[tuple[int, int]]]] = []
+    for i, shape in enumerate(shapes):
+        rem = owed[i]
+        add = shape & ~(shape >> 1)
+        removable = shape & ~(shape << 1) & movable
+        out: dict[int, list[tuple[int, int]]] = {}
+        for x, r, adds, removes in steps:
+            bits = add & adds if rem[x] else 0
+            if not bits:
+                continue
+            if bits & outgrown:
+                return None
+            removes &= removable
+            out[r] = by_res = []
+            for below in range(bits.bit_count()):
+                low = bits & -bits
+                bits ^= low
+                grown = shape + low
+                j = ids.get(grown)
+                if j is None:
+                    j = ids[grown] = len(shapes)
+                    shapes.append(grown)
+                    _check_shapes(len(shapes), beta_coeffs)
+                    owed.append(rem[:x] + (rem[x] - 1,) + rem[x + 1 :])
+                by_res.append((j, below - (removes & (low - 1)).bit_count()))
+        moves.append(out)
+    alive = [not any(rem) for rem in owed]
+    for i in range(len(shapes) - 1, -1, -1):
+        kept = {}
+        for r, by_res in moves[i].items():
+            if live_moves := [(j, d) for j, d in by_res if alive[j]]:
+                kept[r] = live_moves
+        moves[i] = kept
+        alive[i] = alive[i] or bool(kept)
+    width = _field_width(len(charges), sum(beta_coeffs) - sum(owed[-1]))
+    full = _along(moves, [live] * sum(beta_coeffs), width) if alive[0] else {}
+    return moves, [(shapes[i], f) for i, f in full.items()], width
 
 
 # --- Brauer graphs ---

@@ -263,22 +263,31 @@ def test_cli_import_loads_no_heavy_module():
 
 
 def test_class_answers_import_no_json():
-    """The class commands frame their JSON by hand: in a fresh isolated
-    interpreter, their JSON answers load no json."""
+    """The class commands and gdim frame their JSON by hand: in a fresh
+    isolated interpreter, their JSON answers, gdim's total and pair answers
+    among them, load no json."""
     code = (
         "import io, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "from klrblocks.cli import run\n"
-        "for cmd in ('maxweights', 'quiver', 'tquiver'):\n"
-        "    argv = [cmd, '--ell', '6', '--weight', '4,0,0,2,0,0,1', '--format', 'json']\n"
+        "block = ['--ell', '1', '--weight', '2,1', '--beta', '1,1', '--format', 'json']\n"
+        "for name, argv in (\n"
+        "    *((cmd, [cmd, '--ell', '6', '--weight', '4,0,0,2,0,0,1', '--format', 'json'])\n"
+        "      for cmd in ('maxweights', 'quiver', 'tquiver')),\n"
+        "    ('gdim-total', ['gdim', *block]),\n"
+        "    ('gdim-pair', ['gdim', *block, '--nu', '0,1', '--nup', '1,0']),\n"
+        "):\n"
         "    assert run(argv, io.StringIO(), sys.stderr) == 0\n"
-        "    print(cmd, 'json' in sys.modules)\n"
+        "    print(name, 'json' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-c", code, os.path.join(ROOT, "src")],
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert proc.stdout.split("\n") == ["maxweights False", "quiver False", "tquiver False", ""]
+    assert proc.stdout.split("\n") == [
+        "maxweights False", "quiver False", "tquiver False",
+        "gdim-total False", "gdim-pair False", "",
+    ]
 
 
 def test_readme_library_block_runs():

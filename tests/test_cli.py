@@ -191,6 +191,31 @@ def test_gdim_text():
     assert out.strip().startswith("q^{-2} + 3 + 5q^2")
 
 
+@settings(max_examples=100, deadline=None)
+@given(dominant_weights(max_e=4, levels=(1, 3)), st.data())
+def test_gdim_json_is_the_json_of_its_answer(base, data):
+    """gdim frames its JSON by hand: for totals and pairs, zero answers
+    (empty terms) and negative degrees among them, it prints the bytes
+    json.dumps gives for the answer's dict."""
+    e = len(base.coeffs)
+    beta = tuple(data.draw(st.lists(st.integers(0, 2), min_size=e, max_size=e)))
+    argv = ["gdim", "--ell", str(e - 1), "--weight", ",".join(map(str, base.coeffs)),
+            "--beta", ",".join(map(str, beta)), "--format", "json"]
+    charges, rv = tableaux.charges_of(base.coeffs), RootVector(beta)
+    if data.draw(st.booleans()):
+        label, poly = "total", tableaux.graded_dim_total(charges, rv)
+    else:
+        residues = [r for r, c in enumerate(beta) for _ in range(c)]
+        nu, nup = data.draw(st.permutations(residues)), data.draw(st.permutations(residues))
+        nu_text, nup_text = ",".join(map(str, nu)), ",".join(map(str, nup))
+        argv += [f"--nu={nu_text}", f"--nup={nup_text}"]
+        label, poly = f"e({nu_text}) .. e({nup_text})", tableaux.graded_dim(charges, rv, nu, nup)
+    terms = {str(k): v for k, v in sorted(poly.terms.items())}
+    expected = json.dumps({"ell": e - 1, "base": list(base.coeffs), "beta": list(beta),
+                           "which": label, "terms": terms, "at_one": poly.at_one()})
+    assert capture(argv) == (0, expected + "\n", "")
+
+
 def test_readme_examples_run(tmp_path, monkeypatch):
     readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
     with open(readme, encoding="utf-8") as fh:

@@ -11,7 +11,7 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import klrblocks
@@ -42,6 +42,7 @@ from oracles import (
     filtered_is_nonzero,
     filtered_with_content,
     multipartitions,
+    owed_tuple_lattice,
     partitions_of,
     residue_counts,
     tuple_degree_table,
@@ -684,6 +685,27 @@ def test_abacus_steps_match_d_statistic(case):
                 assert shape_of.setdefault(j, grown) == grown
                 assert d == _d_statistic(grown, charges, e, node)
     assert sorted(tableaux._decode(shape, k) for shape, _ in full) == sorted(targets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape_search_cases())
+# charges (0,) with beta = (2, 3): the shape (2, 2) holds both nodes of
+# residue 0 and still owes one of residue 1, but each of its addable nodes
+# has residue 0, so the lattice has a dead end and is pruned
+@example(((0,), (2, 3)))
+def test_lattice_matches_owed_tuple_lattice(case):
+    """The one-pass lattice gives the moves, the functions of the shapes of
+    content beta and the width of the reference built with owed tuples, an
+    unconditional prune and `_along` for the total, at every section height
+    up to |beta|, so also where a move outgrows the sections (None)."""
+    charges, beta = case
+    for h in range(sum(beta) + 1):
+        got, want = tableaux._lattice(charges, beta, h), owed_tuple_lattice(charges, beta, h)
+        if want is None:
+            assert got is None
+        else:
+            moves, full, width = got
+            assert (moves, dict(full), width) == (want[0], dict(want[1]), want[2])
 
 
 def test_lattice_moves_example():
