@@ -127,10 +127,12 @@ def _cmd_maxweights(args, out) -> int:
     return 0
 
 
-def _cmd_quiver(args, out, walk=build_quiver) -> int:
-    """The quiver that `walk` builds on the weight: its vertices, its arrows
-    by vertex index and, for the tagged subquiver, its tags."""
-    q = walk(_weight_from_args(args))
+def _cmd_quiver(args, out, walk=None) -> int:
+    """The quiver that `walk` (by default build_quiver) builds on the weight:
+    its vertices, its arrows by vertex index and, for the tagged subquiver,
+    its tags.  build_quiver is looked up when called, not bound at import,
+    so a wrapper put in its place on this module is the one called."""
+    q = (walk or build_quiver)(_weight_from_args(args))
     vertices, arrows = q.vertices, q.arrows
     tags = q.tags if isinstance(q, TQuiver) else None
     if args.format == "json":
@@ -204,15 +206,14 @@ def _cmd_gdim(args, out) -> int:
         raise UsageError("--nu and --nup must be given together")
     if args.nu is None:
         poly = graded_dim_total(charges, beta)
-        label = "total"
     else:
         nu = _parse_int_vector(args.nu, beta.height, "nu")
         nup = _parse_int_vector(args.nup, beta.height, "nup")
         poly = graded_dim(charges, beta, nu, nup)
-        label = f"e{_vec(nu)} .. e{_vec(nup)}"
     if args.format == "json":
         # framed by hand like the class answers: the label is plain ASCII
         # and the terms map degree strings to ints
+        label = "total" if args.nu is None else f"e{_vec(nu)} .. e{_vec(nup)}"
         terms = ", ".join(f'"{k}": {v}' for k, v in sorted(poly.terms.items()))
         out.write(f'{{"ell": {args.ell}, "base": {list(base.coeffs)}, "beta": {list(beta.coeffs)}, '
                   f'"which": "{label}", "terms": {{{terms}}}, "at_one": {poly.at_one()}}}\n')

@@ -13,11 +13,15 @@ and each addable node whose residue beta still owes, the grown shape and the
 degree of the step.  Ids follow size, so every move goes from a smaller id
 to a larger one, and one pass in id order adds up the degree generating
 function of every shape of content beta, whose squares sum to the total
-dimension.  A DP along the moves (_along), offered nu, then nu', gives the
-two functions of a pair query, whose products are summed over the shapes
-both reach.  No standard tableau is ever listed, and the shapes of content
-beta are read off the same lattice.  Nonvanishing is a depth-first search
-along such moves that stops at the first shape of content beta.
+dimension.  A DP along the moves (_along) offered one residue sequence
+gives the function of each shape a filling with that sequence reaches; a
+pair query sums the products of the functions of nu and of nu' over the
+shapes both reach.  Each walk is cached by block and sequence (_walk), so
+a table of pair queries walks each of its sequences once, and so do the
+two orders of a pair and nu = nu'.  No standard tableau is ever listed,
+and the shapes of content beta are read off the same lattice.
+Nonvanishing is a depth-first search along such moves that stops at the
+first shape of content beta.
 
 A degree generating function is a pair (packed, low): one int holding the
 coefficient of q^(low + i) in its i-th field of a fixed number of bits, wide
@@ -59,6 +63,13 @@ MAX_LATTICE_SHAPES = 20_000
 # lattices kept; that one holds about 10 MB (tracemalloc), at any e, since a
 # shape keeps moves only for the residues it can add
 DEGREE_TABLE_CACHE = 4
+# residue-sequence walks kept (_walk).  A walk holds at most one state per
+# shape of content beta, none wider than that shape's function in the
+# lattice.  Filled along random tableau sequences, the cache held 2.3-2.5 MB
+# (tracemalloc) on 4 Lambda_0 with beta = (3, 3, 3, 4), 18,587 shapes, and
+# 37-39 MB on Lambda_0 at e = 2 with beta = 14 delta, the block found whose
+# functions of shapes of content beta are the largest (2.5 MB in all)
+WALK_CACHE = 32
 # charges, so sections per shape (level 1,000 with |beta| = 1: 0.06 s and
 # 18 MB peak RSS as a CLI process)
 MAX_LEVEL = 1_000
@@ -450,13 +461,34 @@ def _sum_of_products(pairs: list[tuple[_Packed, _Packed]], width: int) -> Lauren
     return _poly(terms[0][1], base, width)
 
 
+@lru_cache(maxsize=WALK_CACHE)
+def _walk(
+    charges: tuple[int, ...], beta_coeffs: tuple[int, ...], nu: tuple[int, ...]
+) -> tuple[dict[int, _Packed], int]:
+    """(_along the block's lattice offered nu, the lattice's width), for a
+    sequence nu already reduced mod e and of content beta.  Every query
+    that reuses the walk gets the same dict, so callers only read it.
+
+    Shape ids follow discovery order, which depends on the block alone, so
+    a lattice rebuilt after its eviction from _degree_table numbers its
+    shapes as before and has the same width: a walk cached before the
+    eviction still joins a walk made on the rebuilt lattice.
+    """
+    moves, _, width = _degree_table(charges, beta_coeffs)
+    return _along(moves, zip(nu), width), width
+
+
 def graded_dim(
     charges: tuple[int, ...],
     beta: RootVector,
     nu: tuple[int, ...],
     nu_prime: tuple[int, ...],
 ) -> LaurentPoly:
-    """Graded dimension between the idempotents of residue sequences nu, nu'."""
+    """Graded dimension between the idempotents of residue sequences nu, nu':
+    the sum over the shapes both walks reach of the product of their two
+    functions.  Each walk comes from the cache of _walk, keyed by the block
+    and the sequence once it is reduced mod e and its content checked, so a
+    later query of the block that reuses nu or nu' walks it no more."""
     e = len(beta.coeffs)
     _check_e(e)
     nu = tuple(r % e for r in nu)
@@ -464,8 +496,8 @@ def graded_dim(
     for seq in (nu, nu_prime):
         if alpha_sum(e, *seq) != beta:
             raise ContentMismatchError(f"residue sequence {seq} has content != beta")
-    moves, _, width = _degree_table(charges, beta.coeffs)
-    left, right = _along(moves, zip(nu), width), _along(moves, zip(nu_prime), width)
+    left, width = _walk(charges, beta.coeffs, nu)
+    right, _ = _walk(charges, beta.coeffs, nu_prime)
     return _sum_of_products([(f, right[j]) for j, f in left.items() if j in right], width)
 
 

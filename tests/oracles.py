@@ -782,12 +782,15 @@ def tuple_graded_dim(
             states = nxt
         return states
 
-    right = along(nu_prime)
+    # the right-hand states grouped by end shape, so each left-hand state
+    # meets only the states of its own shape
+    right: dict[int, list[tuple[int, int]]] = {}
+    for (j, deg), count in along(nu_prime).items():
+        right.setdefault(j, []).append((deg, count))
     terms: dict[int, int] = {}
     for (j, deg), count in along(nu).items():
-        for (j2, deg2), count2 in right.items():
-            if j2 == j:
-                terms[deg + deg2] = terms.get(deg + deg2, 0) + count * count2
+        for deg2, count2 in right.get(j, ()):
+            terms[deg + deg2] = terms.get(deg + deg2, 0) + count * count2
     return {d: c for d, c in terms.items() if c}
 
 

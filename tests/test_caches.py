@@ -3,10 +3,15 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import random
+import sys
 import tracemalloc
 
 import klrblocks
-from klrblocks import maxweights
+from klrblocks import maxweights, tableaux
+from klrblocks.cartan import RootVector
+
+from oracles import _removable, _res
 
 
 def test_every_package_cache_is_bounded():
@@ -18,7 +23,7 @@ def test_every_package_cache_is_bounded():
             cached = callable(getattr(value, "cache_info", None))
             if cached and value.__module__ == module.__name__:
                 caches[f"{module.__name__}.{name}"] = value
-    assert "klrblocks.maxweights.p_lambda_set" in caches
+    assert {"klrblocks.maxweights.p_lambda_set", "klrblocks.tableaux._walk"} <= set(caches)
     unbounded = [
         name
         for name, fn in caches.items()
@@ -38,3 +43,51 @@ def test_large_e_walks_keep_nothing():
     finally:
         tracemalloc.stop()
     assert held < 2 << 20
+
+
+def random_tableau_sequence(rnd: random.Random, charges, e: int, comps) -> tuple[int, ...]:
+    """The residue sequence of a random standard tableau of shape comps: its
+    nodes are taken off in a random order of removable nodes."""
+    comps, seq = [list(p) for p in comps], []
+    while any(comps):
+        s, r, c = rnd.choice([(s, r, c) for s, p in enumerate(comps) for r, c in _removable(tuple(p))])
+        seq.append(_res(charges, e, s, r, c))
+        if c:
+            comps[s][r] = c
+        else:
+            comps[s].pop(r)
+    return tuple(reversed(seq))
+
+
+def test_a_full_walk_cache_on_the_largest_lattice_stays_small():
+    """WALK_CACHE walks of the 18,587-shape block of 4 Lambda_0 with
+    beta = (3, 3, 3, 4).  A walk holds at most one state per shape of
+    content beta, none wider than that shape's function in the lattice, so
+    the full cache holds less than WALK_CACHE copies of those functions;
+    along random tableau sequences it held 2.3-2.5 MB."""
+    charges, beta = (0, 0, 0, 0), (3, 3, 3, 4)
+    tableaux._degree_table.cache_clear()
+    tableaux._walk.cache_clear()
+    moves, full, _ = tableaux._degree_table(charges, beta)
+    assert len(moves) == 18_587
+    functions = {i: f for i, (_, f) in enumerate(full)}
+    most = sys.getsizeof(functions) + sum(
+        sys.getsizeof(f) + sys.getsizeof(f[0]) + sys.getsizeof(f[1]) + sys.getsizeof(i)
+        for i, f in functions.items()
+    )
+    shapes = [tableaux._decode(shape, len(charges)) for shape, _ in full]
+    rnd, seqs = random.Random(0), set()
+    while len(seqs) < tableaux.WALK_CACHE:
+        seqs.add(random_tableau_sequence(rnd, charges, len(beta), rnd.choice(shapes)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for nu in seqs:
+            assert tableaux.graded_dim(charges, RootVector(beta), nu, nu)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        tableaux._degree_table.cache_clear()
+    assert tableaux._walk.cache_info().currsize == tableaux.WALK_CACHE
+    tableaux._walk.cache_clear()
+    assert held < min(tableaux.WALK_CACHE * most, 4 << 20)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import importlib
+import importlib.util
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -719,6 +721,71 @@ def test_every_limit_answers_at_its_value_and_refuses_past_it(monkeypatch):
                 assert (code, err) == (0, ""), (name, argv)
         monkeypatch.undo()
     tableaux._degree_table.cache_clear()
+
+
+# The table of functions the benchmark's tracer wraps, read from its file.
+TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "tracing.py")
+# wrapped functions no subcommand calls any more
+DEAD_WRAPS = {"maxweights.equiv_class", "maxweights.solve_x", "maxweights.p_lambda_set"}
+# one argv per subcommand (gdim twice: a total and a pair) and the wrapped
+# functions it must reach
+REACHED = [
+    (["maxweights", "--ell", "2", "--weight", "2,1,0"], {"maxweights.max_plus"}),
+    (["quiver", "--ell", "2", "--weight", "2,1,0"], {"quiver.build_quiver"}),
+    (["tquiver", "--ell", "2", "--weight", "2,1,0"], {"quiver.t_subquiver"}),
+    (["classify", "--ell", "2", "--weight", "2,1,0", "--beta", "1,0,0"],
+     {"classify.classify", "weyl.orbit_representative", "classify.script_sets"}),
+    (["gdim", "--ell", "1", "--weight", "2,1", "--beta", "1,1"], {"tableaux.graded_dim_total"}),
+    (["gdim", "--ell", "1", "--weight", "2,1", "--beta", "1,1", "--nu", "0,1", "--nup", "1,0"],
+     {"tableaux.graded_dim"}),
+    (["brauer", "--gamma", "1,1,2"],
+     {"brauer.build", "brauer.derived_invariants", "brauer.quiver_presentation"}),
+    (["decomp", "--gamma", "1,1,2"], {"brauer.build", "brauer.decomp_search"}),
+]
+
+
+def test_every_traced_function_is_reached_through_its_module(monkeypatch):
+    """Each function in the tracer's table is replaced, in every klrblocks
+    module that binds it by name (a static method on its class), by a
+    counting wrapper, as the tracer installs its spans.  Each subcommand run
+    through `cli.run` must call the wrappers of the functions it reaches: a
+    function bound when a module is imported (a default argument, say) would
+    go round the wrapper, and its span would read 0."""
+    spec = importlib.util.spec_from_file_location("traced_table", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = [m for n, m in sys.modules.items() if n == "klrblocks" or n.startswith("klrblocks.")]
+    calls = Counter()
+
+    def counting(span, fn):
+        def counted(*args, **kwargs):
+            calls[span] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for layer, names in tracing.TRACED.items():
+        module = importlib.import_module(f"klrblocks.{layer}")
+        for name in names:
+            span = f"{layer}.{name.rsplit('.', 1)[-1]}"
+            if "." in name:
+                cls_name, attr = name.split(".")
+                cls = getattr(module, cls_name)
+                monkeypatch.setattr(cls, attr, staticmethod(counting(span, cls.__dict__[attr].__func__)))
+                continue
+            original = getattr(module, name)
+            wrapped = counting(span, original)
+            for mod in modules:
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, wrapped)
+    spans = {f"{layer}.{name.rsplit('.', 1)[-1]}" for layer, names in tracing.TRACED.items() for name in names}
+    assert set().union(*(reached for _, reached in REACHED)) == spans - DEAD_WRAPS - {"cli.run"}
+    for argv, reached in REACHED:
+        calls.clear()
+        code = klrblocks.cli.run(argv, io.StringIO(), io.StringIO())
+        assert code == 0, argv
+        assert {span for span in reached | {"cli.run"} if not calls[span]} == set(), argv
 
 
 def test_negative_cartan_entries_are_refused():

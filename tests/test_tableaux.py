@@ -19,11 +19,13 @@ from klrblocks import tableaux
 from klrblocks.cartan import LimitError, RootVector
 from klrblocks.tableaux import (
     DEGREE_TABLE_CACHE,
+    WALK_CACHE,
     ContentMismatchError,
     LaurentPoly,
     Multipartition,
     Partition,
     _degree_table,
+    _walk,
     block_is_nonzero,
     charges_of,
     enumerate_with_content,
@@ -142,6 +144,7 @@ def test_shape_limit_bounds_every_public_function(monkeypatch):
         lambda: block_is_nonzero((2, 1), beta),
     ]
     _degree_table.cache_clear()
+    _walk.cache_clear()
     monkeypatch.setattr(tableaux, "MAX_LATTICE_SHAPES", 150)
     for call in calls:
         with pytest.raises(LimitError, match="exceeds the limit MAX_LATTICE_SHAPES = 150$"):
@@ -149,6 +152,7 @@ def test_shape_limit_bounds_every_public_function(monkeypatch):
     monkeypatch.undo()
     assert [call() for call in calls] == [LaurentPoly(), LaurentPoly(), [], False]
     _degree_table.cache_clear()
+    _walk.cache_clear()
 
 
 def test_graded_dim_level3_rank1_block():
@@ -540,6 +544,136 @@ def test_degree_table_cache_is_bounded():
     assert _degree_table.cache_info().currsize == DEGREE_TABLE_CACHE
     _degree_table.cache_clear()
     assert _degree_table.cache_parameters()["maxsize"] is not None
+
+
+# --- pair queries through the walk cache -------------------------------------
+
+# small blocks (charges, beta) at e = 3 and 4 and level 1 to 3, each with 15
+# to 30 residue sequences of standard tableaux
+PAIR_BLOCKS = [
+    ((0, 0), (2, 2, 2)),
+    ((0, 1), (2, 2, 1)),
+    ((0, 2), (2, 1, 2)),
+    ((0, 0, 1), (2, 2, 1)),
+    ((0, 1, 1), (1, 2, 2)),
+    ((0, 1, 2), (1, 2, 2)),
+    ((0, 0, 2), (2, 1, 2)),
+    ((0, 0), (2, 1, 2, 1)),
+    ((0, 1), (1, 2, 2, 1)),
+    ((0, 0), (2, 2, 0, 2)),
+    ((0, 1), (1, 2, 1, 1)),
+]
+
+
+def tableau_sequences(charges: tuple[int, ...], beta: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The residue sequences of the block's standard tableaux, then beta's
+    residues in order (often no tableau's), each once."""
+    seqs = sorted({seq for by_seq in walk_table(charges, beta).values() for seq in by_seq})
+    return list(dict.fromkeys(seqs + [tuple(r for r, c in enumerate(beta) for _ in range(c))]))
+
+
+@st.composite
+def pair_query_tables(draw):
+    """(charges, beta, nu, nu') queries on 5 to 8 blocks of PAIR_BLOCKS:
+    each sequence of a block with a drawn one of the same block, in both
+    orders, and with itself.  The blocks take turns, and the whole list is
+    then drawn into an order."""
+    blocks = draw(st.lists(st.sampled_from(PAIR_BLOCKS), min_size=DEGREE_TABLE_CACHE + 1,
+                           max_size=8, unique=True))
+    rows = []
+    for charges, beta in blocks:
+        seqs, row = tableau_sequences(charges, beta), []
+        for nu in seqs:
+            nup = draw(st.sampled_from(seqs))
+            row += [(charges, beta, nu, nup), (charges, beta, nup, nu), (charges, beta, nu, nu)]
+        rows.append(row)
+    turns = [q for turn in itertools.zip_longest(*rows) for q in turn if q is not None]
+    return draw(st.permutations(turns))
+
+
+def uncached_pair(charges, beta, nu, nup) -> dict[int, int]:
+    """A pair answer from _along called on the lattice, no walk cached."""
+    moves, _, width = _degree_table(charges, beta)
+    left, right = tableaux._along(moves, zip(nu), width), tableaux._along(moves, zip(nup), width)
+    return tableaux._sum_of_products([(f, right[j]) for j, f in left.items() if j in right], width).terms
+
+
+@settings(max_examples=10, deadline=None)
+@given(pair_query_tables())
+def test_cached_walks_match_the_oracle_and_uncached_walks(queries):
+    """Over more blocks than the lattice cache holds and more sequences than
+    the walk cache holds, every pair answer equals the tuple lattice's and
+    the one from uncached walks.  Walks outlive the lattices they were made
+    on: the lattice cache misses more often than there are blocks."""
+    expected = {}
+    for query in queries:
+        if query not in expected:
+            expected[query] = tuple_graded_dim(*query)
+            assert uncached_pair(*query) == expected[query]
+    assert len({query[:3] for query in queries}) > WALK_CACHE
+    _degree_table.cache_clear()
+    _walk.cache_clear()
+    for charges, beta, nu, nup in queries:
+        assert graded_dim(charges, RootVector(beta), nu, nup).terms == expected[(charges, beta, nu, nup)]
+    # each (nu, nu) query reads its second walk from the cache
+    assert _walk.cache_info().hits >= len(queries) // 3
+    assert _degree_table.cache_info().misses > len({query[:2] for query in queries})
+    _degree_table.cache_clear()
+    _walk.cache_clear()
+
+
+def test_a_walk_cached_before_its_lattice_is_evicted_joins_the_rebuilt_lattice():
+    """Shape ids follow discovery order, so the lattice rebuilt after an
+    eviction numbers its shapes as the first one did."""
+    charges, beta = (0, 1, 2), (1, 2, 2)
+    nu, nup = tableau_sequences(charges, beta)[:2]
+    _degree_table.cache_clear()
+    _walk.cache_clear()
+    first = _degree_table(charges, beta)
+    _walk(charges, beta, nu)
+    for other, other_beta in PAIR_BLOCKS[:DEGREE_TABLE_CACHE]:
+        _degree_table(other, other_beta)
+    answer = graded_dim(charges, RootVector(beta), nu, nup)
+    assert _walk.cache_info()[:2] == (1, 2)  # nu read from the cache, nup walked
+    assert _degree_table(charges, beta) is not first
+    assert answer.terms == tuple_graded_dim(charges, beta, nu, nup) != {}
+    _degree_table.cache_clear()
+    _walk.cache_clear()
+
+
+def test_refused_pair_queries_cache_no_walk(monkeypatch):
+    """A pair query that raises caches no walk, and its message is the one a
+    query without the walk cache gives."""
+    _walk.cache_clear()
+    _degree_table.cache_clear()
+    refusals = [
+        (ContentMismatchError, r"^residue sequence \(0, 0\) has content != beta$",
+         lambda: graded_dim((0,), RootVector((1, 1)), (0, 0), (0, 1))),
+        (ContentMismatchError, r"^residue sequence \(1, 1\) has content != beta$",
+         lambda: graded_dim((0,), RootVector((1, 1)), (0, 1), (1, 1))),
+        (LimitError, f"^level {tableaux.MAX_LEVEL + 1} exceeds the limit MAX_LEVEL = {tableaux.MAX_LEVEL}$",
+         lambda: graded_dim((0,) * (tableaux.MAX_LEVEL + 1), RootVector((1, 0)), (0,), (0,))),
+        (LimitError, r"^the count of shapes of content <= beta = \(6, 2\) exceeds the limit MAX_LATTICE_SHAPES = 150$",
+         lambda: graded_dim((0, 0, 1), RootVector((6, 2)), (0,) * 6 + (1,) * 2, (0,) * 6 + (1,) * 2)),
+    ]
+    monkeypatch.setattr(tableaux, "MAX_LATTICE_SHAPES", 150)
+    for error, message, call in refusals:
+        with pytest.raises(error, match=message):
+            call()
+        assert _walk.cache_info().currsize == 0
+    _degree_table.cache_clear()
+
+
+def test_walk_cache_is_bounded():
+    _walk.cache_clear()
+    seqs = sorted(set(itertools.permutations((0, 0, 1, 1, 2, 2))))[: WALK_CACHE + 8]
+    assert len(seqs) == WALK_CACHE + 8
+    for nu in seqs:
+        graded_dim((0,), RootVector((2, 2, 2)), nu, nu)
+    assert _walk.cache_info().currsize == WALK_CACHE
+    _walk.cache_clear()
+    _degree_table.cache_clear()
+    assert _walk.cache_parameters()["maxsize"] is not None
 
 
 # --- the shape search against every multipartition filtered by content -------
