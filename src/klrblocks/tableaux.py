@@ -16,10 +16,10 @@ function of every shape of content beta, whose squares sum to the total
 dimension.  A DP along the moves (_along) offered one residue sequence
 gives the function of each shape a filling with that sequence reaches; a
 pair query sums the products of the functions of nu and of nu' over the
-shapes both reach.  Each walk is cached by block and sequence (_walk), so
-a table of pair queries walks each of its sequences once, and so do the
-two orders of a pair and nu = nu'.  No standard tableau is ever listed,
-and the shapes of content beta are read off the same lattice.
+shapes both reach.  The last few walks are cached by block and sequence
+(_walk), so the two orders of a pair, and nu = nu', walk each sequence
+once.  No standard tableau is ever listed, and the shapes of content beta
+are read off the same lattice.
 Nonvanishing is a depth-first search along such moves that stops at the
 first shape of content beta.
 
@@ -63,13 +63,17 @@ MAX_LATTICE_SHAPES = 20_000
 # lattices kept; that one holds about 10 MB (tracemalloc), at any e, since a
 # shape keeps moves only for the residues it can add
 DEGREE_TABLE_CACHE = 4
-# residue-sequence walks kept (_walk).  A walk holds at most one state per
-# shape of content beta, none wider than that shape's function in the
-# lattice.  Filled along random tableau sequences, the cache held 2.3-2.5 MB
-# (tracemalloc) on 4 Lambda_0 with beta = (3, 3, 3, 4), 18,587 shapes, and
-# 37-39 MB on Lambda_0 at e = 2 with beta = 14 delta, the block found whose
-# functions of shapes of content beta are the largest (2.5 MB in all)
-WALK_CACHE = 32
+# residue-sequence walks kept (_walk): the four sequences of two pair
+# queries of a block, each asked in both orders.  A walk holds at most one
+# state per shape of content beta, none wider than that shape's function in
+# the lattice, so a full cache holds at most WALK_CACHE times those
+# functions: 9.9 MB on Lambda_0 at e = 2 with beta = 14 delta, the block
+# found whose functions are the largest (2.5 MB), and 1.5 MB on the 18,587
+# shapes of 4 Lambda_0 with beta = (3, 3, 3, 4).  Filled with the widest
+# walks of 400 random tableau sequences, it held 5.7 MB and 0.6 MB there
+# (tracemalloc).  A table of pair queries wider than the cache walks each
+# column again on each row.
+WALK_CACHE = 4
 # charges, so sections per shape (level 1,000 with |beta| = 1: 0.06 s and
 # 18 MB peak RSS as a CLI process)
 MAX_LEVEL = 1_000
@@ -488,7 +492,8 @@ def graded_dim(
     the sum over the shapes both walks reach of the product of their two
     functions.  Each walk comes from the cache of _walk, keyed by the block
     and the sequence once it is reduced mod e and its content checked, so a
-    later query of the block that reuses nu or nu' walks it no more."""
+    later query of the block that reuses nu or nu' while its walk is cached
+    walks it no more."""
     e = len(beta.coeffs)
     _check_e(e)
     nu = tuple(r % e for r in nu)

@@ -15,3 +15,20 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:
         pass
+
+import pytest  # noqa: E402
+
+from klrblocks import tableaux  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def fresh_tableaux_caches():
+    """Each test starts and ends with no lattice and no walk cached: a cached
+    walk answers a pair query without reaching the limit checks a test may
+    lower, and a full cache left behind holds its bytes into later tests.
+    A hypothesis test shares one run of this across its examples."""
+    tableaux._degree_table.cache_clear()
+    tableaux._walk.cache_clear()
+    yield
+    tableaux._degree_table.cache_clear()
+    tableaux._walk.cache_clear()

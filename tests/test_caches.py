@@ -7,6 +7,8 @@ import random
 import sys
 import tracemalloc
 
+import pytest
+
 import klrblocks
 from klrblocks import maxweights, tableaux
 from klrblocks.cartan import RootVector
@@ -59,17 +61,23 @@ def random_tableau_sequence(rnd: random.Random, charges, e: int, comps) -> tuple
     return tuple(reversed(seq))
 
 
-def test_a_full_walk_cache_on_the_largest_lattice_stays_small():
-    """WALK_CACHE walks of the 18,587-shape block of 4 Lambda_0 with
-    beta = (3, 3, 3, 4).  A walk holds at most one state per shape of
-    content beta, none wider than that shape's function in the lattice, so
-    the full cache holds less than WALK_CACHE copies of those functions;
-    along random tableau sequences it held 2.3-2.5 MB."""
-    charges, beta = (0, 0, 0, 0), (3, 3, 3, 4)
-    tableaux._degree_table.cache_clear()
-    tableaux._walk.cache_clear()
+@pytest.mark.parametrize(
+    "charges, beta, shapes, most_mb",
+    [
+        # the most shapes a lattice under the shape limit was found to have
+        ((0, 0, 0, 0), (3, 3, 3, 4), 18_587, 2),
+        # the block found whose functions of shapes of content beta are the
+        # largest (2.5 MB), so the one that sets the cache's byte bound
+        ((0,), (14, 14), 17_332, 10),
+    ],
+)
+def test_a_full_walk_cache_on_the_largest_lattices_stays_small(charges, beta, shapes, most_mb):
+    """WALK_CACHE walks of a block.  A walk holds at most one state per
+    shape of content beta, none wider than that shape's function in the
+    lattice, so the full cache holds less than WALK_CACHE copies of those
+    functions."""
     moves, full, _ = tableaux._degree_table(charges, beta)
-    assert len(moves) == 18_587
+    assert len(moves) == shapes
     functions = {i: f for i, (_, f) in enumerate(full)}
     most = sys.getsizeof(functions) + sum(
         sys.getsizeof(f) + sys.getsizeof(f[0]) + sys.getsizeof(f[1]) + sys.getsizeof(i)
@@ -87,7 +95,5 @@ def test_a_full_walk_cache_on_the_largest_lattice_stays_small():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-        tableaux._degree_table.cache_clear()
     assert tableaux._walk.cache_info().currsize == tableaux.WALK_CACHE
-    tableaux._walk.cache_clear()
-    assert held < min(tableaux.WALK_CACHE * most, 4 << 20)
+    assert held < tableaux.WALK_CACHE * most < most_mb << 20

@@ -658,7 +658,6 @@ def test_a_long_vector_is_elided_in_a_refusal(monkeypatch):
     code, out, err = capture(["maxweights", "--ell", "7", "--weight", ",".join(["9" * 200] * 8)])
     assert (code, out) == (1, "") and len(err) <= MAX_REFUSAL_LINE
     assert err == f"error: the class of ({'9' * 23}… 8 entries) exceeds the limit MAX_CLASS_MEMBERS = 20000\n"
-    tableaux._degree_table.cache_clear()
 
 
 # Every module-level MAX_* limit of the package: the value the test sets,
@@ -720,7 +719,6 @@ def test_every_limit_answers_at_its_value_and_refuses_past_it(monkeypatch):
             else:
                 assert (code, err) == (0, ""), (name, argv)
         monkeypatch.undo()
-    tableaux._degree_table.cache_clear()
 
 
 # The table of functions the benchmark's tracer wraps, read from its file.

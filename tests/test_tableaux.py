@@ -143,16 +143,12 @@ def test_shape_limit_bounds_every_public_function(monkeypatch):
         lambda: enumerate_with_content(charges, beta),
         lambda: block_is_nonzero((2, 1), beta),
     ]
-    _degree_table.cache_clear()
-    _walk.cache_clear()
     monkeypatch.setattr(tableaux, "MAX_LATTICE_SHAPES", 150)
     for call in calls:
         with pytest.raises(LimitError, match="exceeds the limit MAX_LATTICE_SHAPES = 150$"):
             call()
     monkeypatch.undo()
     assert [call() for call in calls] == [LaurentPoly(), LaurentPoly(), [], False]
-    _degree_table.cache_clear()
-    _walk.cache_clear()
 
 
 def test_graded_dim_level3_rank1_block():
@@ -537,12 +533,10 @@ def test_level_limit():
 
 
 def test_degree_table_cache_is_bounded():
-    _degree_table.cache_clear()
     betas = list(itertools.product(range(5), repeat=3))[: DEGREE_TABLE_CACHE + 8]
     for beta in betas:
         _degree_table((0,), beta)
     assert _degree_table.cache_info().currsize == DEGREE_TABLE_CACHE
-    _degree_table.cache_clear()
     assert _degree_table.cache_parameters()["maxsize"] is not None
 
 
@@ -618,8 +612,6 @@ def test_cached_walks_match_the_oracle_and_uncached_walks(queries):
     # each (nu, nu) query reads its second walk from the cache
     assert _walk.cache_info().hits >= len(queries) // 3
     assert _degree_table.cache_info().misses > len({query[:2] for query in queries})
-    _degree_table.cache_clear()
-    _walk.cache_clear()
 
 
 def test_a_walk_cached_before_its_lattice_is_evicted_joins_the_rebuilt_lattice():
@@ -627,8 +619,6 @@ def test_a_walk_cached_before_its_lattice_is_evicted_joins_the_rebuilt_lattice()
     eviction numbers its shapes as the first one did."""
     charges, beta = (0, 1, 2), (1, 2, 2)
     nu, nup = tableau_sequences(charges, beta)[:2]
-    _degree_table.cache_clear()
-    _walk.cache_clear()
     first = _degree_table(charges, beta)
     _walk(charges, beta, nu)
     for other, other_beta in PAIR_BLOCKS[:DEGREE_TABLE_CACHE]:
@@ -637,15 +627,11 @@ def test_a_walk_cached_before_its_lattice_is_evicted_joins_the_rebuilt_lattice()
     assert _walk.cache_info()[:2] == (1, 2)  # nu read from the cache, nup walked
     assert _degree_table(charges, beta) is not first
     assert answer.terms == tuple_graded_dim(charges, beta, nu, nup) != {}
-    _degree_table.cache_clear()
-    _walk.cache_clear()
 
 
 def test_refused_pair_queries_cache_no_walk(monkeypatch):
     """A pair query that raises caches no walk, and its message is the one a
     query without the walk cache gives."""
-    _walk.cache_clear()
-    _degree_table.cache_clear()
     refusals = [
         (ContentMismatchError, r"^residue sequence \(0, 0\) has content != beta$",
          lambda: graded_dim((0,), RootVector((1, 1)), (0, 0), (0, 1))),
@@ -661,18 +647,14 @@ def test_refused_pair_queries_cache_no_walk(monkeypatch):
         with pytest.raises(error, match=message):
             call()
         assert _walk.cache_info().currsize == 0
-    _degree_table.cache_clear()
 
 
 def test_walk_cache_is_bounded():
-    _walk.cache_clear()
     seqs = sorted(set(itertools.permutations((0, 0, 1, 1, 2, 2))))[: WALK_CACHE + 8]
     assert len(seqs) == WALK_CACHE + 8
     for nu in seqs:
         graded_dim((0,), RootVector((2, 2, 2)), nu, nu)
     assert _walk.cache_info().currsize == WALK_CACHE
-    _walk.cache_clear()
-    _degree_table.cache_clear()
     assert _walk.cache_parameters()["maxsize"] is not None
 
 
@@ -972,7 +954,6 @@ def test_large_shapes_widen_the_abacus(monkeypatch, charges, beta, count, height
     for name in ("_lattice", "_search"):
         walk = getattr(tableaux, name)
         monkeypatch.setattr(tableaux, name, lambda *args, walk=walk: walked.append(args[2]) or walk(*args))
-    _degree_table.cache_clear()
     moves, full, width = _degree_table(charges, beta)
     tuple_moves, tuple_full = tuple_degree_table(charges, beta)
     assert (len(moves), len(full)) == (len(tuple_moves), count)
@@ -983,7 +964,6 @@ def test_large_shapes_widen_the_abacus(monkeypatch, charges, beta, count, height
     # the lattice is walked once and read again by the enumeration; the
     # nonvanishing search walks its own
     assert walked == heights * 2
-    _degree_table.cache_clear()
 
 
 def test_a_walk_refused_at_the_shape_limit_keeps_the_height_it_reached(monkeypatch):
@@ -998,12 +978,10 @@ def test_a_walk_refused_at_the_shape_limit_keeps_the_height_it_reached(monkeypat
     lattice = tableaux._lattice
     monkeypatch.setattr(tableaux, "_lattice", lambda *args: walked.append(args[2]) or lattice(*args))
     charges, beta = (1, 1, 63, 63), RootVector((0,) + (1,) * 63)
-    _degree_table.cache_clear()
     for query in (graded_dim_total, enumerate_with_content):
         with pytest.raises(LimitError, match="exceeds the limit MAX_LATTICE_SHAPES = 500$"):
             query(charges, beta)
     assert walked == [31, 31]
-    _degree_table.cache_clear()
 
 
 def test_wide_block_fits_in_bounded_memory():
