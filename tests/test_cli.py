@@ -697,11 +697,17 @@ LIMITS = {
 }
 
 
-def test_every_limit_answers_at_its_value_and_refuses_past_it(monkeypatch):
-    modules = {}  # each limit's module
+def limit_modules() -> dict:
+    """Each module-level MAX_* limit of the package, by name, with its module."""
+    modules = {}
     for info in pkgutil.iter_modules(klrblocks.__path__):
         module = importlib.import_module(f"klrblocks.{info.name}")
         modules.update({name: module for name in vars(module) if name.startswith("MAX_")})
+    return modules
+
+
+def test_every_limit_answers_at_its_value_and_refuses_past_it(monkeypatch):
+    modules = limit_modules()
     assert sorted(modules) == sorted(LIMITS)
 
     for name, (value, at, past) in LIMITS.items():
