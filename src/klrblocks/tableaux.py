@@ -19,9 +19,7 @@ pair query sums the products of the functions of nu and of nu' over the
 shapes both reach.  The last few walks are cached by block and sequence
 (_walk), so the two orders of a pair, and nu = nu', walk each sequence
 once.  No standard tableau is ever listed, and the shapes of content beta
-are read off the same lattice.
-Nonvanishing is a depth-first search along such moves that stops at the
-first shape of content beta.
+are read off the same lattice; the block is nonzero exactly when it has one.
 
 A degree generating function is a pair (packed, low): one int holding the
 coefficient of q^(low + i) in its i-th field of a fixed number of bits, wide
@@ -56,7 +54,7 @@ from math import factorial
 
 from .cartan import LimitError, Record, RootVector, alpha_sum, elide
 
-# shapes of content <= beta one lattice or search may reach (gdim on
+# shapes of content <= beta one lattice may reach (gdim on
 # 4 Lambda_0 with beta = (3, 3, 3, 3), 16,113 shapes at e = 4: 0.16-0.25 s
 # and 27 MB peak RSS as a CLI process on a 2-vCPU VM)
 MAX_LATTICE_SHAPES = 20_000
@@ -180,17 +178,6 @@ def _abacus(
     return ((1 << h + 1) - 1) * fixed, fixed, fixed << 2 * h, res
 
 
-def _widened(walk, charges: tuple[int, ...], beta_coeffs: tuple[int, ...]):
-    """walk(charges, beta_coeffs, h) from h = min(|beta|, 31), again at twice
-    the height while it returns None (no shape of content <= beta outgrows
-    height |beta|)."""
-    size = sum(beta_coeffs)
-    h = min(size, 31)
-    while (out := walk(charges, beta_coeffs, h)) is None:
-        h = min(2 * h, size)
-    return out
-
-
 def _decode(shape: int, k: int) -> tuple[Partition, ...]:
     """The partitions of a shape of k sections, component 0 first.  Every
     section holds h + 1 beads, so the bead count gives the height h; only
@@ -210,39 +197,6 @@ def _decode(shape: int, k: int) -> tuple[Partition, ...]:
         comps[k - 1 - s] = tuple(rows)
         differ &= (1 << s * width) - 1
     return tuple(comps)
-
-
-def _search(charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int) -> bool | None:
-    """Whether a shape of content beta exists, by a depth-first search on
-    sections of height h that adds only nodes whose residue beta still owes
-    and stops at the first such shape; None once a move outgrows them."""
-    live = [r for r, c in enumerate(beta_coeffs) if c]
-    empty, fixed, edge, res = _abacus(charges, set(live), len(beta_coeffs), h)
-    outgrown = fixed | edge
-    seen = {empty}
-    stack = [(empty, tuple(beta_coeffs[r] for r in live))]
-    while stack:
-        shape, rem = stack.pop()
-        if not any(rem):
-            return True
-        add = shape & ~(shape >> 1)
-        steps = []
-        for x, r in enumerate(live):
-            bits = add & res[r] if rem[x] else 0
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                steps.append((low, x))
-        # pushed top to bottom, so the lowest node is grown first
-        for low, x in sorted(steps, reverse=True):
-            if low & outgrown:
-                return None
-            grown = shape + low
-            if grown not in seen:
-                seen.add(grown)
-                _check_shapes(len(seen), beta_coeffs)
-                stack.append((grown, rem[:x] + (rem[x] - 1,) + rem[x + 1 :]))
-    return False
 
 
 def enumerate_with_content(charges: tuple[int, ...], beta: RootVector) -> list[Multipartition]:
@@ -314,7 +268,13 @@ def _degree_table(charges: tuple[int, ...], beta_coeffs: tuple[int, ...]) -> _Ta
     mean anything.
     """
     _check_level(len(charges))
-    return _widened(_lattice, charges, beta_coeffs)
+    # twice the height while a move outgrows the sections; no shape of
+    # content <= beta outgrows height |beta|
+    size = sum(beta_coeffs)
+    h = min(size, 31)
+    while (table := _lattice(charges, beta_coeffs, h)) is None:
+        h = min(2 * h, size)
+    return table
 
 
 def _lattice(charges: tuple[int, ...], beta_coeffs: tuple[int, ...], h: int) -> _Table | None:
@@ -523,7 +483,9 @@ def charges_of(base_coeffs: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def block_is_nonzero(base_coeffs: tuple[int, ...], beta: RootVector) -> bool:
-    """Whether some multipartition has residue content beta (block nonvanishing).
+    """Whether some multipartition has residue content beta (block
+    nonvanishing): whether the block's content lattice has a shape of
+    content beta.
 
     Raises ValueError when beta and the weight differ in length.
     """
@@ -531,4 +493,4 @@ def block_is_nonzero(base_coeffs: tuple[int, ...], beta: RootVector) -> bool:
         raise ValueError(
             f"beta has length {len(beta.coeffs)}, the weight {len(base_coeffs)}"
         )
-    return _widened(_search, charges_of(base_coeffs), beta.coeffs)
+    return bool(_degree_table(charges_of(base_coeffs), beta.coeffs)[1])

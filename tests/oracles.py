@@ -13,10 +13,10 @@ from the walk that finds each summand's neighbours by stepping along the
 occupied list (`nxt`, `prv`) and testing them mod e, not from the one pass
 of `classify.script_sets`.  The
 shapes of a given residue content come from every k-multipartition of |beta|
-filtered by content, not from the shape search of `tableaux`, and the degree
+filtered by content, not from the content lattice of `tableaux`, and the degree
 of a tableau step is recounted from every addable and removable node of
-every later component (`_d_statistic`).  The content lattice and the shape
-search themselves have a reference that keeps each shape as a tuple of
+every later component (`_d_statistic`).  The content lattice itself has a
+reference that keeps each shape as a tuple of
 partitions and reads its addable nodes from one bottom-up sweep
 (`tuple_degree_table`, `tuple_shapes_of_content`, `_addable_nodes`), not from
 the stacked abacus of `tableaux`; on that abacus, the lattice built with a

@@ -246,7 +246,11 @@ def test_no_module_imports_dataclasses_typing_or_json_at_load():
 def test_cli_import_loads_no_heavy_module():
     """In a fresh isolated interpreter, `import klrblocks.cli` loads none of
     argparse, dataclasses, inspect or json (those that start-up already
-    loaded do not count)."""
+    loaded do not count).  The option table replaces argparse and the
+    records are __slots__ classes; json is imported only where classify,
+    brauer and decomp write JSON and where --graph reads it.  argparse and
+    gettext cost about 3 ms of every start-up, dataclasses and inspect
+    about 12 ms."""
     code = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"

@@ -9,8 +9,8 @@ import math
 import os
 import pickle
 import pkgutil
+import re
 import shlex
-import subprocess
 import sys
 import tempfile
 import time
@@ -31,6 +31,7 @@ from klrblocks.quiver import WeightQuiver, build_quiver
 from klrblocks.tableaux import MAX_LEVEL
 
 import oracles
+from cli_runs import Run, execute, problems
 from oracles import build_parser, partitions_of
 from test_maxweights import dominant_weights
 
@@ -393,31 +394,28 @@ def test_small_characteristics_are_accepted_only_when_prime():
     assert capture([*block, "--char", "1"]) == (1, "", "error: char_p must be 0 or a prime\n")
 
 
+def child(run: Run) -> str:
+    """The stderr of a child-process run of the CLI that passes the checks
+    of the pinned-run table: its exit code, its stdout and a stderr that is
+    empty for an answer and one line ending in the row's tail for a refusal."""
+    code, digest, err = execute(run)
+    assert problems(run, code, digest, err) == [], (run.argv[:100], err[:200])
+    return err
+
+
 def test_huge_characteristic_is_one_error_line():
     # in a child process, so that a primality test that never ends fails on
     # the timeout instead of hanging the suite
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(klrblocks.__file__))}
-    block = ["classify", "--ell", "2", "--weight", "3,0,0", "--beta", "1,1,1"]
+    block = "classify --ell 2 --weight 3,0,0 --beta 1,1,1"
     for char in ("1" + "0" * 400, "1000000000000000003"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "klrblocks.cli", *block, "--char", char],
-            capture_output=True, text=True, timeout=30, env=env,
-        )
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert proc.stderr.endswith(f"exceeds the limit MAX_CHAR = {MAX_CHAR}\n")
+        tail = f"exceeds the limit MAX_CHAR = {MAX_CHAR}"
+        assert child(Run(f"{block} --char {char}", "", 30, code=1, tail=tail)).startswith("error: ")
 
 
 def test_tall_block_classifies_in_closed_form():
     # in a child process, so that a dominance step linear in beta's height
     # fails on the timeout instead of hanging the suite
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(klrblocks.__file__))}
-    block = ["classify", "--ell", "3", "--weight", "3,0,0,0", "--beta", "0,1000000000,0,0"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "klrblocks.cli", *block],
-        capture_output=True, text=True, timeout=30, env=env,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Zero\n", "")
+    child(Run("classify --ell 3 --weight 3,0,0,0 --beta 0,1000000000,0,0", "Zero\n", 30))
 
 
 def test_class_walk_is_bounded():
@@ -496,15 +494,10 @@ def test_level_limit_is_one_error_line():
     # filled about 16 GB before the shape limit fired, and level 10^9 first
     # built a 10^9-entry charge list.  In a child process, so that such a
     # build fails on the timeout instead of exhausting memory in the suite.
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(klrblocks.__file__))}
     for level in (MAX_LEVEL + 1, 10**9):
         argv = ["gdim", "--ell", "1", "--weight", f"{level},0", "--beta", "1,0"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "klrblocks.cli", *argv],
-            capture_output=True, text=True, timeout=10, env=env,
-        )
         expected = f"error: level {level} exceeds the limit MAX_LEVEL = {MAX_LEVEL}\n"
-        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", expected)
+        assert child(Run(" ".join(argv), "", code=1, tail=expected[:-1])) == expected
         started = time.perf_counter()
         assert capture(argv) == (1, "", expected)
         assert time.perf_counter() - started < 0.5
@@ -527,13 +520,8 @@ def test_huge_beta_is_worked_out_from_the_shapes_built():
     # shape the walk built, here one node, so this zero block answers at
     # once instead of computing (10^9)!.  In a child process, so that such a
     # computation fails on the timeout instead of exhausting memory.
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(klrblocks.__file__))}
     argv = ["gdim", "--ell", "1", "--weight", "1,0", "--beta", "1000000000,0"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "klrblocks.cli", *argv],
-        capture_output=True, text=True, timeout=10, env=env,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+    child(Run(" ".join(argv), "0\n"))
     started = time.perf_counter()
     assert capture(argv) == (0, "0\n", "")
     assert time.perf_counter() - started < 0.5
@@ -617,15 +605,9 @@ def test_large_diagonals_are_refused_at_once():
     # Each column once scanned every value from isqrt(min diagonal) down to 0,
     # so this matrix (bound 10,000) ran 111 s before its 10,001st row was
     # refused.  In a child process, so that a slow scan fails on the timeout.
-    argv = ["decomp", "--cartan", "100000000,0;0,100000000"]
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(klrblocks.__file__))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "klrblocks.cli", *argv],
-        capture_output=True, text=True, timeout=10, env=env,
-    )
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert proc.stderr.endswith(" exceeds the limit MAX_CANDIDATE_ROWS = 10000\n")
+    run = Run("decomp --cartan 100000000,0;0,100000000", "", code=1,
+              tail=" exceeds the limit MAX_CANDIDATE_ROWS = 10000")
+    assert child(run).startswith("error: ")
 
 
 # the most characters a refusal line may take, its newline included
@@ -727,6 +709,21 @@ def test_every_limit_answers_at_its_value_and_refuses_past_it(monkeypatch):
         monkeypatch.undo()
 
 
+def test_readme_limits_table_matches_the_constants():
+    """README's limits table has one row per MAX_* constant of the package,
+    named by its module, with the constant's value (as 20,000 or 10^12)."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = re.findall(r"^\| `(\w+)\.(MAX_\w+)` \| ([^|]+?) \|", fh.read(), re.MULTILINE)
+    modules = limit_modules()
+    assert sorted((module, name) for module, name, _ in rows) == sorted(
+        (module.__name__.removeprefix("klrblocks."), name) for name, module in modules.items()
+    )
+    for _, name, text in rows:
+        base, _, power = text.replace(",", "").partition("^")
+        assert int(base) ** int(power or 1) == getattr(modules[name], name), (name, text)
+
+
 # The table of functions the benchmark's tracer wraps, read from its file.
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -801,13 +798,8 @@ def test_negative_cartan_entries_are_refused():
     rows = [["1"] * n for _ in range(n)]
     rows[n - 2][n - 1] = rows[n - 1][n - 2] = "-1"
     argv = ["decomp", "--cartan", ";".join(",".join(row) for row in rows)]
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(klrblocks.__file__))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "klrblocks.cli", *argv],
-        capture_output=True, text=True, timeout=10, env=env,
-    )
     expected = (1, "", "error: Cartan matrix entries must be nonnegative\n")
-    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    assert child(Run(" ".join(argv), "", code=1, tail=expected[2][:-1])) == expected[2]
     started = time.perf_counter()
     assert capture(argv) == expected
     assert time.perf_counter() - started < 0.5

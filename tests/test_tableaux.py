@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import klrblocks
 from klrblocks import tableaux
 from klrblocks.cartan import LimitError, RootVector
+from klrblocks.maxweights import LevelKDominant
 from klrblocks.tableaux import (
     DEGREE_TABLE_CACHE,
     WALK_CACHE,
@@ -32,6 +33,7 @@ from klrblocks.tableaux import (
     graded_dim,
     graded_dim_total,
 )
+from klrblocks.weyl import OrbitStatus, orbit_representative
 
 from oracles import (
     _addable,
@@ -134,21 +136,27 @@ def test_enumerate_with_content_examples():
 
 
 def test_shape_limit_bounds_every_public_function(monkeypatch):
-    # no shape of charges (0, 0, 1) has content (6, 2), so the search and
-    # the lattice both reach all 200 shapes of content <= beta
-    charges, beta, nu = (0, 0, 1), RootVector((6, 2)), (0,) * 6 + (1,) * 2
-    calls = [
-        lambda: graded_dim(charges, beta, nu, nu),
-        lambda: graded_dim_total(charges, beta),
-        lambda: enumerate_with_content(charges, beta),
-        lambda: block_is_nonzero((2, 1), beta),
-    ]
-    monkeypatch.setattr(tableaux, "MAX_LATTICE_SHAPES", 150)
-    for call in calls:
-        with pytest.raises(LimitError, match="exceeds the limit MAX_LATTICE_SHAPES = 150$"):
-            call()
-    monkeypatch.undo()
-    assert [call() for call in calls] == [LaurentPoly(), LaurentPoly(), [], False]
+    # every public function reads the one content lattice, so each is
+    # refused once it passes the limit, on a vanishing block or not: charges
+    # (0, 0, 1) have 200 shapes of content <= (6, 2), none of content (6, 2),
+    # and 192 shapes of content <= (4, 2), 41 of them of content (4, 2)
+    charges = (0, 0, 1)
+    for coeffs, nu, count in (((6, 2), (0,) * 6 + (1,) * 2, 0), ((4, 2), (0, 1, 0, 0, 1, 0), 41)):
+        beta = RootVector(coeffs)
+        calls = [
+            lambda: graded_dim(charges, beta, nu, nu),
+            lambda: graded_dim_total(charges, beta),
+            lambda: enumerate_with_content(charges, beta),
+            lambda: block_is_nonzero((2, 1), beta),
+        ]
+        monkeypatch.setattr(tableaux, "MAX_LATTICE_SHAPES", 150)
+        for call in calls:
+            with pytest.raises(LimitError, match="exceeds the limit MAX_LATTICE_SHAPES = 150$"):
+                call()
+        monkeypatch.undo()
+        dim, total, shapes, nonzero = (call() for call in calls)
+        assert len(shapes) == count
+        assert nonzero == bool(dim) == bool(total) == (count > 0)
 
 
 def test_graded_dim_level3_rank1_block():
@@ -452,7 +460,8 @@ def test_level_one_blocks_count_e_multipartitions_of_the_defect():
     """At level 1 the partitions of content beta share one e-core and have
     e-weight def(beta), so a nonzero block has as many shapes as there are
     e-multipartitions of def(beta) (e = 2..5, beta entries <= 3, |beta| <=
-    10); the shape search finds a shape exactly when the lattice does."""
+    10); the Weyl orbit reduction finds the block nonzero exactly when the
+    lattice has a shape of content beta."""
     nonzero = 0
     for e in (2, 3, 4, 5):
         for i in range(e):
@@ -462,7 +471,9 @@ def test_level_one_blocks_count_e_multipartitions_of_the_defect():
                     continue
                 rv = RootVector(beta)
                 shapes = enumerate_with_content((i,), rv)
-                assert bool(shapes) == block_is_nonzero(lam, rv)
+                assert bool(shapes) == (
+                    orbit_representative(LevelKDominant(lam), rv).status is OrbitStatus.NONZERO
+                )
                 if shapes:
                     nonzero += 1
                     assert len(shapes) == len(multipartitions(e, defect(lam, beta))), (i, beta)
@@ -658,7 +669,7 @@ def test_walk_cache_is_bounded():
     assert _walk.cache_parameters()["maxsize"] is not None
 
 
-# --- the shape search against every multipartition filtered by content -------
+# --- the content lattice against every multipartition filtered by content ----
 
 
 @st.composite
@@ -951,9 +962,8 @@ def test_multipartition_constructor_still_validates():
 )
 def test_large_shapes_widen_the_abacus(monkeypatch, charges, beta, count, heights):
     walked = []
-    for name in ("_lattice", "_search"):
-        walk = getattr(tableaux, name)
-        monkeypatch.setattr(tableaux, name, lambda *args, walk=walk: walked.append(args[2]) or walk(*args))
+    lattice = tableaux._lattice
+    monkeypatch.setattr(tableaux, "_lattice", lambda *args: walked.append(args[2]) or lattice(*args))
     moves, full, width = _degree_table(charges, beta)
     tuple_moves, tuple_full = tuple_degree_table(charges, beta)
     assert (len(moves), len(full)) == (len(tuple_moves), count)
@@ -961,9 +971,9 @@ def test_large_shapes_widen_the_abacus(monkeypatch, charges, beta, count, height
     shapes = [mp.components for mp in enumerate_with_content(charges, RootVector(beta))]
     assert shapes == largest_first(tuple_shapes_of_content(charges, beta))
     assert block_is_nonzero(tuple(charges.count(i) for i in range(len(beta))), RootVector(beta))
-    # the lattice is walked once and read again by the enumeration; the
-    # nonvanishing search walks its own
-    assert walked == heights * 2
+    # the lattice is walked once; the enumeration and the nonvanishing test
+    # read it again from the cache
+    assert walked == heights
 
 
 def test_a_walk_refused_at_the_shape_limit_keeps_the_height_it_reached(monkeypatch):
