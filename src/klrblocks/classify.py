@@ -61,8 +61,10 @@ class FieldParams(Record):
             raise ValueError("char_p must be 0 or a prime")
         if char_p > MAX_CHAR:
             raise LimitError(f"char_p = {char_p}", "MAX_CHAR", MAX_CHAR)
-        # 2 and 3 have no divisor to try, so they skip the generator
-        if char_p > 3 and any(char_p % d == 0 for d in range(2, isqrt(char_p) + 1)):
+        # below 25 = 5^2 no divisor from 5 on can be the smallest, so 2 and 3
+        # decide; the odd divisors from 5 are tried only above it
+        if char_p > 3 and (char_p % 2 == 0 or char_p % 3 == 0 or char_p >= 25 and any(
+                char_p % d == 0 for d in range(5, isqrt(char_p) + 1, 2))):
             raise ValueError(f"char_p = {char_p} is not prime")
 
     def check_rank(self, ell: int) -> None:

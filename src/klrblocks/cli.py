@@ -191,8 +191,11 @@ def _cmd_classify(args, out) -> int:
     except TClassRankError as exc:
         raise UsageError(str(exc)) from exc
     if args.format == "json":
-        _write_json({"ell": args.ell, "base": base.coeffs, "beta": beta.coeffs,
-                     "char": args.char, "t": args.t, "type": str(result)}, out)
+        # framed by hand like the class answers: a --t that names a class is
+        # ASCII letters, digits and "-" (every key of _T_CLASSES is, and no
+        # other character lowers to one of those), so it needs no escape
+        out.write(f'{{"ell": {args.ell}, "base": {list(base.coeffs)}, "beta": {list(beta.coeffs)}, '
+                  f'"char": {args.char}, "t": "{args.t}", "type": "{result}"}}\n')
     else:
         out.write(f"{result}\n")
     return 0

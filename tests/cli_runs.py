@@ -115,12 +115,22 @@ RUNS = [
     # no answer within MAX_SEARCH_NODES: all visited in 0.9 s, so a node many
     # times dearer fails the timeout
     Run("decomp --gamma 20,1,1", "", code=1, tail="exceeds the limit MAX_SEARCH_NODES = 1000000"),
+    # J + I of order 13 (2 on the diagonal, 1 elsewhere): each node scans its
+    # candidate rows, so the same limit takes 3.9-4.3 s, at a peak of 62 MB
+    # RSS and 65 MB of address space
+    Run("decomp --cartan " + ";".join(",".join("2" if i == j else "1" for j in range(13)) for i in range(13)),
+        "", 20, 100000, code=1, tail="exceeds the limit MAX_SEARCH_NODES = 1000000"),
     # trace 2,000, refused before the search (0.3 s, mostly the 1,000 x 1,000
     # Cartan matrix); its row walk once hit Python's recursion limit
     Run("decomp --gamma 999,1,1", "", code=1, tail="exceeds the limit MAX_SEARCH_DEPTH = 500"),
-    # the orbit representative is O(e^2) integer work, 12 ms at e = 512 with a
-    # beta entry of 10^9, so a loop that grows with |beta| fails the timeout
+    # classify is O(e log e) integer work, the sort of the partial sums: 0.5 ms
+    # in process at e = 512 with a beta entry of 10^9, 0.06 s as a process and
+    # 14 MB, so a loop that grows with |beta| fails the timeout
     Run(f"classify --ell 511 --weight 3{',0' * 511} --beta 1000000000{',7' * 511}", "Zero\n"),
+    # its JSON at e = 512, framed by hand, with --t in mixed case written as
+    # given: the bytes json.dumps wrote (0.06-0.09 s, 14 MB)
+    Run(f"classify --ell 511 --weight 3{',0' * 511} --beta 1{',1' * 511} --t SignEll --format json",
+        "774fee0519443a10b8db39ef063ac10f9e7268ed46493bb60276e6bd859980c1"),
     # -- limits run at their real value nowhere else --
     # MAX_EDGES: the 1,000 x 1,000 Cartan matrix and 7,002 quiver lines, 4.28 MB
     # in 0.38 s; one edge more is refused before the line is built

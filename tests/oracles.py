@@ -99,7 +99,6 @@ from klrblocks.tableaux import (
     _field_width,
     charges_of,
 )
-from klrblocks.weyl import OrbitResult
 
 
 # --- weight arithmetic ---
@@ -206,10 +205,13 @@ def dominate(mu: WeightCoeffs) -> tuple[WeightCoeffs, int]:
     return WeightCoeffs(lam, delta), length
 
 
-def record_orbit_representative(base: LevelKDominant, beta: RootVector) -> OrbitResult:
+def record_orbit_representative(
+    base: LevelKDominant, beta: RootVector
+) -> tuple[RootVector | None, int, int]:
     """`weyl.orbit_representative` through weight records: mu = Lambda - beta
     as a `WeightCoeffs`, made dominant by `dominate`, and X expanded from
-    Lambda - mu+ and split by `delta_decompose`."""
+    Lambda - mu+ and split by `delta_decompose`.  Returns (beta0, m, the
+    reflection count), with (None, 0, count) for a vanishing block."""
     if len(beta.coeffs) != len(base.coeffs):
         raise ValueError(
             f"beta has length {len(beta.coeffs)}, the weight {len(base.coeffs)}"
@@ -220,9 +222,9 @@ def record_orbit_representative(base: LevelKDominant, beta: RootVector) -> Orbit
     # Expand diff on the alpha basis: the delta coefficient pins x_0.
     x = solve_pinned(diff.lam, diff.delta)
     if any(v < 0 for v in x):
-        return OrbitResult(None, 0, count)
+        return None, 0, count
     beta0, m = delta_decompose(RootVector(x))
-    return OrbitResult(beta0, m, count)
+    return beta0, m, count
 
 
 # --- the sieving class and its dominant maximal weights ---
@@ -1197,7 +1199,7 @@ class FrozenScriptSets:
 class FrozenOrbitResult:
     beta0: RootVector | None
     m: int
-    reflection_count: int
+    sums: tuple[int, tuple[int, ...]] = field(compare=False)
 
 
 @dataclass(frozen=True)

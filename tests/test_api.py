@@ -247,8 +247,8 @@ def test_cli_import_loads_no_heavy_module():
     """In a fresh isolated interpreter, `import klrblocks.cli` loads none of
     argparse, dataclasses, inspect or json (those that start-up already
     loaded do not count).  The option table replaces argparse and the
-    records are __slots__ classes; json is imported only where classify,
-    brauer and decomp write JSON and where --graph reads it.  argparse and
+    records are __slots__ classes; json is imported only where brauer and
+    decomp write JSON and where --graph reads it.  argparse and
     gettext cost about 3 ms of every start-up, dataclasses and inspect
     about 12 ms."""
     code = (
@@ -267,9 +267,9 @@ def test_cli_import_loads_no_heavy_module():
 
 
 def test_class_answers_import_no_json():
-    """The class commands and gdim frame their JSON by hand: in a fresh
-    isolated interpreter, their JSON answers, gdim's total and pair answers
-    among them, load no json."""
+    """The class commands, classify and gdim frame their JSON by hand: in a
+    fresh isolated interpreter, their JSON answers, gdim's total and pair
+    answers among them, load no json."""
     code = (
         "import io, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -280,6 +280,8 @@ def test_class_answers_import_no_json():
         "      for cmd in ('maxweights', 'quiver', 'tquiver')),\n"
         "    ('gdim-total', ['gdim', *block]),\n"
         "    ('gdim-pair', ['gdim', *block, '--nu', '0,1', '--nup', '1,0']),\n"
+        "    ('classify', ['classify', '--ell', '2', '--weight', '3,0,0', '--beta', '1,1,1',\n"
+        "                  '--t', 'SignEll', '--format', 'json']),\n"
         "):\n"
         "    assert run(argv, io.StringIO(), sys.stderr) == 0\n"
         "    print(name, 'json' in sys.modules)\n"
@@ -290,7 +292,7 @@ def test_class_answers_import_no_json():
     )
     assert proc.stdout.split("\n") == [
         "maxweights False", "quiver False", "tquiver False",
-        "gdim-total False", "gdim-pair False", "",
+        "gdim-total False", "gdim-pair False", "classify False", "",
     ]
 
 

@@ -1,18 +1,20 @@
 from __future__ import annotations
 
+import io
 import itertools
 import random
 
 import pytest
 
 from klrblocks.cartan import RootVector
-from klrblocks.classify import FieldParams, RepType, TClass, classify, script_sets
+from klrblocks.classify import MAX_CHAR, FieldParams, RepType, TClass, classify, script_sets
+from klrblocks.cli import run
 from klrblocks.maxweights import LevelKDominant, max_plus
 from klrblocks.quiver import LevelTooSmallError, build_quiver, t_subquiver
 from klrblocks.tableaux import block_is_nonzero
-from klrblocks.weyl import orbit_representative
+from klrblocks.weyl import OrbitResult, orbit_representative
 
-from oracles import defect, rotate_tuple, walk_script_sets
+from oracles import FrozenFieldParams, defect, rotate_tuple, walk_script_sets
 
 
 def alpha(e, *idx):
@@ -284,3 +286,61 @@ def test_unequal_lengths_raise():
         ):
             with pytest.raises(ValueError, match="beta has length"):
                 call()
+
+
+def field_params_outcome(make, char_p: int):
+    """None if make(char_p) accepts char_p, else the type and message it raised."""
+    try:
+        make(char_p)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_field_params_accept_exactly_what_trial_division_accepts():
+    # 2 and 3 decide below 25, and only from 25 on are odd divisors from 5
+    # tried; the oracle tries every divisor from 2.  Past 10,000: the limit
+    # and its neighbours, the largest prime below it, and the square of the
+    # largest prime below 10^6, whose one divisor is the last one tried
+    chars = [*range(-1, 10_001), MAX_CHAR - 1, MAX_CHAR, MAX_CHAR + 1, 999_999_999_989, 999_983**2]
+    for char_p in chars:
+        expected = field_params_outcome(FrozenFieldParams, char_p)
+        assert field_params_outcome(FieldParams, char_p) == expected, char_p
+    accepted = [c for c in range(10_001) if field_params_outcome(FieldParams, c) is None]
+    assert len(accepted) == 1 + 1229  # 0 and the primes up to 10^4
+
+
+def test_no_classify_answer_reads_the_length(monkeypatch):
+    # the length is O(e^2) and worked out only when read: with it raising,
+    # classify and the classify command answer as before at e = 2..16
+    rng = random.Random(47)
+    cases = []
+    for e in range(2, 17):
+        cases.append(((3,) + (0,) * (e - 1), (1,) * e))  # delta at 3 Lambda_0: Tame
+        for _ in range(6):
+            coeffs = [0] * e
+            for _ in range(rng.randrange(3, 7)):
+                coeffs[rng.randrange(e)] += 1
+            cases.append((tuple(coeffs), tuple(rng.choice((0, 0, 1, 2, 10**9)) for _ in range(e))))
+
+    def answers() -> list:
+        found = []
+        for coeffs, beta in cases:
+            found.append(classify(LevelKDominant(coeffs), RootVector(beta)))
+            for fmt in ("text", "json"):
+                out, err = io.StringIO(), io.StringIO()
+                argv = ["classify", "--ell", str(len(coeffs) - 1), "--weight", ",".join(map(str, coeffs)),
+                        "--beta", ",".join(map(str, beta)), "--format", fmt]
+                found.append((run(argv, out, err), out.getvalue(), err.getvalue()))
+        return found
+
+    expected = answers()
+    assert {RepType.ZERO, RepType.FINITE, RepType.TAME, RepType.WILD} <= set(expected)
+
+    def unread(result: OrbitResult) -> int:
+        raise AssertionError("the length was read")
+
+    monkeypatch.setattr(OrbitResult, "reflection_count", property(unread))
+    with pytest.raises(AssertionError, match="the length was read"):
+        orbit_representative(LevelKDominant((3, 0)), RootVector((1, 0))).reflection_count
+    assert answers() == expected

@@ -15,6 +15,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ import klrblocks
 from klrblocks.brauer import MAX_EDGES, MAX_SEARCH_DEPTH
 from klrblocks.cartan import LimitError, RootVector
 from klrblocks.classify import MAX_CHAR, FieldParams, TClass, TClassRankError, classify
-from klrblocks.cli import _REQUIRED, _TABLES, COMMANDS, UsageError, _parse, run
+from klrblocks.cli import _REQUIRED, _T_CLASSES, _TABLES, COMMANDS, UsageError, _parse, run
 from klrblocks import maxweights, tableaux
 from klrblocks.maxweights import MAX_E, LevelKDominant, max_plus
 from klrblocks.quiver import WeightQuiver, build_quiver
@@ -970,6 +971,19 @@ def t_spellings(draw):
     if word is None:
         word = draw(st.text("twoinusgelr2- İΣ", max_size=9))
     return "".join([c.upper() if draw(st.booleans()) else c for c in word])
+
+
+def test_a_t_spelling_that_names_a_class_needs_no_json_escape():
+    # classify writes --t into its JSON unescaped once it names a class, so
+    # the keys are ASCII letters, digits and "-", and no other character
+    # lowers into them.  A spelling lowers into a key only if each of its
+    # characters lowers to ASCII; past ASCII only the Kelvin sign does, to k
+    letters = set("".join(_T_CLASSES))
+    assert letters <= set("abcdefghijklmnopqrstuvwxyz0123456789-")
+    chars = range(128, sys.maxunicode + 1)
+    to_ascii = list(compress(map(chr, chars), map(str.isascii, map(str.lower, map(chr, chars)))))
+    assert "\u212a" in to_ascii
+    assert [c for c in to_ascii if set(c.lower()) <= letters] == []
 
 
 @settings(max_examples=300, deadline=None)

@@ -204,7 +204,7 @@ def test_only_the_checked_records_have_their_own_init():
     records = records_of(Record)
     assert set(records) == set(RECORDS) - {Arrow}
     assert {cls for cls in records if "__init__" in vars(cls)} == KEYWORDS - {Arrow}
-    assert OrbitResult._fields == ("beta0", "m", "reflection_count")
+    assert OrbitResult._fields == ("beta0", "m", "sums")
     assert WeightQuiver._fields == ("vertices", "arrows")
     assert TQuiver._fields == ("vertices", "arrows", "tags")
     assert WeightCoeffs._fields == ("lam", "delta")

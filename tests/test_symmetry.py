@@ -1,5 +1,5 @@
-"""The class walk, the quivers and the classifier under the flip of the
-Dynkin diagram.
+"""The class walk, the quivers, the orbit reduction, the classifier and the
+graded dimensions under the flip and the rotations of the Dynkin diagram.
 
 The diagram of type A_ell^(1) is a cycle of e = ell + 1 nodes, so the flip
 sigma: i -> -i mod e is one of its automorphisms.  It maps Lambda_i to
@@ -34,6 +34,15 @@ A Brauer graph with every rotation reversed is its mirror image: the same
 ribbon surface with the other orientation.  It has the same multiplicities,
 edges and face perimeters, so the same derived invariants, and its Cartan
 matrix, which reads each rotation as a set, is the same too.
+
+The rotations i -> i + s are the other automorphisms of the cycle, and each
+check above but the Brauer one holds for them the same way, with one change:
+a rotation keeps the order of a label's entries, so the arrow (i, j) goes to
+(i + s, j + s), and e(nu) goes to e(nu + s).
+Both kinds are written g = (sign, shift), the map i -> sign*i + shift mod e.
+The length of the shortest w making Lambda - beta dominant stays too, since
+g conjugates the simple reflections into one another.  Each rotation test
+runs the checks of a flip test, with a drawn shift, on half as many examples.
 """
 
 from __future__ import annotations
@@ -59,14 +68,36 @@ MAX_E = 17
 MAX_MEMBERS = 2000  # about the largest class a drawn base may have
 
 
-def flip(v: tuple[int, ...]) -> tuple[int, ...]:
-    """sigma on a vector indexed mod e: entry i of the result is v[-i]."""
-    return v[:1] + v[:0:-1]
+FLIP = (-1, 0)  # sigma: i -> -i
+IDENTITY = (1, 0)
 
 
-def flip_label(label: tuple[int, int], e: int) -> tuple[int, int]:
-    i, j = label
-    return (-j % e, -i % e)
+def rotation(e: int, shift: int) -> tuple[int, int]:
+    """i -> i + s, with s = shift brought into 1..e-1, so never the identity."""
+    return (1, (shift - 1) % (e - 1) + 1)
+
+
+def act(g: tuple[int, int], v: tuple[int, ...]) -> tuple[int, ...]:
+    """g on a vector indexed mod e: entry g(i) of the result is v[i]."""
+    sign, shift = g
+    out = [0] * len(v)
+    for i, c in enumerate(v):
+        out[(sign * i + shift) % len(v)] = c
+    return tuple(out)
+
+
+def act_label(g: tuple[int, int], label: tuple[int, int], e: int) -> tuple[int, int]:
+    """The label of the image of an arrow: g moves both entries, and the
+    flip also swaps them."""
+    sign, shift = g
+    i, j = label if sign > 0 else label[::-1]
+    return ((sign * i + shift) % e, (sign * j + shift) % e)
+
+
+def act_residues(g: tuple[int, int], nu: tuple[int, ...]) -> tuple[int, ...]:
+    """g on a residue sequence, left unreduced: graded_dim reduces it mod e."""
+    sign, shift = g
+    return tuple(sign * r + shift for r in nu)
 
 
 def moved(c: tuple[int, ...], label: tuple[int, int]) -> tuple[int, ...]:
@@ -109,34 +140,42 @@ LARGE = (8,) + (0,) * 9
 @example(LARGE)
 @example((3, 0, 0, 2, 0, 0, 0, 1) + (0,) * 9)
 def test_the_class_walk_commutes_with_the_flip(coeffs):
+    assert_class_walk_commutes(coeffs, FLIP)
+
+
+@settings(max_examples=10, deadline=None)
+@given(bases(), st.integers(1, MAX_E))
+@example(LARGE, 3)
+def test_the_class_walk_commutes_with_the_rotations(coeffs, shift):
+    assert_class_walk_commutes(coeffs, rotation(len(coeffs), shift))
+
+
+def assert_class_walk_commutes(coeffs: tuple[int, ...], g: tuple[int, int]) -> None:
     e = len(coeffs)
     arrows: list = []
     xs = class_walk(coeffs, arrows)
-    flipped_arrows: list = []
-    flipped = class_walk(flip(coeffs), flipped_arrows)
-    # members and X by sigma; the walk order may differ, so compare as maps
-    assert flipped == {flip(m): flip(x) for m, x in xs.items()}
+    image_arrows: list = []
+    image = class_walk(act(g, coeffs), image_arrows)
+    # members and X by g; the walk order may differ, so compare as maps
+    assert image == {act(g, m): act(g, x) for m, x in xs.items()}
     # each arrow is given by the positions of its ends in the walk's dict
-    members, flipped_members = [flip(m) for m in xs], list(flipped)
-    for s, d, label in flipped_arrows:
-        assert flipped_members[d] == moved(flipped_members[s], label)
+    members, image_members = [act(g, m) for m in xs], list(image)
+    for s, d, label in image_arrows:
+        assert image_members[d] == moved(image_members[s], label)
     assert Counter(
-        (members[s], members[d], flip_label(label, e)) for s, d, label in arrows
+        (members[s], members[d], act_label(g, label, e)) for s, d, label in arrows
     ) == Counter(
-        (flipped_members[s], flipped_members[d], label) for s, d, label in flipped_arrows
+        (image_members[s], image_members[d], label) for s, d, label in image_arrows
     )
 
 
-def drawing(q, sigma: bool = False) -> tuple[set, Counter, dict]:
-    """A quiver by coeffs: its (coeffs, X) pairs, its arrows and its tags;
-    with sigma on every vertex and every label if `sigma`."""
+def drawing(q, g: tuple[int, int] = IDENTITY) -> tuple[set, Counter, dict]:
+    """A quiver by coeffs: its (coeffs, X) pairs, its arrows and its tags,
+    with g on every vertex and every label."""
     e = len(q.base.coeffs)
-    move = flip if sigma else tuple
-    coeffs = [move(v.weight.coeffs) for v in q.vertices]
-    vertices = {(c, move(v.x)) for c, v in zip(coeffs, q.vertices)}
-    arrows = Counter(
-        (coeffs[s], coeffs[d], flip_label(label, e) if sigma else label) for s, d, label in q.arrows
-    )
+    coeffs = [act(g, v.weight.coeffs) for v in q.vertices]
+    vertices = {(c, act(g, v.x)) for c, v in zip(coeffs, q.vertices)}
+    arrows = Counter((coeffs[s], coeffs[d], act_label(g, label, e)) for s, d, label in q.arrows)
     tags = {coeffs[vid]: ts for vid, ts in q.tags.items()} if isinstance(q, TQuiver) else {}
     assert all(d == moved(s, label) for s, d, label in arrows)
     return vertices, arrows, tags
@@ -148,10 +187,21 @@ def drawing(q, sigma: bool = False) -> tuple[set, Counter, dict]:
 @example((4, 0, 0, 2, 0, 0, 1))
 @example((1,) * 4 + (0,) * 13)
 def test_the_quivers_commute_with_the_flip(coeffs):
-    base, flipped = LevelKDominant(coeffs), LevelKDominant(flip(coeffs))
+    assert_quivers_commute(coeffs, FLIP)
+
+
+@settings(max_examples=10, deadline=None)
+@given(bases().filter(lambda c: sum(c) >= 2), st.integers(1, MAX_E))
+@example((4, 0, 0, 2, 0, 0, 1), 2)
+@example((1,) * 4 + (0,) * 13, 15)
+def test_the_quivers_commute_with_the_rotations(coeffs, shift):
+    assert_quivers_commute(coeffs, rotation(len(coeffs), shift))
+
+
+def assert_quivers_commute(coeffs: tuple[int, ...], g: tuple[int, int]) -> None:
+    base, image = LevelKDominant(coeffs), LevelKDominant(act(g, coeffs))
     for build in (build_quiver, t_subquiver):
-        q, fq = build(base), build(flipped)
-        assert drawing(fq) == drawing(q, sigma=True)
+        assert drawing(build(image)) == drawing(build(base), g)
 
 
 @st.composite
@@ -192,26 +242,37 @@ def near_the_lists(coeffs: tuple[int, ...]) -> list[tuple[int, ...]]:
     return near
 
 
-def assert_flip_keeps(coeffs: tuple[int, ...], beta: tuple[int, ...], params: FieldParams) -> None:
-    """sigma moves the orbit representative, keeps m and keeps the type."""
+def assert_keeps(
+    coeffs: tuple[int, ...], beta: tuple[int, ...], params: FieldParams, g: tuple[int, int]
+) -> None:
+    """g moves the orbit representative, keeps m and the length, and keeps
+    the type."""
     base, b = LevelKDominant(coeffs), RootVector(beta)
-    flipped, fb = LevelKDominant(flip(coeffs)), RootVector(flip(beta))
-    orbit, flipped_orbit = orbit_representative(base, b), orbit_representative(flipped, fb)
-    assert flipped_orbit.m == orbit.m
-    beta0 = None if orbit.beta0 is None else RootVector(flip(orbit.beta0.coeffs))
-    assert flipped_orbit.beta0 == beta0
-    assert classify(flipped, fb, params) == classify(base, b, params)
+    image, gb = LevelKDominant(act(g, coeffs)), RootVector(act(g, beta))
+    orbit, image_orbit = orbit_representative(base, b), orbit_representative(image, gb)
+    assert image_orbit.m == orbit.m
+    beta0 = None if orbit.beta0 is None else RootVector(act(g, orbit.beta0.coeffs))
+    assert image_orbit.beta0 == beta0
+    assert image_orbit.reflection_count == orbit.reflection_count
+    assert classify(image, gb, params) == classify(base, b, params)
 
 
 LARGEST_E = maxweights.MAX_E
 
 
-# each example runs four O(e^2) orbit reductions, about 12 ms each at e = 512
+# each example reads two O(e^2) lengths, about 7 ms each at e = 512
 @settings(max_examples=20, deadline=None)
 @given(blocks(LARGEST_E))
 @example(((3,) + (0,) * (LARGEST_E - 1), (10**9,) + (7,) * (LARGEST_E - 1), FieldParams()))
 def test_blocks_up_to_the_largest_e_keep_their_type_under_the_flip(block):
-    assert_flip_keeps(*block)
+    assert_keeps(*block, FLIP)
+
+
+@settings(max_examples=10, deadline=None)
+@given(blocks(LARGEST_E), st.integers(1, LARGEST_E))
+@example(((3,) + (0,) * (LARGEST_E - 1), (10**9,) + (7,) * (LARGEST_E - 1), FieldParams()), 200)
+def test_blocks_up_to_the_largest_e_keep_their_type_under_the_rotations(block, shift):
+    assert_keeps(*block, rotation(len(block[0]), shift))
 
 
 @settings(max_examples=50, deadline=None)
@@ -222,12 +283,27 @@ def test_blocks_near_the_finite_and_tame_lists_keep_their_type_under_the_flip(
     # every shape of the lists at this weight, and each of them plus delta
     # or plus one alpha at or beside the largest summand; e stays small,
     # since each example classifies every shape
+    for beta in betas_near_the_lists(block[0], offset, delta):
+        assert_keeps(block[0], beta, block[2], FLIP)
+
+
+@settings(max_examples=25, deadline=None)
+@given(blocks(24), st.integers(-1, 1), st.booleans(), st.integers(1, 24))
+def test_blocks_near_the_finite_and_tame_lists_keep_their_type_under_the_rotations(
+    block, offset, delta, shift
+):
     coeffs, _, params = block
+    for beta in betas_near_the_lists(coeffs, offset, delta):
+        assert_keeps(coeffs, beta, params, rotation(len(coeffs), shift))
+
+
+def betas_near_the_lists(coeffs: tuple[int, ...], offset: int, delta: bool) -> list[tuple[int, ...]]:
+    """The shapes of the lists at this weight, and each plus delta (if
+    `delta`) or plus alpha_{i + offset} at the largest summand i."""
     e = len(coeffs)
     extra = (1,) * e if delta else alphas(e, coeffs.index(max(coeffs)) + offset)
     near = near_the_lists(coeffs)
-    for beta in near + [tuple(map(sum, zip(b, extra))) for b in near]:
-        assert_flip_keeps(coeffs, beta, params)
+    return near + [tuple(map(sum, zip(b, extra))) for b in near]
 
 
 @st.composite
@@ -264,27 +340,46 @@ def grown_blocks(draw) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...
     return coeffs, tuple(nu.count(r) for r in range(e)), nu, nu_prime
 
 
-def negated(nu: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-r for r in nu)
-
-
 @settings(max_examples=60, deadline=None)
 @given(grown_blocks())
 def test_graded_dim_totals_commute_with_the_flip(block):
+    assert_graded_dim_total_commutes(block, FLIP)
+
+
+@settings(max_examples=30, deadline=None)
+@given(grown_blocks(), st.integers(1, 6))
+def test_graded_dim_totals_commute_with_the_rotations(block, shift):
+    assert_graded_dim_total_commutes(block, rotation(len(block[0]), shift))
+
+
+def assert_graded_dim_total_commutes(block, g: tuple[int, int]) -> None:
     coeffs, beta, _, _ = block
     total = graded_dim_total(charges_of(coeffs), RootVector(beta))
     assert total
-    assert graded_dim_total(charges_of(flip(coeffs)), RootVector(flip(beta))) == total
+    assert graded_dim_total(charges_of(act(g, coeffs)), RootVector(act(g, beta))) == total
 
 
 @settings(max_examples=60, deadline=None)
 @given(grown_blocks())
 def test_pair_graded_dims_commute_with_the_flip(block):
+    assert_pair_graded_dim_commutes(block, FLIP)
+
+
+@settings(max_examples=30, deadline=None)
+@given(grown_blocks(), st.integers(1, 6))
+def test_pair_graded_dims_commute_with_the_rotations(block, shift):
+    # the charges move, so the image is at (g Lambda, g beta, nu + s, nu' + s)
+    assert_pair_graded_dim_commutes(block, rotation(len(block[0]), shift))
+
+
+def assert_pair_graded_dim_commutes(block, g: tuple[int, int]) -> None:
     coeffs, beta, nu, nu_prime = block
     pair = graded_dim(charges_of(coeffs), RootVector(beta), nu, nu_prime)
     assert pair
-    flipped = graded_dim(charges_of(flip(coeffs)), RootVector(flip(beta)), negated(nu), negated(nu_prime))
-    assert flipped == pair
+    image = graded_dim(
+        charges_of(act(g, coeffs)), RootVector(act(g, beta)), act_residues(g, nu), act_residues(g, nu_prime)
+    )
+    assert image == pair
 
 
 @st.composite

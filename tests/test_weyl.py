@@ -46,11 +46,14 @@ def weight_coeffs_dominate(mu: WeightCoeffs, cap: int = ORACLE_CAP) -> tuple[Wei
         count += 1
 
 
-def sieving_orbit_representative(base: LevelKDominant, beta: RootVector) -> OrbitResult:
-    """Reduce beta to (beta0, m) with beta0 in the class's beta set, or Zero.
+def sieving_orbit_representative(
+    base: LevelKDominant, beta: RootVector
+) -> tuple[RootVector | None, int, int]:
+    """Reduce beta to (beta0, m) with beta0 in the class's beta set, or Zero,
+    and count the reflections: (beta0, m, reflection count).
 
-    Zero means Lambda - beta is not a weight of the module, i.e. the block
-    vanishes.
+    Zero (beta0 None, m 0) means Lambda - beta is not a weight of the module,
+    i.e. the block vanishes.
     """
     if base.level < 1:
         raise ValueError("base must have level >= 1")
@@ -60,11 +63,16 @@ def sieving_orbit_representative(base: LevelKDominant, beta: RootVector) -> Orbi
     # Expand diff on the alpha basis: the delta coefficient pins x_0.
     x = solve_pinned(diff.lam, diff.delta)
     if any(v < 0 for v in x):
-        return OrbitResult(None, 0, count)
+        return None, 0, count
     beta0, m = delta_decompose(RootVector(x))
     if beta0.coeffs in p_lambda_set(base):
-        return OrbitResult(beta0, m, count)
-    return OrbitResult(None, 0, count)
+        return beta0, m, count
+    return None, 0, count
+
+
+def read(res: OrbitResult) -> tuple[RootVector | None, int, int]:
+    """(beta0, m, reflection count) of a result, the count read from it."""
+    return res.beta0, res.m, res.reflection_count
 
 
 def test_simple_reflect_fixed_point():
@@ -93,9 +101,12 @@ def test_dominate_trivial_and_small_orbit():
     # r_0(Lambda), one reflection away
     base = LevelKDominant((2, 0))
     zero = RootVector((0, 0))
-    assert orbit_representative(base, zero) == OrbitResult(zero, 0, 0)
+    res = orbit_representative(base, zero)
+    assert res == OrbitResult(zero, 0, None)
+    assert res.reflection_count == 0
     res = orbit_representative(base, RootVector((2, 0)))
-    assert res == OrbitResult(zero, 0, 1)
+    assert res == OrbitResult(zero, 0, None)
+    assert res.reflection_count == 1
 
 
 def beta_of(base: LevelKDominant, mu: WeightCoeffs) -> tuple[int, ...]:
@@ -143,7 +154,7 @@ def test_tall_block_length_is_exact():
     base = LevelKDominant((3, 0, 0, 0))
     for h in range(60):
         res = orbit_representative(base, RootVector((0, h, 0, 0)))
-        assert res == sieving_orbit_representative(base, RootVector((0, h, 0, 0)))
+        assert read(res) == sieving_orbit_representative(base, RootVector((0, h, 0, 0)))
         if h % 3 == 1:
             assert res.reflection_count == 2 * h + 1
     res = orbit_representative(base, RootVector((0, 10**9, 0, 0)))
@@ -249,7 +260,7 @@ def orbit_cases(draw):
 @given(orbit_cases())
 def test_orbit_representative_matches_sieving_oracle(case):
     res = orbit_representative(*case)
-    assert res == sieving_orbit_representative(*case)
+    assert read(res) == sieving_orbit_representative(*case)
     assert (res.status is OrbitStatus.ZERO) == (res.beta0 is None)
 
 
@@ -321,7 +332,9 @@ def test_one_pass_matches_the_record_pipeline(case):
     """Status, beta0, m and reflection_count against the weight-record form
     (`to_weight`, `root_to_weight`, `dominate`, `delta_decompose`)."""
     res = orbit_representative(*case)
-    assert res == record_orbit_representative(*case)
+    beta0, m, count = record_orbit_representative(*case)
+    assert res == OrbitResult(beta0, m, None)
+    assert res.reflection_count == count
     assert (res.status is OrbitStatus.ZERO) == (res.beta0 is None)
 
 
